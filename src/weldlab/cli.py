@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 
 from . import bowen_series as bs
@@ -22,6 +24,9 @@ from . import welding
 from .errors import UsageError, WeldlabError
 
 SCHEMA_VERSION = 1
+
+#: gallery names of the Newton family: 5.6 (n = 3) or 5.6:<n>
+_NEWTON_NAME = re.compile(r"5\.6(:-?\d+)?")
 
 
 def _tolerance():
@@ -62,7 +67,7 @@ def _preset(args):
 
 def _load_schema_arg(path):
     if not os.path.exists(path):
-        if path in ms.PAPER_EXAMPLES or path.startswith("5.6"):
+        if path in ms.PAPER_EXAMPLES or _NEWTON_NAME.fullmatch(path):
             return ms.paper_example(path)
         raise UsageError(f"file not found: {path}")
     try:
@@ -261,6 +266,8 @@ def cmd_surface_zip(args):
 # -- corr ---------------------------------------------------------------------
 
 def cmd_corr_fibers(args):
+    if not 1 <= args.j <= args.p:
+        raise UsageError(f"--j must be a sheet in 1..{args.p}")
     m = corr.ModelMaps(args.n, args.p)
     pt = m.point(complex(args.w_re, args.w_im), args.j)
     fib = corr.fiber(m, pt)
@@ -329,6 +336,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(lo):
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} < {lo}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
+_finite.__name__ = "float"
+
+
 def _add_group_args(p, factor=False):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -353,11 +380,11 @@ def build_parser():
 
     b = sub.add_parser("bs").add_subparsers(dest="sub", required=True)
     for name, fn, extra in [
-        ("eval", cmd_bs_eval, [("--theta", float, True, None)]),
-        ("orbit", cmd_bs_orbit, [("--theta", float, True, None),
-                                 ("--steps", int, False, 10)]),
+        ("eval", cmd_bs_eval, [("--theta", _finite, True, None)]),
+        ("orbit", cmd_bs_orbit, [("--theta", _finite, True, None),
+                                 ("--steps", _at_least(0), False, 10)]),
         ("partition", cmd_bs_partition, []),
-        ("conjugacy", cmd_bs_conjugacy, [("--theta", float, True, None),
+        ("conjugacy", cmd_bs_conjugacy, [("--theta", _finite, True, None),
                                          ("--depth", int, False, 10)]),
         ("tiles", cmd_bs_tiles, [("--rank", int, False, 2)]),
     ]:
@@ -393,10 +420,10 @@ def build_parser():
 
     c = sub.add_parser("corr").add_subparsers(dest="sub", required=True)
     cf = c.add_parser("fibers")
-    cf.add_argument("--n", type=int, required=True)
-    cf.add_argument("--p", type=int, required=True)
-    cf.add_argument("--w-re", type=float, default=0.5)
-    cf.add_argument("--w-im", type=float, default=0.0)
+    cf.add_argument("--n", type=_at_least(1), required=True)
+    cf.add_argument("--p", type=_at_least(1), required=True)
+    cf.add_argument("--w-re", type=_finite, default=0.5)
+    cf.add_argument("--w-im", type=_finite, default=0.0)
     cf.add_argument("--j", type=int, default=1)
     cf.set_defaults(fn=cmd_corr_fibers)
     cb = c.add_parser("branches")
@@ -404,7 +431,7 @@ def build_parser():
     cb.set_defaults(fn=cmd_corr_branches)
     ct = c.add_parser("tiling")
     _add_group_args(ct)
-    ct.add_argument("--len", dest="length", type=int, default=4)
+    ct.add_argument("--len", dest="length", type=_at_least(0), default=4)
     ct.add_argument("--svg")
     ct.set_defaults(fn=cmd_corr_tiling)
     cr = c.add_parser("recover")

@@ -20,7 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import NotHyperbolic, OverlapDetected, RankLimit, RelationMismatch
+from .errors import (DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit,
+                     RelationMismatch)
 from .fuchsian import GroupPreset, build_group, sigma_side
 from .hyperbolic import TAU, MobiusMap, norm_angle
 
@@ -266,6 +267,18 @@ def recover_representation(m: ModelTilingSet, preset: GroupPreset = None):
 
 MAX_WORD_LENGTH = 8
 
+#: cell of the grid that hashes points of the disk.  The images of a point of
+#: Pi-hat under two words for one element differ by ~1e-13 at the served
+#: lengths; distinct elements move it a fixed hyperbolic distance apart, far
+#: more than a cell
+_CELL = 1e-9
+#: two matrices are one element when their projective distance is below this
+#: fraction of their largest entry: normalising the determinant of a product
+#: with entries of size K costs about K^2 ulps, 1e-7 relative at K ~ 1e4
+_SAME_ELEMENT = 1e-6
+#: a sample reduced into Pi-hat must come back this close to where it started
+_RETURN_TOL = 1e-6
+
 
 def _pi_hat_contains(preset: GroupPreset, z: complex, shrink: float = 0.0) -> bool:
     """Membership in the fundamental domain of the extended group.
@@ -287,6 +300,8 @@ def _pi_hat_contains(preset: GroupPreset, z: complex, shrink: float = 0.0) -> bo
 
 def _pi_hat_samples(preset: GroupPreset, count: int, seed: int = 11):
     """Deterministic interior sample points of Pi-hat (simple LCG rejection)."""
+    if preset.n * preset.p < 3:
+        raise DegenerateInput("Pi-hat has no interior when np = 2")
     state = seed
     pts = []
     while len(pts) < count:
@@ -300,10 +315,27 @@ def _pi_hat_samples(preset: GroupPreset, count: int, seed: int = 11):
     return pts
 
 
-def group_elements(preset: GroupPreset, max_word_length: int):
-    """BFS over the extended group's generators, deduplicated projectively.
+def _cell(z: complex):
+    return (round(z.real / _CELL), round(z.imag / _CELL))
 
-    Returns (element, word) pairs in canonical order: breadth-first, ties
+
+def _near(cells: dict, z: complex):
+    """Entries hashed at the grid cell of z or at one of its eight neighbours."""
+    kx, ky = _cell(z)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            yield from cells.get((kx + dx, ky + dy), ())
+
+
+def group_elements(preset: GroupPreset, max_word_length: int):
+    """BFS over the extended group's generators, deduplicated by a point hash.
+
+    Each element g is hashed on g(c), c the first interior sample of Pi-hat.
+    The group acts freely there, so distinct elements land in distinct cells
+    while two words for one element land in the same or a neighbouring cell;
+    inside that neighbourhood equality is decided by projective distance
+    relative to the entry size.  The first word found for an element is kept.
+    Returns (word, element) pairs in canonical order: breadth-first, ties
     broken lexicographically in the letter alphabet.
     """
     letters = []
@@ -315,47 +347,87 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     if preset.n > 1:
         letters.append(("m", preset.rotation))
         letters.append(("m'", preset.rotation.inverse()))
+    c = _pi_hat_samples(preset, 1)[0]
     ident = MobiusMap.identity()
     accepted = [((), ident)]
-    # rounded keys are only a pre-filter; equality is decided by projective
-    # distance (rounding can straddle a representation boundary)
+    cells = {_cell(c): [ident]}
     frontier = [((), ident)]
     for _ in range(max_word_length):
         nxt = []
         for word, mat in frontier:
             for name, gen in letters:
                 m2 = gen.compose(mat)
-                if all(m2.dist(other) >= 1e-8 for _, other in accepted):
-                    entry = (word + (name,), m2)
-                    accepted.append(entry)
-                    nxt.append(entry)
+                z = m2(c)
+                size = max(abs(m2.a), abs(m2.b), abs(m2.c), abs(m2.d))
+                if any(m2.dist(other) < _SAME_ELEMENT * size
+                       for other in _near(cells, z)):
+                    continue
+                cells.setdefault(_cell(z), []).append(m2)
+                entry = (word + (name,), m2)
+                accepted.append(entry)
+                nxt.append(entry)
         frontier = sorted(nxt, key=lambda e: e[0])
     return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
 
 
 def group_tiling(preset: GroupPreset, max_word_length: int,
                  samples_per_tile: int = 20):
-    """Tiles gamma(Pi-hat) for reduced words up to the length bound, with a
-    sampled-interior pairwise-disjointness report."""
+    """Tiles gamma(Pi-hat) for reduced words up to the length bound, checked
+    by Bowen-Series reduction to Pi-hat (Bowen & Series 1979).
+
+    Each sample z0 of Pi-hat is carried into each tile, w = g(z0), and reduced
+    back: rotate w into the sector by a power of M_w; if it then lies in the
+    pocket beyond a side C_{1,s}, apply that pocket's pairing g_s, which is the
+    inverse of the pairing carrying Pi-hat into the pocket; repeat until w is
+    in Pi-hat.  As Pi-hat is a fundamental domain, the point reached is z0
+    only if g is the element of the tile holding w; it must be reached within
+    max_word_length + 1 pocket steps.  No two tiles may share the image of the
+    first sample.  Anything else raises OverlapDetected.
+    """
     if max_word_length > MAX_WORD_LENGTH:
         raise RankLimit(f"word length {max_word_length} > {MAX_WORD_LENGTH}")
     elems = group_elements(preset, max_word_length)
     base_pts = _pi_hat_samples(preset, samples_per_tile)
     tiles = [{"word": w, "map": g} for (w, g) in elems]
-    overlaps = 0
-    for ti in tiles:
-        g = ti["map"]
-        pts = [g(z) for z in base_pts]
-        for tj in tiles:
-            if tj is ti:
-                continue
-            ginv = tj["map"].inverse()
-            for z in pts:
-                if _pi_hat_contains(preset, ginv(z), shrink=1e-9):
-                    overlaps += 1
-                    break
-    if overlaps:
-        raise OverlapDetected(f"{overlaps} overlapping tile pairs")
+    n, sector = preset.n, TAU / preset.n
+    # M_w^-k acts as z -> (a/d) z; the sides of Pi-hat are never diameters
+    # once np >= 3, so their pockets are |z - center| < radius
+    spin = [r.a / r.d for r in (preset.rotation.power(-k) for k in range(n))]
+    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
+               for side, g in zip(preset.polygon.sides, preset.first_sector)]
+
+    def reduce(w):
+        """Point of Pi-hat equivalent to w, or None past the step bound."""
+        for _ in range(max_word_length + 2):    # checked after 0..L+1 steps
+            if n > 1:
+                w *= spin[min(int(cmath.phase(w) % TAU // sector), n - 1)]
+            depth, pocket = 0.0, None
+            for pk in pockets:
+                d = abs(w - pk[0]) - pk[1]
+                if d < depth:
+                    depth, pocket = d, pk
+            if pocket is None:
+                return w
+            _, _, pa, pb, pc, pd = pocket
+            w = (pa * w + pb) / (pc * w + pd)
+        return None
+
+    stray = shared = 0
+    first_images = {}
+    for _, g in elems:
+        a, b, c, d = g.a, g.b, g.c, g.d
+        for z0 in base_pts:
+            w = reduce((a * z0 + b) / (c * z0 + d))
+            if w is None or abs(w - z0) > _RETURN_TOL:
+                stray += 1
+                break
+        w = g(base_pts[0])
+        shared += sum(1 for _ in _near(first_images, w))
+        first_images.setdefault(_cell(w), []).append(w)
+    if stray or shared:
+        raise OverlapDetected(f"{stray} tiles fail the reduction to Pi-hat and "
+                              f"{shared} tile pairs share the image of the first "
+                              "sample")
     return {"tiles": tiles, "count": len(tiles), "overlaps": 0,
             "samples_per_tile": samples_per_tile}
 

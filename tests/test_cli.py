@@ -178,3 +178,25 @@ def test_fixture_files_load(capsys):
     for name in sorted(os.listdir(fdir)):
         code, out, _ = run(capsys, "surface", "report", os.path.join(fdir, name))
         assert code == 0, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["corr", "tiling", "--n", "3", "--p", "1", "--len", "-1"],
+    ["bs", "orbit", "--n", "1", "--p", "4", "--theta", "1.0", "--steps", "-5"],
+    ["corr", "fibers", "--n", "3", "--p", "1", "--j", "5"],
+    ["corr", "fibers", "--n", "0", "--p", "1"],
+    ["corr", "fibers", "--n", "3", "--p", "1", "--w-re", "nan"],
+    ["bs", "eval", "--n", "1", "--p", "4", "--theta", "inf"],
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("weldlab: usage error:")
+
+
+def test_bad_newton_name_is_a_bad_schema_name(capsys):
+    code, _, err = run(capsys, "surface", "report", "no-such-schema")
+    assert code == 2
+    for name in ("5.6:x", "5.6x"):
+        assert run(capsys, "surface", "report", name) == (
+            code, "", err.replace("no-such-schema", name))

@@ -1,13 +1,15 @@
 import cmath
+import dataclasses
 import math
 import random
+import time
 
 import pytest
 
 import weldlab.correspondence as co
-from weldlab.errors import NotHyperbolic, RankLimit
+from weldlab.errors import DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit
 from weldlab.fuchsian import CASE_I, CASE_II, build_group, legal_presets
-from weldlab.hyperbolic import TAU
+from weldlab.hyperbolic import TAU, MobiusMap
 
 GRID = [(n, p) for (n, p, case) in legal_presets() if case == CASE_I]
 
@@ -202,6 +204,85 @@ def test_group_elements_deterministic():
     e1 = co.group_elements(preset, 3)
     e2 = co.group_elements(preset, 3)
     assert [w for (w, _) in e1] == [w for (w, _) in e2]
+
+
+def quadratic_group_elements(preset, max_word_length):
+    """Reference: the BFS compared against every accepted element (O(N^2))."""
+    letters = []
+    for s in range(1, preset.p + 1):
+        g = preset.first_sector[s - 1]
+        letters.append((f"g{s}", g))
+        if preset.sigma[s] != s:
+            letters.append((f"g{s}'", g.inverse()))
+    if preset.n > 1:
+        letters += [("m", preset.rotation), ("m'", preset.rotation.inverse())]
+    accepted = [((), MobiusMap.identity())]
+    frontier = list(accepted)
+    for _ in range(max_word_length):
+        nxt = []
+        for word, mat in frontier:
+            for name, gen in letters:
+                m2 = gen.compose(mat)
+                if all(m2.dist(other) >= 1e-8 for _, other in accepted):
+                    accepted.append((word + (name,), m2))
+                    nxt.append(accepted[-1])
+        frontier = sorted(nxt, key=lambda e: e[0])
+    return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
+
+
+#: the reference's absolute 1e-8 keeps copies of one element here at length 3
+FREE_PRODUCT_BALL_3 = {(3, 5): 278, (3, 6): 429, (4, 5): 289, (4, 6): 442,
+                       (5, 5): 300, (5, 6): 455}
+PARITY = [(n, p, case, 5 if n * p <= 4 else 4 if n * p <= 6 else 3)
+          for (n, p, case) in legal_presets() if (n, p) not in FREE_PRODUCT_BALL_3]
+
+
+@pytest.mark.parametrize("n,p,case,length", PARITY)
+def test_group_elements_match_quadratic_reference(n, p, case, length):
+    preset = build_group(n, p, case)
+    got = co.group_elements(preset, length)
+    want = quadratic_group_elements(preset, length)
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert all(g.dist(h) == 0 for (_, g), (_, h) in zip(got, want))
+
+
+@pytest.mark.parametrize("n,p", sorted(FREE_PRODUCT_BALL_3))
+def test_group_elements_free_product_ball(n, p):
+    preset = build_group(n, p)
+    assert len(co.group_elements(preset, 3)) == FREE_PRODUCT_BALL_3[n, p]
+    assert co.group_tiling(preset, 3)["count"] == FREE_PRODUCT_BALL_3[n, p]
+
+
+def test_tiling_time_budget():
+    t0 = time.perf_counter()
+    rep = co.group_tiling(build_group(1, 4), 6)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["count"] == 1457
+
+
+@pytest.mark.parametrize("n,p,case,side", [(3, 1, CASE_I, 1), (1, 3, CASE_I, 2),
+                                           (1, 4, CASE_I, 1), (1, 4, CASE_II, 2),
+                                           (4, 2, CASE_I, 2)])
+def test_tiling_rejects_perturbed_generator(n, p, case, side):
+    preset = build_group(n, p, case)
+    gens = list(preset.first_sector)
+    gens[side - 1] = gens[side - 1].compose(MobiusMap.rotation(1e-4))
+    bad = dataclasses.replace(preset, first_sector=tuple(gens))
+    with pytest.raises(OverlapDetected):
+        co.group_tiling(bad, 3)
+
+
+def test_tiling_rejects_repeated_tile(monkeypatch):
+    preset = build_group(1, 4)
+    elems = co.group_elements(preset, 3)
+    monkeypatch.setattr(co, "group_elements", lambda *_: elems + [elems[7]])
+    with pytest.raises(OverlapDetected, match="1 tile pairs share the image"):
+        co.group_tiling(preset, 3)
+
+
+def test_tiling_needs_interior():
+    with pytest.raises(DegenerateInput):
+        co.group_tiling(build_group(1, 2), 1)
 
 
 # -- Blaschke -----------------------------------------------------------------------
