@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import hyperbolic as hyp
 from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree,
                      MarkovViolation, OutsideDomain, RankLimit)
-from .fuchsian import GroupPreset, build_group
+from .fuchsian import GroupPreset, build_group, vertex_cycles
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 
 BREAK_TOL = 1e-12
@@ -246,20 +246,24 @@ class MarkovPartition:
 def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
     """Partition at the pocket-arc endpoints with the covering verified Markov.
 
-    The image of each arc is computed as a lifted interval (start angle plus
-    total rise); the Markov property demands that both ends land on
-    breakpoints within tol.
+    Arc i carries one Möbius branch, the side pairing g of pocket i (of the
+    first sector for factor maps, whose arc i is the z -> z^n image of that
+    pocket).  g maps the pocket arc onto the ccw arc from g(lo) to g(hi), so
+    the lifted image of arc i starts at its one-sided value at lo and rises
+    by n ccw_span(g(lo), g(hi)), with n = 1 for unfactored maps.  The Markov
+    property demands that both ends land on breakpoints within tol.
     """
     bps = breakpoints(m)
     k = len(bps)
+    n = m.preset.n if m.factor else 1
     arc_len = TAU / k
     rows = []
     images = []
     maps = []
     for i in range(k):
-        lo, hi = bps[i], bps[(i + 1) % k]
-        start = eval_circle_one_sided(m, lo, +1)
-        rise = _lifted_rise(m, lo, hi)
+        pk = m.pockets.entries[i]
+        start = eval_circle_one_sided(m, bps[i], +1)
+        rise = n * ccw_span(*_arc_image(m, pk))
         end = start + rise
         for v in (start, end):
             snap = round(v / arc_len) * arc_len
@@ -273,100 +277,51 @@ def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
             row[(j0 + j) % k] += 1
         rows.append(tuple(row))
         images.append((start, rise))
-        if not m.factor:
-            maps.append(m.pockets.entries[i].map)
-        else:
-            up = m.pockets.entries[i]
-            maps.append(up.map)
+        maps.append(pk.map)
     return MarkovPartition(tuple(bps), tuple(maps), tuple(rows), tuple(images))
-
-
-def _lifted_rise(m: BowenSeriesMap, lo: float, hi: float, grid: int = 64) -> float:
-    """Total increase of the lifted circle map across the arc (lo, hi)."""
-    span = ccw_span(lo, hi)
-    prev = eval_circle_one_sided(m, lo, +1)
-    rise = 0.0
-    steps = grid
-    while True:
-        total = 0.0
-        prev = eval_circle_one_sided(m, lo, +1)
-        ok = True
-        for i in range(1, steps + 1):
-            t = lo + span * i / steps
-            cur = (eval_circle_one_sided(m, hi, -1) if i == steps
-                   else _eval_circle_safe(m, norm_angle(t)))
-            d = (cur - prev) % TAU
-            if d > math.pi:  # step too coarse to lift safely
-                ok = False
-                break
-            total += d
-            prev = cur
-        if ok:
-            return total
-        steps *= 2
-        if steps > 65536:
-            raise MarkovViolation("cannot lift arc image")
 
 
 # -- topological conjugacy with z^d ------------------------------------------
 
-def _circle_fixed_points(m: BowenSeriesMap, grid: int = 1024):
-    """All fixed angles of the circle map.
+#: fixed-point roots closer than this to an arc end are the two halves of a
+#: parabolic vertex's double root, split by rounding to about sqrt(eps)
+ROOT_END_TOL = 1e-6
 
-    The displacement A(t) - t is lifted continuously along each partition arc
-    (the principal-value trick alone confuses antipodal crossings with fixed
-    points); fixed angles are the crossings of the lifted displacement with
-    multiples of 2 pi, refined by bisection.
+
+def _boundary_fixed_points(g: MobiusMap):
+    """Unit-circle roots of c z^2 + (d - a) z - b = 0, the fixed points of g.
+
+    g is a side pairing, which moves the disk's centre, so c != 0.
     """
-    out = []
-    bps = breakpoints(m)
-    k = len(bps)
-    for i in range(k):
-        lo, hi = bps[i], bps[(i + 1) % k]
-        span = ccw_span(lo, hi)
+    lin = g.d - g.a
+    root = cmath.sqrt(lin * lin + 4.0 * g.b * g.c)
+    if abs(lin - root) > abs(lin + root):
+        root = -root              # no cancellation in q
+    q = -0.5 * (lin + root)
+    return [z for z in (q / g.c, -g.b / q) if abs(abs(z) - 1.0) < 1e-9]
 
-        def val_at(t_off):
-            if t_off <= 0.0:
-                return eval_circle_one_sided(m, lo, +1)
-            if t_off >= span:
-                return eval_circle_one_sided(m, hi, -1)
-            return _eval_circle_safe(m, norm_angle(lo + t_off))
 
-        v0 = val_at(0.0)
-        disp = (v0 - lo + math.pi) % TAU - math.pi
-        if abs(disp) < 1e-10:  # fixed arc endpoint (cusp / parabolic case)
-            out.append(norm_angle(lo))
-        prev_t, prev_v, prev_disp = 0.0, v0, disp
-        for j in range(1, grid + 1):
-            t = span * j / grid
-            v = val_at(t)
-            disp = prev_disp + ((v - prev_v) % TAU) - (t - prev_t)
-            near = round(disp / TAU) * TAU
-            if abs(disp - near) < 1e-10:
-                out.append(norm_angle(lo + t))
-            else:
-                lo_lvl = math.ceil(min(prev_disp, disp) / TAU + 1e-12)
-                hi_lvl = math.floor(max(prev_disp, disp) / TAU - 1e-12)
-                for lvl in range(lo_lvl, hi_lvl + 1):
-                    target = TAU * lvl
-                    if not (min(prev_disp, disp) + 1e-11 < target < max(prev_disp, disp) - 1e-11):
-                        continue
-                    a, b = prev_t, t
-                    da, va = prev_disp, prev_v
-                    for _ in range(80):
-                        mid = 0.5 * (a + b)
-                        vm = val_at(mid)
-                        dm = da + ((vm - va) % TAU) - (mid - a)
-                        if (dm < target) == (da < target):
-                            a, da, va = mid, dm, vm
-                        else:
-                            b = mid
-                    out.append(norm_angle(lo + 0.5 * (a + b)))
-            prev_t, prev_v, prev_disp = t, v, disp
+def _circle_fixed_points(m: BowenSeriesMap):
+    """All fixed angles of an n = 1 circle map (every Case II map is one).
+
+    On pocket arc k the map is the pairing g_k, so its fixed angles inside
+    the arc are the boundary roots of g_k(z) = z.  A fixed arc end is a
+    parabolic ideal vertex, where the quadratic has a double root and its
+    discriminant is ill-posed; those come from the vertex cycles of length
+    one instead (a pairing fixing the vertex its side starts from, which is
+    the one-sided value there).
+    """
+    out = [m.preset.polygon.vertices[c["vertices"][0]]
+           for c in vertex_cycles(m.preset) if len(c["vertices"]) == 1]
+    for pk in m.pockets.entries:
+        for z in _boundary_fixed_points(pk.map):
+            t = norm_angle(cmath.phase(z))
+            if angle_in_open_arc(t, pk.arc[0], pk.arc[1], ROOT_END_TOL):
+                out.append(t)
     verified = [t for t in out
                 if hyp.angle_dist(_eval_circle_safe(m, t), t) < 1e-6]
     dedup = []
-    for t in sorted(norm_angle(x) for x in verified):
+    for t in sorted(verified):
         if all(hyp.angle_dist(t, u) > 1e-6 for u in dedup):
             dedup.append(t)
     return dedup
@@ -384,66 +339,16 @@ def _marked_fixed_angle(preset: GroupPreset, pockets: PocketTable, factor: bool)
     return min(fixed)
 
 
-def _lifted_targets(y, start, rise):
-    """Lifts y + 2 pi j of y lying strictly inside (start, start + rise)."""
-    j = math.ceil((start - y) / TAU - 1e-13)
-    out = []
-    while y + TAU * j < start + rise - 1e-10:
-        if y + TAU * j > start + 1e-10:
-            out.append(y + TAU * j)
-        j += 1
-    return out
+#: least error radius of ConjugacyH.value.  Each pull-back rounds a few
+#: times at the scale of 2 pi and the inverse branches contract the error
+#: carried in, so the midpoint is off by a few ulps of 2 pi: at most 3.0e-15
+#: against a 40-digit replay of the same pull-backs, on every preset at
+#: depths 12, 30 and 60.  A constant floor keeps the radius non-increasing
+#: in depth, so the reported arcs stay nested.
+RADIUS_FLOOR = 16 * math.ulp(TAU)
 
 
-def _solve_lifted(m: BowenSeriesMap, lo, hi, target, grid: int = 256):
-    """x in (lo, hi) with the continuously lifted circle map equal to target.
-
-    Works for arcs whose image winds several times: a fine grid tracks the
-    lift, then bisection runs inside one grid cell where the local rise is
-    small.
-    """
-    span = ccw_span(lo, hi)
-    while True:
-        lifted_prev = eval_circle_one_sided(m, lo, +1)
-        t_prev = 0.0
-        bracket = None
-        max_step = 0.0
-        for i in range(1, grid + 1):
-            t = span * i / grid
-            val = (eval_circle_one_sided(m, hi, -1) if i == grid
-                   else _eval_circle_safe(m, norm_angle(lo + t)))
-            step = (val - lifted_prev) % TAU
-            max_step = max(max_step, step)
-            lifted = lifted_prev + step
-            if lifted >= target and bracket is None:
-                bracket = (t_prev, t, lifted_prev)
-            t_prev, lifted_prev = t, lifted
-        if bracket is not None and max_step < 0.5 * math.pi:
-            break
-        grid *= 2
-        if grid > 262144:
-            raise InconsistentDegree("lift bracketing failed")
-    a, b, base_lift = bracket
-    val_a = (eval_circle_one_sided(m, lo, +1) if a == 0.0
-             else _eval_circle_safe(m, norm_angle(lo + a)))
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        vm = _eval_circle_safe(m, norm_angle(lo + mid))
-        lifted_mid = base_lift + (vm - val_a) % TAU
-        if lifted_mid < target:
-            a = mid
-        else:
-            b = mid
-    return lo + 0.5 * (a + b)
-
-
-@dataclass(frozen=True)
-class Itinerary:
-    symbols: tuple
-    depth: int
-
-
-def power_map_itinerary(theta: float, d: int, depth: int) -> Itinerary:
+def power_map_itinerary(theta: float, d: int, depth: int) -> tuple:
     """Base-d digit itinerary of theta under t -> d t (arcs cut at 0)."""
     t = norm_angle(theta) / TAU
     syms = []
@@ -451,7 +356,7 @@ def power_map_itinerary(theta: float, d: int, depth: int) -> Itinerary:
         t = t % 1.0
         syms.append(min(d - 1, int(t * d)))
         t = t * d
-    return Itinerary(tuple(syms), depth)
+    return tuple(syms)
 
 
 class ConjugacyH:
@@ -463,10 +368,12 @@ class ConjugacyH:
     value is returned as the midpoint of the depth-k arc together with its
     radius; no exactness beyond the arc width is claimed.
 
-    Inverse branches are evaluated in closed form: each cut arc is divided at
-    the partition breakpoints into pieces carrying a single Möbius branch,
-    and pulling back is one inverse-matrix application (plus an n-th root
-    choice for factor maps).
+    Everything is in closed form, because every branch of the circle map is
+    one side pairing (after z -> z^n for factor maps).  Each cut is one
+    inverse-matrix application to a lift of the marked angle.  Each cut arc
+    is divided at the partition breakpoints into pieces carrying a single
+    Möbius branch, and pulling back is one inverse-matrix application (plus
+    an n-th root choice for factor maps).
     """
 
     def __init__(self, m: BowenSeriesMap):
@@ -481,18 +388,22 @@ class ConjugacyH:
         self._build_pieces()
 
     def _preimages_of_marked(self):
-        m, d = self.m, self.d
-        y = self.base
+        """The d preimages of the marked angle y, one inverse branch each.
+
+        A preimage in pocket k (of the first sector for factor maps) solves
+        g_k(u) = (y + 2 pi j)/n for some lift j in 0..n-1, so it is one
+        inverse-matrix application; it counts when u lies strictly inside
+        the pocket's arc, and the cut downstairs is n u.
+        """
+        m = self.m
+        n = m.preset.n if m.factor else 1
         cuts = [self.base]
-        bps = breakpoints(m)
-        k = len(bps)
-        part = markov_partition(m)
-        for i in range(k):
-            lo = bps[i]
-            hi = bps[(i + 1) % k]
-            start, rise = part.arc_images[i]
-            for target in _lifted_targets(y, start, rise):
-                cuts.append(norm_angle(_solve_lifted(m, lo, hi, target)))
+        for pk in m.pockets.entries[:len(breakpoints(m))]:
+            g_inv = pk.map.inverse()
+            for j in range(n):
+                u = g_inv.boundary_angle((self.base + TAU * j) / n)
+                if angle_in_open_arc(u, pk.arc[0], pk.arc[1], BREAK_TOL):
+                    cuts.append(norm_angle(n * u))
         dedup = []
         for t in sorted(norm_angle(c - self.base) for c in cuts):
             if (not dedup or t - dedup[-1] > 1e-9) and t < TAU - 1e-9:
@@ -586,25 +497,23 @@ class ConjugacyH:
         raise InconsistentDegree("no root lift lands in the branch piece")
 
     def value(self, theta: float, depth: int, tol: float | None = None):
-        """h(theta) as (angle, radius): midpoint and half-width of the arc."""
+        """h(theta) as (angle, radius): midpoint and half-width of the arc.
+
+        The radius never drops below RADIUS_FLOOR, the rounding error of the
+        midpoint, so it stays honest once the arc collapses in double
+        precision; only h(0) = marked angle is exact and has radius 0.
+        """
         if depth < 1:
             raise DepthTooSmall("depth must be >= 1")
         if norm_angle(theta) < BREAK_TOL or TAU - norm_angle(theta) < BREAK_TOL:
             return self.base, 0.0  # normalization: the fixed point 1 maps to the marked angle
-        itin = power_map_itinerary(theta, self.d, depth)
         arc = (0.0, TAU)
-        for sym in reversed(itin.symbols):
+        for sym in reversed(power_map_itinerary(theta, self.d, depth)):
             arc = self._pull_back(sym, arc)
-        width = arc[1] - arc[0]
-        if tol is not None and width > 2 * tol:
-            raise DepthTooSmall(f"arc width {width:.3e} exceeds tolerance")
-        mid = norm_angle(self.base + 0.5 * (arc[0] + arc[1]))
-        return mid, 0.5 * width
-
-
-def conjugacy_h(m: BowenSeriesMap, theta: float, depth: int, tol: float | None = None):
-    """One-shot h(theta); prefer ConjugacyH for repeated evaluation."""
-    return ConjugacyH(m).value(theta, depth, tol)
+        radius = max(0.5 * (arc[1] - arc[0]), RADIUS_FLOOR)
+        if tol is not None and radius > tol:
+            raise DepthTooSmall(f"arc radius {radius:.3e} exceeds tolerance")
+        return norm_angle(self.base + 0.5 * (arc[0] + arc[1])), radius
 
 
 # -- tiles ---------------------------------------------------------------------
@@ -658,13 +567,18 @@ def tiles(m: BowenSeriesMap, rank: int):
 
 
 def _project_tiles(m: BowenSeriesMap, level):
+    """One tile per M_w-orbit, ordered by its vertex angles in [0, 2 pi)."""
     n = m.preset.n
+    # tiles are keyed by vertex angles rounded to 6 digits and reduced mod the
+    # rounded 2 pi, so a vertex just below 2 pi and its copy at 0 share a key
+    wrap = round(TAU, 6)
     seen = {}
     for t in level:
-        key = tuple(sorted(round(norm_angle(cmath.phase(v ** n)), 6) for v in t.vertices))
+        angles = sorted(round(norm_angle(cmath.phase(v ** n)), 6) for v in t.vertices)
+        key = tuple(sorted(a % wrap for a in angles))
         if key not in seen:
-            seen[key] = t
-    return [seen[k] for k in sorted(seen)]
+            seen[key] = (angles, t)
+    return [t for _, t in sorted(seen.values(), key=lambda e: e[0])]
 
 
 def tile_counts(m: BowenSeriesMap, rank: int):

@@ -25,6 +25,12 @@ from .errors import UsageError, WeldlabError
 
 SCHEMA_VERSION = 1
 
+#: deepest itinerary `bs conjugacy` accepts.  The nominal arc 2 pi / d^depth
+#: falls below the radius floor by depth 48 for every degree d >= 2, and
+#: theta / 2 pi carries 53 significant bits, at most 53 significant base-d
+#: digits, so deeper symbols repeat rounding rather than theta.
+MAX_DEPTH = 64
+
 #: gallery names of the Newton family: 5.6 (n = 3) or 5.6:<n>
 _NEWTON_NAME = re.compile(r"5\.6(:-?\d+)?")
 
@@ -144,6 +150,8 @@ def cmd_bs_partition(args):
 
 
 def cmd_bs_conjugacy(args):
+    if args.depth > MAX_DEPTH:
+        raise UsageError(f"--depth must be <= {MAX_DEPTH}")
     m = _bsmap(args)
     h = bs.ConjugacyH(m)
     val, rad = h.value(args.theta, args.depth)

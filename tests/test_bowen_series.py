@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 
 import weldlab.bowen_series as bs
 from weldlab.errors import AtBreakpoint, OutsideDomain, RankLimit
 from weldlab.fuchsian import CASE_I, CASE_II, legal_presets
-from weldlab.hyperbolic import TAU, angle_dist, norm_angle
+from weldlab.hyperbolic import TAU, angle_dist, ccw_span, norm_angle
 
 GRID = legal_presets()
 
@@ -267,6 +268,22 @@ def test_h_pull_back_inverts_forward():
             assert abs(ccw_span(h.base, fwd) - u) < 1e-6
 
 
+@pytest.mark.parametrize("n,p,case", GRID)
+def test_h_radius_positive_and_nested(n, p, case):
+    # through and past the depth where the arc collapses in double precision:
+    # each value lies in the arc one level up, and no radius is 0
+    h = bs.ConjugacyH(bs.bowen_series_map(n, p, case, factor=n >= 3))
+    last = math.ceil(math.log(TAU / bs.RADIUS_FLOOR) / math.log(h.d)) + 3
+    for theta in (1.0, 2.0, 3.0, 4.0, 5.0):
+        shallow = h.value(theta, 1)
+        for depth in range(2, last + 1):
+            deep = h.value(theta, depth)
+            assert deep[1] > 0.0
+            assert angle_dist(deep[0], shallow[0]) <= shallow[1] - deep[1] + 1e-12
+            shallow = deep
+        assert shallow[1] == bs.RADIUS_FLOOR
+
+
 # -- tiles ------------------------------------------------------------------------
 
 def test_tile_counts():
@@ -319,3 +336,226 @@ def test_tile_words_deterministic():
     assert [[t.word for t in lv] for lv in l1] == [[t.word for t in lv] for lv in l2]
     for lv in l1:
         assert [t.word for t in lv] == sorted(t.word for t in lv)
+
+
+#: factor maps and ranks where orbit vertices sit at angle 0 as well as just
+#: below 2 pi, so rounding the angles in [0, 2 pi) alone splits an M_w-orbit
+WRAPPED_FACTOR_TILES = [(4, 1, 7), (3, 2, 5), (5, 1, 5), (4, 2, 3), (3, 1, 7)]
+
+
+@pytest.mark.parametrize("n,p,rank", WRAPPED_FACTOR_TILES)
+def test_factor_tile_counts_formula(n, p, rank):
+    # M_w acts freely on the np (np - 1)^(r - 1) rank-r tiles upstairs
+    counts = bs.tile_counts(bs.bowen_series_map(n, p, factor=True), rank)
+    assert counts == [1] + [p * (n * p - 1) ** (r - 1) for r in range(1, rank + 1)]
+
+
+# -- grid references for the closed-form circle kernel ------------------------------
+#
+# The lifting-and-bisection root finders the closed forms replaced: every
+# branch of the circle map is a Möbius map (after z -> z^n for factor maps),
+# so rises, preimages and fixed points have closed forms, and these slow
+# references must agree with them.
+
+def grid_lifted_rise(m, lo, hi, grid=64):
+    """Total increase of the lifted circle map across (lo, hi), on a grid."""
+    span = ccw_span(lo, hi)
+    steps = grid
+    while True:
+        total = 0.0
+        prev = bs.eval_circle_one_sided(m, lo, +1)
+        ok = True
+        for i in range(1, steps + 1):
+            t = lo + span * i / steps
+            cur = (bs.eval_circle_one_sided(m, hi, -1) if i == steps
+                   else bs._eval_circle_safe(m, norm_angle(t)))
+            d = (cur - prev) % TAU
+            if d > math.pi:  # step too coarse to lift safely
+                ok = False
+                break
+            total += d
+            prev = cur
+        if ok:
+            return total
+        steps *= 2
+        assert steps <= 65536, "cannot lift arc image"
+
+
+def grid_arc_images(m):
+    bps = bs.breakpoints(m)
+    k = len(bps)
+    return [(bs.eval_circle_one_sided(m, bps[i], +1),
+             grid_lifted_rise(m, bps[i], bps[(i + 1) % k])) for i in range(k)]
+
+
+def transition_from_images(images):
+    k = len(images)
+    arc_len = TAU / k
+    rows = []
+    for start, rise in images:
+        row = [0] * k
+        for j in range(round(rise / arc_len)):
+            row[(round(start / arc_len) + j) % k] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def lifted_targets(y, start, rise):
+    """Lifts y + 2 pi j of y lying strictly inside (start, start + rise)."""
+    j = math.ceil((start - y) / TAU - 1e-13)
+    out = []
+    while y + TAU * j < start + rise - 1e-10:
+        if y + TAU * j > start + 1e-10:
+            out.append(y + TAU * j)
+        j += 1
+    return out
+
+
+def grid_solve_lifted(m, lo, hi, target, grid=256):
+    """x in (lo, hi) where the lifted circle map reaches target: grid, then bisection."""
+    span = ccw_span(lo, hi)
+    while True:
+        lifted_prev = bs.eval_circle_one_sided(m, lo, +1)
+        t_prev = 0.0
+        bracket = None
+        max_step = 0.0
+        for i in range(1, grid + 1):
+            t = span * i / grid
+            val = (bs.eval_circle_one_sided(m, hi, -1) if i == grid
+                   else bs._eval_circle_safe(m, norm_angle(lo + t)))
+            step = (val - lifted_prev) % TAU
+            max_step = max(max_step, step)
+            lifted = lifted_prev + step
+            if lifted >= target and bracket is None:
+                bracket = (t_prev, t, lifted_prev)
+            t_prev, lifted_prev = t, lifted
+        if bracket is not None and max_step < 0.5 * math.pi:
+            break
+        grid *= 2
+        assert grid <= 262144, "lift bracketing failed"
+    a, b, base_lift = bracket
+    val_a = (bs.eval_circle_one_sided(m, lo, +1) if a == 0.0
+             else bs._eval_circle_safe(m, norm_angle(lo + a)))
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        vm = bs._eval_circle_safe(m, norm_angle(lo + mid))
+        if base_lift + (vm - val_a) % TAU < target:
+            a = mid
+        else:
+            b = mid
+    return lo + 0.5 * (a + b)
+
+
+def grid_cuts(m, base):
+    """Preimages of base: each lifted target solved on its partition arc."""
+    bps = bs.breakpoints(m)
+    k = len(bps)
+    cuts = [base]
+    for i, (start, rise) in enumerate(grid_arc_images(m)):
+        for target in lifted_targets(base, start, rise):
+            cuts.append(norm_angle(grid_solve_lifted(m, bps[i], bps[(i + 1) % k], target)))
+    dedup = []
+    for t in sorted(norm_angle(c - base) for c in cuts):
+        if (not dedup or t - dedup[-1] > 1e-9) and t < TAU - 1e-9:
+            dedup.append(t)
+    return [norm_angle(t + base) for t in dedup]
+
+
+def grid_fixed_points(m, grid=1024):
+    """Fixed angles: crossings of the lifted displacement A(t) - t with
+    multiples of 2 pi along each partition arc, refined by bisection."""
+    out = []
+    bps = bs.breakpoints(m)
+    k = len(bps)
+    for i in range(k):
+        lo, hi = bps[i], bps[(i + 1) % k]
+        span = ccw_span(lo, hi)
+
+        def val_at(t_off):
+            if t_off <= 0.0:
+                return bs.eval_circle_one_sided(m, lo, +1)
+            if t_off >= span:
+                return bs.eval_circle_one_sided(m, hi, -1)
+            return bs._eval_circle_safe(m, norm_angle(lo + t_off))
+
+        v0 = val_at(0.0)
+        disp = (v0 - lo + math.pi) % TAU - math.pi
+        if abs(disp) < 1e-10:  # fixed arc endpoint (parabolic vertex)
+            out.append(norm_angle(lo))
+        prev_t, prev_v, prev_disp = 0.0, v0, disp
+        for j in range(1, grid + 1):
+            t = span * j / grid
+            v = val_at(t)
+            disp = prev_disp + ((v - prev_v) % TAU) - (t - prev_t)
+            if abs(disp - round(disp / TAU) * TAU) < 1e-10:
+                out.append(norm_angle(lo + t))
+            else:
+                lo_lvl = math.ceil(min(prev_disp, disp) / TAU + 1e-12)
+                hi_lvl = math.floor(max(prev_disp, disp) / TAU - 1e-12)
+                for lvl in range(lo_lvl, hi_lvl + 1):
+                    target = TAU * lvl
+                    if not (min(prev_disp, disp) + 1e-11 < target
+                            < max(prev_disp, disp) - 1e-11):
+                        continue
+                    a, b = prev_t, t
+                    da, va = prev_disp, prev_v
+                    for _ in range(80):
+                        mid = 0.5 * (a + b)
+                        vm = val_at(mid)
+                        dm = da + ((vm - va) % TAU) - (mid - a)
+                        if (dm < target) == (da < target):
+                            a, da, va = mid, dm, vm
+                        else:
+                            b = mid
+                    out.append(norm_angle(lo + 0.5 * (a + b)))
+            prev_t, prev_v, prev_disp = t, v, disp
+    verified = [t for t in out if angle_dist(bs._eval_circle_safe(m, t), t) < 1e-6]
+    dedup = []
+    for t in sorted(norm_angle(x) for x in verified):
+        if all(angle_dist(t, u) > 1e-6 for u in dedup):
+            dedup.append(t)
+    return dedup
+
+
+def conjugacy_maps():
+    """The maps with a conjugacy: n = 1 unfactored, n >= 3 factored."""
+    return [bs.bowen_series_map(n, p, case, factor=n >= 3) for (n, p, case) in GRID]
+
+
+@pytest.mark.parametrize("m", all_maps(), ids=lambda m: m.name)
+def test_markov_matches_grid_reference(m):
+    part = bs.markov_partition(m)
+    want = grid_arc_images(m)
+    for (start, rise), (start_ref, rise_ref) in zip(part.arc_images, want):
+        assert abs(start - start_ref) < 1e-12 and abs(rise - rise_ref) < 1e-12
+    assert part.transition == transition_from_images(want)
+
+
+@pytest.mark.parametrize("m", conjugacy_maps(), ids=lambda m: m.name)
+def test_cuts_match_grid_reference(m):
+    h = bs.ConjugacyH(m)
+    want = grid_cuts(m, m.marked_fixed_angle)
+    assert len(h.cuts) == len(want) == h.d
+    assert max(angle_dist(a, b) for a, b in zip(h.cuts, want)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [m for m in all_maps() if m.preset.n == 1],
+                         ids=lambda m: m.name)
+def test_fixed_points_match_grid_reference(m):
+    got = bs._circle_fixed_points(m)
+    want = grid_fixed_points(m)
+    assert len(got) == len(want)
+    assert max(angle_dist(a, b) for a, b in zip(got, want)) < 1e-12
+    if m.preset.case == CASE_II:
+        assert abs(m.marked_fixed_angle - min(t for t in want if t > 1e-9)) < 1e-12
+
+
+def test_circle_kernel_time_budget():
+    # every legal preset's map and conjugacy; best of three against host noise
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for (n, p, case) in GRID:
+            bs.ConjugacyH(bs.bowen_series_map(n, p, case, factor=n >= 3))
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.35

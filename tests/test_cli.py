@@ -117,6 +117,21 @@ def test_bs_conjugacy(capsys):
     assert doc["radius"] >= 0
 
 
+def test_bs_conjugacy_depth_bound(capsys):
+    from weldlab.cli import MAX_DEPTH
+    argv = ("bs", "conjugacy", "--n", "3", "--p", "1", "--factor", "--theta", "1.0",
+            "--depth")
+    code, out, _ = run(capsys, *argv, str(MAX_DEPTH))
+    assert code == 0 and json.loads(out)["radius"] > 0
+    code, out, err = run(capsys, *argv, str(MAX_DEPTH + 1))
+    assert code == 2 and out == "" and err.count("\n") == 1 and "usage error" in err
+    code, out, err = run(capsys, *argv, "2000")
+    assert code == 2
+    # too shallow is a domain error (exit 1), not a usage error
+    code, out, err = run(capsys, *argv, "0")
+    assert code == 1 and "DepthTooSmall" in err
+
+
 def test_corr_commands(capsys):
     code, out, _ = run(capsys, "corr", "fibers", "--n", "3", "--p", "1",
                        "--w-re", "0.5")
