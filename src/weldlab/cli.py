@@ -3,7 +3,7 @@
 Subcommands: group {info,check}, bs {eval,orbit,partition,conjugacy,tiles},
 mate {build,report,verify-poly}, surface {report,graph,zip},
 corr {fibers,branches,tiling,recover}.  JSON goes to stdout with sorted keys;
---svg writes figures.  WELDLAB_TOL overrides the default tolerance.
+--svg writes figures.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from . import render
 from . import welding
 from .errors import UsageError, WeldlabError
 
-SCHEMA_VERSION = 1
-
 #: deepest itinerary `bs conjugacy` accepts.  The nominal arc 2 pi / d^depth
 #: falls below the radius floor by depth 48 for every degree d >= 2, and
 #: theta / 2 pi carries 53 significant bits, at most 53 significant base-d
@@ -35,21 +33,8 @@ MAX_DEPTH = 64
 _NEWTON_NAME = re.compile(r"5\.6(:-?\d+)?")
 
 
-def _tolerance():
-    raw = os.environ.get("WELDLAB_TOL")
-    if raw is None:
-        return 1e-9
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"WELDLAB_TOL={raw!r} is not a number") from exc
-    if not (1e-14 <= tol <= 1e-3):
-        raise UsageError(f"WELDLAB_TOL={tol} outside [1e-14, 1e-3]")
-    return tol
-
-
 def _emit(doc):
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    doc = {"schema_version": ms.SCHEMA_VERSION, **doc}
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     sys.stdout.write("\n")
 
@@ -65,10 +50,7 @@ def _mobius_json(m):
 
 
 def _preset(args):
-    case = {"I": fuchsian.CASE_I, "II": fuchsian.CASE_II}.get(args.case)
-    if case is None:
-        raise UsageError(f"unknown case {args.case!r}")
-    return fuchsian.build_group(args.n, args.p, case)
+    return fuchsian.build_group(args.n, args.p, args.case)
 
 
 def _load_schema_arg(path):
@@ -288,8 +270,7 @@ def cmd_corr_fibers(args):
 
 
 def cmd_corr_branches(args):
-    case = {"I": fuchsian.CASE_I, "II": fuchsian.CASE_II}[args.case]
-    mt = corr.model_tiling_set(args.n, args.p, case)
+    mt = corr.model_tiling_set(args.n, args.p, args.case)
     words, ident_ok = corr.branch_words(mt)
     _emit({"n": args.n, "p": args.p, "case": args.case,
            "branches": [str(w) for w in words],
@@ -321,8 +302,7 @@ def cmd_corr_tiling(args):
 
 
 def cmd_corr_recover(args):
-    case = {"I": fuchsian.CASE_I, "II": fuchsian.CASE_II}[args.case]
-    mt = corr.model_tiling_set(args.n, args.p, case)
+    mt = corr.model_tiling_set(args.n, args.p, args.case)
     rep = corr.recover_representation(mt)
     _emit({
         "n": args.n, "p": args.p, "case": args.case,
@@ -394,7 +374,7 @@ def build_parser():
         ("partition", cmd_bs_partition, []),
         ("conjugacy", cmd_bs_conjugacy, [("--theta", _finite, True, None),
                                          ("--depth", int, False, 10)]),
-        ("tiles", cmd_bs_tiles, [("--rank", int, False, 2)]),
+        ("tiles", cmd_bs_tiles, [("--rank", _at_least(0), False, 2)]),
     ]:
         sp = b.add_parser(name)
         _add_group_args(sp, factor=True)
@@ -450,7 +430,6 @@ def build_parser():
 
 def main(argv=None) -> int:
     try:
-        _tolerance()
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.fn(args)

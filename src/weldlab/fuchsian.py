@@ -83,8 +83,8 @@ class GroupPreset:
         return f"Gamma{sup}_{{{self.n},{self.p}}}"
 
 
-def build_group(n: int, p: int, case: str = CASE_I) -> GroupPreset:
-    """Construct the preset group Gamma_{n,p} (Case I) or Gamma^2_{n,p} (Case II)."""
+def check_parameters(n: int, p: int, case: str = CASE_I):
+    """Raise unless (n, p, case) names a group of the preset family."""
     if n < 1 or p < 1 or n * p < 2:
         raise DegenerateInput(f"np = {n * p} < 2")
     if n == 2:
@@ -102,6 +102,10 @@ def build_group(n: int, p: int, case: str = CASE_I) -> GroupPreset:
         # when the sector is the whole circle
         raise InvalidCase("Case II side pairings exist only for n = 1")
 
+
+def build_group(n: int, p: int, case: str = CASE_I) -> GroupPreset:
+    """Construct the preset group Gamma_{n,p} (Case I) or Gamma^2_{n,p} (Case II)."""
+    check_parameters(n, p, case)
     polygon = regular_ideal_polygon(n, p)
     if case == CASE_I:
         axis = geodesic_between(math.pi / n, math.pi / n + math.pi)

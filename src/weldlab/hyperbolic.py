@@ -264,11 +264,6 @@ def reflect(g: Geodesic) -> AntiMobiusMap:
     return AntiMobiusMap(m)
 
 
-def compose(f: MobiusMap, g: MobiusMap) -> MobiusMap:
-    """Matrix product f∘g, renormalized to determinant 1."""
-    return f.compose(g)
-
-
 def pairing_from_reflections(axis: Geodesic, side: Geodesic) -> MobiusMap:
     """Reflection along `side` followed by reflection along `axis`."""
     return reflect(axis).compose_anti(reflect(side))

@@ -26,6 +26,29 @@ from .fuchsian import CASE_I, CASE_II
 SCHEMA_VERSION = 1
 
 
+class _UnionFind:
+    """Disjoint sets with path halving; union(x, y) keeps y's root."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+    def classes(self):
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 # -- slots -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -45,7 +68,7 @@ class Slot:
         if self.kind == "group":
             if self.n * self.p < 3:
                 raise DegenerateInput(f"group slot needs np >= 3, got {self.n * self.p}")
-            fuchsian.build_group(self.n, self.p, self.case)  # parameter check
+            fuchsian.check_parameters(self.n, self.p, self.case)
         elif self.kind == "blaschke":
             if self.degree < 2:
                 raise DegenerateInput("Blaschke slot needs degree >= 2")
@@ -177,9 +200,6 @@ class BoundaryComplex:
         """b of Cor 4.14: order-2 orbifold points across the group slots."""
         return sum(fuchsian.order2_point_count(s.n, s.p, s.case)
                    for s in self.slots if s.kind == "group")
-
-    def face_arcs(self, fi):
-        return sorted({d[0] for cyc in self.faces[fi] for d in cyc})
 
 
 def _rotation_orders(holes, contact):
@@ -353,21 +373,10 @@ def _trace_faces(slots, holes, arcs, arc_of, vertices, corner_classes):
 
     # connected components of the boundary graph, for the Euler check and the
     # merge of outer faces
-    parent = list(range(len(vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    uf = _UnionFind(range(len(vertices)))
     for a in arcs:
-        union(a.start, a.end)
-    comp_ids = {find(v) for v in range(len(vertices))}
-    ncomp = len(comp_ids)
+        uf.union(a.start, a.end)
+    ncomp = len(uf.classes())
 
     # per-component sphere maps: V - E + F(traced) = 2 per component
     V = len(vertices)
@@ -382,7 +391,7 @@ def _trace_faces(slots, holes, arcs, arc_of, vertices, corner_classes):
     else:
         by_comp = {}
         for cyc in domain_cycles:
-            c = find(tail(cyc[0]))
+            c = uf.find(tail(cyc[0]))
             by_comp.setdefault(c, []).append(cyc)
         if any(len(v) != 1 for v in by_comp.values()):
             raise NonPlanar("disconnected contact graph needs nesting data "

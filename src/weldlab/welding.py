@@ -1,4 +1,4 @@
-"""Welding graph, doubled blender complex, and zipped quotient.
+"""Welding graph, doubled blender complex, and zipped quotient Sigma/eta.
 
 Two copies of the multi-domain are glued along the desingularized boundary
 via the involution S: edge e_a of the double identifies arc a in copy + with
@@ -10,6 +10,10 @@ Vertices of the double are the closure of the arc-end identifications: the
 singular points of the boundary open up into several vertices, which is
 exactly what makes the fixed-point accounting of the welded surface come out
 right (the Newton-family parity emerges rather than being hard-coded).
+
+The zipped surface (one copy of each face, boundary glued along a ~ S(a)) is
+the quotient Sigma/eta, read off the welded complex one eta-orbit of
+components at a time and checked against Riemann-Hurwitz.
 """
 
 from __future__ import annotations
@@ -17,28 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrosscheckFailed, GluingInconsistency, ZipNotSphere
-from .mating_schema import BoundaryComplex
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+from .mating_schema import BoundaryComplex, _UnionFind
 
 
 # -- welding graph --------------------------------------------------------------
@@ -57,16 +40,6 @@ class WeldingGraph:
     def vertices(self):
         return [(i, sgn) for i in range(self.num_faces) for sgn in (-1, +1)]
 
-    def neighbors(self, v):
-        i, sgn = v
-        out = []
-        for (a, b) in self.edges:
-            if sgn < 0 and a == i:
-                out.append((b, +1))
-            if sgn > 0 and b == i:
-                out.append((a, -1))
-        return out
-
     def components(self):
         uf = _UnionFind(self.vertices())
         for (a, b) in self.edges:
@@ -77,10 +50,6 @@ class WeldingGraph:
     def symmetry_holds(self):
         """Lemma 4.6: (i1-, i2+) is an edge iff (i2-, i1+) is."""
         return all((b, a) in self.edges for (a, b) in self.edges)
-
-    def eta_hat(self, v):
-        i, sgn = v
-        return (i, -sgn)
 
 
 def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
@@ -94,18 +63,13 @@ def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
 
 @dataclass
 class WeldedComplex:
-    bc: BoundaryComplex
-    edges: list              # edge index = arc index; edge e_a = {a^+, S(a)^-}
+    bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
     vertex_classes: list     # list of frozensets of symbols (arc, end, copy)
     vertex_of: dict          # symbol -> vertex class index
-    face_copies: list        # [(face index, copy)] in fixed order
     eta_vertex: dict         # vertex class index -> vertex class index
     eta_edge: dict           # arc index -> arc index (e_a -> e_{S a})
     components: list         # per component: dict of cell sets
     comp_of_face_copy: dict
-
-    def num_components(self):
-        return len(self.components)
 
 
 def _corner_links(bc: BoundaryComplex):
@@ -205,9 +169,8 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
             raise GluingInconsistency("vertex class spans several components")
         components[edge_comps.pop()]["vertices"].add(vi)
 
-    return WeldedComplex(bc, list(range(len(arcs))), vertex_classes, vertex_of,
-                         face_copies, eta_vertex, eta_edge, components,
-                         comp_of_face_copy)
+    return WeldedComplex(bc, vertex_classes, vertex_of, eta_vertex, eta_edge,
+                         components, comp_of_face_copy)
 
 
 # -- surface report ------------------------------------------------------------------
@@ -236,15 +199,11 @@ class SurfaceReport:
         return sum(c.fix_eta for c in self.components)
 
 
-def _face_boundary_cycles(bc: BoundaryComplex, fi: int) -> int:
-    return len(bc.faces[fi])
-
-
 def component_euler(bc: BoundaryComplex, comp) -> int:
     """chi via compactly-supported counts: V - E + sum over face copies (2 - b)."""
     V = len(comp["vertices"])
     E = len(comp["edges"])
-    F = sum(2 - _face_boundary_cycles(bc, fi) for (fi, _) in comp["faces"])
+    F = sum(2 - len(bc.faces[fi]) for (fi, _) in comp["faces"])
     return V - E + F
 
 
@@ -292,60 +251,58 @@ def surface_report(wc: WeldedComplex) -> SurfaceReport:
             fix = sum(1 for vi in comp["vertices"] if wc.eta_vertex[vi] == vi)
         reports.append(ComponentReport(ci, tuple(comp["faces"]), chi, genus,
                                        inv_cells, fix, tuple(gcomps[gmatch])))
-    zipped = zipped_report(bc)
+    zipped = _eta_quotient(wc)
     return SurfaceReport(tuple(reports), graph, tuple(zipped))
 
 
 # -- zipped quotient ---------------------------------------------------------------
 
+def _eta_quotient(wc: WeldedComplex):
+    """The zipped surface Sigma/eta: one sphere per eta-orbit of components.
+
+    An orbit is one eta-invariant component C or a swapped pair C, eta(C);
+    either way C meets every face of the orbit, so the quotient counts the
+    eta-orbits of C's vertices and edges and each face once.  Riemann-Hurwitz
+    checks the counts: chi(C) = 2 chi(C/eta) - #Fix(eta) for an invariant C,
+    chi(C/eta) = chi(C) for a swapped pair.
+    """
+    bc = wc.bc
+    S = wc.eta_edge
+    out = []
+    partners = set()
+    for ci, comp in enumerate(wc.components):
+        if ci in partners:
+            continue
+        f0, c0 = comp["faces"][0]
+        partner = wc.comp_of_face_copy[(f0, -c0)]
+        partners.add(partner)
+        fis = sorted({fi for (fi, _) in comp["faces"]})
+        V = len({min(v, wc.eta_vertex[v]) for v in comp["vertices"]})
+        E = len({min(a, S[a]) for a in comp["edges"]})
+        F = sum(2 - len(bc.faces[fi]) for fi in fis)
+        chi = V - E + F
+        lifted = chi
+        if partner == ci:
+            lifted = 2 * chi - sum(1 for v in comp["vertices"]
+                                   if wc.eta_vertex[v] == v)
+        if component_euler(bc, comp) != lifted:
+            raise CrosscheckFailed(f"Riemann-Hurwitz violated: zipped chi = {chi}, "
+                                   f"lifted {lifted} != {component_euler(bc, comp)}")
+        out.append({"faces": fis, "euler_characteristic": chi, "sphere": True})
+    out.sort(key=lambda z: z["faces"][-1])
+    for z in out:
+        if z["euler_characteristic"] != 2:
+            raise ZipNotSphere(f"zipped component chi = {z['euler_characteristic']}")
+    return out
+
+
 def zipped_report(bc: BoundaryComplex):
-    """One copy of each face, boundary self-glued along a ~ S(a).
+    """The zipped quotient of the welded double of bc; see _eta_quotient.
 
     Every component must be a sphere (chi = 2) for schemas in the mating
     class; anything else raises ZipNotSphere.
     """
-    S = bc.s_action
-    arcs = bc.arcs
-    # edges: arc pairs {a, S(a)}
-    pair_of = {}
-    for a in range(len(arcs)):
-        pair_of[a] = min(a, S[a])
-    edge_ids = sorted(set(pair_of.values()))
-
-    symbols = [(a.index, end) for a in arcs for end in ("s", "e")]
-    uf = _UnionFind(symbols)
-    for a in range(len(arcs)):
-        uf.union((a, "s"), (S[a], "e"))
-        uf.union((a, "e"), (S[a], "s"))
-    for (p, q) in _corner_links(bc):
-        uf.union(p, q)
-    classes = sorted(uf.classes().values())
-    vertex_of = {}
-    for vi, cls in enumerate(classes):
-        for sym in cls:
-            vertex_of[sym] = vi
-
-    # components over cells
-    uf2 = _UnionFind([("f", fi) for fi in range(bc.face_count())])
-    for a in range(len(arcs)):
-        uf2.union(("f", bc.arc_face[a]), ("f", bc.arc_face[S[a]]))
-    comp_map = {}
-    for fi in range(bc.face_count()):
-        comp_map.setdefault(uf2.find(("f", fi)), []).append(fi)
-
-    out = []
-    for key in sorted(comp_map):
-        fis = sorted(comp_map[key])
-        earcs = {pair_of[a] for a in range(len(arcs)) if bc.arc_face[a] in fis}
-        verts = {vertex_of[(a, end)] for a in range(len(arcs))
-                 if bc.arc_face[a] in fis for end in ("s", "e")}
-        V, E = len(verts), len(earcs)
-        F = sum(2 - _face_boundary_cycles(bc, fi) for fi in fis)
-        chi = V - E + F
-        if chi != 2:
-            raise ZipNotSphere(f"zipped component chi = {chi}")
-        out.append({"faces": fis, "euler_characteristic": chi, "sphere": True})
-    return out
+    return _eta_quotient(weld(bc))
 
 
 # -- identities ---------------------------------------------------------------------

@@ -172,15 +172,6 @@ def test_svg_tiling(capsys, tmp_path):
     assert code == 0 and p.exists()
 
 
-def test_weldlab_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("WELDLAB_TOL", "1e-2")
-    code, _, err = run(capsys, "group", "info", "--n", "3", "--p", "1")
-    assert code == 2 and "WELDLAB_TOL" in err
-    monkeypatch.setenv("WELDLAB_TOL", "1e-10")
-    code, _, _ = run(capsys, "group", "info", "--n", "3", "--p", "1")
-    assert code == 0
-
-
 def test_newton_by_name(capsys):
     code, out, _ = run(capsys, "surface", "report", "5.6:4")
     assert code == 0
@@ -202,6 +193,7 @@ def test_fixture_files_load(capsys):
     ["corr", "fibers", "--n", "0", "--p", "1"],
     ["corr", "fibers", "--n", "3", "--p", "1", "--w-re", "nan"],
     ["bs", "eval", "--n", "1", "--p", "4", "--theta", "inf"],
+    ["bs", "tiles", "--n", "1", "--p", "4", "--rank", "-1"],
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

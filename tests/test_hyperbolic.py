@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weldlab.errors import CoincidentEndpoints, DegenerateInput, NotDisjoint
-from weldlab.hyperbolic import (MobiusMap, TAU, common_perpendicular, compose,
+from weldlab.hyperbolic import (MobiusMap, TAU, common_perpendicular,
                                 geodesic_between, perpendicularity_residual,
                                 reflect, regular_ideal_polygon)
 
@@ -28,8 +28,8 @@ def random_disk_mobius(seed):
 
 def test_identity_compose():
     f = random_disk_mobius(1)
-    assert compose(MobiusMap.identity(), f).dist(f) < 1e-12
-    assert compose(f, f.inverse()).is_identity()
+    assert MobiusMap.identity().compose(f).dist(f) < 1e-12
+    assert f.compose(f.inverse()).is_identity()
 
 
 def test_rotation_compose_n3():

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import weldlab.fuchsian as fuchsian
 import weldlab.mating_schema as ms
 from weldlab.errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                            InconsistentInvolution, VerificationFailed)
+                            InconsistentInvolution, VerificationFailed,
+                            WeldlabError)
 from weldlab.fuchsian import CASE_I, CASE_II
 
 
@@ -37,6 +39,40 @@ def test_case_i_hole_fixed_data():
 def test_blaschke_has_no_hole():
     with pytest.raises(BlaschkeHasNoHole):
         ms.build_hole(ms.blaschke_slot(2))
+
+
+# -- slot checks ------------------------------------------------------------
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except WeldlabError as exc:
+        return type(exc)
+    return None
+
+
+def test_slot_checks_raise_as_build_group():
+    # group_slot adds only its own np >= 3 check.  build_group runs on every
+    # rejected point and on the accepted ones with np <= 48: beyond that the
+    # grid's large polygons only add run time.
+    for n in range(40):
+        for p in range(40):
+            for case in (CASE_I, CASE_II, "III"):
+                want = _raised(fuchsian.check_parameters, n, p, case)
+                slot = DegenerateInput if n * p < 3 else want
+                assert _raised(ms.group_slot, n, p, case) is slot, (n, p, case)
+                if want is not None or n * p <= 48:
+                    assert _raised(fuchsian.build_group, n, p, case) is want, \
+                        (n, p, case)
+
+
+def test_assemble_builds_no_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a slot check built a group")
+
+    monkeypatch.setattr(fuchsian, "build_group", refuse)
+    bc = ms.assemble(*ms.newton_schema(8))
+    assert bc.face_count() == 1
 
 
 # -- contact validation -------------------------------------------------------

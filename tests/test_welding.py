@@ -171,6 +171,61 @@ def test_zipped_spheres_everywhere():
             assert z["euler_characteristic"] == 2
 
 
+def reference_zipped_report(bc):
+    """The zipped quotient glued on its own: one copy of each face, boundary
+    self-glued along a ~ S(a), vertices and components by union-find."""
+    S = bc.s_action
+    arcs = bc.arcs
+    pair_of = {a: min(a, S[a]) for a in range(len(arcs))}
+    uf = ms._UnionFind([(a.index, end) for a in arcs for end in ("s", "e")])
+    for a in range(len(arcs)):
+        uf.union((a, "s"), (S[a], "e"))
+        uf.union((a, "e"), (S[a], "s"))
+    for (p, q) in wl._corner_links(bc):
+        uf.union(p, q)
+    vertex_of = {}
+    for vi, cls in enumerate(sorted(uf.classes().values())):
+        for sym in cls:
+            vertex_of[sym] = vi
+
+    uf2 = ms._UnionFind([("f", fi) for fi in range(bc.face_count())])
+    for a in range(len(arcs)):
+        uf2.union(("f", bc.arc_face[a]), ("f", bc.arc_face[S[a]]))
+    comp_map = {}
+    for fi in range(bc.face_count()):
+        comp_map.setdefault(uf2.find(("f", fi)), []).append(fi)
+
+    out = []
+    for key in sorted(comp_map):
+        fis = sorted(comp_map[key])
+        earcs = {pair_of[a] for a in range(len(arcs)) if bc.arc_face[a] in fis}
+        verts = {vertex_of[(a, end)] for a in range(len(arcs))
+                 if bc.arc_face[a] in fis for end in ("s", "e")}
+        F = sum(2 - len(bc.faces[fi]) for fi in fis)
+        chi = len(verts) - len(earcs) + F
+        if chi != 2:
+            raise ZipNotSphere(f"zipped component chi = {chi}")
+        out.append({"faces": fis, "euler_characteristic": chi, "sphere": True})
+    return out
+
+
+def test_eta_quotient_matches_separate_gluing():
+    # faces, chi and order, over the gallery, Newton 3..40 and 2,000 random
+    # schemas; surface_report must carry the same list
+    rng = random.Random(20261018)
+    schemas = [ms.paper_example(name)[:2] for name in ms.PAPER_EXAMPLES]
+    schemas += [ms.newton_schema(n) for n in range(3, 41)]
+    schemas += [ms.random_schema(rng) for _ in range(2000)]
+    multi = 0
+    for slots, contact in schemas:
+        bc = ms.assemble(slots, contact)
+        want = reference_zipped_report(bc)
+        assert wl.zipped_report(bc) == want
+        assert list(wl.surface_report(wl.weld(bc)).zipped) == want
+        multi += len(want) > 1
+    assert multi > 100
+
+
 def test_cor_4_14_sweep():
     for bc in fixtures_and_sweep():
         sr = wl.surface_report(wl.weld(bc))
