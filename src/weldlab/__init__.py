@@ -1,28 +1,46 @@
 """weldlab: Fuchsian side-pairing groups, Bowen-Series circle maps,
 combinatorial conformal matings, blender-surface welding, and desk-scale
-correspondence models."""
+correspondence models.
+
+The layer modules load on first use (PEP 562): ``import weldlab`` is cheap,
+and ``weldlab.build_group`` or ``weldlab.render`` imports the module that
+defines it when it is first looked up.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bowen_series import ConjugacyH, bowen_series_map, circle_degree, tiles
-from .correspondence import (ModelMaps, blaschke, fiber, group_tiling,
-                             model_tiling_set, recover_representation)
-from .fuchsian import (CASE_I, CASE_II, build_group, degree_plan,
-                       orbifold_signature, poincare_check, side_pairing_check)
-from .hyperbolic import (Geodesic, MobiusMap, common_perpendicular,
-                         geodesic_between, reflect, regular_ideal_polygon)
-from .mating_schema import (ContactData, assemble, blaschke_slot, group_slot,
-                            load_schema, newton_schema, paper_example,
-                            polynomial_registry, verify_polynomial)
-from .welding import (surface_report, weld, welding_graph, zipped_report)
+#: version of every JSON document weldlab writes
+SCHEMA_VERSION = 1
 
-__all__ = [
-    "CASE_I", "CASE_II", "ConjugacyH", "ContactData", "Geodesic", "MobiusMap",
-    "ModelMaps", "assemble", "blaschke", "blaschke_slot", "bowen_series_map",
-    "build_group", "circle_degree", "common_perpendicular", "degree_plan",
-    "fiber", "geodesic_between", "group_slot", "group_tiling", "load_schema",
-    "model_tiling_set", "newton_schema", "orbifold_signature", "paper_example",
-    "poincare_check", "polynomial_registry", "recover_representation",
-    "reflect", "regular_ideal_polygon", "side_pairing_check", "surface_report",
-    "tiles", "verify_polynomial", "weld", "welding_graph", "zipped_report",
-]
+#: layer module -> the public names it contributes to the package namespace
+_EXPORTS = {
+    "bowen_series": ("ConjugacyH", "bowen_series_map", "circle_degree", "tiles"),
+    "correspondence": ("ModelMaps", "blaschke", "fiber", "group_tiling",
+                       "model_tiling_set", "recover_representation"),
+    "fuchsian": ("CASE_I", "CASE_II", "build_group", "degree_plan",
+                 "orbifold_signature", "poincare_check", "side_pairing_check"),
+    "hyperbolic": ("Geodesic", "MobiusMap", "common_perpendicular",
+                   "geodesic_between", "reflect", "regular_ideal_polygon"),
+    "mating_schema": ("ContactData", "assemble", "blaschke_slot", "group_slot",
+                      "load_schema", "newton_schema", "paper_example",
+                      "polynomial_registry", "verify_polynomial"),
+    "welding": ("surface_report", "weld", "welding_graph", "zipped_report"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "render"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(__all__))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import hyperbolic as hyp
 from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree,
                      MarkovViolation, OutsideDomain, RankLimit)
-from .fuchsian import GroupPreset, build_group, vertex_cycles
+from .fuchsian import TILE_BUDGET, GroupPreset, build_group, vertex_cycles
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 
 BREAK_TOL = 1e-12
@@ -548,10 +548,18 @@ def tiles(m: BowenSeriesMap, rank: int):
 
     Returned per rank as words in the pocket alphabet with vertex lists; for
     factor maps the tiles are the z -> z^n projections, with the n-fold
-    M_w-orbit redundancy removed.
+    M_w-orbit redundancy removed.  Rank r >= 1 holds np (np - 1)^(r - 1)
+    tiles, p (np - 1)^(r - 1) for factor maps; more than TILE_BUDGET in all
+    raises RankLimit before any tile is built.
     """
     if rank < 0 or rank > MAX_RANK:
         raise RankLimit(f"rank {rank} outside [0, {MAX_RANK}]")
+    n, p = m.preset.n, m.preset.p
+    first = p if m.factor else n * p
+    count = 1 + sum(first * (n * p - 1) ** (r - 1) for r in range(1, rank + 1))
+    if count > TILE_BUDGET:
+        raise RankLimit(f"rank {rank} gives {count} tiles, more than the "
+                        f"budget of {TILE_BUDGET}")
     base = Tile((), MobiusMap.identity(),
                 tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
     levels = [[base]]

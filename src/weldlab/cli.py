@@ -3,7 +3,7 @@
 Subcommands: group {info,check}, bs {eval,orbit,partition,conjugacy,tiles},
 mate {build,report,verify-poly}, surface {report,graph,zip},
 corr {fibers,branches,tiling,recover}.  JSON goes to stdout with sorted keys;
---svg writes figures.
+--svg writes figures.  Each command imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -15,13 +15,8 @@ import os
 import re
 import sys
 
-from . import bowen_series as bs
-from . import correspondence as corr
-from . import fuchsian
-from . import mating_schema as ms
-from . import render
-from . import welding
-from .errors import UsageError, WeldlabError
+from . import SCHEMA_VERSION
+from .errors import RankLimit, UsageError, WeldlabError
 
 #: deepest itinerary `bs conjugacy` accepts.  The nominal arc 2 pi / d^depth
 #: falls below the radius floor by depth 48 for every degree d >= 2, and
@@ -34,12 +29,13 @@ _NEWTON_NAME = re.compile(r"5\.6(:-?\d+)?")
 
 
 def _emit(doc):
-    doc = {"schema_version": ms.SCHEMA_VERSION, **doc}
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     sys.stdout.write("\n")
 
 
 def _write_svg(path, scene):
+    from . import render
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render.render_svg(scene))
 
@@ -50,10 +46,12 @@ def _mobius_json(m):
 
 
 def _preset(args):
+    from . import fuchsian
     return fuchsian.build_group(args.n, args.p, args.case)
 
 
 def _load_schema_arg(path):
+    from . import mating_schema as ms
     if not os.path.exists(path):
         if path in ms.PAPER_EXAMPLES or _NEWTON_NAME.fullmatch(path):
             return ms.paper_example(path)
@@ -67,6 +65,7 @@ def _load_schema_arg(path):
 # -- group ------------------------------------------------------------------
 
 def cmd_group_info(args):
+    from . import fuchsian
     preset = _preset(args)
     sig = fuchsian.orbifold_signature(preset, extended=not args.plain)
     _emit({
@@ -83,6 +82,7 @@ def cmd_group_info(args):
 
 
 def cmd_group_check(args):
+    from . import fuchsian
     preset = _preset(args)
     pairing = fuchsian.side_pairing_check(preset)
     poincare = fuchsian.poincare_check(preset)
@@ -101,11 +101,13 @@ def cmd_group_check(args):
 # -- bs ---------------------------------------------------------------------
 
 def _bsmap(args):
+    from . import bowen_series as bs
     preset = _preset(args)
     return bs.bowen_series_from_preset(preset, factor=args.factor)
 
 
 def cmd_bs_eval(args):
+    from . import bowen_series as bs
     m = _bsmap(args)
     _emit({"map": m.name, "theta": args.theta,
            "image": bs.eval_circle(m, args.theta)})
@@ -113,6 +115,7 @@ def cmd_bs_eval(args):
 
 
 def cmd_bs_orbit(args):
+    from . import bowen_series as bs
     m = _bsmap(args)
     _emit({"map": m.name, "theta": args.theta, "steps": args.steps,
            "orbit": bs.circle_orbit(m, args.theta, args.steps)})
@@ -120,6 +123,7 @@ def cmd_bs_orbit(args):
 
 
 def cmd_bs_partition(args):
+    from . import bowen_series as bs
     m = _bsmap(args)
     part = bs.markov_partition(m)
     _emit({
@@ -132,6 +136,7 @@ def cmd_bs_partition(args):
 
 
 def cmd_bs_conjugacy(args):
+    from . import bowen_series as bs
     if args.depth > MAX_DEPTH:
         raise UsageError(f"--depth must be <= {MAX_DEPTH}")
     m = _bsmap(args)
@@ -143,6 +148,8 @@ def cmd_bs_conjugacy(args):
 
 
 def cmd_bs_tiles(args):
+    from . import bowen_series as bs
+    from . import render
     if args.rank > bs.MAX_RANK:
         raise UsageError(f"--rank must be <= {bs.MAX_RANK}")
     m = _bsmap(args)
@@ -178,6 +185,8 @@ def _complex_json(bc):
 
 
 def cmd_mate_build(args):
+    from . import mating_schema as ms
+    from . import render
     slots, contact, poly = _load_schema_arg(args.schema)
     bc = ms.assemble(slots, contact)
     doc = {"schema": ms.schema_to_dict(slots, contact, poly),
@@ -189,6 +198,7 @@ def cmd_mate_build(args):
 
 
 def cmd_mate_report(args):
+    from . import mating_schema as ms
     slots, contact, poly = _load_schema_arg(args.schema)
     report = ms.validate_degrees(slots)
     _emit({"schema": ms.schema_to_dict(slots, contact, poly),
@@ -197,6 +207,7 @@ def cmd_mate_report(args):
 
 
 def cmd_mate_verify_poly(args):
+    from . import mating_schema as ms
     reg = ms.polynomial_registry()
     if args.name not in reg:
         raise UsageError(f"unknown polynomial {args.name!r}; "
@@ -209,6 +220,8 @@ def cmd_mate_verify_poly(args):
 # -- surface ---------------------------------------------------------------------
 
 def _surface(args):
+    from . import mating_schema as ms
+    from . import welding
     slots, contact, poly = _load_schema_arg(args.schema)
     bc = ms.assemble(slots, contact)
     wc = welding.weld(bc)
@@ -238,6 +251,7 @@ def cmd_surface_report(args):
 
 
 def cmd_surface_graph(args):
+    from . import render
     bc, wc, sr = _surface(args)
     if args.svg:
         _write_svg(args.svg, render.welding_graph_scene(sr.welding_graph))
@@ -247,6 +261,8 @@ def cmd_surface_graph(args):
 
 
 def cmd_surface_zip(args):
+    from . import mating_schema as ms
+    from . import welding
     slots, contact, poly = _load_schema_arg(args.schema)
     bc = ms.assemble(slots, contact)
     _emit({"zipped": welding.zipped_report(bc)})
@@ -256,6 +272,7 @@ def cmd_surface_zip(args):
 # -- corr ---------------------------------------------------------------------
 
 def cmd_corr_fibers(args):
+    from . import correspondence as corr
     if not 1 <= args.j <= args.p:
         raise UsageError(f"--j must be a sheet in 1..{args.p}")
     m = corr.ModelMaps(args.n, args.p)
@@ -270,6 +287,7 @@ def cmd_corr_fibers(args):
 
 
 def cmd_corr_branches(args):
+    from . import correspondence as corr
     mt = corr.model_tiling_set(args.n, args.p, args.case)
     words, ident_ok = corr.branch_words(mt)
     _emit({"n": args.n, "p": args.p, "case": args.case,
@@ -281,6 +299,8 @@ def cmd_corr_branches(args):
 
 
 def cmd_corr_tiling(args):
+    from . import correspondence as corr
+    from . import render
     preset = _preset(args)
     if args.length > corr.MAX_WORD_LENGTH:
         raise UsageError(f"--len must be <= {corr.MAX_WORD_LENGTH}")
@@ -302,6 +322,7 @@ def cmd_corr_tiling(args):
 
 
 def cmd_corr_recover(args):
+    from . import correspondence as corr
     mt = corr.model_tiling_set(args.n, args.p, args.case)
     rep = corr.recover_representation(mt)
     _emit({
@@ -433,7 +454,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, RankLimit) as exc:
+        # the handlers check --rank and --len, so RankLimit is the tile budget
         print(f"weldlab: usage error: {exc}", file=sys.stderr)
         return 2
     except WeldlabError as exc:

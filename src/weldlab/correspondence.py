@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit,
                      RelationMismatch)
-from .fuchsian import GroupPreset, build_group, sigma_side
+from .fuchsian import TILE_BUDGET, GroupPreset, build_group, sigma_side
 from .hyperbolic import TAU, MobiusMap, norm_angle
 
 
@@ -327,6 +327,38 @@ def _near(cells: dict, z: complex):
             yield from cells.get((kx + dx, ky + dy), ())
 
 
+def _ball_size(preset: GroupPreset, length: int) -> int:
+    """Elements of the extended group of word length <= length.
+
+    The extended group is the free product of Z for each pair of sides
+    {s, sigma(s)}, Z/2 for each self-paired side and Z/n for M_w, so each
+    element is one reduced sequence of syllables, nontrivial elements of
+    alternating factors (normal form theorem for free products), and its
+    length is the sum of the syllables' lengths.
+    """
+    factors = []               # per factor: syllable length -> syllables
+    for s, t in preset.sigma.items():
+        if s == t:
+            factors.append({1: 1})
+        elif s < t:
+            factors.append({j: 2 for j in range(1, length + 1)})
+    if preset.n > 1:
+        rot = {}
+        for k in range(1, preset.n):
+            j = min(k, preset.n - k)
+            rot[j] = rot.get(j, 0) + 1
+        factors.append(rot)
+    sphere = [1] + [0] * length
+    # ends[i][k]: elements of length k whose last syllable lies in factor i
+    ends = [[0] * (length + 1) for _ in factors]
+    for k in range(1, length + 1):
+        for f, end in zip(factors, ends):
+            end[k] = sum(c * (sphere[k - j] - end[k - j])
+                         for j, c in f.items() if j <= k)
+        sphere[k] = sum(end[k] for end in ends)
+    return sum(sphere)
+
+
 def group_elements(preset: GroupPreset, max_word_length: int):
     """BFS over the extended group's generators, deduplicated by a point hash.
 
@@ -382,10 +414,15 @@ def group_tiling(preset: GroupPreset, max_word_length: int,
     in Pi-hat.  As Pi-hat is a fundamental domain, the point reached is z0
     only if g is the element of the tile holding w; it must be reached within
     max_word_length + 1 pocket steps.  No two tiles may share the image of the
-    first sample.  Anything else raises OverlapDetected.
+    first sample.  Anything else raises OverlapDetected.  A ball of more than
+    TILE_BUDGET elements raises RankLimit before any tile is built.
     """
     if max_word_length > MAX_WORD_LENGTH:
         raise RankLimit(f"word length {max_word_length} > {MAX_WORD_LENGTH}")
+    count = _ball_size(preset, max_word_length)
+    if count > TILE_BUDGET:
+        raise RankLimit(f"word length {max_word_length} gives {count} tiles, "
+                        f"more than the budget of {TILE_BUDGET}")
     elems = group_elements(preset, max_word_length)
     base_pts = _pi_hat_samples(preset, samples_per_tile)
     tiles = [{"word": w, "map": g} for (w, g) in elems]

@@ -24,6 +24,11 @@ from .hyperbolic import (MobiusMap, TAU, common_perpendicular, geodesic_between,
 CASE_I = "I"
 CASE_II = "II"
 
+#: most tiles `bowen_series.tiles` or `correspondence.group_tiling` builds in
+#: one call; both count their output exactly before enumerating and raise
+#: RankLimit above it
+TILE_BUDGET = 250_000
+
 
 def sigma_side(p: int, case: str):
     """Side-pairing permutation on {1..p}."""

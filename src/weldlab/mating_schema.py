@@ -18,12 +18,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import fuchsian
+from . import SCHEMA_VERSION, fuchsian
 from .errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
                      InconsistentInvolution, NonPlanar, VerificationFailed)
 from .fuchsian import CASE_I, CASE_II
-
-SCHEMA_VERSION = 1
 
 
 class _UnionFind:

@@ -11,8 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .hyperbolic import Geodesic, TAU, norm_angle
 
 SIZE = 1000.0
@@ -157,8 +155,15 @@ def render_svg(scene: RenderScene) -> str:
 _PALETTE = ("#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
 
 
+def _linspace(lo: float, hi: float, count: int):
+    """count evenly spaced floats from lo to hi, both ends included: the
+    same doubles as numpy.linspace(lo, hi, count) for count >= 2."""
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count - 1)] + [hi]
+
+
 def _geodesic_samples(g: Geodesic, count: int = 48):
-    return [g.point_at(t) for t in np.linspace(0.0, 1.0, count)]
+    return [g.point_at(t) for t in _linspace(0.0, 1.0, count)]
 
 
 def polygon_scene(preset, shade_pockets: bool = True) -> RenderScene:
@@ -170,7 +175,7 @@ def polygon_scene(preset, shade_pockets: bool = True) -> RenderScene:
             lo = side.theta1
             hi = side.theta2
             arc = [cmath.exp(1j * t) for t in
-                   np.linspace(lo, lo + ((hi - lo) % TAU), 24)]
+                   _linspace(lo, lo + ((hi - lo) % TAU), 24)]
             sty = Style(stroke="none", fill=_PALETTE[i % len(_PALETTE)], opacity=0.35)
             sc.add(Polyline(pts + arc[::-1], sty, closed=True))
     for side in preset.polygon.sides:

@@ -65,7 +65,6 @@ def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
 class WeldedComplex:
     bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
     vertex_classes: list     # list of frozensets of symbols (arc, end, copy)
-    vertex_of: dict          # symbol -> vertex class index
     eta_vertex: dict         # vertex class index -> vertex class index
     eta_edge: dict           # arc index -> arc index (e_a -> e_{S a})
     components: list         # per component: dict of cell sets
@@ -169,8 +168,8 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
             raise GluingInconsistency("vertex class spans several components")
         components[edge_comps.pop()]["vertices"].add(vi)
 
-    return WeldedComplex(bc, vertex_classes, vertex_of, eta_vertex, eta_edge,
-                         components, comp_of_face_copy)
+    return WeldedComplex(bc, vertex_classes, eta_vertex, eta_edge, components,
+                         comp_of_face_copy)
 
 
 # -- surface report ------------------------------------------------------------------

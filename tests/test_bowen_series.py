@@ -305,6 +305,34 @@ def test_tile_rank_guard():
         bs.tiles(bs.bowen_series_map(1, 4), 99)
 
 
+class _Enumerated(Exception):
+    pass
+
+
+def _refuse_enumeration(*args):
+    raise _Enumerated
+
+
+def test_tile_budget_checked_before_enumeration(monkeypatch):
+    monkeypatch.setattr(bs, "_tile_children", _refuse_enumeration)
+    factor = bs.bowen_series_map(5, 6, factor=True)
+    plain = bs.bowen_series_map(5, 6)
+    # factor (5, 6): 146,334 tiles at rank 4 (151,561 with ranks 0-3) pass
+    # the budget; 4,243,686 at rank 5 (4,395,247 in all) and about 1.1e11
+    # at rank 8 do not
+    with pytest.raises(_Enumerated):
+        bs.tiles(factor, 4)
+    with pytest.raises(RankLimit, match="4395247"):
+        bs.tiles(factor, 5)
+    with pytest.raises(RankLimit, match="107195659921"):
+        bs.tiles(factor, 8)
+    # unfactored, rank 4 has n = 5 times as many: 731,670 (757,801 in all)
+    with pytest.raises(RankLimit, match="757801"):
+        bs.tiles(plain, 4)
+    with pytest.raises(_Enumerated):
+        bs.tiles(plain, 3)
+
+
 def test_tiles_disjoint_interiors():
     m = bs.bowen_series_map(1, 4)
     levels = bs.tiles(m, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -199,6 +200,39 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("weldlab: usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["corr", "tiling", "--n", "5", "--p", "6", "--len", "8"],
+    ["bs", "tiles", "--n", "5", "--p", "6", "--factor", "--rank", "8"],
+])
+def test_tile_budget_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("weldlab: usage error:")
+    assert "budget" in err
+
+
+#: SHA-256 of the SVG each command writes; the figures are byte-stable
+SVG_DIGESTS = [
+    (["corr", "tiling", "--n", "3", "--p", "1", "--len", "4"],
+     "1321c9022b2ff6e242203474c1bc4cafbecb87b087b0c891e9fb7600a11f8a63"),
+    (["bs", "tiles", "--n", "1", "--p", "4", "--rank", "3"],
+     "7c5b7fa984171292a815a25292b17e1df9f1e0839dc5feb7c440cbc456dea5d5"),
+    # both welding graphs are one face glued to itself
+    (["surface", "graph", "5.4"],
+     "7530fe348824c779785ac918482ab3f8e9d8f5d8fe830f866245b634c143853c"),
+    (["surface", "graph", "final"],
+     "7530fe348824c779785ac918482ab3f8e9d8f5d8fe830f866245b634c143853c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SVG_DIGESTS)
+def test_svg_bytes_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "out.svg"
+    code, _, _ = run(capsys, *argv, "--svg", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_bad_newton_name_is_a_bad_schema_name(capsys):

@@ -193,6 +193,37 @@ def test_tiling_length_guard():
         co.group_tiling(build_group(3, 1), 99)
 
 
+class _Enumerated(Exception):
+    pass
+
+
+def _refuse_enumeration(*args):
+    raise _Enumerated
+
+
+def test_ball_size_is_the_free_product_ball():
+    # Z/2 * Z/3, the free group F_2 (Case I) and Z * Z/2 * Z/2 (Case II,
+    # the same growth), and Z * Z * Z * Z/5; lengths 0..8
+    cases = [((3, 1, CASE_I), [1, 4, 8, 14, 22, 34, 50, 74, 106]),
+             ((1, 4, CASE_I), [1, 5, 17, 53, 161, 485, 1457, 4373, 13121]),
+             ((1, 4, CASE_II), [1, 5, 17, 53, 161, 485, 1457, 4373, 13121]),
+             ((5, 6, CASE_I), [1, 9, 65, 455, 3173, 22115, 154121, 1074071, 7485197])]
+    for (n, p, case), balls in cases:
+        preset = build_group(n, p, case)
+        assert [co._ball_size(preset, k) for k in range(9)] == balls
+
+
+def test_tiling_budget_checked_before_enumeration(monkeypatch):
+    monkeypatch.setattr(co, "group_elements", _refuse_enumeration)
+    # (5, 6): 22,115 tiles at length 5 pass the budget, 7,485,197 at 8 do not
+    with pytest.raises(_Enumerated):
+        co.group_tiling(build_group(5, 6), 5)
+    with pytest.raises(RankLimit, match="7485197"):
+        co.group_tiling(build_group(5, 6), 8)
+    with pytest.raises(RankLimit, match="585937"):
+        co.group_tiling(build_group(1, 6), 8)
+
+
 def test_tiling_length_zero():
     rep = co.group_tiling(build_group(3, 1), 0)
     assert rep["count"] == 1

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -31,6 +32,26 @@ def test_geodesic_paths():
     assert rd.geodesic_path(diam).count("L") == 1
     arc = geodesic_between(0.0, math.pi / 2)
     assert " A " in rd.geodesic_path(arc)
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    np = pytest.importorskip("numpy")
+
+    def bits(xs):
+        return [float(x).hex() for x in xs]
+    rng = random.Random(20260)
+    for _ in range(20_000):
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 20.0) * rng.random()
+        count = rng.randrange(2, 80)
+        assert bits(rd._linspace(lo, hi, count)) == bits(np.linspace(lo, hi, count)), \
+            (lo, hi, count)
+    # the scenes' own ranges: [0, 1] and pocket arcs inside [0, 4 pi)
+    for _ in range(2_000):
+        lo = rng.uniform(0.0, 2 * math.pi)
+        hi = lo + rng.uniform(0.0, 2 * math.pi)
+        assert bits(rd._linspace(lo, hi, 24)) == bits(np.linspace(lo, hi, 24))
+    assert bits(rd._linspace(0.0, 1.0, 48)) == bits(np.linspace(0.0, 1.0, 48))
 
 
 def test_clamp_rejects_outside_points():
