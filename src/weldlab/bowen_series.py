@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import hyperbolic as hyp
 from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree,
                      MarkovViolation, OutsideDomain, RankLimit)
-from .fuchsian import TILE_BUDGET, GroupPreset, build_group, vertex_cycles
+from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group, vertex_cycles
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 
 BREAK_TOL = 1e-12
@@ -523,50 +523,54 @@ MAX_RANK = 8
 
 @dataclass(frozen=True)
 class Tile:
-    word: tuple          # pocket labels (r, s), innermost branch first
+    word: tuple          # pocket labels (r, s), the branch applied last first
     map: MobiusMap       # the inverse-branch composition applied to Pi
     vertices: tuple      # image vertices (complex), unfactored
 
 
-def _tile_children(m: BowenSeriesMap, tile: Tile, tol: float = 1e-9):
-    """Valid one-step inverse branches of a tile."""
+def _tile_children(m: BowenSeriesMap, tile: Tile):
+    """Valid one-step inverse branches of a tile: g_{r,s}^{-1} pulls back every
+    tile outside the open pocket (r, sigma(s)), and a tile lies in the pocket
+    of its outer letter word[0] (the Markov property of the Bowen-Series map).
+    """
     out = []
     for pk in m.pockets.entries:
-        # branch g_{r,s}^{-1} pulls targets contained in the complement of
-        # the open pocket (r, sigma(s))
-        tgt = m.pockets.entries[m.preset.side_index(pk.r, m.preset.sigma[pk.s])]
-        if all(tgt.geodesic.side(v) >= -tol for v in tile.vertices):
-            inv = pk.map.inverse()
-            g = inv.compose(tile.map)
-            verts = tuple(inv(v) for v in tile.vertices)
-            out.append(Tile(((pk.r, pk.s),) + tile.word, g, verts))
+        if tile.word and tile.word[0] == (pk.r, m.preset.sigma[pk.s]):
+            continue
+        inv = pk.map.inverse()
+        g = inv.compose(tile.map)
+        verts = tuple(inv(v) for v in tile.vertices)
+        out.append(Tile(((pk.r, pk.s),) + tile.word, g, verts))
     return out
 
 
 def tiles(m: BowenSeriesMap, rank: int):
     """Rank-k tiles as inverse-branch images of the fundamental polygon.
 
-    Returned per rank as words in the pocket alphabet with vertex lists; for
-    factor maps the tiles are the z -> z^n projections, with the n-fold
-    M_w-orbit redundancy removed.  Rank r >= 1 holds np (np - 1)^(r - 1)
-    tiles, p (np - 1)^(r - 1) for factor maps; more than TILE_BUDGET in all
-    raises RankLimit before any tile is built.
+    Returned per rank, sorted by word in the pocket alphabet (word[0] the
+    branch applied last).  M_w shifts pocket labels (r, s) -> (r + 1, s), so a
+    factor map keeps the one tile per orbit whose outer letter lies in sector
+    1, ordered by vertex angle.  Rank r >= 1 holds np (np - 1)^(r - 1) tiles of
+    np vertices, p (np - 1)^(r - 1) for factor maps; more than TILE_BUDGET
+    tiles or VERTEX_BUDGET vertices raises RankLimit before any is built.
     """
     if rank < 0 or rank > MAX_RANK:
         raise RankLimit(f"rank {rank} outside [0, {MAX_RANK}]")
     n, p = m.preset.n, m.preset.p
     first = p if m.factor else n * p
     count = 1 + sum(first * (n * p - 1) ** (r - 1) for r in range(1, rank + 1))
-    if count > TILE_BUDGET:
-        raise RankLimit(f"rank {rank} gives {count} tiles, more than the "
-                        f"budget of {TILE_BUDGET}")
+    if count > TILE_BUDGET or count * n * p > VERTEX_BUDGET:
+        raise RankLimit(f"rank {rank} gives {count} tiles of {n * p} vertices, more "
+                        f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
     base = Tile((), MobiusMap.identity(),
                 tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
+    last = replace(m, pockets=PocketTable(m.pockets.entries[:p])) if m.factor else m
     levels = [[base]]
-    for _ in range(rank):
+    for k in range(rank):
+        step = last if k == rank - 1 else m
         nxt = []
         for t in levels[-1]:
-            nxt.extend(_tile_children(m, t))
+            nxt.extend(_tile_children(step, t))
         nxt.sort(key=lambda t: t.word)
         levels.append(nxt)
     if not m.factor:
@@ -575,18 +579,11 @@ def tiles(m: BowenSeriesMap, rank: int):
 
 
 def _project_tiles(m: BowenSeriesMap, level):
-    """One tile per M_w-orbit, ordered by its vertex angles in [0, 2 pi)."""
+    """First-sector tiles by vertex angles rounded to 6 digits, then by word."""
     n = m.preset.n
-    # tiles are keyed by vertex angles rounded to 6 digits and reduced mod the
-    # rounded 2 pi, so a vertex just below 2 pi and its copy at 0 share a key
-    wrap = round(TAU, 6)
-    seen = {}
-    for t in level:
-        angles = sorted(round(norm_angle(cmath.phase(v ** n)), 6) for v in t.vertices)
-        key = tuple(sorted(a % wrap for a in angles))
-        if key not in seen:
-            seen[key] = (angles, t)
-    return [t for _, t in sorted(seen.values(), key=lambda e: e[0])]
+    kept = [t for t in level if not t.word or t.word[0][0] == 1]
+    return sorted(kept, key=lambda t: sorted(
+        round(norm_angle(cmath.phase(v ** n)), 6) for v in t.vertices))
 
 
 def tile_counts(m: BowenSeriesMap, rank: int):

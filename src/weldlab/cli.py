@@ -125,6 +125,9 @@ def cmd_bs_orbit(args):
 def cmd_bs_partition(args):
     from . import bowen_series as bs
     m = _bsmap(args)
+    if len(bs.breakpoints(m)) ** 2 > bs.TILE_BUDGET:
+        raise UsageError(f"{len(bs.breakpoints(m))} arcs give a transition table "
+                         f"of more than the budget of {bs.TILE_BUDGET} entries")
     part = bs.markov_partition(m)
     _emit({
         "map": m.name,
@@ -275,6 +278,9 @@ def cmd_corr_fibers(args):
     from . import correspondence as corr
     if not 1 <= args.j <= args.p:
         raise UsageError(f"--j must be a sheet in 1..{args.p}")
+    if args.n * args.p > corr.TILE_BUDGET:
+        raise UsageError(f"a fiber of {args.n * args.p} points is more than the "
+                         f"budget of {corr.TILE_BUDGET}")
     m = corr.ModelMaps(args.n, args.p)
     pt = m.point(complex(args.w_re, args.w_im), args.j)
     fib = corr.fiber(m, pt)

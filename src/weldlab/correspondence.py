@@ -267,15 +267,10 @@ def recover_representation(m: ModelTilingSet, preset: GroupPreset = None):
 
 MAX_WORD_LENGTH = 8
 
-#: cell of the grid that hashes points of the disk.  The images of a point of
-#: Pi-hat under two words for one element differ by ~1e-13 at the served
-#: lengths; distinct elements move it a fixed hyperbolic distance apart, far
-#: more than a cell
+#: cell of the grid that hashes the first sample's tile images.  Distinct
+#: elements move a point of Pi-hat a fixed hyperbolic distance apart, far more
+#: than a cell, so a shared or neighbouring cell means a repeated tile
 _CELL = 1e-9
-#: two matrices are one element when their projective distance is below this
-#: fraction of their largest entry: normalising the determinant of a product
-#: with entries of size K costs about K^2 ulps, 1e-7 relative at K ~ 1e4
-_SAME_ELEMENT = 1e-6
 #: a sample reduced into Pi-hat must come back this close to where it started
 _RETURN_TOL = 1e-6
 
@@ -327,78 +322,74 @@ def _near(cells: dict, z: complex):
             yield from cells.get((kx + dx, ky + dy), ())
 
 
+def _free_factors(preset: GroupPreset):
+    """The extended group as a free product: Z for each pair of sides {s,
+    sigma(s)}, spelled by g_s and g_s' = g_s^-1 with s < sigma(s); Z/2 for each
+    self-paired side; Z/n for M_w, whose shortest powers are m^k, k <= n/2, and
+    m'^k, k < n/2.  Each factor lists (name, generator, longest run) per letter.
+    """
+    factors = []
+    for s, t in preset.sigma.items():
+        g = preset.first_sector[s - 1]
+        if s == t:
+            factors.append([(f"g{s}", g, 1)])
+        elif s < t:
+            factors.append([(f"g{s}", g, math.inf), (f"g{s}'", g.inverse(), math.inf)])
+    if preset.n > 1:
+        factors.append([("m", preset.rotation, preset.n // 2),
+                        ("m'", preset.rotation.inverse(), (preset.n - 1) // 2)])
+    return factors
+
+
 def _ball_size(preset: GroupPreset, length: int) -> int:
     """Elements of the extended group of word length <= length.
 
-    The extended group is the free product of Z for each pair of sides
-    {s, sigma(s)}, Z/2 for each self-paired side and Z/n for M_w, so each
-    element is one reduced sequence of syllables, nontrivial elements of
+    Each element is one reduced sequence of syllables, runs of one letter in
     alternating factors (normal form theorem for free products), and its
-    length is the sum of the syllables' lengths.
+    length is the sum of the runs.
     """
-    factors = []               # per factor: syllable length -> syllables
-    for s, t in preset.sigma.items():
-        if s == t:
-            factors.append({1: 1})
-        elif s < t:
-            factors.append({j: 2 for j in range(1, length + 1)})
-    if preset.n > 1:
-        rot = {}
-        for k in range(1, preset.n):
-            j = min(k, preset.n - k)
-            rot[j] = rot.get(j, 0) + 1
-        factors.append(rot)
+    factors = _free_factors(preset)
     sphere = [1] + [0] * length
     # ends[i][k]: elements of length k whose last syllable lies in factor i
     ends = [[0] * (length + 1) for _ in factors]
     for k in range(1, length + 1):
         for f, end in zip(factors, ends):
-            end[k] = sum(c * (sphere[k - j] - end[k - j])
-                         for j, c in f.items() if j <= k)
+            end[k] = sum(sphere[k - j] - end[k - j]
+                         for _, _, run in f for j in range(1, min(run, k) + 1))
         sphere[k] = sum(end[k] for end in ends)
     return sum(sphere)
 
 
 def group_elements(preset: GroupPreset, max_word_length: int):
-    """BFS over the extended group's generators, deduplicated by a point hash.
+    """Each element up to the length bound once, as its shortlex-least word.
 
-    Each element g is hashed on g(c), c the first interior sample of Pi-hat.
-    The group acts freely there, so distinct elements land in distinct cells
-    while two words for one element land in the same or a neighbouring cell;
-    inside that neighbourhood equality is decided by projective distance
-    relative to the entry size.  The first word found for an element is kept.
-    Returns (word, element) pairs in canonical order: breadth-first, ties
-    broken lexicographically in the letter alphabet.
+    Distinct reduced syllable sequences are distinct elements (normal form
+    theorem, Magnus-Karrass-Solitar 4.1), so words are enumerated, not
+    compared: a letter starts a syllable unless its factor is the last
+    letter's, and the last letter extends its run up to its bound.  word[-1]
+    is the letter applied last.  Returns (word, element) pairs by length, ties
+    broken lexicographically in the letter names.
     """
-    letters = []
-    for s in range(1, preset.p + 1):
-        g = preset.first_sector[s - 1]
-        letters.append((f"g{s}", g))
-        if preset.sigma[s] != s:
-            letters.append((f"g{s}'", g.inverse()))
-    if preset.n > 1:
-        letters.append(("m", preset.rotation))
-        letters.append(("m'", preset.rotation.inverse()))
-    c = _pi_hat_samples(preset, 1)[0]
+    letters = [(i, name, gen, run)
+               for i, factor in enumerate(_free_factors(preset))
+               for name, gen, run in factor]
     ident = MobiusMap.identity()
     accepted = [((), ident)]
-    cells = {_cell(c): [ident]}
-    frontier = [((), ident)]
+    frontier = [((), ident, None, 0)]   # word, element, last factor, its run
     for _ in range(max_word_length):
         nxt = []
-        for word, mat in frontier:
-            for name, gen in letters:
-                m2 = gen.compose(mat)
-                z = m2(c)
-                size = max(abs(m2.a), abs(m2.b), abs(m2.c), abs(m2.d))
-                if any(m2.dist(other) < _SAME_ELEMENT * size
-                       for other in _near(cells, z)):
+        for word, mat, last, run in frontier:
+            for i, name, gen, most in letters:
+                if i != last:
+                    k = 1
+                elif name == word[-1] and run < most:
+                    k = run + 1
+                else:
                     continue
-                cells.setdefault(_cell(z), []).append(m2)
-                entry = (word + (name,), m2)
+                entry = (word + (name,), gen.compose(mat))
                 accepted.append(entry)
-                nxt.append(entry)
-        frontier = sorted(nxt, key=lambda e: e[0])
+                nxt.append(entry + (i, k))
+        frontier = nxt
     return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
 
 

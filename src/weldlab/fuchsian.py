@@ -28,6 +28,9 @@ CASE_II = "II"
 #: one call; both count their output exactly before enumerating and raise
 #: RankLimit above it
 TILE_BUDGET = 250_000
+#: most vertices in one `bowen_series.tiles` call: a budget of 30-gons, the
+#: largest polygon of the preset grid
+VERTEX_BUDGET = 30 * TILE_BUDGET
 
 
 def sigma_side(p: int, case: str):

@@ -153,13 +153,15 @@ class MobiusMap:
         """Smallest k >= 1 with self^k = id, or None if none up to max_order.
 
         Finite-order disk maps are elliptic and stay bounded; once entries
-        grow the element is parabolic/hyperbolic and the search stops.
+        grow the element is parabolic/hyperbolic and the search stops, before
+        a product with entries past about 1e6 loses its determinant.
         """
+        size = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         g = self
         for k in range(1, max_order + 1):
             if g.is_identity(tol):
                 return k
-            if max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) > 1e6:
+            if size * max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) > 1e6:
                 return None
             g = self.compose(g)
         return None

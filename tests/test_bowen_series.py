@@ -378,6 +378,48 @@ def test_factor_tile_counts_formula(n, p, rank):
     assert counts == [1] + [p * (n * p - 1) ** (r - 1) for r in range(1, rank + 1)]
 
 
+#: presets whose rank-4 factor tiles the rounded vertex-angle keys once merged
+#: (29,476, 33,976 and 27,367 of the formula's counts)
+RANK_4_FACTOR_TILES = [(3, 6), (4, 5), (5, 4)]
+
+
+@pytest.mark.parametrize("n,p", RANK_4_FACTOR_TILES)
+def test_rank_4_factor_tile_counts_formula(n, p):
+    t0 = time.perf_counter()
+    counts = bs.tile_counts(bs.bowen_series_map(n, p, factor=True), 4)
+    assert time.perf_counter() - t0 < 10.0
+    assert counts == [1] + [p * (n * p - 1) ** (r - 1) for r in range(1, 5)]
+
+
+def vertex_test_letters(m, tile, tol=1e-9):
+    """Reference: the per-vertex child test the outer-letter rule replaced.
+
+    Branch g_{r,s}^-1 is valid when every vertex of the tile lies outside the
+    open pocket (r, sigma(s)).
+    """
+    out = []
+    for pk in m.pockets.entries:
+        tgt = m.pockets.entries[m.preset.side_index(pk.r, m.preset.sigma[pk.s])]
+        if all(tgt.geodesic.side(v) >= -tol for v in tile.vertices):
+            out.append((pk.r, pk.s))
+    return out
+
+
+@pytest.mark.parametrize("n,p,case", GRID)
+def test_tile_children_match_vertex_test(n, p, case):
+    # every tile at ranks 1-3, factor and not; for n >= 3 the rank-3 tiles
+    # are the factor map's, one per M_w-orbit, as checking all n rotations
+    # of each costs about 30 s over the grid
+    m = bs.bowen_series_map(n, p, case)
+    levels = bs.tiles(m, 3 if n == 1 else 2)[1:]
+    if n > 1:
+        levels += bs.tiles(bs.bowen_series_map(n, p, case, factor=True), 3)[1:]
+    for level in levels:
+        for t in level:
+            assert [c.word[0] for c in bs._tile_children(m, t)] == \
+                vertex_test_letters(m, t), t.word
+
+
 # -- grid references for the closed-form circle kernel ------------------------------
 #
 # The lifting-and-bisection root finders the closed forms replaced: every

@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from weldlab.cli import main
 
@@ -195,6 +197,7 @@ def test_fixture_files_load(capsys):
     ["corr", "fibers", "--n", "3", "--p", "1", "--w-re", "nan"],
     ["bs", "eval", "--n", "1", "--p", "4", "--theta", "inf"],
     ["bs", "tiles", "--n", "1", "--p", "4", "--rank", "-1"],
+    ["corr", "fibers", "--n", "1000", "--p", "1000"],
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -235,9 +238,96 @@ def test_svg_bytes_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+#: SHA-256 of the JSON each command prints, as the rounded-key tile layers
+#: printed it; the word enumerations reproduce them byte for byte
+JSON_DIGESTS = [
+    (["bs", "tiles", "--n", "4", "--p", "2", "--factor", "--rank", "3"],
+     "818003ac42245b2be7c4caf1342aafc28ed4e2726ac5d3df10bc694bede01383"),
+    (["bs", "tiles", "--n", "5", "--p", "1", "--factor", "--rank", "5"],
+     "39f49d1fcf4dcc7660bc88ffe7ee8bad502c3d9eab5d1449fe6cf0406514bb48"),
+    (["bs", "tiles", "--n", "1", "--p", "6", "--rank", "3"],
+     "ce1122528ea79d55b80f0c60b40eeb28515240ba51fcaa3c2e02187d7df833a4"),
+    (["corr", "tiling", "--n", "4", "--p", "1", "--len", "5"],
+     "7fe3721030e9c057c5c3dd10bfdd7ae842d7a68589e2e71e2ce056684206ab30"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", JSON_DIGESTS)
+def test_json_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bad_newton_name_is_a_bad_schema_name(capsys):
     code, _, err = run(capsys, "surface", "report", "no-such-schema")
     assert code == 2
     for name in ("5.6:x", "5.6x"):
         assert run(capsys, "surface", "report", name) == (
             code, "", err.replace("no-such-schema", name))
+
+
+# -- every argv exits 0, 1 or 2 ---------------------------------------------------
+
+_SIZE = st.integers(-2, 64).map(str)
+_NUMBER = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
+                    st.sampled_from(["1e999", "-0", "x", ""]))
+_SCHEMA = st.one_of(st.sampled_from(["5.1", "5.2", "5.3", "5.4", "5.5", "final",
+                                     "5.6", "no-such-schema", "5.6:x"]),
+                    st.integers(-2, 64).map(lambda k: f"5.6:{k}"))
+_GROUP = [("group", "info"), ("group", "check"), ("corr", "branches"),
+          ("corr", "recover")]
+_BS = [("bs", "eval"), ("bs", "orbit"), ("bs", "partition"), ("bs", "conjugacy"),
+       ("bs", "tiles")]
+#: per option, the values drawn.  --rank and --len stop at 1 and 2, plus one
+#: value past each cap, and rank-1 tiles at about 300,000 vertices: larger
+#: outputs the budgets admit take seconds and up to gigabytes each, and the
+#: budget tests cover their bounds
+_OPTIONS = {"--theta": _NUMBER, "--steps": st.integers(-2, 20).map(str),
+            "--depth": st.integers(-2, 70).map(str),
+            "--rank": st.sampled_from(["-2", "-1", "0", "1", "9"]),
+            "--len": st.sampled_from(["-2", "-1", "0", "1", "2", "9"]),
+            "--w-re": _NUMBER, "--w-im": _NUMBER, "--j": st.integers(-2, 70).map(str)}
+_COMMAND_OPTIONS = {("bs", "eval"): ["--theta"], ("bs", "orbit"): ["--theta", "--steps"],
+                    ("bs", "conjugacy"): ["--theta", "--depth"], ("bs", "tiles"): ["--rank"],
+                    ("corr", "tiling"): ["--len"],
+                    ("corr", "fibers"): ["--w-re", "--w-im", "--j"]}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(_GROUP + _BS + [("corr", "tiling"), ("corr", "fibers"),
+                                               ("mate", "build"), ("mate", "report"),
+                                               ("mate", "verify-poly"), ("surface", "report"),
+                                               ("surface", "graph"), ("surface", "zip")]))
+    argv = list(cmd)
+    if cmd[0] in ("mate", "surface"):
+        if cmd[1] == "verify-poly":
+            argv.append(draw(st.sampled_from(["cubic_power", "deg7_symmetric", "nope"])))
+        else:
+            argv.append(draw(_SCHEMA))
+        return argv
+    argv += ["--n", draw(_SIZE), "--p", draw(_SIZE)]
+    if cmd != ("corr", "fibers"):
+        argv += ["--case", draw(st.sampled_from(["I", "II", "III"]))]
+    if cmd in _BS and draw(st.booleans()):
+        argv.append("--factor")
+    for opt in _COMMAND_OPTIONS.get(cmd, []):
+        if opt in ("--rank", "--len") or draw(st.booleans()):
+            argv += [opt, draw(_OPTIONS[opt])]
+    if cmd == ("bs", "tiles") and argv[-1] == "1":
+        np_ = int(argv[3]) * int(argv[5])
+        assume(np_ * (np_ + 1) <= 300_000)
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-1", "x"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_every_argv_exits_0_1_or_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.startswith("weldlab: "), argv

@@ -284,6 +284,72 @@ def test_group_elements_free_product_ball(n, p):
     assert co.group_tiling(preset, 3)["count"] == FREE_PRODUCT_BALL_3[n, p]
 
 
+def hashed_group_elements(preset, max_word_length):
+    """Reference: the BFS the normal-form enumeration replaced, deduplicated
+    by a grid hash of the image of one interior point and, inside the hashed
+    neighbourhood, by projective distance relative to the entry size."""
+    same_element = 1e-6
+    letters = []
+    for s in range(1, preset.p + 1):
+        g = preset.first_sector[s - 1]
+        letters.append((f"g{s}", g))
+        if preset.sigma[s] != s:
+            letters.append((f"g{s}'", g.inverse()))
+    if preset.n > 1:
+        letters += [("m", preset.rotation), ("m'", preset.rotation.inverse())]
+    c = co._pi_hat_samples(preset, 1)[0]
+    ident = MobiusMap.identity()
+    accepted = [((), ident)]
+    cells = {co._cell(c): [ident]}
+    frontier = [((), ident)]
+    for _ in range(max_word_length):
+        nxt = []
+        for word, mat in frontier:
+            for name, gen in letters:
+                m2 = gen.compose(mat)
+                z = m2(c)
+                size = max(abs(m2.a), abs(m2.b), abs(m2.c), abs(m2.d))
+                if any(m2.dist(other) < same_element * size
+                       for other in co._near(cells, z)):
+                    continue
+                cells.setdefault(co._cell(z), []).append(m2)
+                accepted.append((word + (name,), m2))
+                nxt.append(accepted[-1])
+        frontier = sorted(nxt, key=lambda e: e[0])
+    return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
+
+
+@pytest.mark.parametrize("n,p,case", legal_presets())
+def test_group_elements_match_hashed_reference(n, p, case):
+    # at every length whose ball stays under 25,000 elements; the reference
+    # keeps extra copies on (4, 6) and (5, 6) at length 5
+    preset = build_group(n, p, case)
+    length = max(k for k in range(6) if co._ball_size(preset, k) <= 25_000)
+    got = co.group_elements(preset, length)
+    want = hashed_group_elements(preset, length)
+    for k in range(length + 1):
+        ball = co._ball_size(preset, k)
+        mine = [e for e in got if len(e[0]) <= k]
+        ref = [e for e in want if len(e[0]) <= k]
+        assert len(mine) == ball
+        if len(ref) == ball:
+            assert [w for w, _ in mine] == [w for w, _ in ref]
+            assert all(g.dist(h) == 0 for (_, g), (_, h) in zip(mine, ref))
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (3, 6), (4, 5), (4, 6), (5, 5), (5, 6)])
+def test_group_elements_count_the_ball(n, p):
+    preset = build_group(n, p)
+    assert len(co.group_elements(preset, 5)) == co._ball_size(preset, 5)
+
+
+def test_tiling_5_4_length_6():
+    # the hashed dedup kept 22,439 elements of a ball of 22,437 here
+    preset = build_group(5, 4)
+    assert len(co.group_elements(preset, 6)) == 22_437
+    assert co.group_tiling(preset, 6)["count"] == 22_437
+
+
 def test_tiling_time_budget():
     t0 = time.perf_counter()
     rep = co.group_tiling(build_group(1, 4), 6)
