@@ -255,6 +255,8 @@ def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
     """
     bps = breakpoints(m)
     k = len(bps)
+    if k * k > TILE_BUDGET:
+        raise RankLimit(f"{k} arcs give {k * k} transition entries, more than {TILE_BUDGET}")
     n = m.preset.n if m.factor else 1
     arc_len = TAU / k
     rows = []

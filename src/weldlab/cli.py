@@ -125,9 +125,6 @@ def cmd_bs_orbit(args):
 def cmd_bs_partition(args):
     from . import bowen_series as bs
     m = _bsmap(args)
-    if len(bs.breakpoints(m)) ** 2 > bs.TILE_BUDGET:
-        raise UsageError(f"{len(bs.breakpoints(m))} arcs give a transition table "
-                         f"of more than the budget of {bs.TILE_BUDGET} entries")
     part = bs.markov_partition(m)
     _emit({
         "map": m.name,
@@ -278,9 +275,6 @@ def cmd_corr_fibers(args):
     from . import correspondence as corr
     if not 1 <= args.j <= args.p:
         raise UsageError(f"--j must be a sheet in 1..{args.p}")
-    if args.n * args.p > corr.TILE_BUDGET:
-        raise UsageError(f"a fiber of {args.n * args.p} points is more than the "
-                         f"budget of {corr.TILE_BUDGET}")
     m = corr.ModelMaps(args.n, args.p)
     pt = m.point(complex(args.w_re, args.w_im), args.j)
     fib = corr.fiber(m, pt)
@@ -461,7 +455,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except (UsageError, RankLimit) as exc:
-        # the handlers check --rank and --len, so RankLimit is the tile budget
+        # the handlers check --rank and --len, so RankLimit is an output budget
         print(f"weldlab: usage error: {exc}", file=sys.stderr)
         return 2
     except WeldlabError as exc:

@@ -79,8 +79,11 @@ class ModelMaps:
 def fiber(m: ModelMaps, pt: ModelPoint):
     """Full covering fiber through pt, as the tau-orbit.
 
-    np points when w != 0 and p points at the critical fiber w = 0.
+    np points when w != 0 and p points at the critical fiber w = 0; np above
+    TILE_BUDGET raises RankLimit.
     """
+    if m.n * m.p > TILE_BUDGET:
+        raise RankLimit(f"a fiber of {m.n * m.p} points, more than {TILE_BUDGET}")
     seen = {}
     cur = pt
     for _ in range(m.n * m.p):

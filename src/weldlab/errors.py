@@ -56,7 +56,7 @@ class DepthTooSmall(WeldlabError):
 
 
 class RankLimit(WeldlabError):
-    """Tile rank beyond the resource guard."""
+    """Tile rank or output size beyond the resource guard."""
 
 
 # -- mating_schema ---------------------------------------------------------

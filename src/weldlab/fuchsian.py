@@ -24,9 +24,9 @@ from .hyperbolic import (MobiusMap, TAU, common_perpendicular, geodesic_between,
 CASE_I = "I"
 CASE_II = "II"
 
-#: most tiles `bowen_series.tiles` or `correspondence.group_tiling` builds in
-#: one call; both count their output exactly before enumerating and raise
-#: RankLimit above it
+#: most items one call returns, counted before any is built, or RankLimit: the
+#: tiles of `bowen_series.tiles` and `correspondence.group_tiling`, the points
+#: of a `correspondence.fiber` and the transition entries of a `markov_partition`
 TILE_BUDGET = 250_000
 #: most vertices in one `bowen_series.tiles` call: a budget of 30-gons, the
 #: largest polygon of the preset grid

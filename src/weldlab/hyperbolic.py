@@ -152,16 +152,17 @@ class MobiusMap:
     def order(self, max_order: int = 64, tol: float = DEFAULT_TOL):
         """Smallest k >= 1 with self^k = id, or None if none up to max_order.
 
-        Finite-order disk maps are elliptic and stay bounded; once entries
-        grow the element is parabolic/hyperbolic and the search stops, before
-        a product with entries past about 1e6 loses its determinant.
+        Finite-order disk maps are elliptic and stay bounded; the search stops
+        once a power passes 1e6, or outgrows self with the next product past
+        1e6, before a product loses its determinant.  self^2 is always formed.
         """
         size = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         g = self
         for k in range(1, max_order + 1):
             if g.is_identity(tol):
                 return k
-            if size * max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) > 1e6:
+            g_size = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
+            if g_size > 1e6 or (g_size > size and size * g_size > 1e6):
                 return None
             g = self.compose(g)
         return None

@@ -333,6 +333,20 @@ def test_tile_budget_checked_before_enumeration(monkeypatch):
         bs.tiles(plain, 3)
 
 
+def test_partition_budget_checked_before_enumeration(monkeypatch):
+    monkeypatch.setattr(bs, "eval_circle_one_sided", _refuse_enumeration)
+    # 500 arcs give 250,000 transition entries, 501 give 251,001
+    with pytest.raises(_Enumerated):
+        bs.markov_partition(bs.bowen_series_map(1, 500))
+    with pytest.raises(RankLimit, match="251001"):
+        bs.markov_partition(bs.bowen_series_map(1, 501))
+    # a factor map has p arcs, an unfactored one np
+    with pytest.raises(_Enumerated):
+        bs.markov_partition(bs.bowen_series_map(3, 200, factor=True))
+    with pytest.raises(RankLimit, match="360000"):
+        bs.markov_partition(bs.bowen_series_map(3, 200))
+
+
 def test_tiles_disjoint_interiors():
     m = bs.bowen_series_map(1, 4)
     levels = bs.tiles(m, 3)
@@ -407,11 +421,11 @@ def vertex_test_letters(m, tile, tol=1e-9):
 
 @pytest.mark.parametrize("n,p,case", GRID)
 def test_tile_children_match_vertex_test(n, p, case):
-    # every tile at ranks 1-3, factor and not; for n >= 3 the rank-3 tiles
-    # are the factor map's, one per M_w-orbit, as checking all n rotations
-    # of each costs about 30 s over the grid
+    # every tile at ranks 1-3, factor and not.  For n >= 3 and np > 15 the
+    # rank-3 tiles are the factor map's, one per M_w-orbit, as checking all n
+    # rotations of each costs about 50 s over the grid
     m = bs.bowen_series_map(n, p, case)
-    levels = bs.tiles(m, 3 if n == 1 else 2)[1:]
+    levels = bs.tiles(m, 3 if n == 1 or n * p <= 15 else 2)[1:]
     if n > 1:
         levels += bs.tiles(bs.bowen_series_map(n, p, case, factor=True), 3)[1:]
     for level in levels:

@@ -259,6 +259,18 @@ def test_json_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_recover_on_polygons_of_thousands_of_sides(capsys):
+    # a side of (37,37) is hyperbolic with entries 436: its powers stop before
+    # one loses its determinant.  The self-paired sides of (37,85) have
+    # entries about 1000 and square to the identity; the output is pinned
+    code, out, err = run(capsys, "corr", "recover", "--n", "37", "--p", "37")
+    assert code == 0 and err == ""
+    code, out, _ = run(capsys, "corr", "recover", "--n", "37", "--p", "85")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5414bafdcc32b904901925f679797760c1ca0b5ea5d48797e509999ad6366321")
+
+
 def test_bad_newton_name_is_a_bad_schema_name(capsys):
     code, _, err = run(capsys, "surface", "report", "no-such-schema")
     assert code == 2

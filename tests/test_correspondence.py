@@ -224,6 +224,14 @@ def test_tiling_budget_checked_before_enumeration(monkeypatch):
         co.group_tiling(build_group(1, 6), 8)
 
 
+def test_fiber_budget_checked_before_enumeration(monkeypatch):
+    monkeypatch.setattr(co.ModelMaps, "tau", _refuse_enumeration)
+    with pytest.raises(_Enumerated):
+        co.fiber(co.ModelMaps(500, 500), co.ModelPoint(0.5, 0, 1))
+    with pytest.raises(RankLimit, match="250500"):
+        co.fiber(co.ModelMaps(500, 501), co.ModelPoint(0.5, 0, 1))
+
+
 def test_tiling_length_zero():
     rep = co.group_tiling(build_group(3, 1), 0)
     assert rep["count"] == 1

@@ -178,3 +178,29 @@ def test_regular_polygon():
         assert abs(side.theta1 - TAU * k / 4) < 1e-12
     with pytest.raises(DegenerateInput):
         regular_ideal_polygon(1, 1)
+
+
+def _translation(cosh_half, k):
+    """Hyperbolic translation through 0 along direction k, entries about cosh_half."""
+    sh = math.sqrt(cosh_half ** 2 - 1)
+    u = cmath.exp(1j * k)
+    return MobiusMap.from_entries(cosh_half, sh * u, sh * u.conjugate(), cosh_half)
+
+
+def test_order_of_hyperbolic_maps_is_none_without_raising():
+    # growing powers stop before a product loses its determinant; a
+    # translation with entries 440 used to reach "singular matrix"
+    for k in range(400):
+        assert _translation(2 + 12.5 * k, k).order() is None
+
+
+def test_order_of_large_half_turns_is_two():
+    # a half-turn about a point far from 0 has entries about (1+r^2)/(1-r^2);
+    # self^2 is formed whatever its size, up to entries 1500 here
+    for k in range(300):
+        size = 2 + 5 * k
+        r = math.sqrt((size - 1) / (size + 1))
+        t = _translation(1 / math.sqrt(1 - r * r), k)
+        half = t @ MobiusMap.rotation(math.pi) @ t.inverse()
+        assert abs(max(abs(half.a), abs(half.b)) - size) < 1e-6 * size
+        assert half.order() == 2, size
