@@ -113,7 +113,11 @@ def fiber_by_roots(m: ModelMaps, pt: ModelPoint):
 
 @dataclass(frozen=True)
 class Word:
-    """Reduced word in eta and tau: alternating letters, tau powers mod np."""
+    """Reduced word in eta and tau: alternating letters, tau powers as integers.
+
+    Adjacent tau powers add and cancel only at zero; they are not reduced
+    mod np, so tau^np stays a letter.
+    """
 
     letters: tuple          # sequence of ("t", k) and ("e",)
 

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from . import hyperbolic as hyp
-from .errors import DegenerateInput, InvalidCase, NonParabolicCycle, PairingViolation
+from .errors import (DegenerateInput, InvalidCase, NonParabolicCycle, PairingViolation,
+                     RankLimit)
 from .hyperbolic import (MobiusMap, TAU, common_perpendicular, geodesic_between,
                          pairing_from_reflections, regular_ideal_polygon)
 
@@ -26,7 +27,9 @@ CASE_II = "II"
 
 #: most items one call returns, counted before any is built, or RankLimit: the
 #: tiles of `bowen_series.tiles` and `correspondence.group_tiling`, the points
-#: of a `correspondence.fiber` and the transition entries of a `markov_partition`
+#: of a `correspondence.fiber` and the transition entries of a `markov_partition`.
+#: It also bounds the sides np of a group (`check_parameters`) and the basins n
+#: of a Newton schema (`mating_schema.newton_schema`), whose outputs grow with them
 TILE_BUDGET = 250_000
 #: most vertices in one `bowen_series.tiles` call: a budget of 30-gons, the
 #: largest polygon of the preset grid
@@ -95,6 +98,8 @@ def check_parameters(n: int, p: int, case: str = CASE_I):
     """Raise unless (n, p, case) names a group of the preset family."""
     if n < 1 or p < 1 or n * p < 2:
         raise DegenerateInput(f"np = {n * p} < 2")
+    if n * p > TILE_BUDGET:
+        raise RankLimit(f"np = {n * p} sides, more than the budget of {TILE_BUDGET}")
     if n == 2:
         raise InvalidCase("n = 2 is outside the preset family (use n = 1 or n >= 3)")
     if case not in (CASE_I, CASE_II):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import SCHEMA_VERSION, fuchsian
 from .errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                     InconsistentInvolution, NonPlanar, VerificationFailed)
+                     InconsistentInvolution, NonPlanar, RankLimit, VerificationFailed)
 from .fuchsian import CASE_I, CASE_II
 
 
@@ -491,52 +491,20 @@ def verify_polynomial(entry: PolynomialEntry, tol_small: float = 1e-8,
     return report
 
 
-def _alpha_degree7(tol: float = 1e-12):
+def _alpha_degree7():
     """First-quadrant root of 15 a + 6 a^7 - 14 a^5 conj(a)^2 = 0.
 
     The fixed-point condition R(alpha) = alpha for the degree-7 polynomial is
-    equivalent to this equation.  Solved as a 2-variable real Newton
-    iteration with a numerically differenced Jacobian, polished from a coarse
-    first-quadrant grid scan.
+    equivalent to this equation.  With a = r e^{i theta}, u = r^6 and
+    phi = 2 theta it reads 15 + u (6 e^{3 i phi} - 14 e^{i phi}) = 0: the
+    imaginary part gives sin^2 phi = 1/6 and the real part u = 5/(4 cos phi)
+    = sqrt(30)/4.
     """
-    def F(a):
-        return 15 * a + 6 * a ** 7 - 14 * a ** 5 * a.conjugate() ** 2
-
-    def polish(a):
-        h = 1e-7
-        for _ in range(100):
-            f0 = F(a)
-            if abs(f0) < tol:
-                return a
-            fx = (F(a + h) - f0) / h
-            fy = (F(a + 1j * h) - f0) / h
-            # solve [Re fx, Re fy; Im fx, Im fy] (dx, dy) = -(Re f0, Im f0)
-            det = fx.real * fy.imag - fy.real * fx.imag
-            if abs(det) < 1e-18:
-                return None
-            dx = (-f0.real * fy.imag + f0.imag * fy.real) / det
-            dy = (-fx.real * f0.imag + f0.real * fx.imag) / det
-            a = a + complex(dx, dy)
-        return a if abs(F(a)) < 1e-10 else None
-
-    starts = sorted(((abs(F((rr / 10.0) * cmath.exp(1j * kk * math.pi / 80.0))),
-                      (rr / 10.0) * cmath.exp(1j * kk * math.pi / 80.0))
-                     for rr in range(6, 16) for kk in range(1, 40)),
-                    key=lambda t: t[0])
-    for _, a0 in starts:
-        a = polish(a0)
-        if a is not None and a.real > 1e-3 and a.imag > 1e-3 and abs(F(a)) < 1e-10:
-            return a
-    raise VerificationFailed("no first-quadrant root of the alpha equation found")
-
-
-_REGISTRY_CACHE = {}
+    return (math.sqrt(30) / 4) ** (1 / 6) * cmath.exp(0.5j * math.asin(1 / math.sqrt(6)))
 
 
 def polynomial_registry():
     """Explicit critically fixed polynomials used by the gallery schemas."""
-    if _REGISTRY_CACHE:
-        return dict(_REGISTRY_CACHE)
     s2 = 1.0 / math.sqrt(2.0)
     cbrt3 = 3.0 ** (1.0 / 3.0)
     entries = [
@@ -559,9 +527,7 @@ def polynomial_registry():
         ((0j, 2), (alpha, 1), (alpha.conjugate(), 1), (-alpha, 1),
          (-alpha.conjugate(), 1)),
         (0j, alpha, alpha.conjugate(), -alpha, -alpha.conjugate())))
-    for e in entries:
-        _REGISTRY_CACHE[e.name] = e
-    return dict(_REGISTRY_CACHE)
+    return {e.name: e for e in entries}
 
 
 # -- schema serialization -------------------------------------------------------------
@@ -614,6 +580,8 @@ def newton_schema(n: int):
     corners identified at one point (the image of infinity)."""
     if n < 3:
         raise DegenerateInput("Newton schema needs n >= 3")
+    if n > fuchsian.TILE_BUDGET:
+        raise RankLimit(f"{n} basins, more than the budget of {fuchsian.TILE_BUDGET}")
     slots = tuple(group_slot(3, 1) for _ in range(n))
     contact = ContactData((tuple((i, 0) for i in range(n)),))
     return slots, contact

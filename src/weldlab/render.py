@@ -11,7 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .hyperbolic import Geodesic, TAU, norm_angle
+from .errors import CoincidentEndpoints
+from .hyperbolic import Geodesic, TAU, geodesic_between, norm_angle
 
 SIZE = 1000.0
 MARGIN = 40.0
@@ -194,21 +195,20 @@ def tiles_scene(tile_levels, factor: bool = False, n: int = 1) -> RenderScene:
             verts = list(tile.vertices)
             k = len(verts)
             for i in range(k):
-                seg = _boundary_samples(verts[i], verts[(i + 1) % k], tile)
+                seg = _boundary_samples(verts[i], verts[(i + 1) % k])
                 if factor:
                     seg = [z ** n for z in seg]
                 sc.add(Polyline(seg, sty))
     return sc
 
 
-def _boundary_samples(z1, z2, tile, count: int = 24):
+def _boundary_samples(z1, z2, count: int = 24):
     # sample the geodesic between two tile vertices
-    from .hyperbolic import geodesic_between
     t1 = norm_angle(cmath.phase(z1))
     t2 = norm_angle(cmath.phase(z2))
     try:
         g = geodesic_between(t1, t2)
-    except Exception:
+    except CoincidentEndpoints:
         return [z1, z2]
     return _geodesic_samples(g, count)
 

@@ -6,10 +6,11 @@ arc S(a) in copy -, matching start(a) with end(S(a)).  The hyperelliptic
 involution eta swaps the copies.  Since arcs are pre-split at the S-fixed
 interior points, eta has no fixed edges and Fix(eta) is a pure vertex count.
 
-Vertices of the double are the closure of the arc-end identifications: the
-singular points of the boundary open up into several vertices, which is
-exactly what makes the fixed-point accounting of the welded surface come out
-right (the Newton-family parity emerges rather than being hard-coded).
+Vertices of the double are the cycles of the arc permutation prev o S (see
+weld): the singular points of the boundary open up into several vertices,
+which is exactly what makes the fixed-point accounting of the welded surface
+come out right (the Newton-family parity emerges rather than being
+hard-coded).  Fix(eta) is the number of odd cycles.
 
 The zipped surface (one copy of each face, boundary glued along a ~ S(a)) is
 the quotient Sigma/eta, read off the welded complex one eta-orbit of
@@ -64,35 +65,28 @@ def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
 @dataclass
 class WeldedComplex:
     bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
-    vertex_classes: list     # list of frozensets of symbols (arc, end, copy)
-    eta_vertex: dict         # vertex class index -> vertex class index
-    eta_edge: dict           # arc index -> arc index (e_a -> e_{S a})
+    eta_vertex: dict         # vertex index -> vertex index
     components: list         # per component: dict of cell sets
     comp_of_face_copy: dict
 
 
-def _corner_links(bc: BoundaryComplex):
-    """Pairs of arc-ends meeting at a domain-face corner.
-
-    A dart is (arc, dir); in a ccw face cycle the corner between consecutive
-    darts d1, d2 joins the head end of d1 to the tail end of d2.  Ends are
-    ('s'|'e'); dart (a, +1) has tail 's', head 'e'.
-    """
-    links = []
-    for face in bc.faces:
-        for cyc in face:
-            k = len(cyc)
-            for i in range(k):
-                a1, d1 = cyc[i]
-                a2, d2 = cyc[(i + 1) % k]
-                end1 = "e" if d1 > 0 else "s"
-                end2 = "s" if d2 > 0 else "e"
-                links.append(((a1, end1), (a2, end2)))
-    return links
-
-
 def weld(bc: BoundaryComplex) -> WeldedComplex:
-    """Glue two copies of the domain closure along the boundary involution."""
+    """Glue two copies of the domain closure along the boundary involution.
+
+    The vertices of the double are the cycles of one arc permutation.  Let
+    prev(a) be the arc before a on its domain face (faces walk their arcs
+    backward, so the face corner at the end of a is the start of prev(a))
+    and rho = prev o S.  The gluing carries the start of arc a in copy c to
+    the end of S(a) in copy -c, and the corner there to the start of
+    prev(S(a)): each vertex is a rho-cycle walked with alternating copies.
+    An odd cycle returns to a in the other copy, so it is one vertex that
+    eta fixes; an even cycle is two vertices that eta swaps.  Fix(eta) is
+    the number of odd rho-cycles.
+
+    eta permutes the vertices by construction, and a vertex never spans two
+    components: each corner step stays in its face copy and each gluing step
+    stays on its edge.
+    """
     arcs = bc.arcs
     S = bc.s_action
     # guard hand-built complexes: the gluing needs a fixed-point-free arc
@@ -100,39 +94,11 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     for a in range(len(arcs)):
         if S.get(S.get(a)) != a or S[a] == a:
             raise GluingInconsistency("s_action is not a fixed-point-free involution")
-    symbols = [(a.index, end, copy) for a in arcs for end in ("s", "e")
-               for copy in (+1, -1)]
-    uf = _UnionFind(symbols)
-
-    # gluing: arc a in copy + is arc S(a) in copy -, orientation-reversed
-    for a in range(len(arcs)):
-        b = S[a]
-        uf.union((a, "s", +1), (b, "e", -1))
-        uf.union((a, "e", +1), (b, "s", -1))
-
-    # face corners exist in both copies
-    for (p, q) in _corner_links(bc):
-        for copy in (+1, -1):
-            uf.union((p[0], p[1], copy), (q[0], q[1], copy))
-
-    classes = sorted(uf.classes().values())
-    vertex_classes = [frozenset(c) for c in classes]
-    vertex_of = {}
-    for vi, cls in enumerate(vertex_classes):
-        for sym in cls:
-            vertex_of[sym] = vi
-
-    # eta: swap copies; must map classes to classes
-    eta_vertex = {}
-    for vi, cls in enumerate(vertex_classes):
-        img = {(a, e, -c) for (a, e, c) in cls}
-        wi = vertex_of.get(next(iter(img)))
-        if wi is None or frozenset(img) != vertex_classes[wi]:
-            raise GluingInconsistency("eta does not permute vertex classes")
-        eta_vertex[vi] = wi
-    eta_edge = dict(S)
-
-    face_copies = [(fi, copy) for fi in range(bc.face_count()) for copy in (+1, -1)]
+    cycles = [cyc for face in bc.faces for cyc in face]
+    if sorted(d for cyc in cycles for d in cyc) != [(a, -1) for a in range(len(arcs))]:
+        raise GluingInconsistency("the domain faces do not traverse each arc "
+                                  "once backward")
+    prev = {a: cyc[i - 1][0] for cyc in cycles for i, (a, _) in enumerate(cyc)}
 
     # Orientability is structural: edge e_a borders face(a) in copy + (which
     # traverses arc a backward) and face(S a) in copy - (whose walk traverses
@@ -141,35 +107,45 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     # copies keep their original orientation and the double is oriented.
 
     # components via shared cells
-    uf2 = _UnionFind([("f", fi, c) for (fi, c) in face_copies])
+    face_copies = [(fi, copy) for fi in range(bc.face_count()) for copy in (+1, -1)]
+    uf = _UnionFind(face_copies)
     for a in range(len(arcs)):
-        uf2.union(("f", bc.arc_face[a], +1), ("f", bc.arc_face[S[a]], -1))
+        uf.union((bc.arc_face[a], +1), (bc.arc_face[S[a]], -1))
     comp_map = {}
-    for (fi, c) in face_copies:
-        comp_map.setdefault(uf2.find(("f", fi, c)), []).append((fi, c))
-    comp_list = [sorted(v) for v in sorted(comp_map.values())]
-
+    for fc in face_copies:
+        comp_map.setdefault(uf.find(fc), []).append(fc)
     components = []
     comp_of_face_copy = {}
-    comp_of_edge = {}
-    for comp_faces in comp_list:
-        fset = set(comp_faces)
-        earcs = {a for a in range(len(arcs)) if (bc.arc_face[a], +1) in fset}
-        ci = len(components)
-        components.append({"faces": comp_faces, "edges": earcs, "vertices": set()})
+    for comp_faces in sorted(sorted(v) for v in comp_map.values()):
         for fc in comp_faces:
-            comp_of_face_copy[fc] = ci
-        for a in earcs:
-            comp_of_edge[a] = ci
-    # a symbol (a, end, +1) lies on edge e_a; (a, end, -1) lies on e_{S(a)}
-    for vi, cls in enumerate(vertex_classes):
-        edge_comps = {comp_of_edge[a if c > 0 else S[a]] for (a, e, c) in cls}
-        if len(edge_comps) != 1:
-            raise GluingInconsistency("vertex class spans several components")
-        components[edge_comps.pop()]["vertices"].add(vi)
+            comp_of_face_copy[fc] = len(components)
+        components.append({"faces": comp_faces, "edges": set(), "vertices": set()})
+    for a in range(len(arcs)):
+        components[comp_of_face_copy[(bc.arc_face[a], +1)]]["edges"].add(a)
 
-    return WeldedComplex(bc, vertex_classes, eta_vertex, eta_edge, components,
-                         comp_of_face_copy)
+    # walk each rho-cycle once; the start of arc a in copy c lies on face(a)
+    # in copy c
+    eta_vertex = {}
+    seen = set()
+    for a0 in range(len(arcs)):
+        if a0 in seen:
+            continue
+        a, length = a0, 0
+        while a not in seen:
+            seen.add(a)
+            length += 1
+            a = prev[S[a]]
+        v = len(eta_vertex)
+        if length % 2:     # one vertex through both copies, fixed by eta
+            eta_vertex[v] = v
+            placed = ((v, +1),)
+        else:              # one vertex per copy, swapped by eta
+            eta_vertex[v], eta_vertex[v + 1] = v + 1, v
+            placed = ((v, +1), (v + 1, -1))
+        for w, c in placed:
+            components[comp_of_face_copy[(bc.arc_face[a0], c)]]["vertices"].add(w)
+
+    return WeldedComplex(bc, eta_vertex, components, comp_of_face_copy)
 
 
 # -- surface report ------------------------------------------------------------------
@@ -266,7 +242,7 @@ def _eta_quotient(wc: WeldedComplex):
     chi(C/eta) = chi(C) for a swapped pair.
     """
     bc = wc.bc
-    S = wc.eta_edge
+    S = bc.s_action
     out = []
     partners = set()
     for ci, comp in enumerate(wc.components):
@@ -339,5 +315,5 @@ def euler_additivity_check(wc: WeldedComplex) -> bool:
     E_b = len(bc.arcs)
     chi_domain_closed = V_b - E_b + sum(2 - len(f) for f in bc.faces)
     chi_sigma = sum(component_euler(bc, c) for c in wc.components)
-    V_sigma = len(wc.vertex_classes)
+    V_sigma = len(wc.eta_vertex)
     return chi_sigma == 2 * chi_domain_closed - 2 * V_b + E_b + V_sigma

@@ -171,6 +171,94 @@ def test_zipped_spheres_everywhere():
             assert z["euler_characteristic"] == 2
 
 
+def _corner_links(bc):
+    """Pairs of arc-ends meeting at a domain-face corner.
+
+    A dart is (arc, dir); in a ccw face cycle the corner between consecutive
+    darts d1, d2 joins the head end of d1 to the tail end of d2.  Ends are
+    ('s'|'e'); dart (a, +1) has tail 's', head 'e'.
+    """
+    links = []
+    for face in bc.faces:
+        for cyc in face:
+            k = len(cyc)
+            for i in range(k):
+                a1, d1 = cyc[i]
+                a2, d2 = cyc[(i + 1) % k]
+                end1 = "e" if d1 > 0 else "s"
+                end2 = "s" if d2 > 0 else "e"
+                links.append(((a1, end1), (a2, end2)))
+    return links
+
+
+def reference_weld_counts(bc):
+    """The double's vertices glued on their own: union-find over the arc-end
+    symbols (arc, end, copy), eta read off as the copy swap of each class.
+
+    Returns V, Fix(eta) and, per component in weld's order, the face copies,
+    the edge set, the vertex count and the eta-fixed vertex count.
+    """
+    S = bc.s_action
+    arcs = bc.arcs
+    uf = ms._UnionFind([(a.index, end, copy) for a in arcs for end in ("s", "e")
+                        for copy in (+1, -1)])
+    for a in range(len(arcs)):
+        uf.union((a, "s", +1), (S[a], "e", -1))
+        uf.union((a, "e", +1), (S[a], "s", -1))
+    for (p, q) in _corner_links(bc):
+        for copy in (+1, -1):
+            uf.union((p[0], p[1], copy), (q[0], q[1], copy))
+    classes = [frozenset(c) for c in uf.classes().values()]
+    fixed = [frozenset((a, e, -c) for (a, e, c) in cls) == cls for cls in classes]
+
+    uf2 = ms._UnionFind([(fi, c) for fi in range(bc.face_count()) for c in (+1, -1)])
+    for a in range(len(arcs)):
+        uf2.union((bc.arc_face[a], +1), (bc.arc_face[S[a]], -1))
+    comps = {}
+    for fi in range(bc.face_count()):
+        for c in (+1, -1):
+            comps.setdefault(uf2.find((fi, c)), []).append((fi, c))
+    out = []
+    for faces in sorted(sorted(v) for v in comps.values()):
+        # a symbol (a, end, c) lies on face(a) in copy c
+        mine = [i for i, cls in enumerate(classes)
+                if any((bc.arc_face[a], c) in faces for (a, _, c) in cls)]
+        out.append((faces, {a for a in range(len(arcs)) if (bc.arc_face[a], +1) in faces},
+                    len(mine), sum(fixed[i] for i in mine)))
+    return len(classes), sum(fixed), out
+
+
+def test_weld_matches_symbol_union_find():
+    # vertex and eta-fixed counts from the rho-cycles equal the union-find
+    # gluing, over the gallery, Newton 3..40 and 2,000 random schemas
+    rng = random.Random(20261018)
+    schemas = [ms.paper_example(name)[:2] for name in ms.PAPER_EXAMPLES]
+    schemas += [ms.newton_schema(n) for n in range(3, 41)]
+    schemas += [ms.random_schema(rng) for _ in range(2000)]
+    multi = 0
+    for slots, contact in schemas:
+        bc = ms.assemble(slots, contact)
+        wc = wl.weld(bc)
+        got = [(comp["faces"], comp["edges"], len(comp["vertices"]),
+                sum(wc.eta_vertex[v] == v for v in comp["vertices"]))
+               for comp in wc.components]
+        V, fix, want = reference_weld_counts(bc)
+        assert (len(wc.eta_vertex), sum(v == w for v, w in wc.eta_vertex.items()),
+                got) == (V, fix, want)
+        multi += len(want) > 1
+    assert multi > 100
+
+
+def test_weld_guards_faces_that_miss_an_arc():
+    import copy
+    from weldlab.errors import GluingInconsistency
+    bc = ms.assemble(*ms.paper_example("5.4")[:2])
+    bad = copy.deepcopy(bc)
+    bad.faces[0][0].pop()
+    with pytest.raises(GluingInconsistency):
+        wl.weld(bad)
+
+
 def reference_zipped_report(bc):
     """The zipped quotient glued on its own: one copy of each face, boundary
     self-glued along a ~ S(a), vertices and components by union-find."""
@@ -181,7 +269,7 @@ def reference_zipped_report(bc):
     for a in range(len(arcs)):
         uf.union((a, "s"), (S[a], "e"))
         uf.union((a, "e"), (S[a], "s"))
-    for (p, q) in wl._corner_links(bc):
+    for (p, q) in _corner_links(bc):
         uf.union(p, q)
     vertex_of = {}
     for vi, cls in enumerate(sorted(uf.classes().values())):
