@@ -14,6 +14,13 @@ __version__ = "0.1.0"
 #: version of every JSON document weldlab writes
 SCHEMA_VERSION = 1
 
+#: deepest itinerary ConjugacyH.value and `bs conjugacy` accept.  The nominal
+#: arc 2 pi / d^depth falls below the radius floor by depth 48 for every
+#: degree d >= 2, and theta / 2 pi carries 53 significant bits, at most 53
+#: significant base-d digits, so deeper symbols repeat rounding rather than
+#: theta.
+MAX_DEPTH = 64
+
 #: layer module -> the public names it contributes to the package namespace
 _EXPORTS = {
     "bowen_series": ("ConjugacyH", "bowen_series_map", "circle_degree", "tiles"),

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 
+from . import MAX_DEPTH
 from . import hyperbolic as hyp
-from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree,
+from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
                      MarkovViolation, OutsideDomain, RankLimit)
 from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group, vertex_cycles
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
@@ -199,21 +201,20 @@ def _arc_image(m: BowenSeriesMap, pk: Pocket):
 
 def count_preimages(m: BowenSeriesMap, target: float) -> int:
     """Number of circle preimages of a generic target angle."""
-    y = norm_angle(target)
+    images = [_arc_image(m, pk) for pk in m.pockets.entries]
+    return _count_preimages(m, norm_angle(target), images)
+
+
+def _count_preimages(m: BowenSeriesMap, y: float, images) -> int:
+    """count_preimages of y in [0, 2 pi), given the pockets' _arc_image."""
     if not m.factor:
-        total = 0
-        for pk in m.pockets.entries:
-            a, b = _arc_image(m, pk)
-            if angle_in_open_arc(y, a, b):
-                total += 1
-        return total
+        return sum(angle_in_open_arc(y, a, b) for a, b in images)
     # count upstairs solutions of A(u) in the n-th root lifts of y, then
     # divide by the n-fold redundancy of z -> z^n
     n = m.preset.n
     targets = [y / n + TAU * k / n for k in range(n)]
     total = 0
-    for pk in m.pockets.entries:
-        a, b = _arc_image(m, pk)
+    for a, b in images:
         for t in targets:
             if angle_in_open_arc(t, a, b):
                 total += 1
@@ -224,10 +225,11 @@ def count_preimages(m: BowenSeriesMap, target: float) -> int:
 
 def circle_degree(m: BowenSeriesMap, samples: int = 20) -> int:
     """Covering degree via preimage counting at generic angles."""
+    images = [_arc_image(m, pk) for pk in m.pockets.entries]
     counts = set()
     for i in range(samples):
         y = TAU * (i + 0.318309886) / samples  # offset avoids breakpoints
-        counts.add(count_preimages(m, y))
+        counts.add(_count_preimages(m, norm_angle(y), images))
     if len(counts) != 1:
         raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
     return counts.pop()
@@ -375,7 +377,11 @@ class ConjugacyH:
     inverse-matrix application to a lift of the marked angle.  Each cut arc
     is divided at the partition breakpoints into pieces carrying a single
     Möbius branch, and pulling back is one inverse-matrix application (plus
-    an n-th root choice for factor maps).
+    an n-th root choice for factor maps).  The build flattens each cut arc
+    into one table (lo, hi, rows) with a row of constants per piece, so an
+    evaluation does only the arithmetic that depends on the angle.  value
+    refuses a depth above MAX_DEPTH with RankLimit before it builds the
+    itinerary.
     """
 
     def __init__(self, m: BowenSeriesMap):
@@ -417,13 +423,20 @@ class ConjugacyH:
         return cuts
 
     def _build_pieces(self):
+        """One table (lo, hi, rows) per cut arc, in offsets from the marked
+        angle: the arc runs from lo to hi and each Möbius piece of it is a row
+        (u0, u1, x0, ref, up_len, a, b, c, d).  [u0, u1] is the image span of
+        the piece rescaled to 2 pi, x0 its start, ref the upstairs angle a
+        pull-back is measured from, up_len its upstairs length and a..d the
+        entries of its inverse branch."""
         m = self.m
         n = m.preset.n if m.factor else 1
         cut_offs = [ccw_span(self.base, c) if i else 0.0
                     for i, c in enumerate(self.cuts)] + [TAU]
         bp_offs = sorted({norm_angle(b - self.base) for b in breakpoints(m)}
                          - {0.0})
-        self._jarcs = []
+        self._lifts = tuple(TAU * k / n for k in range(n))   # n-th root lifts, in order
+        self._tables = []
         for j in range(self.d):
             lo, hi = cut_offs[j], cut_offs[j + 1]
             inner = [x for x in bp_offs if lo + 1e-12 < x < hi - 1e-12]
@@ -443,59 +456,51 @@ class ConjugacyH:
                 rise = (a1 - a0) % TAU
                 if len(bounds) == 2:
                     rise = TAU
-                pieces.append({"x0": x0, "x1": x1, "u0": u_acc, "rise": rise,
-                               "map_inv": g.inverse()})
+                pieces.append((u_acc, rise, x0, x1, g.inverse()))
                 u_acc += rise
             if abs(u_acc - TAU) > 1e-6:
                 raise InconsistentDegree(
                     f"cut arc {j} lifts to rise {u_acc}, expected 2 pi")
             # rescale tiny lift error so piece lookup is exact at 2 pi
             scale = TAU / u_acc
-            for pc in pieces:
-                pc["u0"] *= scale
-                pc["rise"] *= scale
-            self._jarcs.append(pieces)
+            rows = []
+            for u0, rise, x0, x1, g_inv in pieces:
+                u0, rise = u0 * scale, rise * scale
+                ref = norm_angle(norm_angle((self.base + x0) / n) - 1e-12)
+                rows.append((u0, u0 + rise, x0, ref, (x1 - x0) / n,
+                             g_inv.a, g_inv.b, g_inv.c, g_inv.d))
+            self._tables.append((lo, hi, tuple(rows)))
 
-    def _pull_back(self, j: int, arc):
-        """Inverse branch into the j-th cut arc, applied to a sub-arc.
+    def _invert(self, table, u):
+        """Inverse branch of one cut arc applied to an offset u in [0, 2 pi].
 
-        Arcs are kept in the coordinate u = ccw offset from the marked angle,
-        u in [0, 2 pi].
+        Offsets u are ccw from the marked angle, in the image and in the cut
+        arc alike.
         """
-        pieces = self._jarcs[j]
-        lo = pieces[0]["x0"]
-        hi = pieces[-1]["x1"]
-        out = []
-        for u in arc:
-            if u <= 0.0:
-                out.append(lo)
-                continue
-            if u >= TAU:
-                out.append(hi)
-                continue
-            out.append(self._invert_piece(pieces, u))
-        return tuple(out)
-
-    def _invert_piece(self, pieces, u):
-        m = self.m
-        pc = pieces[-1]
-        for cand in pieces:
-            if cand["u0"] <= u <= cand["u0"] + cand["rise"]:
-                pc = cand
-                break
-        t = norm_angle(self.base + u)
-        if not m.factor:
-            x = pc["map_inv"].boundary_angle(t)
-            return pc["x0"] + ccw_span(norm_angle(self.base + pc["x0"]) - 1e-12, x) - 1e-12
-        n = m.preset.n
-        up_lo = (self.base + pc["x0"]) / n
-        up_len = (pc["x1"] - pc["x0"]) / n
-        for k in range(n):
-            t_up = t / n + TAU * k / n
-            x_up = pc["map_inv"].boundary_angle(t_up)
-            delta = ccw_span(norm_angle(up_lo) - 1e-12, x_up) - 1e-12
+        lo, hi, rows = table
+        if u <= 0.0:
+            return lo
+        if u >= TAU:
+            return hi
+        for row in rows:
+            if row[0] <= u <= row[1]:
+                break               # no match leaves the last row, as wanted
+        _, _, x0, ref, up_len, a, b, c, d = row
+        lifts = self._lifts
+        n = len(lifts)
+        t = norm_angle(self.base + u) / n
+        for off in lifts:
+            z = cmath.exp(1j * (t + off))
+            den = c * z + d
+            w = complex("inf") if abs(den) < 1e-300 else (a * z + b) / den
+            s = norm_angle(cmath.phase(w)) - ref
+            if s <= 0.0:
+                s += TAU
+            if n == 1:             # unfactored: the one lift, unclamped
+                return x0 + s - 1e-12
+            delta = s - 1e-12
             if -1e-9 <= delta <= up_len + 1e-9:
-                return pc["x0"] + n * min(max(delta, 0.0), up_len)
+                return x0 + n * min(max(delta, 0.0), up_len)
         raise InconsistentDegree("no root lift lands in the branch piece")
 
     def value(self, theta: float, depth: int, tol: float | None = None):
@@ -503,19 +508,31 @@ class ConjugacyH:
 
         The radius never drops below RADIUS_FLOOR, the rounding error of the
         midpoint, so it stays honest once the arc collapses in double
-        precision; only h(0) = marked angle is exact and has radius 0.
+        precision; only h(0) = marked angle is exact and has radius 0.  A
+        depth that is not an integer or a theta that is not finite raises
+        InvalidArgument, a depth above MAX_DEPTH RankLimit.
         """
+        try:
+            depth = operator.index(depth)
+        except TypeError:
+            raise InvalidArgument(f"depth must be an integer, not {depth!r}") from None
         if depth < 1:
             raise DepthTooSmall("depth must be >= 1")
+        if depth > MAX_DEPTH:
+            raise RankLimit(f"depth {depth} above {MAX_DEPTH}")
+        if not math.isfinite(theta):
+            raise InvalidArgument(f"theta must be finite, not {theta!r}")
         if norm_angle(theta) < BREAK_TOL or TAU - norm_angle(theta) < BREAK_TOL:
             return self.base, 0.0  # normalization: the fixed point 1 maps to the marked angle
-        arc = (0.0, TAU)
+        lo, hi = 0.0, TAU
+        tables = self._tables
         for sym in reversed(power_map_itinerary(theta, self.d, depth)):
-            arc = self._pull_back(sym, arc)
-        radius = max(0.5 * (arc[1] - arc[0]), RADIUS_FLOOR)
+            table = tables[sym]
+            lo, hi = self._invert(table, lo), self._invert(table, hi)
+        radius = max(0.5 * (hi - lo), RADIUS_FLOOR)
         if tol is not None and radius > tol:
             raise DepthTooSmall(f"arc radius {radius:.3e} exceeds tolerance")
-        return norm_angle(self.base + 0.5 * (arc[0] + arc[1])), radius
+        return norm_angle(self.base + 0.5 * (lo + hi)), radius
 
 
 # -- tiles ---------------------------------------------------------------------

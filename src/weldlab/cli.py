@@ -15,14 +15,8 @@ import os
 import re
 import sys
 
-from . import SCHEMA_VERSION
+from . import MAX_DEPTH, SCHEMA_VERSION
 from .errors import RankLimit, UsageError, WeldlabError
-
-#: deepest itinerary `bs conjugacy` accepts.  The nominal arc 2 pi / d^depth
-#: falls below the radius floor by depth 48 for every degree d >= 2, and
-#: theta / 2 pi carries 53 significant bits, at most 53 significant base-d
-#: digits, so deeper symbols repeat rounding rather than theta.
-MAX_DEPTH = 64
 
 #: gallery names of the Newton family: 5.6 (n = 3) or 5.6:<n>
 _NEWTON_NAME = re.compile(r"5\.6(:-?\d+)?")

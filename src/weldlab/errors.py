@@ -56,7 +56,11 @@ class DepthTooSmall(WeldlabError):
 
 
 class RankLimit(WeldlabError):
-    """Tile rank or output size beyond the resource guard."""
+    """Tile rank, itinerary depth or output size beyond the resource guard."""
+
+
+class InvalidArgument(WeldlabError):
+    """An argument of the wrong kind: a depth that is no integer, a theta that is not finite."""
 
 
 # -- mating_schema ---------------------------------------------------------

@@ -6,7 +6,9 @@ import time
 import pytest
 
 import weldlab.bowen_series as bs
-from weldlab.errors import AtBreakpoint, OutsideDomain, RankLimit
+from weldlab import MAX_DEPTH
+from weldlab.errors import (AtBreakpoint, DepthTooSmall, InvalidArgument, OutsideDomain,
+                            RankLimit)
 from weldlab.fuchsian import CASE_I, CASE_II, legal_presets
 from weldlab.hyperbolic import TAU, angle_dist, ccw_span, norm_angle
 
@@ -263,9 +265,114 @@ def test_h_pull_back_inverts_forward():
         for _ in range(60):
             u = rng.uniform(1e-6, TAU - 1e-6)
             j = rng.randrange(h.d)
-            x = h._pull_back(j, (u,))[0]
+            x = h._invert(h._tables[j], u)
             fwd = bs._eval_circle_safe(m, norm_angle(h.base + x))
             assert abs(ccw_span(h.base, fwd) - u) < 1e-6
+
+
+def reference_pieces(h):
+    """Reference: the per-piece dicts the flat tables replaced, one list of
+    pieces per cut arc."""
+    m = h.m
+    n = m.preset.n if m.factor else 1
+    cut_offs = [ccw_span(h.base, c) if i else 0.0 for i, c in enumerate(h.cuts)] + [TAU]
+    bp_offs = sorted({norm_angle(b - h.base) for b in bs.breakpoints(m)} - {0.0})
+    jarcs = []
+    for j in range(h.d):
+        lo, hi = cut_offs[j], cut_offs[j + 1]
+        bounds = [lo] + [x for x in bp_offs if lo + 1e-12 < x < hi - 1e-12] + [hi]
+        pieces = []
+        u_acc = 0.0
+        for i in range(len(bounds) - 1):
+            x0, x1 = bounds[i], bounds[i + 1]
+            am = norm_angle(h.base + 0.5 * (x0 + x1))
+            if m.factor:
+                g = m.pockets.locate(norm_angle(am / n) if abs(am) > 0 else 0.0,
+                                     tol=0.0).map
+            else:
+                g = m.pockets.locate(am, tol=0.0).map
+            a0 = bs.eval_circle_one_sided(m, norm_angle(h.base + x0), +1)
+            a1 = bs.eval_circle_one_sided(m, norm_angle(h.base + x1), -1)
+            rise = TAU if len(bounds) == 2 else (a1 - a0) % TAU
+            pieces.append({"x0": x0, "x1": x1, "u0": u_acc, "rise": rise,
+                           "map_inv": g.inverse()})
+            u_acc += rise
+        scale = TAU / u_acc
+        for pc in pieces:
+            pc["u0"] *= scale
+            pc["rise"] *= scale
+        jarcs.append(pieces)
+    return jarcs
+
+
+def reference_invert_piece(h, pieces, u):
+    """Reference: one pull-back through the piece dicts."""
+    m = h.m
+    pc = pieces[-1]
+    for cand in pieces:
+        if cand["u0"] <= u <= cand["u0"] + cand["rise"]:
+            pc = cand
+            break
+    t = norm_angle(h.base + u)
+    if not m.factor:
+        x = pc["map_inv"].boundary_angle(t)
+        return pc["x0"] + ccw_span(norm_angle(h.base + pc["x0"]) - 1e-12, x) - 1e-12
+    n = m.preset.n
+    up_lo = (h.base + pc["x0"]) / n
+    up_len = (pc["x1"] - pc["x0"]) / n
+    for k in range(n):
+        x_up = pc["map_inv"].boundary_angle(t / n + TAU * k / n)
+        delta = ccw_span(norm_angle(up_lo) - 1e-12, x_up) - 1e-12
+        if -1e-9 <= delta <= up_len + 1e-9:
+            return pc["x0"] + n * min(max(delta, 0.0), up_len)
+    raise AssertionError("no root lift lands in the branch piece")
+
+
+def reference_value(h, jarcs, theta, depth):
+    """Reference: ConjugacyH.value pulled back through the piece dicts."""
+    if norm_angle(theta) < bs.BREAK_TOL or TAU - norm_angle(theta) < bs.BREAK_TOL:
+        return h.base, 0.0
+    arc = (0.0, TAU)
+    for sym in reversed(bs.power_map_itinerary(theta, h.d, depth)):
+        pieces = jarcs[sym]
+        arc = tuple(pieces[0]["x0"] if u <= 0.0 else pieces[-1]["x1"] if u >= TAU
+                    else reference_invert_piece(h, pieces, u) for u in arc)
+    radius = max(0.5 * (arc[1] - arc[0]), bs.RADIUS_FLOOR)
+    return norm_angle(h.base + 0.5 * (arc[0] + arc[1])), radius
+
+
+@pytest.mark.parametrize("n,p,case", GRID)
+def test_h_value_matches_piece_reference(n, p, case):
+    # bit for bit: seeded angles, the angles 1-5, the cuts and the d-adic
+    # angles 2 pi j / d, whose itineraries end on cut-arc ends
+    h = bs.ConjugacyH(bs.bowen_series_map(n, p, case, factor=n >= 3))
+    jarcs = reference_pieces(h)
+    rng = random.Random(17 * n + p)
+    thetas = ([rng.uniform(0.0, TAU) for _ in range(200)] + [1.0, 2.0, 3.0, 4.0, 5.0]
+              + list(h.cuts) + [TAU * j / h.d for j in range(h.d)])
+    for theta in thetas:
+        for depth in (1, 2, 5, 12, 20, 30, 60, 64):
+            assert h.value(theta, depth) == reference_value(h, jarcs, theta, depth), \
+                (theta, depth)
+
+
+def test_h_value_argument_checks(monkeypatch):
+    h = bs.ConjugacyH(bs.bowen_series_map(1, 4))
+    monkeypatch.setattr(bs, "power_map_itinerary", _refuse_enumeration)
+    with pytest.raises(_Enumerated):
+        h.value(1.0, MAX_DEPTH)
+    # refused before an itinerary of 10**9 symbols is built
+    for depth in (MAX_DEPTH + 1, 10**9):
+        with pytest.raises(RankLimit, match=str(depth)):
+            h.value(1.0, depth)
+    with pytest.raises(DepthTooSmall):
+        h.value(1.0, 0)
+    for depth in (12.0, "12", None):
+        with pytest.raises(InvalidArgument, match="depth"):
+            h.value(1.0, depth)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument, match="theta"):
+            h.value(theta, 12)
 
 
 @pytest.mark.parametrize("n,p,case", GRID)

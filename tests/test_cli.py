@@ -261,6 +261,27 @@ def test_json_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: SHA-256 of the JSON `bs conjugacy` printed when each pull-back looked its
+#: piece up in a dict; the flat per-piece tables reproduce it byte for byte
+CONJUGACY_DIGESTS = [
+    (["--n", "1", "--p", "4", "--theta", "1.0", "--depth", "12"],
+     "24e861bc3a1cc83e2988c0f4ac8cdadb7cb97aeb372212b987d5009c60ded8c4"),
+    (["--n", "1", "--p", "4", "--case", "II", "--theta", "2.5", "--depth", "30"],
+     "6797e3f83d4fc922673376d3b970d3e9396cfea31cdbfadecf7b1c87b18be522"),
+    (["--n", "3", "--p", "1", "--factor", "--theta", "1.0", "--depth", "64"],
+     "fea3de75c697307837ba6d3c51292a6139e80ca58495c55483ccd4b50f09912a"),
+    (["--n", "5", "--p", "6", "--factor", "--theta", "4.0", "--depth", "12"],
+     "3ad186bce6772a967265d580caa011e5c57b9f70ff216cc89214cb26b836a967"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CONJUGACY_DIGESTS)
+def test_bs_conjugacy_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "bs", "conjugacy", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_recover_on_polygons_of_thousands_of_sides(capsys):
     # a side of (37,37) is hyperbolic with entries 436: its powers stop before
     # one loses its determinant.  The self-paired sides of (37,85) have

@@ -96,3 +96,9 @@ def test_unknown_name_is_an_attribute_error():
 def test_one_schema_version():
     import weldlab.mating_schema as ms
     assert ms.SCHEMA_VERSION is weldlab.SCHEMA_VERSION == 1
+
+
+def test_one_max_depth():
+    import weldlab.bowen_series as bs
+    import weldlab.cli as cli
+    assert bs.MAX_DEPTH is cli.MAX_DEPTH is weldlab.MAX_DEPTH == 64
