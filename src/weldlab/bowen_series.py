@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import MAX_DEPTH
 from . import hyperbolic as hyp
@@ -24,8 +24,7 @@ from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 BREAK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Pocket:
+class Pocket(NamedTuple):
     r: int
     s: int
     geodesic: hyp.Geodesic
@@ -33,8 +32,7 @@ class Pocket:
     arc: tuple  # (lo, hi) ccw boundary arc subtended by the side
 
 
-@dataclass(frozen=True)
-class PocketTable:
+class PocketTable(NamedTuple):
     entries: tuple
 
     def locate(self, theta: float, tol: float = BREAK_TOL):
@@ -60,8 +58,7 @@ def _pocket_table(preset: GroupPreset) -> PocketTable:
     return PocketTable(tuple(entries))
 
 
-@dataclass(frozen=True)
-class BowenSeriesMap:
+class BowenSeriesMap(NamedTuple):
     preset: GroupPreset
     pockets: PocketTable
     factor: bool
@@ -92,8 +89,14 @@ def bowen_series_from_preset(preset: GroupPreset, factor: bool = False) -> Bowen
 
 # -- circle evaluation -------------------------------------------------------
 
+def _check_theta(theta: float):
+    if not math.isfinite(theta):
+        raise InvalidArgument(f"theta must be finite, not {theta!r}")
+
+
 def eval_circle_raw(m: BowenSeriesMap, theta: float) -> float:
     """Unfactored circle action: apply the generator of the pocket at theta."""
+    _check_theta(theta)
     pk = m.pockets.locate(theta)
     return pk.map.boundary_angle(theta)
 
@@ -105,6 +108,7 @@ def eval_circle_raw_one_sided(m: BowenSeriesMap, theta: float, side: int) -> flo
     the arc choice is index arithmetic; the pocket map is then evaluated at
     theta itself (Möbius maps extend continuously to the closed arc).
     """
+    _check_theta(theta)
     k = len(m.pockets.entries)
     t = norm_angle(theta)
     idx = math.floor(t * k / TAU + (1e-7 if side > 0 else -1e-7)) % k
@@ -115,10 +119,12 @@ def eval_circle(m: BowenSeriesMap, theta: float, lift: int = 0) -> float:
     """Circle action of the map (factor maps evaluated through z -> z^n).
 
     For the factor map, `lift` selects which n-th root lift to use; all
-    choices agree (well-definedness is a tested invariant).
+    choices agree (well-definedness is a tested invariant).  A theta that is
+    not finite raises InvalidArgument.
     """
     if not m.factor:
         return eval_circle_raw(m, theta)
+    _check_theta(theta)
     n = m.preset.n
     up = norm_angle(theta) / n + TAU * (lift % n) / n
     return norm_angle(n * eval_circle_raw(m, up))
@@ -127,6 +133,7 @@ def eval_circle(m: BowenSeriesMap, theta: float, lift: int = 0) -> float:
 def eval_circle_one_sided(m: BowenSeriesMap, theta: float, side: int) -> float:
     if not m.factor:
         return eval_circle_raw_one_sided(m, theta, side)
+    _check_theta(theta)
     n = m.preset.n
     up = norm_angle(theta) / n
     return norm_angle(n * eval_circle_raw_one_sided(m, up, side))
@@ -141,6 +148,11 @@ def _eval_circle_safe(m: BowenSeriesMap, theta: float) -> float:
 
 
 def circle_orbit(m: BowenSeriesMap, theta: float, steps: int):
+    """theta and its first `steps` images; more than TILE_BUDGET steps raises
+    RankLimit and a theta that is not finite InvalidArgument, before any work."""
+    if steps > TILE_BUDGET:
+        raise RankLimit(f"{steps} orbit steps, more than the budget of {TILE_BUDGET}")
+    _check_theta(theta)
     out = [norm_angle(theta)]
     for _ in range(steps):
         out.append(eval_circle(m, out[-1]))
@@ -201,6 +213,7 @@ def _arc_image(m: BowenSeriesMap, pk: Pocket):
 
 def count_preimages(m: BowenSeriesMap, target: float) -> int:
     """Number of circle preimages of a generic target angle."""
+    _check_theta(target)
     images = [_arc_image(m, pk) for pk in m.pockets.entries]
     return _count_preimages(m, norm_angle(target), images)
 
@@ -237,8 +250,7 @@ def circle_degree(m: BowenSeriesMap, samples: int = 20) -> int:
 
 # -- Markov partition ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkovPartition:
+class MarkovPartition(NamedTuple):
     breakpoints: tuple
     branch_maps: tuple        # per-arc MobiusMap (upstairs representative)
     transition: tuple         # multiplicity table, row = source arc
@@ -520,8 +532,7 @@ class ConjugacyH:
             raise DepthTooSmall("depth must be >= 1")
         if depth > MAX_DEPTH:
             raise RankLimit(f"depth {depth} above {MAX_DEPTH}")
-        if not math.isfinite(theta):
-            raise InvalidArgument(f"theta must be finite, not {theta!r}")
+        _check_theta(theta)
         if norm_angle(theta) < BREAK_TOL or TAU - norm_angle(theta) < BREAK_TOL:
             return self.base, 0.0  # normalization: the fixed point 1 maps to the marked angle
         lo, hi = 0.0, TAU
@@ -540,8 +551,7 @@ class ConjugacyH:
 MAX_RANK = 8
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     word: tuple          # pocket labels (r, s), the branch applied last first
     map: MobiusMap       # the inverse-branch composition applied to Pi
     vertices: tuple      # image vertices (complex), unfactored
@@ -583,7 +593,7 @@ def tiles(m: BowenSeriesMap, rank: int):
                         f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
     base = Tile((), MobiusMap.identity(),
                 tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
-    last = replace(m, pockets=PocketTable(m.pockets.entries[:p])) if m.factor else m
+    last = m._replace(pockets=PocketTable(m.pockets.entries[:p])) if m.factor else m
     levels = [[base]]
     for k in range(rank):
         step = last if k == rank - 1 else m

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit,
                      RelationMismatch)
@@ -28,8 +28,7 @@ from .hyperbolic import TAU, MobiusMap, norm_angle
 
 # -- model points and maps -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(NamedTuple):
     """Point of D x {1..p} with the rotation exponent kept symbolic.
 
     The complex value is w0 * exp(2 pi i e/n); e is an integer mod n so that
@@ -47,8 +46,7 @@ class ModelPoint:
         return (self.w0, self.e % n, self.j)
 
 
-@dataclass(frozen=True)
-class ModelMaps:
+class ModelMaps(NamedTuple):
     n: int
     p: int
 
@@ -111,8 +109,7 @@ def fiber_by_roots(m: ModelMaps, pt: ModelPoint):
 
 # -- words in eta and tau ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """Reduced word in eta and tau: alternating letters, tau powers as integers.
 
     Adjacent tau powers add and cancel only at zero; they are not reduced
@@ -182,8 +179,7 @@ def word_eta() -> Word:
 
 # -- tiling-set model ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelTilingSet:
+class ModelTilingSet(NamedTuple):
     n: int
     p: int
     case: str
@@ -223,8 +219,7 @@ def branch_words(m: ModelTilingSet):
     return words, identity_ok
 
 
-@dataclass(frozen=True)
-class RecoveredGenerator:
+class RecoveredGenerator(NamedTuple):
     j: int
     k: int
     word: Word
@@ -469,8 +464,7 @@ def group_tiling(preset: GroupPreset, max_word_length: int,
 
 # -- Blaschke products -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlaschkeProduct:
+class BlaschkeProduct(NamedTuple):
     zeros: tuple
     rotation: complex
     fixed_point: complex

@@ -14,7 +14,7 @@ sectors are conjugates M_w^{r-1} g_s M_w^{-(r-1)}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import hyperbolic as hyp
 from .errors import (DegenerateInput, InvalidCase, NonParabolicCycle, PairingViolation,
@@ -60,8 +60,7 @@ def fixed_corners(p: int, case: str):
     return [k for k in range(p) if sig[k] == k]
 
 
-@dataclass(frozen=True)
-class GroupPreset:
+class GroupPreset(NamedTuple):
     n: int
     p: int
     case: str
@@ -249,8 +248,7 @@ def poincare_check(preset: GroupPreset, tol_parabolic: float = 1e-7,
 
 # -- orbifold signatures ----------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(NamedTuple):
     genus: int
     punctures: int
     cone_orders: tuple
@@ -295,8 +293,7 @@ def order2_point_count(n: int, p: int, case: str) -> int:
 
 # -- degree calculator -------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreePlan:
+class DegreePlan(NamedTuple):
     multiplicities: tuple
     degree: int
     top_multiplicity: int

@@ -3,14 +3,15 @@
 Möbius and anti-Möbius maps are stored as normalized 2x2 complex matrices,
 boundary points as angles in [0, 2pi), geodesics by their ideal endpoints
 with a derived Euclidean center/radius (or a diameter flag).  Everything is
-immutable after construction.
+read-only after construction: records are NamedTuples, and the two slots
+classes (MobiusMap, IdealPolygon) are read-only by convention.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CoincidentEndpoints, DegenerateInput, NotDisjoint
 
@@ -65,14 +66,32 @@ def _canonical_sign(a: complex, b: complex, c: complex, d: complex):
     return a, b, c, d
 
 
-@dataclass(frozen=True)
 class MobiusMap:
-    """z -> (az + b)/(cz + d), normalized to determinant 1."""
+    """z -> (az + b)/(cz + d), normalized to determinant 1.
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    A slots class, the cheapest record Python builds for the kernel's hottest
+    constructor; read-only by convention.  Equality, hash and repr go by the
+    four complex entries a, b, c, d.
+    """
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"MobiusMap(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @staticmethod
     def from_entries(a, b, c, d) -> "MobiusMap":
@@ -167,8 +186,7 @@ class MobiusMap:
             g = self.compose(g)
         return None
 
-@dataclass(frozen=True)
-class AntiMobiusMap:
+class AntiMobiusMap(NamedTuple):
     """z -> m(conj z) for a Möbius map m."""
 
     m: MobiusMap
@@ -184,8 +202,7 @@ class AntiMobiusMap:
         return self.m.compose(conj_other)
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(NamedTuple):
     """Bi-infinite geodesic with ideal endpoints theta1, theta2.
 
     Non-diameter geodesics carry the center/radius of the Euclidean circle
@@ -196,8 +213,8 @@ class Geodesic:
     theta1: float
     theta2: float
     is_diameter: bool
-    center: complex = field(default=0j)
-    radius: float = field(default=0.0)
+    center: complex = 0j
+    radius: float = 0.0
 
     @property
     def endpoints(self):
@@ -343,15 +360,32 @@ def _check_perpendicular(perp: Geodesic, g1: Geodesic, g2: Geodesic, tol: float)
         raise NotDisjoint(f"perpendicularity residual {res:.2e}")
 
 
-@dataclass(frozen=True)
 class IdealPolygon:
-    """Ideal polygon given by cyclically ordered boundary angles."""
+    """Ideal polygon given by cyclically ordered boundary angles.
 
-    vertices: tuple
-    sides: tuple
+    len() is the vertex count, so this is a slots class and not a record,
+    whose len() counts its fields; read-only by convention.
+    """
+
+    __slots__ = ("vertices", "sides")
+
+    def __init__(self, vertices: tuple, sides: tuple):
+        self.vertices = vertices
+        self.sides = sides
 
     def __len__(self):
         return len(self.vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.sides) == (other.vertices, other.sides)
+
+    def __hash__(self):
+        return hash((self.vertices, self.sides))
+
+    def __repr__(self):
+        return f"IdealPolygon(vertices={self.vertices!r}, sides={self.sides!r})"
 
 
 def ideal_polygon(vertex_angles) -> IdealPolygon:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import SCHEMA_VERSION, fuchsian
 from .errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
@@ -49,8 +49,7 @@ class _UnionFind:
 
 # -- slots -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     kind: str                    # "group" | "blaschke"
     n: int = 0
     p: int = 0
@@ -90,8 +89,7 @@ def blaschke_slot(degree) -> Slot:
 
 # -- hole boundaries -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class HoleBoundary:
+class HoleBoundary(NamedTuple):
     """p-sided hole of a group slot, with its boundary involution data.
 
     Sides are 1..p, corners 0..p-1; side s runs corner s-1 -> corner s mod p,
@@ -124,8 +122,7 @@ def build_hole(slot: Slot, slot_index: int = 0) -> HoleBoundary:
 
 # -- contact data ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContactData:
+class ContactData(NamedTuple):
     """Corner identification classes, each a ccw-ordered tuple of incidences.
 
     An incidence is a pair (slot_index, corner); the tuple order is the ccw
@@ -163,8 +160,7 @@ def validate_contact(holes: dict, contact: ContactData):
 
 # -- boundary complex ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Directed boundary arc: a hole side or a half of a self-paired side."""
     index: int
     hole: int          # slot index
@@ -174,8 +170,7 @@ class Arc:
     end: int           # vertex id
 
 
-@dataclass
-class BoundaryComplex:
+class BoundaryComplex(NamedTuple):
     slots: tuple
     holes: dict                  # slot index -> HoleBoundary
     contact: ContactData
@@ -438,8 +433,7 @@ def validate_degrees(slots):
 
 # -- polynomial registry ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolynomialEntry:
+class PolynomialEntry(NamedTuple):
     name: str
     coefficients: tuple          # ascending powers
     critical_points: tuple       # (point, multiplicity)

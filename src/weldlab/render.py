@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CoincidentEndpoints
 from .hyperbolic import Geodesic, TAU, geodesic_between, norm_angle
@@ -38,8 +38,7 @@ def _clamp_disk(z: complex) -> complex:
     return z
 
 
-@dataclass
-class Style:
+class Style(NamedTuple):
     stroke: str = "#333333"
     width: float = 1.5
     fill: str = "none"
@@ -50,39 +49,41 @@ class Style:
                 f'fill="{self.fill}" opacity="{_fmt(self.opacity)}"')
 
 
-@dataclass
-class CirclePrim:
+class CirclePrim(NamedTuple):
     center: complex
     radius: float
     style: Style
 
 
-@dataclass
-class GeodesicArc:
+class GeodesicArc(NamedTuple):
     geodesic: Geodesic
     style: Style
 
 
-@dataclass
-class Polyline:
+class Polyline(NamedTuple):
     points: list
     style: Style
     closed: bool = False
 
 
-@dataclass
-class Dot:
+class Dot(NamedTuple):
     point: complex
     label: str = ""
-    style: Style = field(default_factory=lambda: Style(fill="#000000"))
+    style: Style = Style(fill="#000000")     # shared safely: a Style is immutable
 
 
-@dataclass
 class RenderScene:
-    """Layer list over a unit-disk viewport."""
+    """Layer list over a unit-disk viewport.
 
-    layers: list = field(default_factory=list)
-    disk_frame: bool = True
+    A plain class, not a record: each scene owns a fresh layer list, where a
+    record's default would be one list shared by every scene.
+    """
+
+    __slots__ = ("layers", "disk_frame")
+
+    def __init__(self, layers=None, disk_frame: bool = True):
+        self.layers = [] if layers is None else layers
+        self.disk_frame = disk_frame
 
     def add(self, prim):
         self.layers.append(prim)

@@ -19,7 +19,7 @@ components at a time and checked against Riemann-Hurwitz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CrosscheckFailed, GluingInconsistency, ZipNotSphere
 from .mating_schema import BoundaryComplex, _UnionFind
@@ -27,8 +27,7 @@ from .mating_schema import BoundaryComplex, _UnionFind
 
 # -- welding graph --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeldingGraph:
+class WeldingGraph(NamedTuple):
     """Graph on the formal copies v_i^+/- of the domain faces.
 
     v_{i1}^- and v_{i2}^+ share an edge iff S carries some boundary arc of
@@ -62,8 +61,7 @@ def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
 
 # -- welded complex ----------------------------------------------------------------
 
-@dataclass
-class WeldedComplex:
+class WeldedComplex(NamedTuple):
     bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
     eta_vertex: dict         # vertex index -> vertex index
     components: list         # per component: dict of cell sets
@@ -150,8 +148,7 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
 
 # -- surface report ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     index: int
     faces: tuple
     euler_characteristic: int
@@ -161,8 +158,7 @@ class ComponentReport:
     graph_component: tuple
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     components: tuple
     welding_graph: WeldingGraph
     zipped: tuple          # per zipped component: {"euler_characteristic": 2, ...}

@@ -9,7 +9,7 @@ import weldlab.bowen_series as bs
 from weldlab import MAX_DEPTH
 from weldlab.errors import (AtBreakpoint, DepthTooSmall, InvalidArgument, OutsideDomain,
                             RankLimit)
-from weldlab.fuchsian import CASE_I, CASE_II, legal_presets
+from weldlab.fuchsian import CASE_I, CASE_II, TILE_BUDGET, legal_presets
 from weldlab.hyperbolic import TAU, angle_dist, ccw_span, norm_angle
 
 GRID = legal_presets()
@@ -51,6 +51,23 @@ def test_breakpoint_raises():
     m = bs.bowen_series_map(1, 4)
     with pytest.raises(AtBreakpoint):
         bs.eval_circle(m, math.pi / 2)
+
+
+@pytest.mark.parametrize("factor", [False, True])
+def test_non_finite_theta_is_invalid(factor):
+    # not math.fmod's ValueError, nor AtBreakpoint from a NaN matching no arc
+    m = bs.bowen_series_map(3, 2, factor=factor)
+    entries = [lambda t: bs.eval_circle(m, t),
+               lambda t: bs.eval_circle_raw(m, t),
+               lambda t: bs.eval_circle_one_sided(m, t, +1),
+               lambda t: bs.eval_circle_raw_one_sided(m, t, -1),
+               lambda t: bs.count_preimages(m, t),
+               lambda t: bs.circle_orbit(m, t, 0),
+               lambda t: bs.circle_orbit(m, t, 3)]
+    for theta in (math.nan, math.inf, -math.inf):
+        for entry in entries:
+            with pytest.raises(InvalidArgument, match="theta"):
+                entry(theta)
 
 
 def test_factor_continuity_at_discontinuity():
@@ -438,6 +455,16 @@ def test_tile_budget_checked_before_enumeration(monkeypatch):
         bs.tiles(plain, 4)
     with pytest.raises(_Enumerated):
         bs.tiles(plain, 3)
+
+
+def test_orbit_budget_checked_before_enumeration(monkeypatch):
+    m = bs.bowen_series_map(1, 4)
+    monkeypatch.setattr(bs, "eval_circle", _refuse_enumeration)
+    with pytest.raises(_Enumerated):
+        bs.circle_orbit(m, 1.0, TILE_BUDGET)
+    for steps in (TILE_BUDGET + 1, 10**9):
+        with pytest.raises(RankLimit, match=str(steps)):
+            bs.circle_orbit(m, 1.0, steps)
 
 
 def test_partition_budget_checked_before_enumeration(monkeypatch):

@@ -210,6 +210,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     ["bs", "tiles", "--n", "5", "--p", "6", "--factor", "--rank", "8"],
     ["group", "info", "--n", "3", "--p", "100000"],
     ["surface", "report", "5.6:99999999"],
+    ["bs", "orbit", "--n", "1", "--p", "4", "--theta", "1.0", "--steps", "1000000"],
 ])
 def test_tile_budget_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

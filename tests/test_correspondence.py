@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 import time
@@ -372,7 +371,7 @@ def test_tiling_rejects_perturbed_generator(n, p, case, side):
     preset = build_group(n, p, case)
     gens = list(preset.first_sector)
     gens[side - 1] = gens[side - 1].compose(MobiusMap.rotation(1e-4))
-    bad = dataclasses.replace(preset, first_sector=tuple(gens))
+    bad = preset._replace(first_sector=tuple(gens))
     with pytest.raises(OverlapDetected):
         co.group_tiling(bad, 3)
 

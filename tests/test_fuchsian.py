@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from weldlab.errors import DegenerateInput, InvalidCase
+from weldlab.errors import (DegenerateInput, InvalidCase, NonParabolicCycle,
+                            PairingViolation)
 from weldlab.fuchsian import (CASE_I, CASE_II, build_group, degree_plan,
                               legal_presets, orbifold_signature,
                               poincare_check, side_pairing_check,
                               vertex_cycles)
+from weldlab.hyperbolic import MobiusMap
 
 GRID = legal_presets()
 
@@ -69,6 +71,22 @@ def test_grid_poincare(n, p, case):
     assert rep["rotation_order"] == n
     for c in rep["cycles"]:
         assert c["trace_sq_residual"] < 1e-7
+
+
+@pytest.mark.parametrize("n,p,case,side", [(3, 1, CASE_I, 1), (1, 3, CASE_I, 2),
+                                           (1, 4, CASE_I, 1), (1, 4, CASE_II, 2),
+                                           (4, 2, CASE_I, 2)])
+def test_checks_reject_perturbed_generator(n, p, case, side):
+    # one generator turned by 1e-4 moves its side's endpoints by 1e-4 and
+    # leaves a cycle transformation 4e-4 to 2e-3 from parabolic in |tr^2 - 4|
+    preset = build_group(n, p, case)
+    gens = list(preset.first_sector)
+    gens[side - 1] = gens[side - 1].compose(MobiusMap.rotation(1e-4))
+    bad = preset._replace(first_sector=tuple(gens))
+    with pytest.raises(PairingViolation, match="residual 1.0"):
+        side_pairing_check(bad)
+    with pytest.raises(NonParabolicCycle, match="tr\\^2 - 4"):
+        poincare_check(bad)
 
 
 @pytest.mark.parametrize("n,p,case", GRID)

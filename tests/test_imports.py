@@ -67,6 +67,33 @@ def test_surface_report_loads_only_its_layers():
                 "weldlab.render", "numpy"} & loaded
 
 
+#: stdlib modules that cost milliseconds to import: dataclasses pulls in
+#: inspect, which pulls in ast, dis and tokenize
+HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_import_loads_no_dataclasses(layer):
+    loaded = fresh(f"import json, sys, weldlab.{layer}\n"
+                   "print(json.dumps(sorted(sys.modules)))")
+    assert f"weldlab.{layer}" in loaded
+    assert not HEAVY & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "info", "--n", "3", "--p", "1"],
+    ["surface", "report", "5.4"],
+    ["bs", "tiles", "--n", "1", "--p", "4", "--rank", "3"],
+    ["corr", "tiling", "--n", "3", "--p", "1", "--svg"],
+])
+def test_command_loads_no_dataclasses(tmp_path, argv):
+    if argv[-1] == "--svg":
+        argv = argv + [str(tmp_path / "out.svg")]
+    code, loaded = modules_after_command(*argv)
+    assert code == 0
+    assert not HEAVY & loaded
+
+
 def test_every_public_name_resolves():
     missing = fresh(
         "import json, weldlab\n"
