@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import NamedTuple
 
 from . import MAX_DEPTH
 from . import hyperbolic as hyp
 from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
-                     MarkovViolation, OutsideDomain, RankLimit)
+                     MarkovViolation, OutsideDomain, RankLimit, as_count)
 from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group, vertex_cycles
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 
@@ -149,7 +148,9 @@ def _eval_circle_safe(m: BowenSeriesMap, theta: float) -> float:
 
 def circle_orbit(m: BowenSeriesMap, theta: float, steps: int):
     """theta and its first `steps` images; more than TILE_BUDGET steps raises
-    RankLimit and a theta that is not finite InvalidArgument, before any work."""
+    RankLimit, and a step count that is not an integer or a theta that is not
+    finite InvalidArgument, before any work."""
+    steps = as_count(steps, "steps")
     if steps > TILE_BUDGET:
         raise RankLimit(f"{steps} orbit steps, more than the budget of {TILE_BUDGET}")
     _check_theta(theta)
@@ -524,10 +525,7 @@ class ConjugacyH:
         depth that is not an integer or a theta that is not finite raises
         InvalidArgument, a depth above MAX_DEPTH RankLimit.
         """
-        try:
-            depth = operator.index(depth)
-        except TypeError:
-            raise InvalidArgument(f"depth must be an integer, not {depth!r}") from None
+        depth = as_count(depth, "depth")
         if depth < 1:
             raise DepthTooSmall("depth must be >= 1")
         if depth > MAX_DEPTH:
@@ -557,19 +555,35 @@ class Tile(NamedTuple):
     vertices: tuple      # image vertices (complex), unfactored
 
 
-def _tile_children(m: BowenSeriesMap, tile: Tile):
-    """Valid one-step inverse branches of a tile: g_{r,s}^{-1} pulls back every
-    tile outside the open pocket (r, sigma(s)), and a tile lies in the pocket
-    of its outer letter word[0] (the Markov property of the Bowen-Series map).
+def _branches(m: BowenSeriesMap):
+    """One row (label, skip, inv, a, b, c, d) per pocket, sorted by label.
+
+    inv = g_{r,s}^-1 is the inverse branch of pocket label = (r, s), and a..d
+    its entries.  inv pulls back every tile outside the open pocket
+    skip = (r, sigma(s)), and a tile lies in the pocket of its outer letter
+    word[0] (the Markov property of the Bowen-Series map).
     """
-    out = []
+    sigma = m.preset.sigma
+    rows = []
     for pk in m.pockets.entries:
-        if tile.word and tile.word[0] == (pk.r, m.preset.sigma[pk.s]):
-            continue
         inv = pk.map.inverse()
-        g = inv.compose(tile.map)
-        verts = tuple(inv(v) for v in tile.vertices)
-        out.append(Tile(((pk.r, pk.s),) + tile.word, g, verts))
+        rows.append(((pk.r, pk.s), (pk.r, sigma[pk.s]), inv, inv.a, inv.b, inv.c, inv.d))
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+def _children(row, parents):
+    """The children of a level's tiles under one branch, in the parents' order."""
+    label, skip, inv, a, b, c, d = row
+    inf = complex("inf")
+    out = []
+    for t in parents:
+        word = t.word
+        if word and word[0] == skip:
+            continue
+        verts = tuple([inf if abs(den := c * z + d) < 1e-300 else (a * z + b) / den
+                       for z in t.vertices])
+        out.append(Tile((label,) + word, inv.compose(t.map), verts))
     return out
 
 
@@ -577,12 +591,18 @@ def tiles(m: BowenSeriesMap, rank: int):
     """Rank-k tiles as inverse-branch images of the fundamental polygon.
 
     Returned per rank, sorted by word in the pocket alphabet (word[0] the
-    branch applied last).  M_w shifts pocket labels (r, s) -> (r + 1, s), so a
-    factor map keeps the one tile per orbit whose outer letter lies in sector
-    1, ordered by vertex angle.  Rank r >= 1 holds np (np - 1)^(r - 1) tiles of
-    np vertices, p (np - 1)^(r - 1) for factor maps; more than TILE_BUDGET
-    tiles or VERTEX_BUDGET vertices raises RankLimit before any is built.
+    branch applied last).  Each inverse branch is computed once per map, and
+    a level is built branch by branch: for each label in ascending order, the
+    children of the previous level's tiles in their order.  So it comes out
+    in word order, with no sort.  M_w shifts pocket labels (r, s) ->
+    (r + 1, s), so a factor map keeps the one tile per orbit whose outer
+    letter lies in sector 1, ordered by vertex angle.  Rank r >= 1 holds
+    np (np - 1)^(r - 1) tiles of np vertices, p (np - 1)^(r - 1) for factor
+    maps; more than TILE_BUDGET tiles or VERTEX_BUDGET vertices raises
+    RankLimit and a rank that is not an integer InvalidArgument, before any
+    is built.
     """
+    rank = as_count(rank, "rank")
     if rank < 0 or rank > MAX_RANK:
         raise RankLimit(f"rank {rank} outside [0, {MAX_RANK}]")
     n, p = m.preset.n, m.preset.p
@@ -593,14 +613,15 @@ def tiles(m: BowenSeriesMap, rank: int):
                         f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
     base = Tile((), MobiusMap.identity(),
                 tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
-    last = m._replace(pockets=PocketTable(m.pockets.entries[:p])) if m.factor else m
+    rows = _branches(m)
+    # the sector-1 labels (1, s) sort first: a factor map's last rank uses them
+    last = rows[:p] if m.factor else rows
     levels = [[base]]
     for k in range(rank):
-        step = last if k == rank - 1 else m
+        parents = levels[-1]
         nxt = []
-        for t in levels[-1]:
-            nxt.extend(_tile_children(step, t))
-        nxt.sort(key=lambda t: t.word)
+        for row in (last if k == rank - 1 else rows):
+            nxt.extend(_children(row, parents))
         levels.append(nxt)
     if not m.factor:
         return levels

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .errors import (DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit,
-                     RelationMismatch)
+                     RelationMismatch, as_count)
 from .fuchsian import TILE_BUDGET, GroupPreset, build_group, sigma_side
 from .hyperbolic import TAU, MobiusMap, norm_angle
 
@@ -370,8 +370,17 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     compared: a letter starts a syllable unless its factor is the last
     letter's, and the last letter extends its run up to its bound.  word[-1]
     is the letter applied last.  Returns (word, element) pairs by length, ties
-    broken lexicographically in the letter names.
+    broken lexicographically in the letter names.  A length that is not an
+    integer raises InvalidArgument, and one above MAX_WORD_LENGTH or a ball of
+    more than TILE_BUDGET elements RankLimit, before any word is built.
     """
+    max_word_length = as_count(max_word_length, "word length")
+    if max_word_length > MAX_WORD_LENGTH:
+        raise RankLimit(f"word length {max_word_length} > {MAX_WORD_LENGTH}")
+    count = _ball_size(preset, max_word_length)
+    if count > TILE_BUDGET:
+        raise RankLimit(f"word length {max_word_length} gives {count} tiles, "
+                        f"more than the budget of {TILE_BUDGET}")
     letters = [(i, name, gen, run)
                for i, factor in enumerate(_free_factors(preset))
                for name, gen, run in factor]
@@ -407,15 +416,9 @@ def group_tiling(preset: GroupPreset, max_word_length: int,
     in Pi-hat.  As Pi-hat is a fundamental domain, the point reached is z0
     only if g is the element of the tile holding w; it must be reached within
     max_word_length + 1 pocket steps.  No two tiles may share the image of the
-    first sample.  Anything else raises OverlapDetected.  A ball of more than
-    TILE_BUDGET elements raises RankLimit before any tile is built.
+    first sample.  Anything else raises OverlapDetected.  The length is
+    checked by group_elements before any tile is built.
     """
-    if max_word_length > MAX_WORD_LENGTH:
-        raise RankLimit(f"word length {max_word_length} > {MAX_WORD_LENGTH}")
-    count = _ball_size(preset, max_word_length)
-    if count > TILE_BUDGET:
-        raise RankLimit(f"word length {max_word_length} gives {count} tiles, "
-                        f"more than the budget of {TILE_BUDGET}")
     elems = group_elements(preset, max_word_length)
     base_pts = _pi_hat_samples(preset, samples_per_tile)
     tiles = [{"word": w, "map": g} for (w, g) in elems]

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all weldlab modules."""
+"""Exception hierarchy shared by all weldlab modules, and the count check."""
+
+import operator
 
 
 class WeldlabError(Exception):
@@ -60,7 +62,15 @@ class RankLimit(WeldlabError):
 
 
 class InvalidArgument(WeldlabError):
-    """An argument of the wrong kind: a depth that is no integer, a theta that is not finite."""
+    """An argument of the wrong kind: a count that is no integer, a theta that is not finite."""
+
+
+def as_count(value, name: str) -> int:
+    """value as an int by operator.index; anything else raises InvalidArgument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, not {value!r}") from None
 
 
 # -- mating_schema ---------------------------------------------------------

@@ -429,6 +429,17 @@ def test_tile_rank_guard():
         bs.tiles(bs.bowen_series_map(1, 4), 99)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+def test_counts_must_be_integers(count):
+    m = bs.bowen_series_map(1, 4)
+    with pytest.raises(InvalidArgument, match="rank must be an integer"):
+        bs.tiles(m, count)
+    with pytest.raises(InvalidArgument, match="rank must be an integer"):
+        bs.tile_counts(m, count)
+    with pytest.raises(InvalidArgument, match="steps must be an integer"):
+        bs.circle_orbit(m, 1.0, count)
+
+
 class _Enumerated(Exception):
     pass
 
@@ -438,7 +449,8 @@ def _refuse_enumeration(*args):
 
 
 def test_tile_budget_checked_before_enumeration(monkeypatch):
-    monkeypatch.setattr(bs, "_tile_children", _refuse_enumeration)
+    # tiles builds its branch table only once the budget check has passed
+    monkeypatch.setattr(bs, "_branches", _refuse_enumeration)
     factor = bs.bowen_series_map(5, 6, factor=True)
     plain = bs.bowen_series_map(5, 6)
     # factor (5, 6): 146,334 tiles at rank 4 (151,561 with ranks 0-3) pass
@@ -562,10 +574,59 @@ def test_tile_children_match_vertex_test(n, p, case):
     levels = bs.tiles(m, 3 if n == 1 or n * p <= 15 else 2)[1:]
     if n > 1:
         levels += bs.tiles(bs.bowen_series_map(n, p, case, factor=True), 3)[1:]
+    rows = bs._branches(m)
     for level in levels:
         for t in level:
-            assert [c.word[0] for c in bs._tile_children(m, t)] == \
+            assert [c.word[0] for row in rows for c in bs._children(row, [t])] == \
                 vertex_test_letters(m, t), t.word
+
+
+def reference_children(m, tile):
+    """Reference: the per-tile child step the branch-by-branch levels
+    replaced, inverting each pocket's pairing once per tile."""
+    out = []
+    for pk in m.pockets.entries:
+        if tile.word and tile.word[0] == (pk.r, m.preset.sigma[pk.s]):
+            continue
+        inv = pk.map.inverse()
+        g = inv.compose(tile.map)
+        verts = tuple(inv(v) for v in tile.vertices)
+        out.append(bs.Tile(((pk.r, pk.s),) + tile.word, g, verts))
+    return out
+
+
+def reference_tiles(m, rank):
+    """Reference: tiles level by level, each tile's children in turn, and
+    every level sorted by word."""
+    base = bs.Tile((), bs.MobiusMap.identity(),
+                   tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
+    p = m.preset.p
+    last = m._replace(pockets=bs.PocketTable(m.pockets.entries[:p])) if m.factor else m
+    levels = [[base]]
+    for k in range(rank):
+        step = last if k == rank - 1 else m
+        nxt = []
+        for t in levels[-1]:
+            nxt.extend(reference_children(step, t))
+        nxt.sort(key=lambda t: t.word)
+        levels.append(nxt)
+    if not m.factor:
+        return levels
+    return [bs._project_tiles(m, lvl) for lvl in levels]
+
+
+#: (n, p, case, factor, rank) beyond the grid at rank 2: deep unfactored
+#: levels in both cases, and a deep factor map
+DEEP_TILES = [(1, 4, CASE_I, False, 5), (1, 4, CASE_II, False, 5),
+              (1, 3, CASE_I, False, 6), (3, 1, CASE_I, True, 6)]
+
+
+def test_tiles_match_per_tile_reference():
+    cases = [(n, p, case, factor, 2) for (n, p, case) in GRID
+             for factor in ((False, True) if n >= 3 else (False,))] + DEEP_TILES
+    for n, p, case, factor, rank in cases:
+        m = bs.bowen_series_map(n, p, case, factor=factor)
+        assert bs.tiles(m, rank) == reference_tiles(m, rank), (n, p, case, factor)
 
 
 # -- grid references for the closed-form circle kernel ------------------------------

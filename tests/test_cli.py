@@ -230,6 +230,8 @@ SVG_DIGESTS = [
      "7530fe348824c779785ac918482ab3f8e9d8f5d8fe830f866245b634c143853c"),
     (["surface", "graph", "final"],
      "7530fe348824c779785ac918482ab3f8e9d8f5d8fe830f866245b634c143853c"),
+    (["bs", "tiles", "--n", "1", "--p", "4", "--case", "II", "--rank", "3"],
+     "7ef3ad43f3258e222ec72d02a055afc92ecb1b9fa2fdb7138b8b86810cb25dad"),
 ]
 
 
@@ -252,6 +254,11 @@ JSON_DIGESTS = [
      "ce1122528ea79d55b80f0c60b40eeb28515240ba51fcaa3c2e02187d7df833a4"),
     (["corr", "tiling", "--n", "4", "--p", "1", "--len", "5"],
      "7fe3721030e9c057c5c3dd10bfdd7ae842d7a68589e2e71e2ce056684206ab30"),
+    # Case II and a deep unfactored map, printed in level order
+    (["bs", "tiles", "--n", "1", "--p", "4", "--case", "II", "--rank", "4"],
+     "c04ba06eee983b3111d2377d760046cb1d40d8c4ca768121fb8e0dc1e5e8abc7"),
+    (["bs", "tiles", "--n", "1", "--p", "3", "--rank", "6"],
+     "5e197b55c4acf6cfa0757e5c32fc01910326e59f42b5699df629a7bf8872d801"),
 ]
 
 

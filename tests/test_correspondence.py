@@ -6,7 +6,8 @@ import time
 import pytest
 
 import weldlab.correspondence as co
-from weldlab.errors import DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit
+from weldlab.errors import (DegenerateInput, InvalidArgument, NotHyperbolic, OverlapDetected,
+                            RankLimit)
 from weldlab.fuchsian import CASE_I, CASE_II, build_group, legal_presets
 from weldlab.hyperbolic import TAU, MobiusMap
 
@@ -213,14 +214,28 @@ def test_ball_size_is_the_free_product_ball():
 
 
 def test_tiling_budget_checked_before_enumeration(monkeypatch):
-    monkeypatch.setattr(co, "group_elements", _refuse_enumeration)
+    # group_elements builds each word's element by compose, and group_tiling
+    # calls it first, so a refused compose means some work was started
+    big, wide, small = build_group(5, 6), build_group(1, 6), build_group(3, 1)
+    monkeypatch.setattr(co.MobiusMap, "compose", _refuse_enumeration)
     # (5, 6): 22,115 tiles at length 5 pass the budget, 7,485,197 at 8 do not
-    with pytest.raises(_Enumerated):
-        co.group_tiling(build_group(5, 6), 5)
-    with pytest.raises(RankLimit, match="7485197"):
-        co.group_tiling(build_group(5, 6), 8)
-    with pytest.raises(RankLimit, match="585937"):
-        co.group_tiling(build_group(1, 6), 8)
+    for enumerate_ in (co.group_tiling, co.group_elements):
+        with pytest.raises(_Enumerated):
+            enumerate_(big, 5)
+        with pytest.raises(RankLimit, match="7485197"):
+            enumerate_(big, 8)
+        with pytest.raises(RankLimit, match="585937"):
+            enumerate_(wide, 8)
+        with pytest.raises(RankLimit, match="9 > 8"):
+            enumerate_(small, 9)
+
+
+@pytest.mark.parametrize("length", [2.5, 3.0, "3", None])
+def test_word_length_must_be_an_integer(length):
+    preset = build_group(1, 4)
+    for enumerate_ in (co.group_tiling, co.group_elements):
+        with pytest.raises(InvalidArgument, match="word length must be an integer"):
+            enumerate_(preset, length)
 
 
 def test_fiber_budget_checked_before_enumeration(monkeypatch):
