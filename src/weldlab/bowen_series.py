@@ -147,10 +147,12 @@ def _eval_circle_safe(m: BowenSeriesMap, theta: float) -> float:
 
 
 def circle_orbit(m: BowenSeriesMap, theta: float, steps: int):
-    """theta and its first `steps` images; more than TILE_BUDGET steps raises
-    RankLimit, and a step count that is not an integer or a theta that is not
-    finite InvalidArgument, before any work."""
+    """theta and its first `steps` images; a negative step count or more than
+    TILE_BUDGET steps raises RankLimit, and a step count that is not an
+    integer or a theta that is not finite InvalidArgument, before any work."""
     steps = as_count(steps, "steps")
+    if steps < 0:
+        raise RankLimit(f"{steps} orbit steps < 0")
     if steps > TILE_BUDGET:
         raise RankLimit(f"{steps} orbit steps, more than the budget of {TILE_BUDGET}")
     _check_theta(theta)

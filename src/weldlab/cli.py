@@ -84,7 +84,7 @@ def cmd_group_check(args):
         "group": preset.name,
         "pairing_max_residual": pairing["max_residual"],
         "cycles": [{"vertices": c["vertices"],
-                    "trace_sq_residual": c["trace_sq_residual"]}
+                    "log_multiplier_residual": c["log_multiplier_residual"]}
                    for c in poincare["cycles"]],
         "rotation_order": poincare["rotation_order"],
         "ok": True,

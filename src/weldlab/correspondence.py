@@ -67,12 +67,6 @@ class ModelMaps(NamedTuple):
             return ModelPoint(pt.w0, pt.e, pt.j - 1)
         return ModelPoint(pt.w0, (pt.e - 1) % self.n, self.p)
 
-    def tau_power(self, pt: ModelPoint, k: int) -> ModelPoint:
-        step = self.tau if k >= 0 else self.tau_inv
-        for _ in range(abs(k)):
-            pt = step(pt)
-        return pt
-
 
 def fiber(m: ModelMaps, pt: ModelPoint):
     """Full covering fiber through pt, as the tau-orbit.
@@ -233,9 +227,9 @@ def recover_representation(m: ModelTilingSet, preset: GroupPreset = None):
 
     The j-th word tau^{-(j-1)} (tau^{k_j} eta) tau^{j-1} must stabilize
     component 1; its geometric realization is the preset generator g_{1,j}
-    (and tau^p realizes M_w), so relation orders are read off the matrices
-    and compared with the orbifold signature: sides with sigma(j) = j give
-    order-2 words, and tau^p has order exactly n.
+    (and tau^p realizes M_w), so relation orders are read off the matrices'
+    traces and compared with the orbifold signature: sides with sigma(j) = j
+    give order-2 words, and tau^p has order exactly n.
     """
     if preset is None:
         preset = build_group(m.n, m.p, m.case)
@@ -371,10 +365,13 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     letter's, and the last letter extends its run up to its bound.  word[-1]
     is the letter applied last.  Returns (word, element) pairs by length, ties
     broken lexicographically in the letter names.  A length that is not an
-    integer raises InvalidArgument, and one above MAX_WORD_LENGTH or a ball of
-    more than TILE_BUDGET elements RankLimit, before any word is built.
+    integer raises InvalidArgument, and a negative one, one above
+    MAX_WORD_LENGTH or a ball of more than TILE_BUDGET elements RankLimit,
+    before any word is built.
     """
     max_word_length = as_count(max_word_length, "word length")
+    if max_word_length < 0:
+        raise RankLimit(f"word length {max_word_length} < 0")
     if max_word_length > MAX_WORD_LENGTH:
         raise RankLimit(f"word length {max_word_length} > {MAX_WORD_LENGTH}")
     count = _ball_size(preset, max_word_length)
@@ -483,9 +480,6 @@ class BlaschkeProduct(NamedTuple):
             w *= (z - a) / (1.0 - a.conjugate() * z)
         return w
 
-    def derivative(self, z: complex, h: float = 1e-6) -> complex:
-        return (self(z + h) - self(z - h)) / (2 * h)
-
 
 def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
     """Construct a hyperbolic Blaschke product; the attracting fixed point is
@@ -499,16 +493,10 @@ def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
     rot = complex(rotation)
     if abs(abs(rot) - 1.0) > 1e-12:
         raise NotHyperbolic("rotation factor must be unimodular")
-
-    def apply(z):
-        w = rot
-        for a in zeros:
-            w *= (z - a) / (1.0 - a.conjugate() * z)
-        return w
-
+    b = BlaschkeProduct(zeros, rot, 0j, 0j)    # fixed point and multiplier found below
     z = 0j
     for _ in range(max_iter):
-        z2 = apply(z)
+        z2 = b(z)
         if abs(z2 - z) < 1e-14:
             break
         z = z2
@@ -517,7 +505,7 @@ def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
     if abs(z) >= 1 - 1e-9:
         raise NotHyperbolic("iteration escaped to the boundary")
     h = 1e-6
-    mult = (apply(z + h) - apply(z - h)) / (2 * h)
+    mult = (b(z + h) - b(z - h)) / (2 * h)
     if abs(mult) >= 1 - 1e-9:
         raise NotHyperbolic(f"interior fixed point is not attracting (|B'| = {abs(mult):.4f})")
     return BlaschkeProduct(zeros, rot, z, mult)
@@ -525,7 +513,12 @@ def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
 
 def blaschke_orbit(b: BlaschkeProduct, z: complex, iterations: int):
     """Forward orbit; in model coordinates this is the forward branch of the
-    correspondence on the Blaschke component."""
+    correspondence on the Blaschke component.  A count that is not an integer
+    raises InvalidArgument, and a negative one or one above TILE_BUDGET
+    RankLimit, before any work."""
+    iterations = as_count(iterations, "iterations")
+    if not 0 <= iterations <= TILE_BUDGET:
+        raise RankLimit(f"{iterations} iterations, outside [0, {TILE_BUDGET}]")
     out = [complex(z)]
     for _ in range(iterations):
         out.append(b(out[-1]))

@@ -13,6 +13,7 @@ sectors are conjugates M_w^{r-1} g_s M_w^{-(r-1)}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -172,10 +173,11 @@ def _vertex_action(preset: GroupPreset):
 
 
 def vertex_cycles(preset: GroupPreset):
-    """Ideal-vertex cycles under the side pairings.
+    """Ideal-vertex cycles under the side pairings, purely combinatorial.
 
-    Cycle detection is purely combinatorial (vertex indices); the Möbius
-    arithmetic enters only through the returned cycle transformations.
+    Each cycle lists its vertex indices and, in step with them, the side
+    labels (r, s) whose pairing carries each vertex to the next; the cycle
+    transformation is that word's product, which fixes the first vertex.
     """
     m = preset.n * preset.p
     act = _vertex_action(preset)
@@ -192,13 +194,10 @@ def vertex_cycles(preset: GroupPreset):
         v, e = v0, e0
         word = []
         cycle_vertices = []
-        transform = MobiusMap.identity()
         while True:
             seen.add((v, e))
             cycle_vertices.append(v)
             r, s = e // preset.p + 1, e % preset.p + 1
-            g = preset.generator(r, s)
-            transform = g.compose(transform)
             word.append((r, s))
             v2 = act[e][v]
             e_img = preset.side_index(r, preset.sigma[s])
@@ -207,7 +206,7 @@ def vertex_cycles(preset: GroupPreset):
             v, e = v2, e2
             if (v, e) == (v0, e0):
                 break
-        cycles.append({"vertices": cycle_vertices, "word": word, "transform": transform})
+        cycles.append({"vertices": cycle_vertices, "word": word})
     return cycles
 
 
@@ -215,22 +214,26 @@ def poincare_check(preset: GroupPreset, tol_parabolic: float = 1e-7,
                    tol_trace: float = 1e-9):
     """Poincaré-polygon sanity report.
 
-    Every ideal-vertex cycle transformation must be parabolic or the identity
-    (trace^2 = 4); order-2 generators must have trace 0; M_w must have order
-    exactly n.
+    A vertex cycle's transformation T fixes its vertex v, so it is parabolic
+    or the identity iff T'(v) = 1 (Beardon, ch. 4).  By the chain rule
+    log|T'(v)| sums -2 log|c z + d| of each step's g_s at its exact vertex z,
+    turned back r - 1 sectors (rotations have |derivative| 1), so no matrix
+    is composed; |log T'(v)| is the cycle's log_multiplier_residual.
+    Order-2 generators must have trace 0; M_w must have order exactly n.
     """
     report = {"cycles": [], "order2": {}, "rotation_order": None}
+    m, p = preset.n * preset.p, preset.p
     for cyc in vertex_cycles(preset):
-        tr2 = (cyc["transform"].trace) ** 2
-        res = abs(tr2 - 4.0)
-        report["cycles"].append({
-            "vertices": cyc["vertices"],
-            "trace_sq_residual": res,
-            "identity": cyc["transform"].is_identity(1e-8),
-        })
+        log_mult = 0.0
+        for v, (r, s) in zip(cyc["vertices"], cyc["word"]):
+            g, z = preset.first_sector[s - 1], cmath.exp(1j * TAU * (v - (r - 1) * p) / m)
+            log_mult -= 2.0 * math.log(abs(g.c * z + g.d))
+        res = abs(log_mult)
+        report["cycles"].append({"vertices": cyc["vertices"],
+                                 "log_multiplier_residual": res})
         if res > tol_parabolic:
             raise NonParabolicCycle(
-                f"cycle through vertices {cyc['vertices']}: |tr^2 - 4| = {res:.3e}")
+                f"cycle through vertices {cyc['vertices']}: |log T'(v)| = {res:.3e}")
     for s in self_paired_sides(preset.p, preset.case):
         tr = abs(preset.first_sector[s - 1].trace)
         report["order2"][s] = tr

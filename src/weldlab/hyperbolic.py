@@ -171,20 +171,19 @@ class MobiusMap:
     def order(self, max_order: int = 64, tol: float = DEFAULT_TOL):
         """Smallest k >= 1 with self^k = id, or None if none up to max_order.
 
-        Finite-order disk maps are elliptic and stay bounded; the search stops
-        once a power passes 1e6, or outgrows self with the next product past
-        1e6, before a product loses its determinant.  self^2 is always formed.
+        Read off the trace, no power is formed: the identity has order 1, and
+        an elliptic map with real trace tr = +-2 cos(theta), |tr| < 2, has
+        order k iff k theta/pi is an integer (within tol).  Parabolic,
+        hyperbolic and loxodromic maps have none.
         """
-        size = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        g = self
-        for k in range(1, max_order + 1):
-            if g.is_identity(tol):
-                return k
-            g_size = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
-            if g_size > 1e6 or (g_size > size and size * g_size > 1e6):
-                return None
-            g = self.compose(g)
-        return None
+        if self.is_identity(tol):
+            return 1
+        tr = self.trace
+        if abs(tr.imag) > tol or abs(tr.real) >= 2.0:
+            return None
+        turn = math.acos(0.5 * abs(tr.real)) / math.pi    # in (0, 1/2]
+        return next((k for k in range(2, max_order + 1)
+                     if abs(k * turn - round(k * turn)) <= tol and k * turn > 0.5), None)
 
 class AntiMobiusMap(NamedTuple):
     """z -> m(conj z) for a Möbius map m."""

@@ -131,9 +131,6 @@ class ContactData(NamedTuple):
 
     classes: tuple
 
-    def all_incidences(self):
-        return [inc for cls in self.classes for inc in cls]
-
 
 def validate_contact(holes: dict, contact: ContactData):
     """Involution-consistency: identified corners have identified images."""

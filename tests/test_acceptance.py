@@ -154,7 +154,7 @@ def test_08_poincare_traces():
             rep = poincare_check(preset, tol_parabolic=1e-7, tol_trace=1e-9)
             assert rep["rotation_order"] == n
             for c in rep["cycles"]:
-                assert c["trace_sq_residual"] < 1e-7
+                assert c["log_multiplier_residual"] < 1e-7
             for s in self_paired_sides(p, case):
                 assert abs(preset.first_sector[s - 1].trace) < 1e-9
 

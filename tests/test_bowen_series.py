@@ -479,6 +479,14 @@ def test_orbit_budget_checked_before_enumeration(monkeypatch):
             bs.circle_orbit(m, 1.0, steps)
 
 
+def test_orbit_refuses_negative_steps_before_work(monkeypatch):
+    # a negative count used to return the one starting angle
+    m = bs.bowen_series_map(1, 4)
+    monkeypatch.setattr(bs, "eval_circle", _refuse_enumeration)
+    with pytest.raises(RankLimit, match="-5"):
+        bs.circle_orbit(m, 1.0, -5)
+
+
 def test_partition_budget_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(bs, "eval_circle_one_sided", _refuse_enumeration)
     # 500 arcs give 250,000 transition entries, 501 give 251,001

@@ -291,15 +291,27 @@ def test_bs_conjugacy_bytes_pinned(capsys, argv, digest):
 
 
 def test_recover_on_polygons_of_thousands_of_sides(capsys):
-    # a side of (37,37) is hyperbolic with entries 436: its powers stop before
-    # one loses its determinant.  The self-paired sides of (37,85) have
-    # entries about 1000 and square to the identity; the output is pinned
+    # a side of (37,37) is hyperbolic with entries 436, so |tr| > 2 and it
+    # has no order.  The self-paired sides of (37,85) have entries about 1000
+    # and trace 0, so order 2; the output is pinned
     code, out, err = run(capsys, "corr", "recover", "--n", "37", "--p", "37")
     assert code == 0 and err == ""
     code, out, _ = run(capsys, "corr", "recover", "--n", "37", "--p", "85")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5414bafdcc32b904901925f679797760c1ca0b5ea5d48797e509999ad6366321")
+
+
+@pytest.mark.parametrize("argv", [("group", "check", "--n", "3", "--p", "1000"),
+                                  ("group", "check", "--n", "16", "--p", "64"),
+                                  ("group", "check", "--n", "64", "--p", "64"),
+                                  ("corr", "recover", "--n", "37", "--p", "173")])
+def test_relations_hold_on_large_polygons(capsys, argv):
+    # cycle products reach entries of 8e4 on (64,64), and the self-paired
+    # sides of (37,173) entries of 2000, so their relations are decided by
+    # multipliers and traces, not by matrix products
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
 
 
 def test_bad_newton_name_is_a_bad_schema_name(capsys):

@@ -238,6 +238,20 @@ def test_word_length_must_be_an_integer(length):
             enumerate_(preset, length)
 
 
+def test_elements_refuse_negative_length_before_work(monkeypatch):
+    # a negative length used to return the identity alone
+    monkeypatch.setattr(co, "_ball_size", _refuse_enumeration)
+    with pytest.raises(RankLimit, match="-3 < 0"):
+        co.group_elements(build_group(1, 4), -3)
+
+
+def test_tiling_refuses_negative_length_before_work(monkeypatch):
+    # a negative length used to raise a false OverlapDetected
+    monkeypatch.setattr(co, "_pi_hat_samples", _refuse_enumeration)
+    with pytest.raises(RankLimit, match="-3 < 0"):
+        co.group_tiling(build_group(1, 4), -3)
+
+
 def test_fiber_budget_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(co.ModelMaps, "tau", _refuse_enumeration)
     with pytest.raises(_Enumerated):
@@ -426,6 +440,19 @@ def test_blaschke_orbits_converge():
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
         orb = co.blaschke_orbit(b, z, 1000)
         assert abs(orb[-1] - b.fixed_point) < 1e-8
+
+
+def test_blaschke_orbit_checks_its_count(monkeypatch):
+    b = co.blaschke([0, 0.5])
+    assert len(co.blaschke_orbit(b, 0.5j, 0)) == 1
+    assert len(co.blaschke_orbit(b, 0.5j, co.TILE_BUDGET)) == co.TILE_BUDGET + 1
+    monkeypatch.setattr(co.BlaschkeProduct, "__call__", _refuse_enumeration)
+    for count in (2.5, "3", None):
+        with pytest.raises(InvalidArgument, match="iterations must be an integer"):
+            co.blaschke_orbit(b, 0.5j, count)
+    for count in (-3, co.TILE_BUDGET + 1):
+        with pytest.raises(RankLimit, match=str(count)):
+            co.blaschke_orbit(b, 0.5j, count)
 
 
 def test_blaschke_circle_degree():

@@ -70,7 +70,7 @@ def test_grid_poincare(n, p, case):
     rep = poincare_check(build_group(n, p, case))
     assert rep["rotation_order"] == n
     for c in rep["cycles"]:
-        assert c["trace_sq_residual"] < 1e-7
+        assert c["log_multiplier_residual"] < 1e-7
 
 
 @pytest.mark.parametrize("n,p,case,side", [(3, 1, CASE_I, 1), (1, 3, CASE_I, 2),
@@ -78,14 +78,14 @@ def test_grid_poincare(n, p, case):
                                            (4, 2, CASE_I, 2)])
 def test_checks_reject_perturbed_generator(n, p, case, side):
     # one generator turned by 1e-4 moves its side's endpoints by 1e-4 and
-    # leaves a cycle transformation 4e-4 to 2e-3 from parabolic in |tr^2 - 4|
+    # leaves a cycle multiplier 1.2e-4 to 4.8e-4 from 1 in |log T'(v)|
     preset = build_group(n, p, case)
     gens = list(preset.first_sector)
     gens[side - 1] = gens[side - 1].compose(MobiusMap.rotation(1e-4))
     bad = preset._replace(first_sector=tuple(gens))
     with pytest.raises(PairingViolation, match="residual 1.0"):
         side_pairing_check(bad)
-    with pytest.raises(NonParabolicCycle, match="tr\\^2 - 4"):
+    with pytest.raises(NonParabolicCycle, match="log T'\\(v\\)"):
         poincare_check(bad)
 
 

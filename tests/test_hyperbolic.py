@@ -188,15 +188,15 @@ def _translation(cosh_half, k):
 
 
 def test_order_of_hyperbolic_maps_is_none_without_raising():
-    # growing powers stop before a product loses its determinant; a
-    # translation with entries 440 used to reach "singular matrix"
+    # |tr| > 2 means no finite order, decided without forming a power, whose
+    # entries would outgrow double precision (440 here reach "singular matrix")
     for k in range(400):
         assert _translation(2 + 12.5 * k, k).order() is None
 
 
 def test_order_of_large_half_turns_is_two():
-    # a half-turn about a point far from 0 has entries about (1+r^2)/(1-r^2);
-    # self^2 is formed whatever its size, up to entries 1500 here
+    # a half-turn about a point far from 0 has entries about (1+r^2)/(1-r^2),
+    # up to 1500 here, and a trace that is 0 up to rounding
     for k in range(300):
         size = 2 + 5 * k
         r = math.sqrt((size - 1) / (size + 1))
@@ -204,3 +204,31 @@ def test_order_of_large_half_turns_is_two():
         half = t @ MobiusMap.rotation(math.pi) @ t.inverse()
         assert abs(max(abs(half.a), abs(half.b)) - size) < 1e-6 * size
         assert half.order() == 2, size
+
+
+def reference_order(g, max_order=64, tol=1e-9):
+    """Order by powers: the smallest k with g^k the identity (the former
+    MobiusMap.order, kept as the reference for the closed form)."""
+    size = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
+    h = g
+    for k in range(1, max_order + 1):
+        if h.is_identity(tol):
+            return k
+        h_size = max(abs(h.a), abs(h.b), abs(h.c), abs(h.d))
+        if h_size > 1e6 or (h_size > size and size * h_size > 1e6):
+            return None
+        h = g.compose(h)
+    return None
+
+
+def test_order_from_trace_matches_powers():
+    from weldlab.fuchsian import build_group, legal_presets
+    maps = []
+    for n, p, case in legal_presets(n_range=(1, 3, 4, 5, 6, 7, 8), p_range=range(1, 9)):
+        preset = build_group(n, p, case)
+        maps.append(preset.rotation)
+        for g in preset.first_sector:
+            maps += [g, g.inverse()]
+    assert len(maps) == 591
+    for g in maps:
+        assert g.order() == reference_order(g), g
