@@ -237,7 +237,7 @@ def cmd_surface_report(args):
             "vertices": [f"v{i}{'+' if s > 0 else '-'}"
                          for (i, s) in sr.welding_graph.vertices()],
             "edges": sorted([f"v{a}-", f"v{b}+"] for (a, b) in sr.welding_graph.edges),
-            "components": len(sr.welding_graph.components()),
+            "components": len(sr.components),
         },
         "zipped": list(sr.zipped),
     })
@@ -250,7 +250,7 @@ def cmd_surface_graph(args):
     if args.svg:
         _write_svg(args.svg, render.welding_graph_scene(sr.welding_graph))
     _emit({"edges": sorted([a, b] for (a, b) in sr.welding_graph.edges),
-           "components": len(sr.welding_graph.components())})
+           "components": len(sr.components)})
     return 0
 
 

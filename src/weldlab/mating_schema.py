@@ -4,8 +4,8 @@ A schema is a list of slots (group or Blaschke) plus contact data saying
 which hole corners are identified at singular points, with the ccw rotation
 order of the hole wedges around each singular point.  Assembly produces the
 boundary complex: arcs (hole sides, split at involution-fixed interior
-points), vertex classes, the faces of the multi-domain by planar face
-tracing, and the arc-level boundary involution.
+points), vertex classes, the faces of the multi-domain as the cycles of one
+arc permutation, and the arc-level boundary involution.
 
 Holes are stored purely combinatorially; rendering assigns coordinates
 separately.
@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from . import SCHEMA_VERSION, fuchsian
 from .errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                     InconsistentInvolution, NonPlanar, RankLimit, VerificationFailed)
+                     InconsistentInvolution, NonPlanar, RankLimit, VerificationFailed,
+                     as_count)
 from .fuchsian import CASE_I, CASE_II
 
 
@@ -168,6 +169,13 @@ class Arc(NamedTuple):
 
 
 class BoundaryComplex(NamedTuple):
+    """Arcs, vertex classes, domain faces and arc involution of a schema.
+
+    A face is a list of boundary cycles (several when the boundary graph is
+    disconnected); a cycle lists darts (arc index, -1), the arcs walked
+    backward.  The hole interiors are not faces here.
+    """
+
     slots: tuple
     holes: dict                  # slot index -> HoleBoundary
     contact: ContactData
@@ -176,7 +184,6 @@ class BoundaryComplex(NamedTuple):
     vertices: list               # vertex records (dicts)
     faces: list                  # list of faces; each face: list of dart cycles
     arc_face: dict               # arc index -> face index
-    hole_face_of: dict           # slot index -> traced hole-interior cycle
     components: int              # connected components of the boundary graph
 
     def face_count(self):
@@ -206,11 +213,12 @@ def _rotation_orders(holes, contact):
 def assemble(slots, contact: ContactData) -> BoundaryComplex:
     """Build the boundary complex of a mating schema.
 
-    Faces are traced in the planar combinatorial map whose rotation at each
-    corner class interleaves, per incidence in ccw order, the outgoing dart
-    of side k+1 with the reversed dart of side k (hole wedges alternate with
-    domain wedges).  Face tracing follows phi = sigma^{-1} o alpha, which
-    walks each face counterclockwise (face on the left).
+    The boundary is a planar map whose rotation at each corner class takes
+    the incidences in ccw order, hole wedges alternating with domain wedges.
+    The domain faces are the cycles of one arc permutation, each walking its
+    arcs backward with the face on the left (see _domain_faces); the Euler
+    count V - E + F = 2 per boundary component rejects non-planar contact
+    data.
     """
     slots = tuple(slots)
     for s in slots:
@@ -272,94 +280,48 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
         if s_action[b] != a or a == b:
             raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
 
-    faces, arc_face, hole_face_of, components = _trace_faces(
-        slots, holes, arcs, arc_of, vertices, corner_classes)
+    faces, arc_face, components = _domain_faces(holes, arcs, arc_of, vertices,
+                                                corner_classes)
 
     return BoundaryComplex(slots, holes, contact, arcs, s_action, vertices,
-                           faces, arc_face, hole_face_of, components)
+                           faces, arc_face, components)
 
 
-def _trace_faces(slots, holes, arcs, arc_of, vertices, corner_classes):
-    # darts: (arc index, +1 forward / -1 reverse)
-    def first_piece(h, s):
-        return arc_of[(h, s, 0)]
+def _domain_faces(holes, arcs, arc_of, vertices, corner_classes):
+    """Faces of the multi-domain, each arc's face, and the boundary components.
 
-    def last_piece(h, s):
-        hb = holes[h]
-        return arc_of[(h, s, 1 if s in hb.interior_fixed_sides else 0)]
+    A domain face walks its arcs backward (face on the left), so it leaves
+    arc a at a's start into the wedge there.  If a is the first piece of
+    side k+1 at incidence (h, k), that wedge lies between (h, k) and the
+    incidence (h', k') before it in the ccw class, and nxt[a] is the last
+    piece of side k' of hole h' (side p' when k' = 0), which ends there.  If
+    a is piece 1 of a split side, the face turns at the fixed point into
+    piece 0.  nxt is a permutation of the arcs and the domain faces are its
+    cycles (Lando & Zvonkin, ch. 1); the sides of each hole bound its
+    interior, one more face per hole.
+    """
+    nxt = {}
+    for cls in corner_classes:
+        for i, (h, k) in enumerate(cls):
+            h2, k2 = cls[i - 1]
+            s2 = k2 or holes[h2].p
+            nxt[arc_of[(h, k + 1, 0)]] = arc_of[
+                (h2, s2, 1 if s2 in holes[h2].interior_fixed_sides else 0)]
+    for a in arcs:
+        if a.piece == 1:
+            nxt[a.index] = arc_of[(a.hole, a.side, 0)]
 
-    rotation = {}  # vertex id -> ccw list of out-darts
-    for vid, v in enumerate(vertices):
-        if v["kind"] == "corner":
-            rot = []
-            for (h, k) in v["incidences"]:
-                p = holes[h].p
-                out_side = k + 1
-                in_side = k if k > 0 else p
-                rot.append((first_piece(h, out_side), +1))
-                rot.append((last_piece(h, in_side), -1))
-            rotation[vid] = rot
-        else:
-            (h, s) = v["incidences"][0]
-            rotation[vid] = [(arc_of[(h, s, 1)], +1), (arc_of[(h, s, 0)], -1)]
-
-    def tail(d):
-        a, dr = d
-        return arcs[a].start if dr > 0 else arcs[a].end
-
-    def head(d):
-        a, dr = d
-        return arcs[a].end if dr > 0 else arcs[a].start
-
-    def alpha(d):
-        return (d[0], -d[1])
-
-    pos = {}
-    for vid, rot in rotation.items():
-        for i, d in enumerate(rot):
-            if tail(d) != vid:
-                raise InconsistentInvolution("rotation lists a dart at the wrong vertex")
-            pos[d] = (vid, i)
-
-    def phi(d):
-        vid, i = pos[alpha(d)]
-        rot = rotation[vid]
-        return rot[(i - 1) % len(rot)]
-
-    # face orbits
-    seen = set()
-    cycles = []
-    for d0 in sorted(pos):
-        if d0 in seen:
-            continue
-        cyc = []
-        d = d0
-        while True:
-            cyc.append(d)
-            seen.add(d)
-            d = phi(d)
-            if d == d0:
-                break
-        cycles.append(cyc)
-
-    # the hole interiors must come out as full forward cycles
-    hole_face_of = {}
     domain_cycles = []
-    for cyc in cycles:
-        hs = {arcs[a].hole for (a, dr) in cyc}
-        if all(dr > 0 for (_, dr) in cyc) and len(hs) == 1:
-            h = hs.pop()
-            expected = sum(2 if s in holes[h].interior_fixed_sides else 1
-                           for s in range(1, holes[h].p + 1))
-            if len(cyc) == expected and h not in hole_face_of:
-                hole_face_of[h] = cyc
-                continue
-        domain_cycles.append(cyc)
-    if len(hole_face_of) != len(holes):
-        raise NonPlanar("some hole interior failed to close up as a face")
-    for cyc in domain_cycles:
-        if any(dr > 0 for (_, dr) in cyc):
-            raise NonPlanar("a domain face uses a forward (hole-side) dart")
+    seen = set()
+    for a0 in range(len(arcs)):
+        cyc = []
+        a = a0
+        while a not in seen:
+            seen.add(a)
+            cyc.append((a, -1))
+            a = nxt[a]
+        if cyc:
+            domain_cycles.append(cyc)
 
     # connected components of the boundary graph, for the Euler check and the
     # merge of outer faces
@@ -368,10 +330,10 @@ def _trace_faces(slots, holes, arcs, arc_of, vertices, corner_classes):
         uf.union(a.start, a.end)
     ncomp = len(uf.classes())
 
-    # per-component sphere maps: V - E + F(traced) = 2 per component
+    # per-component sphere maps: V - E + F = 2 per component
     V = len(vertices)
     E = len(arcs)
-    F = len(cycles)
+    F = len(domain_cycles) + len(holes)
     if V - E + F != 2 * ncomp:
         raise NonPlanar(f"V - E + F = {V - E + F}, expected {2 * ncomp}")
 
@@ -381,21 +343,15 @@ def _trace_faces(slots, holes, arcs, arc_of, vertices, corner_classes):
     else:
         by_comp = {}
         for cyc in domain_cycles:
-            c = uf.find(tail(cyc[0]))
+            c = uf.find(arcs[cyc[0][0]].end)
             by_comp.setdefault(c, []).append(cyc)
         if any(len(v) != 1 for v in by_comp.values()):
             raise NonPlanar("disconnected contact graph needs nesting data "
                             "(a component has several domain faces)")
         faces = [[cyc for v in sorted(by_comp) for cyc in by_comp[v]]]
 
-    arc_face = {}
-    for fi, face in enumerate(faces):
-        for cyc in face:
-            for (a, _) in cyc:
-                arc_face[a] = fi
-    if len(arc_face) != len(arcs):
-        raise NonPlanar("some arc belongs to no domain face")
-    return faces, arc_face, hole_face_of, ncomp
+    arc_face = {a: fi for fi, face in enumerate(faces) for cyc in face for (a, _) in cyc}
+    return faces, arc_face, ncomp
 
 
 # -- degree accounting -----------------------------------------------------------
@@ -543,19 +499,30 @@ def schema_to_dict(slots, contact: ContactData, polynomial: str | None = None):
 
 
 def schema_from_dict(d):
-    if not isinstance(d, dict) or "slots" not in d:
+    """(slots, contact, polynomial) of a schema document.
+
+    A document of the wrong shape raises DegenerateInput, and a slot count
+    (n, p, degree) that is no integer raises InvalidArgument.
+    """
+    if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
         raise DegenerateInput("schema document needs a 'slots' array")
     slots = []
     for s in d["slots"]:
-        if s.get("kind") == "group":
-            slots.append(group_slot(s["n"], s["p"], s.get("case", CASE_I),
+        kind = s.get("kind") if isinstance(s, dict) else None
+        if kind == "group":
+            slots.append(group_slot(as_count(s["n"], "n"), as_count(s["p"], "p"),
+                                    s.get("case", CASE_I),
                                     s.get("placement") == "unbounded"))
-        elif s.get("kind") == "blaschke":
-            slots.append(blaschke_slot(s["degree"]))
+        elif kind == "blaschke":
+            slots.append(blaschke_slot(as_count(s["degree"], "degree")))
         else:
             raise DegenerateInput(f"unknown slot {s!r}")
-    classes = tuple(tuple((int(h), int(k)) for h, k in cls["corners"])
-                    for cls in d.get("identifications", []))
+    try:
+        classes = tuple(tuple((int(h), int(k)) for h, k in cls["corners"])
+                        for cls in d.get("identifications", []))
+    except TypeError:
+        raise DegenerateInput("'identifications' needs an array of "
+                              "{\"corners\": [[slot, corner], ...]}") from None
     return tuple(slots), ContactData(classes), d.get("polynomial")
 
 

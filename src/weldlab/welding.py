@@ -66,6 +66,7 @@ class WeldedComplex(NamedTuple):
     eta_vertex: dict         # vertex index -> vertex index
     components: list         # per component: dict of cell sets
     comp_of_face_copy: dict
+    graph: WeldingGraph      # its components are those of the double
 
 
 def weld(bc: BoundaryComplex) -> WeldedComplex:
@@ -104,17 +105,13 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     # gluing).  Each edge is thus traversed once in each direction, so both
     # copies keep their original orientation and the double is oriented.
 
-    # components via shared cells
-    face_copies = [(fi, copy) for fi in range(bc.face_count()) for copy in (+1, -1)]
-    uf = _UnionFind(face_copies)
-    for a in range(len(arcs)):
-        uf.union((bc.arc_face[a], +1), (bc.arc_face[S[a]], -1))
-    comp_map = {}
-    for fc in face_copies:
-        comp_map.setdefault(uf.find(fc), []).append(fc)
+    # components: edge e_a joins face(a) in copy + to face(S a) in copy -,
+    # the welding-graph edge v_{face(S a)}^- ~ v_{face(a)}^+ of arc S(a), so
+    # the double's components are the graph's (Lemma 4.7)
+    graph = welding_graph(bc)
     components = []
     comp_of_face_copy = {}
-    for comp_faces in sorted(sorted(v) for v in comp_map.values()):
+    for comp_faces in graph.components():
         for fc in comp_faces:
             comp_of_face_copy[fc] = len(components)
         components.append({"faces": comp_faces, "edges": set(), "vertices": set()})
@@ -143,7 +140,7 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
         for w, c in placed:
             components[comp_of_face_copy[(bc.arc_face[a0], c)]]["vertices"].add(w)
 
-    return WeldedComplex(bc, eta_vertex, components, comp_of_face_copy)
+    return WeldedComplex(bc, eta_vertex, components, comp_of_face_copy, graph)
 
 
 # -- surface report ------------------------------------------------------------------
@@ -155,7 +152,6 @@ class ComponentReport(NamedTuple):
     genus: int
     eta_invariant: bool
     fix_eta: int          # eta-fixed vertices on this component (0 if not invariant)
-    graph_component: tuple
 
 
 class SurfaceReport(NamedTuple):
@@ -165,9 +161,6 @@ class SurfaceReport(NamedTuple):
 
     def connected(self):
         return len(self.components) == 1
-
-    def total_fix_eta(self):
-        return sum(c.fix_eta for c in self.components)
 
 
 def component_euler(bc: BoundaryComplex, comp) -> int:
@@ -179,51 +172,28 @@ def component_euler(bc: BoundaryComplex, comp) -> int:
 
 
 def surface_report(wc: WeldedComplex) -> SurfaceReport:
+    """Euler characteristic, genus and Fix(eta) per component of the double.
+
+    The components are those of the welding graph (see weld).  A component
+    is eta-invariant iff eta carries each of its face copies into it; by
+    Lemma 4.8 that is iff it holds both copies of some face.
+    """
     bc = wc.bc
-    graph = welding_graph(bc)
-    gcomps = graph.components()
-    if len(gcomps) != len(wc.components):
-        raise CrosscheckFailed(
-            f"Lemma 4.7 violated: {len(gcomps)} graph components vs "
-            f"{len(wc.components)} surface components")
-
-    # match graph components to surface components by face sets
     reports = []
-    used = set()
     for ci, comp in enumerate(wc.components):
-        minus = {fi for (fi, c) in comp["faces"] if c == -1}
-        plus = {fi for (fi, c) in comp["faces"] if c == +1}
-        gmatch = None
-        for gi, gc in enumerate(gcomps):
-            gminus = {i for (i, sgn) in gc if sgn < 0}
-            gplus = {i for (i, sgn) in gc if sgn > 0}
-            if gminus == minus and gplus == plus:
-                gmatch = gi
-                break
-        if gmatch is None or gmatch in used:
-            raise CrosscheckFailed("graph/surface component mismatch")
-        used.add(gmatch)
-
         chi = component_euler(bc, comp)
         if chi > 2 or chi % 2 != 0:
             raise GluingInconsistency(f"component chi = {chi} not of a closed "
                                       "orientable surface")
         genus = (2 - chi) // 2
-
-        # Lemma 4.8 both ways: graph-level index intersection vs cell-level eta
-        inv_graph = bool(minus & plus)
-        inv_cells = all(wc.comp_of_face_copy[(fi, -c)] == ci
-                        for (fi, c) in comp["faces"])
-        if inv_graph != inv_cells:
-            raise CrosscheckFailed("Lemma 4.8 violated: graph and cell-level "
-                                   "eta-invariance disagree")
+        invariant = all(wc.comp_of_face_copy[(fi, -c)] == ci for (fi, c) in comp["faces"])
         fix = 0
-        if inv_cells:
+        if invariant:
             fix = sum(1 for vi in comp["vertices"] if wc.eta_vertex[vi] == vi)
         reports.append(ComponentReport(ci, tuple(comp["faces"]), chi, genus,
-                                       inv_cells, fix, tuple(gcomps[gmatch])))
+                                       invariant, fix))
     zipped = _eta_quotient(wc)
-    return SurfaceReport(tuple(reports), graph, tuple(zipped))
+    return SurfaceReport(tuple(reports), wc.graph, tuple(zipped))
 
 
 # -- zipped quotient ---------------------------------------------------------------

@@ -259,6 +259,24 @@ JSON_DIGESTS = [
      "c04ba06eee983b3111d2377d760046cb1d40d8c4ca768121fb8e0dc1e5e8abc7"),
     (["bs", "tiles", "--n", "1", "--p", "3", "--rank", "6"],
      "5e197b55c4acf6cfa0757e5c32fc01910326e59f42b5699df629a7bf8872d801"),
+    # faces and components as the traced rotation system printed them
+    (["mate", "build", "5.1"],
+     "6e382b2e01898c69863fbacb3d427379c5f51c844f94cec3245a552d597fd4d6"),
+    (["mate", "build", "5.5"],
+     "3b158376bbe9145964aeba93d5e3cc4d673d550ee36d53919c66a72ce4d294a9"),
+    (["mate", "build", "final"],
+     "8235d60e5ff6a6b09c139a25fcd6dc11e211b6ca29f807e7c785e9fd049b8eae"),
+    (["mate", "build", "5.6:7"],
+     "ceff2b55ce25dd5649c123c17c9266f416261e753990f341f1188218e167ad03"),
+    (["surface", "report", "5.1"],
+     "65d2e755a6a3fd933fdd825632b811f32343e72e8d13d1aca3961c49fbda4e07"),
+    # 5.5 and final both weld to one genus-2 component with the same graph
+    (["surface", "report", "5.5"],
+     "6014b774f0f9397d81e511366dcf0fb55e1bbdac9f2072c0af9ba59baad6e098"),
+    (["surface", "report", "final"],
+     "6014b774f0f9397d81e511366dcf0fb55e1bbdac9f2072c0af9ba59baad6e098"),
+    (["surface", "report", "5.6:7"],
+     "ba79f1860a59a964d943b253a7187a769738634987852b17db8a1d9d4e912fc0"),
 ]
 
 
@@ -312,6 +330,33 @@ def test_relations_hold_on_large_polygons(capsys, argv):
     # multipliers and traces, not by matrix products
     code, _, err = run(capsys, *argv)
     assert code == 0 and err == ""
+
+
+_GROUP_SLOT = {"kind": "group", "n": 3, "p": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    {"slots": 5},
+    {"slots": [5]},
+    {"slots": "ab"},
+    {"slots": [{"kind": "group", "n": "3", "p": 1}]},
+    {"slots": [{"kind": "group", "n": 3.0, "p": 1}]},
+    {"slots": [{"kind": "blaschke", "degree": None}]},
+    {"slots": [_GROUP_SLOT], "identifications": 7},
+    {"slots": [_GROUP_SLOT], "identifications": [5]},
+    {"slots": [_GROUP_SLOT], "identifications": [{"corners": 5}]},
+    {"slots": [_GROUP_SLOT], "identifications": [{"corners": [[None, 0]]}]},
+    {"slots": [_GROUP_SLOT], "identifications": [{"corners": [[0]]}]},
+    {"slots": [{"kind": "group", "p": 1}]},
+    [],
+])
+@pytest.mark.parametrize("cmd", [("surface", "report"), ("mate", "build")])
+def test_malformed_schema_is_refused(capsys, tmp_path, doc, cmd):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *cmd, str(path))
+    assert code in (1, 2) and out == ""
+    assert err.count("\n") == 1 and err.startswith("weldlab: ")
 
 
 def test_bad_newton_name_is_a_bad_schema_name(capsys):

@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 import weldlab.fuchsian as fuchsian
 import weldlab.mating_schema as ms
 from weldlab.errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                            InconsistentInvolution, VerificationFailed,
+                            InconsistentInvolution, NonPlanar, VerificationFailed,
                             WeldlabError)
 from weldlab.fuchsian import CASE_I, CASE_II
 
@@ -130,6 +131,201 @@ def test_newton_wedge():
         assert len(bc.faces[0]) == 1
     with pytest.raises(DegenerateInput):
         ms.newton_schema(2)
+
+
+def test_crossing_pinch_is_not_planar():
+    # pinching both fixed corners of two holes at one point leaves too few
+    # faces for a sphere
+    slots = (ms.group_slot(1, 4), ms.group_slot(1, 4))
+    contact = ms.ContactData((((0, 0), (1, 0), (0, 2), (1, 2)),))
+    with pytest.raises(NonPlanar, match=r"V - E \+ F = 0, expected 2"):
+        ms.assemble(slots, contact)
+
+
+def test_disconnected_pinch_needs_nesting_data():
+    # a hole pinched on itself beside a free hole: the pinched component has
+    # two domain faces, and which one holds the other hole is not given
+    slots = (ms.group_slot(1, 4), ms.group_slot(1, 4))
+    contact = ms.ContactData((((0, 0), (0, 2)),))
+    with pytest.raises(NonPlanar, match="disconnected contact graph needs nesting data"):
+        ms.assemble(slots, contact)
+
+
+# -- faces against the traced reference ----------------------------------------------
+
+def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
+    """Faces traced in the rotation system of darts, walking
+    phi = sigma^{-1} o alpha over every dart; the hole interiors come out as
+    the forward cycles.  Returns (faces, arc_face, components) as
+    mating_schema._domain_faces does."""
+    # darts: (arc index, +1 forward / -1 reverse)
+    def first_piece(h, s):
+        return arc_of[(h, s, 0)]
+
+    def last_piece(h, s):
+        hb = holes[h]
+        return arc_of[(h, s, 1 if s in hb.interior_fixed_sides else 0)]
+
+    rotation = {}  # vertex id -> ccw list of out-darts
+    for vid, v in enumerate(vertices):
+        if v["kind"] == "corner":
+            rot = []
+            for (h, k) in v["incidences"]:
+                p = holes[h].p
+                out_side = k + 1
+                in_side = k if k > 0 else p
+                rot.append((first_piece(h, out_side), +1))
+                rot.append((last_piece(h, in_side), -1))
+            rotation[vid] = rot
+        else:
+            (h, s) = v["incidences"][0]
+            rotation[vid] = [(arc_of[(h, s, 1)], +1), (arc_of[(h, s, 0)], -1)]
+
+    def tail(d):
+        a, dr = d
+        return arcs[a].start if dr > 0 else arcs[a].end
+
+    def alpha(d):
+        return (d[0], -d[1])
+
+    pos = {}
+    for vid, rot in rotation.items():
+        for i, d in enumerate(rot):
+            if tail(d) != vid:
+                raise InconsistentInvolution("rotation lists a dart at the wrong vertex")
+            pos[d] = (vid, i)
+
+    def phi(d):
+        vid, i = pos[alpha(d)]
+        rot = rotation[vid]
+        return rot[(i - 1) % len(rot)]
+
+    # face orbits
+    seen = set()
+    cycles = []
+    for d0 in sorted(pos):
+        if d0 in seen:
+            continue
+        cyc = []
+        d = d0
+        while True:
+            cyc.append(d)
+            seen.add(d)
+            d = phi(d)
+            if d == d0:
+                break
+        cycles.append(cyc)
+
+    # the hole interiors must come out as full forward cycles
+    hole_face_of = {}
+    domain_cycles = []
+    for cyc in cycles:
+        hs = {arcs[a].hole for (a, dr) in cyc}
+        if all(dr > 0 for (_, dr) in cyc) and len(hs) == 1:
+            h = hs.pop()
+            expected = sum(2 if s in holes[h].interior_fixed_sides else 1
+                           for s in range(1, holes[h].p + 1))
+            if len(cyc) == expected and h not in hole_face_of:
+                hole_face_of[h] = cyc
+                continue
+        domain_cycles.append(cyc)
+    if len(hole_face_of) != len(holes):
+        raise NonPlanar("some hole interior failed to close up as a face")
+    for cyc in domain_cycles:
+        if any(dr > 0 for (_, dr) in cyc):
+            raise NonPlanar("a domain face uses a forward (hole-side) dart")
+
+    uf = ms._UnionFind(range(len(vertices)))
+    for a in arcs:
+        uf.union(a.start, a.end)
+    ncomp = len(uf.classes())
+
+    V = len(vertices)
+    E = len(arcs)
+    F = len(cycles)
+    if V - E + F != 2 * ncomp:
+        raise NonPlanar(f"V - E + F = {V - E + F}, expected {2 * ncomp}")
+
+    if ncomp == 1:
+        faces = [[cyc] for cyc in domain_cycles]
+    else:
+        by_comp = {}
+        for cyc in domain_cycles:
+            c = uf.find(tail(cyc[0]))
+            by_comp.setdefault(c, []).append(cyc)
+        if any(len(v) != 1 for v in by_comp.values()):
+            raise NonPlanar("disconnected contact graph needs nesting data "
+                            "(a component has several domain faces)")
+        faces = [[cyc for v in sorted(by_comp) for cyc in by_comp[v]]]
+
+    arc_face = {}
+    for fi, face in enumerate(faces):
+        for cyc in face:
+            for (a, _) in cyc:
+                arc_face[a] = fi
+    if len(arc_face) != len(arcs):
+        raise NonPlanar("some arc belongs to no domain face")
+    return faces, arc_face, ncomp
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WeldlabError as exc:
+        return type(exc), str(exc)
+
+
+def _random_contact(rng):
+    """Random slots and involution-consistent contact data in random ccw order:
+    each class is a union of corner-involution orbits, or one corner from
+    each of several swapped pairs next to the class of their partners."""
+    slots = tuple(ms.group_slot(*rng.choice(ms._RANDOM_POOL))
+                  for _ in range(rng.randint(1, 3)))
+    orbits = set()
+    for h, slot in enumerate(slots):
+        hb = ms.build_hole(slot, h)
+        orbits |= {tuple(sorted({(h, k), (h, hb.sigma_corner[k])})) for k in range(hb.p)}
+    orbits = sorted(orbits)
+    rng.shuffle(orbits)
+    classes = []
+    while orbits:
+        group = [orbits.pop() for _ in range(min(len(orbits), rng.randint(1, 4)))]
+        if all(len(o) == 2 for o in group) and rng.random() < 0.5:
+            flips = [rng.randrange(2) for _ in group]
+            halves = [[o[f] for o, f in zip(group, flips)],
+                      [o[1 - f] for o, f in zip(group, flips)]]
+        else:
+            halves = [[inc for o in group for inc in o]]
+        for cls in halves:
+            rng.shuffle(cls)
+            if len(cls) > 1 or rng.random() < 0.5:
+                classes.append(tuple(cls))
+    return slots, ms.ContactData(tuple(classes))
+
+
+def test_arc_permutation_matches_traced_faces(monkeypatch):
+    # faces, arc_face and components (or the NonPlanar message) of the arc
+    # permutation equal those of the traced rotation system, on the gallery,
+    # Newton 3..60, 2,000 random schemas and 3,000 random contact data
+    rng = random.Random(20261019)
+    schemas = [ms.paper_example(name)[:2] for name in ms.PAPER_EXAMPLES]
+    schemas += [ms.newton_schema(n) for n in range(3, 61)]
+    schemas += [ms.random_schema(rng) for _ in range(2000)]
+    schemas += [_random_contact(rng) for _ in range(3000)]
+    real = ms._domain_faces
+    seen = []
+
+    def both(*args):
+        got = _outcome(real, *args)
+        assert got == _outcome(reference_trace_faces, *args)
+        seen.append(got[0])
+        return real(*args)
+
+    monkeypatch.setattr(ms, "_domain_faces", both)
+    for slots, contact in schemas:
+        _outcome(ms.assemble, slots, contact)
+    refused = seen.count(NonPlanar)
+    assert refused > 300 and len(seen) - refused > 3000, (refused, len(seen))
 
 
 def _vertex_involution(bc):
