@@ -32,28 +32,44 @@ class Pocket(NamedTuple):
 
 
 class PocketTable(NamedTuple):
-    entries: tuple
+    entries: tuple            # pocket k subtends the k-th arc of the uniform partition
 
     def locate(self, theta: float, tol: float = BREAK_TOL):
-        """Pocket whose open arc contains theta; AtBreakpoint at arc ends."""
+        """Pocket whose open arc contains theta; AtBreakpoint at arc ends.
+
+        The arcs are the uniform partition at multiples of 2 pi/(np), so the
+        pocket is found by index arithmetic: only the indexed arc and its two
+        neighbours can hold theta, and they are tested in table order.
+        """
         t = norm_angle(theta)
-        for pk in self.entries:
-            if angle_in_open_arc(t, pk.arc[0], pk.arc[1]):
-                if ccw_span(pk.arc[0], t) < tol or ccw_span(t, pk.arc[1]) < tol:
-                    raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
-                return pk
+        if t == t:                  # a NaN lies in no arc
+            k = len(self.entries)
+            i = int(t * k / TAU) % k
+            for j in sorted({(i - 1) % k, i, (i + 1) % k}):
+                pk = self.entries[j]
+                if angle_in_open_arc(t, pk.arc[0], pk.arc[1]):
+                    if ccw_span(pk.arc[0], t) < tol or ccw_span(t, pk.arc[1]) < tol:
+                        break
+                    return pk
         raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
 
 
 def _pocket_table(preset: GroupPreset) -> PocketTable:
+    """Pockets in side order; sector r conjugates the first sector's pairings
+    by M_w^(r-1), formed once per sector as in GroupPreset.generator."""
     m = preset.n * preset.p
     entries = []
+    mw = MobiusMap.identity()                    # M_w^(r-1)
     for r in range(1, preset.n + 1):
+        mw_inv = mw.inverse()
         for s in range(1, preset.p + 1):
             k = preset.side_index(r, s)
-            entries.append(Pocket(r, s, preset.polygon.sides[k],
-                                  preset.generator(r, s),
+            g = preset.first_sector[s - 1]
+            if r > 1:
+                g = mw.compose(g).compose(mw_inv)
+            entries.append(Pocket(r, s, preset.polygon.sides[k], g,
                                   (TAU * k / m, TAU * (k + 1) / m)))
+        mw = preset.rotation.compose(mw)         # the step of MobiusMap.power
     return PocketTable(tuple(entries))
 
 
@@ -214,25 +230,39 @@ def _arc_image(m: BowenSeriesMap, pk: Pocket):
     return a, b
 
 
+def _arc_spans(m: BowenSeriesMap):
+    """Each pocket's _arc_image as (start, ccw span), normalised once.
+
+    boundary_angle returns angles in [0, 2 pi), where norm_angle is the
+    identity, so testing s = t - start (plus 2 pi when s <= 0) against
+    0 < s < span decides exactly what angle_in_open_arc decides.
+    """
+    out = []
+    for pk in m.pockets.entries:
+        a, b = _arc_image(m, pk)
+        out.append((a, ccw_span(a, b)))
+    return out
+
+
 def count_preimages(m: BowenSeriesMap, target: float) -> int:
     """Number of circle preimages of a generic target angle."""
     _check_theta(target)
-    images = [_arc_image(m, pk) for pk in m.pockets.entries]
-    return _count_preimages(m, norm_angle(target), images)
+    return _count_preimages(m, norm_angle(target), _arc_spans(m))
 
 
-def _count_preimages(m: BowenSeriesMap, y: float, images) -> int:
-    """count_preimages of y in [0, 2 pi), given the pockets' _arc_image."""
-    if not m.factor:
-        return sum(angle_in_open_arc(y, a, b) for a, b in images)
-    # count upstairs solutions of A(u) in the n-th root lifts of y, then
-    # divide by the n-fold redundancy of z -> z^n
-    n = m.preset.n
-    targets = [y / n + TAU * k / n for k in range(n)]
+def _count_preimages(m: BowenSeriesMap, y: float, spans) -> int:
+    """count_preimages of y in [0, 2 pi), given the pockets' _arc_spans."""
+    # count upstairs solutions of A(u) in the n-th root lifts of y (y itself
+    # when unfactored), then divide by the n-fold redundancy of z -> z^n
+    n = m.preset.n if m.factor else 1
     total = 0
-    for a, b in images:
-        for t in targets:
-            if angle_in_open_arc(t, a, b):
+    for k in range(n):
+        t = norm_angle(y / n + TAU * k / n)
+        for a, span in spans:
+            s = t - a
+            if s <= 0.0:
+                s += TAU
+            if 0.0 < s < span:
                 total += 1
     if total % n != 0:
         raise InconsistentDegree(f"upstairs count {total} not divisible by n = {n}")
@@ -240,12 +270,19 @@ def _count_preimages(m: BowenSeriesMap, y: float, images) -> int:
 
 
 def circle_degree(m: BowenSeriesMap, samples: int = 20) -> int:
-    """Covering degree via preimage counting at generic angles."""
-    images = [_arc_image(m, pk) for pk in m.pockets.entries]
+    """Covering degree via preimage counting at generic angles.
+
+    A sample count that is not an integer raises InvalidArgument, and one
+    below 1 or above TILE_BUDGET RankLimit, before any work.
+    """
+    samples = as_count(samples, "samples")
+    if not 1 <= samples <= TILE_BUDGET:
+        raise RankLimit(f"{samples} samples, outside [1, {TILE_BUDGET}]")
+    spans = _arc_spans(m)
     counts = set()
     for i in range(samples):
         y = TAU * (i + 0.318309886) / samples  # offset avoids breakpoints
-        counts.add(_count_preimages(m, norm_angle(y), images))
+        counts.add(_count_preimages(m, norm_angle(y), spans))
     if len(counts) != 1:
         raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
     return counts.pop()

@@ -526,7 +526,12 @@ def blaschke_orbit(b: BlaschkeProduct, z: complex, iterations: int):
 
 
 def blaschke_circle_degree(b: BlaschkeProduct, samples: int = 64) -> int:
-    """Topological degree of the circle restriction by argument winding."""
+    """Topological degree of the circle restriction by argument winding.  A
+    sample count that is not an integer raises InvalidArgument, and one below
+    1 or above TILE_BUDGET RankLimit, before any work."""
+    samples = as_count(samples, "samples")
+    if not 1 <= samples <= TILE_BUDGET:
+        raise RankLimit(f"{samples} samples, outside [1, {TILE_BUDGET}]")
     total = 0.0
     prev = cmath.phase(b(cmath.exp(0j)))
     for i in range(1, samples + 1):

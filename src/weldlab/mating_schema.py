@@ -498,11 +498,22 @@ def schema_to_dict(slots, contact: ContactData, polynomial: str | None = None):
     return d
 
 
+def _corner_index(v) -> int:
+    """v if it is an int (not a bool); int() would truncate 0.9 and "2"."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (bool, float, str)):
+        raise ValueError(f"corner index must be an integer, not {v!r}")
+    raise TypeError                 # null, arrays, objects: a malformed document
+
+
 def schema_from_dict(d):
     """(slots, contact, polynomial) of a schema document.
 
     A document of the wrong shape raises DegenerateInput, and a slot count
-    (n, p, degree) that is no integer raises InvalidArgument.
+    (n, p, degree) that is no integer raises InvalidArgument.  A corner index
+    must be a JSON integer: a number or string of any other kind raises
+    ValueError, a usage error, and so does a boolean.
     """
     if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
         raise DegenerateInput("schema document needs a 'slots' array")
@@ -518,7 +529,8 @@ def schema_from_dict(d):
         else:
             raise DegenerateInput(f"unknown slot {s!r}")
     try:
-        classes = tuple(tuple((int(h), int(k)) for h, k in cls["corners"])
+        classes = tuple(tuple((_corner_index(h), _corner_index(k))
+                              for h, k in cls["corners"])
                         for cls in d.get("identifications", []))
     except TypeError:
         raise DegenerateInput("'identifications' needs an array of "

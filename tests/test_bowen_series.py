@@ -7,10 +7,10 @@ import pytest
 
 import weldlab.bowen_series as bs
 from weldlab import MAX_DEPTH
-from weldlab.errors import (AtBreakpoint, DepthTooSmall, InvalidArgument, OutsideDomain,
-                            RankLimit)
+from weldlab.errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
+                            OutsideDomain, RankLimit)
 from weldlab.fuchsian import CASE_I, CASE_II, TILE_BUDGET, legal_presets
-from weldlab.hyperbolic import TAU, angle_dist, ccw_span, norm_angle
+from weldlab.hyperbolic import TAU, angle_dist, angle_in_open_arc, ccw_span, norm_angle
 
 GRID = legal_presets()
 
@@ -44,6 +44,8 @@ def test_pocket_arcs_tile_the_circle(m):
         # the arc's endpoints are the vertices bounding the side
         assert angle_dist(pk.geodesic.theta1, lo % TAU) < 1e-12
         assert angle_dist(pk.geodesic.theta2, hi % TAU) < 1e-12
+        # the table's sector conjugates are the preset's, bit for bit
+        assert pk.map == m.preset.generator(pk.r, pk.s)
     assert abs(total - TAU) < 1e-9
 
 
@@ -143,6 +145,59 @@ def test_preimage_count_oracle():
         if 0 < d1 < d2 < math.pi:
             crossings += 1
     assert crossings == bs.count_preimages(m, y) == 3
+
+
+def reference_count_preimages(m, target):
+    """Reference: the preimage count the (start, span) pairs replaced, one
+    angle_in_open_arc scan of the raw arc images per lifted target."""
+    y = norm_angle(target)
+    images = [bs._arc_image(m, pk) for pk in m.pockets.entries]
+    if not m.factor:
+        return sum(angle_in_open_arc(y, a, b) for a, b in images)
+    n = m.preset.n
+    total = sum(angle_in_open_arc(y / n + TAU * k / n, a, b)
+                for a, b in images for k in range(n))
+    if total % n != 0:
+        raise InconsistentDegree(f"upstairs count {total} not divisible by n = {n}")
+    return total // n
+
+
+def reference_locate(m, theta, tol):
+    """Reference: the linear pocket scan the index arithmetic replaced."""
+    t = norm_angle(theta)
+    for pk in m.pockets.entries:
+        if angle_in_open_arc(t, pk.arc[0], pk.arc[1]):
+            if ccw_span(pk.arc[0], t) < tol or ccw_span(t, pk.arc[1]) < tol:
+                raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
+            return pk
+    raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (AtBreakpoint, InconsistentDegree) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_lookups_match_scan_references():
+    # bit for bit on every map: seeded angles, the breakpoints 2 pi k/(np),
+    # every arc-image end and NaN, at both tolerances
+    for m in all_maps():
+        k = m.preset.n * m.preset.p
+        ends = [t for pk in m.pockets.entries for t in bs._arc_image(m, pk)]
+        rng = random.Random(k + 100 * m.factor)
+        thetas = ([rng.uniform(-TAU, 2 * TAU) for _ in range(300)]
+                  + [TAU * j / k for j in range(k)] + ends
+                  + [-0.0, math.nextafter(TAU, 0.0)])
+        for theta in thetas + [math.nan]:
+            for tol in (0.0, bs.BREAK_TOL):
+                assert _outcome(m.pockets.locate, theta, tol) == \
+                    _outcome(reference_locate, m, theta, tol), (m.name, theta, tol)
+        for theta in thetas:
+            assert _outcome(bs.count_preimages, m, theta) == \
+                _outcome(reference_count_preimages, m, theta), (m.name, theta)
+        assert bs.circle_degree(m) == m.degree
 
 
 # -- disk action --------------------------------------------------------------------
@@ -438,6 +493,8 @@ def test_counts_must_be_integers(count):
         bs.tile_counts(m, count)
     with pytest.raises(InvalidArgument, match="steps must be an integer"):
         bs.circle_orbit(m, 1.0, count)
+    with pytest.raises(InvalidArgument, match="samples must be an integer"):
+        bs.circle_degree(m, count)
 
 
 class _Enumerated(Exception):
@@ -485,6 +542,19 @@ def test_orbit_refuses_negative_steps_before_work(monkeypatch):
     monkeypatch.setattr(bs, "eval_circle", _refuse_enumeration)
     with pytest.raises(RankLimit, match="-5"):
         bs.circle_orbit(m, 1.0, -5)
+
+
+@pytest.mark.parametrize("count", [0, -1, TILE_BUDGET + 1])
+def test_degree_sample_count_in_range(monkeypatch, count):
+    # 0 and -1 used to raise a false InconsistentDegree("preimage counts
+    # disagree: []")
+    m = bs.bowen_series_map(1, 4)
+    assert bs.circle_degree(m, 1) == 3
+    monkeypatch.setattr(bs, "_arc_spans", _refuse_enumeration)
+    with pytest.raises(_Enumerated):
+        bs.circle_degree(m, TILE_BUDGET)
+    with pytest.raises(RankLimit, match=str(count)):
+        bs.circle_degree(m, count)
 
 
 def test_partition_budget_checked_before_enumeration(monkeypatch):

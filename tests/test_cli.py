@@ -333,6 +333,12 @@ def test_relations_hold_on_large_polygons(capsys, argv):
 
 
 _GROUP_SLOT = {"kind": "group", "n": 3, "p": 1}
+_HOLE_SLOT = {"kind": "group", "n": 1, "p": 4}
+
+#: corner lists int() would truncate or coerce to a schema that builds
+#: (corners (0, 0) and (0, 2) of one (1, 4) hole); only JSON integers count
+_NON_INTEGER_CORNERS = [[[0.9, 0.5], ["0", "2"]], [[0, 0], [0, 2.0]],
+                        [[0, 0], ["0", 2]], [[False, 0], [0, 2]], [[0, 1e400], [0, 2]]]
 
 
 @pytest.mark.parametrize("doc", [
@@ -349,7 +355,8 @@ _GROUP_SLOT = {"kind": "group", "n": 3, "p": 1}
     {"slots": [_GROUP_SLOT], "identifications": [{"corners": [[0]]}]},
     {"slots": [{"kind": "group", "p": 1}]},
     [],
-])
+] + [{"slots": [_HOLE_SLOT], "identifications": [{"corners": c}]}
+     for c in _NON_INTEGER_CORNERS])
 @pytest.mark.parametrize("cmd", [("surface", "report"), ("mate", "build")])
 def test_malformed_schema_is_refused(capsys, tmp_path, doc, cmd):
     path = tmp_path / "s.json"
@@ -357,6 +364,19 @@ def test_malformed_schema_is_refused(capsys, tmp_path, doc, cmd):
     code, out, err = run(capsys, *cmd, str(path))
     assert code in (1, 2) and out == ""
     assert err.count("\n") == 1 and err.startswith("weldlab: ")
+
+
+@pytest.mark.parametrize("corners", _NON_INTEGER_CORNERS)
+def test_non_integer_corner_is_a_usage_error(capsys, tmp_path, corners):
+    # with integer corners the same document builds
+    path = tmp_path / "s.json"
+    doc = {"slots": [_HOLE_SLOT], "identifications": [{"corners": [[0, 0], [0, 2]]}]}
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "mate", "build", str(path))[0] == 0
+    doc["identifications"][0]["corners"] = corners
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "mate", "build", str(path))
+    assert (code, out) == (2, "") and "corner index must be an integer" in err
 
 
 def test_bad_newton_name_is_a_bad_schema_name(capsys):

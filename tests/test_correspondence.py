@@ -461,6 +461,19 @@ def test_blaschke_circle_degree():
         assert co.blaschke_circle_degree(b) == len(zeros)
 
 
+def test_blaschke_circle_degree_checks_its_count(monkeypatch):
+    # 0 used to return degree 0, and 2.5 to raise a raw TypeError
+    b = co.blaschke([0, 0.5])
+    assert co.blaschke_circle_degree(b, 8) == 2
+    monkeypatch.setattr(co.BlaschkeProduct, "__call__", _refuse_enumeration)
+    for count in (2.5, "3", None):
+        with pytest.raises(InvalidArgument, match="samples must be an integer"):
+            co.blaschke_circle_degree(b, count)
+    for count in (0, -1, co.TILE_BUDGET + 1):
+        with pytest.raises(RankLimit, match=str(count)):
+            co.blaschke_circle_degree(b, count)
+
+
 def test_blaschke_not_hyperbolic():
     with pytest.raises(NotHyperbolic):
         co.blaschke([0.99])  # degree 1
