@@ -39,8 +39,11 @@ class PocketTable(NamedTuple):
 
         The arcs are the uniform partition at multiples of 2 pi/(np), so the
         pocket is found by index arithmetic: only the indexed arc and its two
-        neighbours can hold theta, and they are tested in table order.
+        neighbours can hold theta, and they are tested in table order.  An
+        infinite theta raises InvalidArgument; a NaN lies in no arc.
         """
+        if math.isinf(theta):
+            raise InvalidArgument(f"theta must be finite, not {theta!r}")
         t = norm_angle(theta)
         if t == t:                  # a NaN lies in no arc
             k = len(self.entries)
@@ -135,8 +138,9 @@ def eval_circle(m: BowenSeriesMap, theta: float, lift: int = 0) -> float:
 
     For the factor map, `lift` selects which n-th root lift to use; all
     choices agree (well-definedness is a tested invariant).  A theta that is
-    not finite raises InvalidArgument.
+    not finite or a lift that is not an integer raises InvalidArgument.
     """
+    lift = as_count(lift, "lift")
     if not m.factor:
         return eval_circle_raw(m, theta)
     _check_theta(theta)
@@ -222,7 +226,7 @@ def _principal_root(z: complex, n: int) -> complex:
 
 # -- degree by preimage counting ----------------------------------------------
 
-def _arc_image(m: BowenSeriesMap, pk: Pocket):
+def _arc_image(pk: Pocket):
     """One-sided endpoint images of a pocket arc under the unfactored map."""
     lo, hi = pk.arc
     a = pk.map.boundary_angle(lo)
@@ -239,7 +243,7 @@ def _arc_spans(m: BowenSeriesMap):
     """
     out = []
     for pk in m.pockets.entries:
-        a, b = _arc_image(m, pk)
+        a, b = _arc_image(pk)
         out.append((a, ccw_span(a, b)))
     return out
 
@@ -292,7 +296,6 @@ def circle_degree(m: BowenSeriesMap, samples: int = 20) -> int:
 
 class MarkovPartition(NamedTuple):
     breakpoints: tuple
-    branch_maps: tuple        # per-arc MobiusMap (upstairs representative)
     transition: tuple         # multiplicity table, row = source arc
     arc_images: tuple         # per-arc (start, rise) of the lifted image
 
@@ -315,11 +318,10 @@ def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
     arc_len = TAU / k
     rows = []
     images = []
-    maps = []
     for i in range(k):
         pk = m.pockets.entries[i]
         start = eval_circle_one_sided(m, bps[i], +1)
-        rise = n * ccw_span(*_arc_image(m, pk))
+        rise = n * ccw_span(*_arc_image(pk))
         end = start + rise
         for v in (start, end):
             snap = round(v / arc_len) * arc_len
@@ -333,8 +335,7 @@ def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
             row[(j0 + j) % k] += 1
         rows.append(tuple(row))
         images.append((start, rise))
-        maps.append(pk.map)
-    return MarkovPartition(tuple(bps), tuple(maps), tuple(rows), tuple(images))
+    return MarkovPartition(tuple(bps), tuple(rows), tuple(images))
 
 
 # -- topological conjugacy with z^d ------------------------------------------
@@ -589,16 +590,17 @@ MAX_RANK = 8
 
 
 class Tile(NamedTuple):
+    """The image of Pi under the inverse branches its word names."""
+
     word: tuple          # pocket labels (r, s), the branch applied last first
-    map: MobiusMap       # the inverse-branch composition applied to Pi
     vertices: tuple      # image vertices (complex), unfactored
 
 
 def _branches(m: BowenSeriesMap):
-    """One row (label, skip, inv, a, b, c, d) per pocket, sorted by label.
+    """One row (label, skip, a, b, c, d) per pocket, sorted by label.
 
-    inv = g_{r,s}^-1 is the inverse branch of pocket label = (r, s), and a..d
-    its entries.  inv pulls back every tile outside the open pocket
+    a..d are the entries of g_{r,s}^-1, the inverse branch of pocket
+    label = (r, s).  It pulls back every tile outside the open pocket
     skip = (r, sigma(s)), and a tile lies in the pocket of its outer letter
     word[0] (the Markov property of the Bowen-Series map).
     """
@@ -606,14 +608,14 @@ def _branches(m: BowenSeriesMap):
     rows = []
     for pk in m.pockets.entries:
         inv = pk.map.inverse()
-        rows.append(((pk.r, pk.s), (pk.r, sigma[pk.s]), inv, inv.a, inv.b, inv.c, inv.d))
+        rows.append(((pk.r, pk.s), (pk.r, sigma[pk.s]), inv.a, inv.b, inv.c, inv.d))
     rows.sort(key=lambda row: row[0])
     return rows
 
 
 def _children(row, parents):
     """The children of a level's tiles under one branch, in the parents' order."""
-    label, skip, inv, a, b, c, d = row
+    label, skip, a, b, c, d = row
     inf = complex("inf")
     out = []
     for t in parents:
@@ -622,7 +624,7 @@ def _children(row, parents):
             continue
         verts = tuple([inf if abs(den := c * z + d) < 1e-300 else (a * z + b) / den
                        for z in t.vertices])
-        out.append(Tile((label,) + word, inv.compose(t.map), verts))
+        out.append(Tile((label,) + word, verts))
     return out
 
 
@@ -650,8 +652,7 @@ def tiles(m: BowenSeriesMap, rank: int):
     if count > TILE_BUDGET or count * n * p > VERTEX_BUDGET:
         raise RankLimit(f"rank {rank} gives {count} tiles of {n * p} vertices, more "
                         f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
-    base = Tile((), MobiusMap.identity(),
-                tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
+    base = Tile((), tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
     rows = _branches(m)
     # the sector-1 labels (1, s) sort first: a factor map's last rank uses them
     last = rows[:p] if m.factor else rows
@@ -673,7 +674,3 @@ def _project_tiles(m: BowenSeriesMap, level):
     kept = [t for t in level if not t.word or t.word[0][0] == 1]
     return sorted(kept, key=lambda t: sorted(
         round(norm_angle(cmath.phase(v ** n)), 6) for v in t.vertices))
-
-
-def tile_counts(m: BowenSeriesMap, rank: int):
-    return [len(lvl) for lvl in tiles(m, rank)]

@@ -20,8 +20,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import (DegenerateInput, NotHyperbolic, OverlapDetected, RankLimit,
-                     RelationMismatch, as_count)
+from .errors import (DegenerateInput, InvalidArgument, NotHyperbolic, OverlapDetected,
+                     RankLimit, RelationMismatch, as_count)
 from .fuchsian import TILE_BUDGET, GroupPreset, build_group, sigma_side
 from .hyperbolic import TAU, MobiusMap, norm_angle
 
@@ -62,43 +62,30 @@ class ModelMaps(NamedTuple):
             return ModelPoint(pt.w0, pt.e, pt.j + 1)
         return ModelPoint(pt.w0, (pt.e + 1) % self.n, 1)
 
-    def tau_inv(self, pt: ModelPoint) -> ModelPoint:
-        if pt.j > 1:
-            return ModelPoint(pt.w0, pt.e, pt.j - 1)
-        return ModelPoint(pt.w0, (pt.e - 1) % self.n, self.p)
-
 
 def fiber(m: ModelMaps, pt: ModelPoint):
     """Full covering fiber through pt, as the tau-orbit.
 
-    np points when w != 0 and p points at the critical fiber w = 0; np above
-    TILE_BUDGET raises RankLimit.
+    np points when w != 0 and p points at the critical fiber w = 0.  An n, p
+    or sheet that is not an integer raises InvalidArgument, n or p below 1
+    DegenerateInput, a sheet outside 1..p InvalidArgument and np above
+    TILE_BUDGET RankLimit.
     """
-    if m.n * m.p > TILE_BUDGET:
-        raise RankLimit(f"a fiber of {m.n * m.p} points, more than {TILE_BUDGET}")
+    n, p, j = as_count(m.n, "n"), as_count(m.p, "p"), as_count(pt.j, "sheet")
+    if n < 1 or p < 1:
+        raise DegenerateInput(f"n = {n} and p = {p} must be at least 1")
+    if not 1 <= j <= p:
+        raise InvalidArgument(f"sheet {j} outside 1..{p}")
+    if n * p > TILE_BUDGET:
+        raise RankLimit(f"a fiber of {n * p} points, more than {TILE_BUDGET}")
     seen = {}
     cur = pt
-    for _ in range(m.n * m.p):
+    for _ in range(n * p):
         key = cur.canonical(m.n) if cur.w0 != 0 else (0j, 0, cur.j)
         if key not in seen:
             seen[key] = cur
         cur = m.tau(cur)
     return list(seen.values())
-
-
-def fiber_by_roots(m: ModelMaps, pt: ModelPoint):
-    """Independent fiber enumeration: all n-th roots of R(pt) in all sheets."""
-    target = m.R(pt)
-    out = []
-    if target == 0:
-        return [ModelPoint(0j, 0, j) for j in range(1, m.p + 1)]
-    r = abs(target) ** (1.0 / m.n)
-    base = cmath.phase(target) / m.n
-    for k in range(m.n):
-        w = r * cmath.exp(1j * (base + TAU * k / m.n))
-        for j in range(1, m.p + 1):
-            out.append(ModelPoint(w, 0, j))
-    return out
 
 
 # -- words in eta and tau ---------------------------------------------------------
@@ -179,10 +166,6 @@ class ModelTilingSet(NamedTuple):
     case: str
     sigma: dict            # side-pairing permutation of {1..p}
     k_exponents: tuple     # k_j, j = 1..p, each in {1..p}
-
-    @property
-    def maps(self) -> ModelMaps:
-        return ModelMaps(self.n, self.p)
 
 
 def model_tiling_set(n: int, p: int, case: str = "I") -> ModelTilingSet:
@@ -509,35 +492,3 @@ def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
     if abs(mult) >= 1 - 1e-9:
         raise NotHyperbolic(f"interior fixed point is not attracting (|B'| = {abs(mult):.4f})")
     return BlaschkeProduct(zeros, rot, z, mult)
-
-
-def blaschke_orbit(b: BlaschkeProduct, z: complex, iterations: int):
-    """Forward orbit; in model coordinates this is the forward branch of the
-    correspondence on the Blaschke component.  A count that is not an integer
-    raises InvalidArgument, and a negative one or one above TILE_BUDGET
-    RankLimit, before any work."""
-    iterations = as_count(iterations, "iterations")
-    if not 0 <= iterations <= TILE_BUDGET:
-        raise RankLimit(f"{iterations} iterations, outside [0, {TILE_BUDGET}]")
-    out = [complex(z)]
-    for _ in range(iterations):
-        out.append(b(out[-1]))
-    return out
-
-
-def blaschke_circle_degree(b: BlaschkeProduct, samples: int = 64) -> int:
-    """Topological degree of the circle restriction by argument winding.  A
-    sample count that is not an integer raises InvalidArgument, and one below
-    1 or above TILE_BUDGET RankLimit, before any work."""
-    samples = as_count(samples, "samples")
-    if not 1 <= samples <= TILE_BUDGET:
-        raise RankLimit(f"{samples} samples, outside [1, {TILE_BUDGET}]")
-    total = 0.0
-    prev = cmath.phase(b(cmath.exp(0j)))
-    for i in range(1, samples + 1):
-        t = TAU * i / samples
-        cur = cmath.phase(b(cmath.exp(1j * t)))
-        d = (cur - prev) % TAU
-        total += d
-        prev = cur
-    return round(total / TAU)

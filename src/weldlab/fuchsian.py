@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import hyperbolic as hyp
 from .errors import (DegenerateInput, InvalidCase, NonParabolicCycle, PairingViolation,
-                     RankLimit)
+                     RankLimit, as_count)
 from .hyperbolic import (MobiusMap, TAU, common_perpendicular, geodesic_between,
                          pairing_from_reflections, regular_ideal_polygon)
 
@@ -95,7 +95,9 @@ class GroupPreset(NamedTuple):
 
 
 def check_parameters(n: int, p: int, case: str = CASE_I):
-    """Raise unless (n, p, case) names a group of the preset family."""
+    """Raise unless (n, p, case) names a group of the preset family; an n or
+    p that is not an integer raises InvalidArgument."""
+    n, p = as_count(n, "n"), as_count(p, "p")
     if n < 1 or p < 1 or n * p < 2:
         raise DegenerateInput(f"np = {n * p} < 2")
     if n * p > TILE_BUDGET:
@@ -255,13 +257,6 @@ class OrbifoldSignature(NamedTuple):
     genus: int
     punctures: int
     cone_orders: tuple
-
-    def order2_count(self) -> int:
-        return sum(1 for q in self.cone_orders if q == 2)
-
-    def chi_orb(self) -> float:
-        return (2 - 2 * self.genus - self.punctures
-                - sum(1.0 - 1.0 / q for q in self.cone_orders))
 
 
 def orbifold_signature(preset: GroupPreset, extended: bool = True) -> OrbifoldSignature:

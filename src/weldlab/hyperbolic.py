@@ -131,23 +131,12 @@ class MobiusMap:
         d = self.c * other.b + self.d * other.d
         return MobiusMap.from_entries(a, b, c, d)
 
-    __matmul__ = compose
-
     def inverse(self) -> "MobiusMap":
         return MobiusMap.from_entries(self.d, -self.b, -self.c, self.a)
 
     @property
     def trace(self) -> complex:
         return self.a + self.d
-
-    def det_residual(self) -> float:
-        return abs(self.a * self.d - self.b * self.c - 1.0)
-
-    def su11_residual(self) -> float:
-        """Distance from SU(1,1) form (d = conj a, c = conj b) up to +-1."""
-        r1 = abs(self.d - self.a.conjugate()) + abs(self.c - self.b.conjugate())
-        r2 = abs(self.d + self.a.conjugate()) + abs(self.c + self.b.conjugate())
-        return min(r1, r2)
 
     def is_identity(self, tol: float = DEFAULT_TOL) -> bool:
         return self.dist(MobiusMap.identity()) < tol
@@ -235,12 +224,6 @@ class Geodesic(NamedTuple):
             d += TAU
         return self.center + self.radius * cmath.exp(1j * (a1 + t * d))
 
-    def membership_residual(self, z: complex) -> float:
-        if self.is_diameter:
-            direction = cmath.exp(1j * self.theta1)
-            return abs((z * direction.conjugate()).imag)
-        return abs(abs(z - self.center) - self.radius)
-
     def side(self, z: complex) -> float:
         """Signed separation: > 0 on the center-of-disk side, < 0 beyond."""
         if self.is_diameter:
@@ -248,11 +231,6 @@ class Geodesic(NamedTuple):
             direction = cmath.exp(1j * self.theta1)
             return (z * direction.conjugate()).imag
         return abs(z - self.center) - self.radius
-
-    def orthogonality_residual(self) -> float:
-        if self.is_diameter:
-            return 0.0
-        return abs(abs(self.center) ** 2 - self.radius ** 2 - 1.0)
 
 
 def geodesic_between(theta1: float, theta2: float, tol: float = 1e-12) -> Geodesic:

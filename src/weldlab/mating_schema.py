@@ -64,7 +64,7 @@ class Slot(NamedTuple):
 
     def validate(self):
         if self.kind == "group":
-            if self.n * self.p < 3:
+            if as_count(self.n, "n") * as_count(self.p, "p") < 3:
                 raise DegenerateInput(f"group slot needs np >= 3, got {self.n * self.p}")
             fuchsian.check_parameters(self.n, self.p, self.case)
         elif self.kind == "blaschke":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CrosscheckFailed, GluingInconsistency, ZipNotSphere
+from .errors import GluingInconsistency, ZipNotSphere
 from .mating_schema import BoundaryComplex, _UnionFind
 
 
@@ -46,10 +46,6 @@ class WeldingGraph(NamedTuple):
             uf.union((a, -1), (b, +1))
         comps = sorted(sorted(vs) for vs in uf.classes().values())
         return comps
-
-    def symmetry_holds(self):
-        """Lemma 4.6: (i1-, i2+) is an edge iff (i2-, i1+) is."""
-        return all((b, a) in self.edges for (a, b) in self.edges)
 
 
 def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
@@ -244,42 +240,3 @@ def zipped_report(bc: BoundaryComplex):
     class; anything else raises ZipNotSphere.
     """
     return _eta_quotient(weld(bc))
-
-
-# -- identities ---------------------------------------------------------------------
-
-def genus_crosscheck(sr: SurfaceReport, bc: BoundaryComplex) -> bool:
-    """Prop 4.11 and Cor 4.14 on a connected report.
-
-    g = (#Fix(eta) - 2)/2 must agree with the Euler-characteristic genus,
-    and b >= 3 order-2 orbifold points force g >= 1.
-    """
-    if not sr.connected():
-        raise CrosscheckFailed("crosscheck needs a connected surface")
-    comp = sr.components[0]
-    if not comp.eta_invariant:
-        raise CrosscheckFailed("connected surface must be eta-invariant")
-    g_fix = (comp.fix_eta - 2) / 2
-    if g_fix != comp.genus:
-        raise CrosscheckFailed(
-            f"(Fix(eta) - 2)/2 = {g_fix} vs chi-genus {comp.genus}")
-    b = bc.order2_total()
-    if b >= 3 and comp.genus < 1:
-        raise CrosscheckFailed(f"b = {b} >= 3 but genus {comp.genus} < 1")
-    return True
-
-
-def euler_additivity_check(wc: WeldedComplex) -> bool:
-    """Doubling identity, with the boundary-identification adjustment.
-
-    chi(Sigma) = 2 chi(D closed) - 2 V_boundary + E_boundary + V_Sigma: the
-    naive double 2 chi - chi(boundary) is corrected because singular vertex
-    classes of the domain boundary open up into several vertices of Sigma.
-    """
-    bc = wc.bc
-    V_b = len(bc.vertices)
-    E_b = len(bc.arcs)
-    chi_domain_closed = V_b - E_b + sum(2 - len(f) for f in bc.faces)
-    chi_sigma = sum(component_euler(bc, c) for c in wc.components)
-    V_sigma = len(wc.eta_vertex)
-    return chi_sigma == 2 * chi_domain_closed - 2 * V_b + E_b + V_sigma

@@ -72,6 +72,16 @@ def test_non_finite_theta_is_invalid(factor):
                 entry(theta)
 
 
+def test_locate_refuses_infinite_theta():
+    # inf used to raise math.fmod's raw ValueError; a NaN lies in no arc
+    m = bs.bowen_series_map(1, 4)
+    for theta in (math.inf, -math.inf):
+        with pytest.raises(InvalidArgument, match="theta"):
+            m.pockets.locate(theta)
+    with pytest.raises(AtBreakpoint):
+        m.pockets.locate(math.nan)
+
+
 def test_factor_continuity_at_discontinuity():
     # the one-sided limits of the factor map agree at the projected cusp
     m = bs.bowen_series_map(3, 1, factor=True)
@@ -151,7 +161,7 @@ def reference_count_preimages(m, target):
     """Reference: the preimage count the (start, span) pairs replaced, one
     angle_in_open_arc scan of the raw arc images per lifted target."""
     y = norm_angle(target)
-    images = [bs._arc_image(m, pk) for pk in m.pockets.entries]
+    images = [bs._arc_image(pk) for pk in m.pockets.entries]
     if not m.factor:
         return sum(angle_in_open_arc(y, a, b) for a, b in images)
     n = m.preset.n
@@ -185,7 +195,7 @@ def test_lookups_match_scan_references():
     # every arc-image end and NaN, at both tolerances
     for m in all_maps():
         k = m.preset.n * m.preset.p
-        ends = [t for pk in m.pockets.entries for t in bs._arc_image(m, pk)]
+        ends = [t for pk in m.pockets.entries for t in bs._arc_image(pk)]
         rng = random.Random(k + 100 * m.factor)
         thetas = ([rng.uniform(-TAU, 2 * TAU) for _ in range(300)]
                   + [TAU * j / k for j in range(k)] + ends
@@ -221,7 +231,7 @@ def test_pocket_image_on_paired_geodesic():
     z = pk.geodesic.point_at(0.3)
     w = bs.eval_pocket(m, z)
     dst = m.pockets.entries[m.preset.sigma[1] - 1].geodesic
-    assert dst.membership_residual(w) < 1e-8
+    assert abs(abs(w - dst.center) - dst.radius) < 1e-8
 
 
 def test_polygon_interior_rejected():
@@ -465,15 +475,19 @@ def test_h_radius_positive_and_nested(n, p, case):
 
 # -- tiles ------------------------------------------------------------------------
 
+def tile_counts(m, rank):
+    return [len(lv) for lv in bs.tiles(m, rank)]
+
+
 def test_tile_counts():
-    assert bs.tile_counts(bs.bowen_series_map(1, 4), 3) == [1, 4, 12, 36]
-    assert bs.tile_counts(bs.bowen_series_map(3, 1), 3) == [1, 3, 6, 12]
-    assert bs.tile_counts(bs.bowen_series_map(3, 1, factor=True), 3) == [1, 1, 2, 4]
+    assert tile_counts(bs.bowen_series_map(1, 4), 3) == [1, 4, 12, 36]
+    assert tile_counts(bs.bowen_series_map(3, 1), 3) == [1, 3, 6, 12]
+    assert tile_counts(bs.bowen_series_map(3, 1, factor=True), 3) == [1, 1, 2, 4]
 
 
 def test_tile_branching_matches_degree():
     m = bs.bowen_series_map(1, 4)
-    counts = bs.tile_counts(m, 3)
+    counts = tile_counts(m, 3)
     d = bs.circle_degree(m)
     assert counts[2] == d * counts[1]
     assert counts[3] == d * counts[2]
@@ -489,12 +503,15 @@ def test_counts_must_be_integers(count):
     m = bs.bowen_series_map(1, 4)
     with pytest.raises(InvalidArgument, match="rank must be an integer"):
         bs.tiles(m, count)
-    with pytest.raises(InvalidArgument, match="rank must be an integer"):
-        bs.tile_counts(m, count)
     with pytest.raises(InvalidArgument, match="steps must be an integer"):
         bs.circle_orbit(m, 1.0, count)
     with pytest.raises(InvalidArgument, match="samples must be an integer"):
         bs.circle_degree(m, count)
+    # lift 0.5 on factor (3, 1) at theta 1.0 used to return 2.804, where
+    # every root lift gives 1.235
+    for factor in (True, False):
+        with pytest.raises(InvalidArgument, match="lift must be an integer"):
+            bs.eval_circle(bs.bowen_series_map(3, 1, factor=factor), 1.0, count)
 
 
 class _Enumerated(Exception):
@@ -571,14 +588,28 @@ def test_partition_budget_checked_before_enumeration(monkeypatch):
         bs.markov_partition(bs.bowen_series_map(3, 200))
 
 
+def tile_map(m, word):
+    """The Möbius map a tile's word names: the inverse branches of word[0],
+    ..., word[-1], with word[0] applied last."""
+    g = bs.MobiusMap.identity()
+    for r, s in reversed(word):
+        g = m.pockets.entries[m.preset.side_index(r, s)].map.inverse().compose(g)
+    return g
+
+
 def test_tiles_disjoint_interiors():
     m = bs.bowen_series_map(1, 4)
     levels = bs.tiles(m, 3)
     all_tiles = [t for lv in levels for t in lv]
+    maps = [tile_map(m, t.word) for t in all_tiles]
     polygon = m.preset.polygon
+    base = levels[0][0].vertices
+    # the word determines the tile: its vertices are the map's images of Pi's
+    for t, g in zip(all_tiles, maps):
+        assert max(abs(g(z) - v) for z, v in zip(base, t.vertices)) < 1e-9, t.word
 
-    def inside(tile, z, tol=1e-9):
-        w = tile.map.inverse()(z)
+    def inside(g, z, tol=1e-9):
+        w = g.inverse()(z)
         if abs(w) >= 1:
             return False
         return all(s.side(w) > tol for s in polygon.sides)
@@ -587,12 +618,12 @@ def test_tiles_disjoint_interiors():
     samples = [0j, 0.2 + 0.1j, -0.15 + 0.2j, 0.1 - 0.25j]
     samples = [z for z in samples if all(s.side(z) > 0 for s in polygon.sides)]
     assert samples
-    for i, t1 in enumerate(all_tiles):
-        pts = [t1.map(z) for z in samples]
-        for j, t2 in enumerate(all_tiles):
+    for i, g1 in enumerate(maps):
+        pts = [g1(z) for z in samples]
+        for j, g2 in enumerate(maps):
             if i == j:
                 continue
-            assert not any(inside(t2, z) for z in pts)
+            assert not any(inside(g2, z) for z in pts)
 
 
 def test_tile_words_deterministic():
@@ -604,6 +635,23 @@ def test_tile_words_deterministic():
         assert [t.word for t in lv] == sorted(t.word for t in lv)
 
 
+@pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (3, 2)])
+def test_tiles_are_rotation_equivariant(n, p):
+    # M_w carries each tile to the tile whose word has every label (r, s)
+    # moved to (r + 1 mod n, s); its vertices turn by 2 pi/n, and the vertex
+    # list moves on by the p vertices of a sector
+    m = bs.bowen_series_map(n, p)
+    rot = cmath.exp(1j * TAU / n)
+    for level in bs.tiles(m, 3):
+        by_word = {t.word: t.vertices for t in level}
+        assert len(by_word) == len(level)
+        for t in level:
+            verts = by_word[tuple((r % n + 1, s) for r, s in t.word)]
+            k = len(verts)
+            assert max(abs(verts[(i + p) % k] - rot * t.vertices[i])
+                       for i in range(k)) < 1e-9, t.word
+
+
 #: factor maps and ranks where orbit vertices sit at angle 0 as well as just
 #: below 2 pi, so rounding the angles in [0, 2 pi) alone splits an M_w-orbit
 WRAPPED_FACTOR_TILES = [(4, 1, 7), (3, 2, 5), (5, 1, 5), (4, 2, 3), (3, 1, 7)]
@@ -612,7 +660,7 @@ WRAPPED_FACTOR_TILES = [(4, 1, 7), (3, 2, 5), (5, 1, 5), (4, 2, 3), (3, 1, 7)]
 @pytest.mark.parametrize("n,p,rank", WRAPPED_FACTOR_TILES)
 def test_factor_tile_counts_formula(n, p, rank):
     # M_w acts freely on the np (np - 1)^(r - 1) rank-r tiles upstairs
-    counts = bs.tile_counts(bs.bowen_series_map(n, p, factor=True), rank)
+    counts = tile_counts(bs.bowen_series_map(n, p, factor=True), rank)
     assert counts == [1] + [p * (n * p - 1) ** (r - 1) for r in range(1, rank + 1)]
 
 
@@ -624,7 +672,7 @@ RANK_4_FACTOR_TILES = [(3, 6), (4, 5), (5, 4)]
 @pytest.mark.parametrize("n,p", RANK_4_FACTOR_TILES)
 def test_rank_4_factor_tile_counts_formula(n, p):
     t0 = time.perf_counter()
-    counts = bs.tile_counts(bs.bowen_series_map(n, p, factor=True), 4)
+    counts = tile_counts(bs.bowen_series_map(n, p, factor=True), 4)
     assert time.perf_counter() - t0 < 10.0
     assert counts == [1] + [p * (n * p - 1) ** (r - 1) for r in range(1, 5)]
 
@@ -667,17 +715,15 @@ def reference_children(m, tile):
         if tile.word and tile.word[0] == (pk.r, m.preset.sigma[pk.s]):
             continue
         inv = pk.map.inverse()
-        g = inv.compose(tile.map)
         verts = tuple(inv(v) for v in tile.vertices)
-        out.append(bs.Tile(((pk.r, pk.s),) + tile.word, g, verts))
+        out.append(bs.Tile(((pk.r, pk.s),) + tile.word, verts))
     return out
 
 
 def reference_tiles(m, rank):
     """Reference: tiles level by level, each tile's children in turn, and
     every level sorted by word."""
-    base = bs.Tile((), bs.MobiusMap.identity(),
-                   tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
+    base = bs.Tile((), tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
     p = m.preset.p
     last = m._replace(pockets=bs.PocketTable(m.pockets.entries[:p])) if m.factor else m
     levels = [[base]]

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from weldlab.errors import (DegenerateInput, InvalidCase, NonParabolicCycle,
-                            PairingViolation)
+from weldlab.errors import (DegenerateInput, InvalidArgument, InvalidCase,
+                            NonParabolicCycle, PairingViolation)
 from weldlab.fuchsian import (CASE_I, CASE_II, build_group, degree_plan,
                               legal_presets, orbifold_signature,
                               poincare_check, side_pairing_check,
@@ -58,6 +58,13 @@ def test_invalid_cases():
         build_group(2, 2)            # n = 2 outside the family
     with pytest.raises(DegenerateInput):
         build_group(1, 1)
+
+
+@pytest.mark.parametrize("n,p", [(3.5, 1), (3, 2.0), ("3", 1), (None, 4)])
+def test_counts_must_be_integers(n, p):
+    # build_group(3.5, 1) used to raise a raw TypeError
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        build_group(n, p)
 
 
 @pytest.mark.parametrize("n,p,case", GRID)
@@ -147,7 +154,11 @@ def test_signature_cover_chi(n, p, case):
     g = build_group(n, p, case)
     ext = orbifold_signature(g, extended=True)
     sub = orbifold_signature(g, extended=False)
-    assert abs(sub.chi_orb() - n * ext.chi_orb()) < 1e-12
+
+    def chi_orb(s):
+        return 2 - 2 * s.genus - s.punctures - sum(1.0 - 1.0 / q for q in s.cone_orders)
+
+    assert abs(chi_orb(sub) - n * chi_orb(ext)) < 1e-12
 
 
 def test_vertex_cycle_counts_match_punctures():

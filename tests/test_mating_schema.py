@@ -6,8 +6,8 @@ import pytest
 import weldlab.fuchsian as fuchsian
 import weldlab.mating_schema as ms
 from weldlab.errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                            InconsistentInvolution, NonPlanar, VerificationFailed,
-                            WeldlabError)
+                            InconsistentInvolution, InvalidArgument, NonPlanar,
+                            VerificationFailed, WeldlabError)
 from weldlab.fuchsian import CASE_I, CASE_II
 
 
@@ -65,6 +65,13 @@ def test_slot_checks_raise_as_build_group():
                 if want is not None or n * p <= 48:
                     assert _raised(fuchsian.build_group, n, p, case) is want, \
                         (n, p, case)
+
+
+@pytest.mark.parametrize("n,p", [(3.5, 1), (1.5, 1), (3, 2.0), ("3", 1)])
+def test_group_slot_counts_must_be_integers(n, p):
+    # group_slot(3.5, 1) used to return a Slot with n = 3.5
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        ms.group_slot(n, p)
 
 
 def test_assemble_builds_no_group(monkeypatch):

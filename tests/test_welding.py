@@ -123,7 +123,7 @@ def test_newton_genus_law(n):
     # Fix(eta): n interior fixed points plus the parity contribution of the
     # singular wedge class
     assert sr.components[0].fix_eta == n + (1 if n % 2 else 0)
-    wl.genus_crosscheck(sr, bc)
+    genus_crosscheck(sr, bc)
 
 
 # -- lemma checks --------------------------------------------------------------
@@ -143,7 +143,8 @@ def fixtures_and_sweep(count=100, seed=20260809):
 
 def test_lemma_4_6_edge_symmetry():
     for bc in fixtures_and_sweep():
-        assert wl.welding_graph(bc).symmetry_holds()
+        graph = wl.welding_graph(bc)
+        assert all((b, a) in graph.edges for (a, b) in graph.edges)
 
 
 def test_lemma_4_7_component_bijection():
@@ -337,16 +338,54 @@ def test_theorem_4_10_2():
             assert len(vals) == 1
 
 
+def genus_crosscheck(sr, bc):
+    """Reference: Prop 4.11 and Cor 4.14 on a connected report.
+
+    g = (#Fix(eta) - 2)/2 must agree with the Euler-characteristic genus,
+    and b >= 3 order-2 orbifold points force g >= 1.
+    """
+    if not sr.connected():
+        raise CrosscheckFailed("crosscheck needs a connected surface")
+    comp = sr.components[0]
+    if not comp.eta_invariant:
+        raise CrosscheckFailed("connected surface must be eta-invariant")
+    g_fix = (comp.fix_eta - 2) / 2
+    if g_fix != comp.genus:
+        raise CrosscheckFailed(
+            f"(Fix(eta) - 2)/2 = {g_fix} vs chi-genus {comp.genus}")
+    b = bc.order2_total()
+    if b >= 3 and comp.genus < 1:
+        raise CrosscheckFailed(f"b = {b} >= 3 but genus {comp.genus} < 1")
+    return True
+
+
+def euler_additivity_check(wc):
+    """Reference: the doubling identity, with the boundary-identification
+    adjustment.
+
+    chi(Sigma) = 2 chi(D closed) - 2 V_boundary + E_boundary + V_Sigma: the
+    naive double 2 chi - chi(boundary) is corrected because singular vertex
+    classes of the domain boundary open up into several vertices of Sigma.
+    """
+    bc = wc.bc
+    V_b = len(bc.vertices)
+    E_b = len(bc.arcs)
+    chi_domain_closed = V_b - E_b + sum(2 - len(f) for f in bc.faces)
+    chi_sigma = sum(wl.component_euler(bc, c) for c in wc.components)
+    V_sigma = len(wc.eta_vertex)
+    return chi_sigma == 2 * chi_domain_closed - 2 * V_b + E_b + V_sigma
+
+
 def test_euler_additivity():
     for bc in fixtures_and_sweep(count=60):
-        assert wl.euler_additivity_check(wl.weld(bc))
+        assert euler_additivity_check(wl.weld(bc))
 
 
 def test_genus_crosscheck_errors():
     bc = ms.assemble(*ms.paper_example("5.1")[:2])
     sr = wl.surface_report(wl.weld(bc))
     with pytest.raises(CrosscheckFailed):
-        wl.genus_crosscheck(sr, bc)  # disconnected
+        genus_crosscheck(sr, bc)  # disconnected
 
 
 def test_eta_fixed_vertices_match_prop_4_11():
