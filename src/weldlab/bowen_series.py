@@ -193,27 +193,33 @@ def breakpoints(m: BowenSeriesMap):
 
 # -- disk evaluation ---------------------------------------------------------
 
-def _locate_pocket_disk(m: BowenSeriesMap, z: complex, tol: float):
+#: a disk point this far beyond a side's geodesic, on the polygon's side,
+#: still lies in the closure of that side's pocket: rounding of a point
+#: placed on the side
+POCKET_TOL = 1e-12
+
+
+def _locate_pocket_disk(m: BowenSeriesMap, z: complex):
     best = None
     for pk in m.pockets.entries:
         d = pk.geodesic.side(z)  # <= 0 on the pocket side of the geodesic
-        if d <= tol and (best is None or d < best[0]):
+        if d <= POCKET_TOL and (best is None or d < best[0]):
             best = (d, pk)
     if best is None:
         raise OutsideDomain(f"{z} lies in the interior of the polygon")
     return best[1]
 
 
-def eval_pocket(m: BowenSeriesMap, z: complex, tol: float = 1e-12) -> complex:
+def eval_pocket(m: BowenSeriesMap, z: complex) -> complex:
     """Disk action on the closure of the pocket union."""
     if abs(z) > 1.0 + 1e-9:
         raise OutsideDomain(f"{z} outside the closed disk")
     if not m.factor:
-        pk = _locate_pocket_disk(m, z, tol)
+        pk = _locate_pocket_disk(m, z)
         return pk.map(z)
     n = m.preset.n
     u = _principal_root(z, n)
-    pk = _locate_pocket_disk(m, u, tol)
+    pk = _locate_pocket_disk(m, u)
     return pk.map(u) ** n
 
 
@@ -273,19 +279,16 @@ def _count_preimages(m: BowenSeriesMap, y: float, spans) -> int:
     return total // n
 
 
-def circle_degree(m: BowenSeriesMap, samples: int = 20) -> int:
-    """Covering degree via preimage counting at generic angles.
+#: angles at which circle_degree counts preimages; every count must agree
+DEGREE_SAMPLES = 20
 
-    A sample count that is not an integer raises InvalidArgument, and one
-    below 1 or above TILE_BUDGET RankLimit, before any work.
-    """
-    samples = as_count(samples, "samples")
-    if not 1 <= samples <= TILE_BUDGET:
-        raise RankLimit(f"{samples} samples, outside [1, {TILE_BUDGET}]")
+
+def circle_degree(m: BowenSeriesMap) -> int:
+    """Covering degree via preimage counting at DEGREE_SAMPLES generic angles."""
     spans = _arc_spans(m)
     counts = set()
-    for i in range(samples):
-        y = TAU * (i + 0.318309886) / samples  # offset avoids breakpoints
+    for i in range(DEGREE_SAMPLES):
+        y = TAU * (i + 0.318309886) / DEGREE_SAMPLES  # offset avoids breakpoints
         counts.add(_count_preimages(m, norm_angle(y), spans))
     if len(counts) != 1:
         raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
@@ -300,7 +303,12 @@ class MarkovPartition(NamedTuple):
     arc_images: tuple         # per-arc (start, rise) of the lifted image
 
 
-def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
+#: largest miss of a breakpoint by an arc image's end that markov_partition
+#: accepts; the ends are one-sided circle values, exact up to rounding
+MARKOV_TOL = 1e-8
+
+
+def markov_partition(m: BowenSeriesMap) -> MarkovPartition:
     """Partition at the pocket-arc endpoints with the covering verified Markov.
 
     Arc i carries one Möbius branch, the side pairing g of pocket i (of the
@@ -308,7 +316,7 @@ def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
     pocket).  g maps the pocket arc onto the ccw arc from g(lo) to g(hi), so
     the lifted image of arc i starts at its one-sided value at lo and rises
     by n ccw_span(g(lo), g(hi)), with n = 1 for unfactored maps.  The Markov
-    property demands that both ends land on breakpoints within tol.
+    property demands that both ends land on breakpoints within MARKOV_TOL.
     """
     bps = breakpoints(m)
     k = len(bps)
@@ -325,7 +333,7 @@ def markov_partition(m: BowenSeriesMap, tol: float = 1e-8) -> MarkovPartition:
         end = start + rise
         for v in (start, end):
             snap = round(v / arc_len) * arc_len
-            if abs(v - snap) > tol:
+            if abs(v - snap) > MARKOV_TOL:
                 raise MarkovViolation(
                     f"arc {i}: image endpoint {v} misses breakpoints by {abs(v - snap):.2e}")
         row = [0] * k
@@ -556,7 +564,7 @@ class ConjugacyH:
                 return x0 + n * min(max(delta, 0.0), up_len)
         raise InconsistentDegree("no root lift lands in the branch piece")
 
-    def value(self, theta: float, depth: int, tol: float | None = None):
+    def value(self, theta: float, depth: int):
         """h(theta) as (angle, radius): midpoint and half-width of the arc.
 
         The radius never drops below RADIUS_FLOOR, the rounding error of the
@@ -579,8 +587,6 @@ class ConjugacyH:
             table = tables[sym]
             lo, hi = self._invert(table, lo), self._invert(table, hi)
         radius = max(0.5 * (hi - lo), RADIUS_FLOOR)
-        if tol is not None and radius > tol:
-            raise DepthTooSmall(f"arc radius {radius:.3e} exceeds tolerance")
         return norm_angle(self.base + 0.5 * (lo + hi)), radius
 
 

@@ -205,7 +205,7 @@ class RecoveredGenerator(NamedTuple):
     order:  object        # int or None (infinite within the probe bound)
 
 
-def recover_representation(m: ModelTilingSet, preset: GroupPreset = None):
+def recover_representation(m: ModelTilingSet):
     """Generator word table of Remark 6.9 with relation-order verification.
 
     The j-th word tau^{-(j-1)} (tau^{k_j} eta) tau^{j-1} must stabilize
@@ -214,8 +214,7 @@ def recover_representation(m: ModelTilingSet, preset: GroupPreset = None):
     traces and compared with the orbifold signature: sides with sigma(j) = j
     give order-2 words, and tau^p has order exactly n.
     """
-    if preset is None:
-        preset = build_group(m.n, m.p, m.case)
+    preset = build_group(m.n, m.p, m.case)
     table = []
     for j in range(1, m.p + 1):
         f_j = word_tau(m.k_exponents[j - 1]) * word_eta()
@@ -252,39 +251,48 @@ MAX_WORD_LENGTH = 8
 _CELL = 1e-9
 #: a sample reduced into Pi-hat must come back this close to where it started
 _RETURN_TOL = 1e-6
+#: sample points of Pi-hat that group_tiling carries into every tile
+SAMPLES_PER_TILE = 20
+#: margin by which a sample keeps inside Pi-hat, so that rounding never
+#: moves it onto a side or into a pocket
+_SAMPLE_MARGIN = 1e-6
+#: start of the sample generator, so every run draws the same samples
+_SAMPLE_SEED = 11
 
 
-def _pi_hat_contains(preset: GroupPreset, z: complex, shrink: float = 0.0) -> bool:
-    """Membership in the fundamental domain of the extended group.
+def _pi_hat_contains(preset: GroupPreset, z: complex) -> bool:
+    """Membership in the open interior of the fundamental domain of the
+    extended group, with a margin of _SAMPLE_MARGIN.
 
     Pi-hat is the sector 0 <= arg z <= 2 pi/n of the polygon (all of Pi when
-    n = 1).  shrink > 0 tests the open interior with a margin.
+    n = 1).
     """
-    if abs(z) >= 1.0 - shrink:
+    if abs(z) >= 1.0 - _SAMPLE_MARGIN:
         return False
     if preset.n > 1:
         a = norm_angle(cmath.phase(z)) if abs(z) > 0 else 0.0
-        if not (shrink <= a <= TAU / preset.n - shrink):
+        if not (_SAMPLE_MARGIN <= a <= TAU / preset.n - _SAMPLE_MARGIN):
             return False
     for s in range(1, preset.p + 1):
-        if preset.polygon.sides[s - 1].side(z) < shrink:
+        if preset.polygon.sides[s - 1].side(z) < _SAMPLE_MARGIN:
             return False
     return True
 
 
-def _pi_hat_samples(preset: GroupPreset, count: int, seed: int = 11):
-    """Deterministic interior sample points of Pi-hat (simple LCG rejection)."""
+def _pi_hat_samples(preset: GroupPreset):
+    """SAMPLES_PER_TILE deterministic interior points of Pi-hat (simple LCG
+    rejection)."""
     if preset.n * preset.p < 3:
         raise DegenerateInput("Pi-hat has no interior when np = 2")
-    state = seed
+    state = _SAMPLE_SEED
     pts = []
-    while len(pts) < count:
+    while len(pts) < SAMPLES_PER_TILE:
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         x = (state >> 11) / float(1 << 53) * 2 - 1
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         y = (state >> 11) / float(1 << 53) * 2 - 1
         z = complex(0.85 * x, 0.85 * y)
-        if _pi_hat_contains(preset, z, shrink=1e-6):
+        if _pi_hat_contains(preset, z):
             pts.append(z)
     return pts
 
@@ -384,8 +392,7 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
 
 
-def group_tiling(preset: GroupPreset, max_word_length: int,
-                 samples_per_tile: int = 20):
+def group_tiling(preset: GroupPreset, max_word_length: int):
     """Tiles gamma(Pi-hat) for reduced words up to the length bound, checked
     by Bowen-Series reduction to Pi-hat (Bowen & Series 1979).
 
@@ -400,7 +407,7 @@ def group_tiling(preset: GroupPreset, max_word_length: int,
     checked by group_elements before any tile is built.
     """
     elems = group_elements(preset, max_word_length)
-    base_pts = _pi_hat_samples(preset, samples_per_tile)
+    base_pts = _pi_hat_samples(preset)
     tiles = [{"word": w, "map": g} for (w, g) in elems]
     n, sector = preset.n, TAU / preset.n
     # M_w^-k acts as z -> (a/d) z; the sides of Pi-hat are never diameters
@@ -441,8 +448,7 @@ def group_tiling(preset: GroupPreset, max_word_length: int,
         raise OverlapDetected(f"{stray} tiles fail the reduction to Pi-hat and "
                               f"{shared} tile pairs share the image of the first "
                               "sample")
-    return {"tiles": tiles, "count": len(tiles), "overlaps": 0,
-            "samples_per_tile": samples_per_tile}
+    return {"tiles": tiles, "count": len(tiles), "overlaps": 0}
 
 
 # -- Blaschke products -----------------------------------------------------------------
@@ -464,7 +470,13 @@ class BlaschkeProduct(NamedTuple):
         return w
 
 
-def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
+#: iterations from 0 that blaschke allows to reach its attracting fixed
+#: point.  Near it the error shrinks by the multiplier |B'| < 1 per step, so
+#: 2000 steps reach the 1e-14 stop unless |B'| is above about 0.984
+BLASCHKE_MAX_ITER = 2000
+
+
+def blaschke(zeros, rotation=1.0 + 0j) -> BlaschkeProduct:
     """Construct a hyperbolic Blaschke product; the attracting fixed point is
     located by iteration from 0 (which converges exactly in the hyperbolic
     case and fails loudly otherwise)."""
@@ -478,7 +490,7 @@ def blaschke(zeros, rotation=1.0 + 0j, max_iter: int = 2000) -> BlaschkeProduct:
         raise NotHyperbolic("rotation factor must be unimodular")
     b = BlaschkeProduct(zeros, rot, 0j, 0j)    # fixed point and multiplier found below
     z = 0j
-    for _ in range(max_iter):
+    for _ in range(BLASCHKE_MAX_ITER):
         z2 = b(z)
         if abs(z2 - z) < 1e-14:
             break

@@ -20,6 +20,14 @@ TAU = 2.0 * math.pi
 #: default geometric tolerance; double precision leaves ~6 digits of headroom
 #: for composed operations.
 DEFAULT_TOL = 1e-9
+#: ideal endpoints closer than this coincide, and endpoints this close to
+#: antipodal span a diameter: about a thousand ulps of 2 pi, far below the
+#: vertex spacing 2 pi / np of any polygon within the side budget
+ENDPOINT_TOL = 1e-12
+#: largest perpendicularity residual a common perpendicular may carry; the
+#: residual differences squared lengths, whose rounding grows with the radii,
+#: so it is looser than DEFAULT_TOL
+PERP_TOL = 1e-8
 
 
 def norm_angle(theta: float) -> float:
@@ -233,13 +241,13 @@ class Geodesic(NamedTuple):
         return abs(z - self.center) - self.radius
 
 
-def geodesic_between(theta1: float, theta2: float, tol: float = 1e-12) -> Geodesic:
+def geodesic_between(theta1: float, theta2: float) -> Geodesic:
     """Geodesic with the given ideal endpoints."""
     t1, t2 = norm_angle(theta1), norm_angle(theta2)
-    if angle_dist(t1, t2) < tol:
+    if angle_dist(t1, t2) < ENDPOINT_TOL:
         raise CoincidentEndpoints(f"endpoints {t1} and {t2} coincide")
     z1, z2 = cmath.exp(1j * t1), cmath.exp(1j * t2)
-    if abs(z1 + z2) < tol:
+    if abs(z1 + z2) < ENDPOINT_TOL:
         return Geodesic(t1, t2, True)
     denom = 1.0 + (z1 * z2.conjugate()).real
     center = (z1 + z2) / denom
@@ -266,7 +274,7 @@ def pairing_from_reflections(axis: Geodesic, side: Geodesic) -> MobiusMap:
     return reflect(axis).compose_anti(reflect(side))
 
 
-def common_perpendicular(g1: Geodesic, g2: Geodesic, tol: float = DEFAULT_TOL) -> Geodesic:
+def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
     """The unique geodesic orthogonal to two disjoint geodesics.
 
     A circle (q, rho) orthogonal to the unit circle satisfies |q|^2 = rho^2+1;
@@ -287,22 +295,22 @@ def common_perpendicular(g1: Geodesic, g2: Geodesic, tol: float = DEFAULT_TOL) -
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if abs(det) < 1e-13:
         # parallel constraints: the perpendicular is a diameter (or fails)
-        return _diameter_perpendicular(g1, g2, tol)
+        return _diameter_perpendicular(g1, g2)
     qx = (rhs[0] * rows[1][1] - rhs[1] * rows[0][1]) / det
     qy = (rows[0][0] * rhs[1] - rows[1][0] * rhs[0]) / det
     q = complex(qx, qy)
     rho_sq = abs(q) ** 2 - 1.0
-    if rho_sq <= tol:
+    if rho_sq <= DEFAULT_TOL:
         raise NotDisjoint("geodesics cross or share an endpoint")
     # endpoints: unit vectors z with <z, q> = 1
     half = math.acos(max(-1.0, min(1.0, 1.0 / abs(q))))
     base = cmath.phase(q)
     perp = geodesic_between(base - half, base + half)
-    _check_perpendicular(perp, g1, g2, tol)
+    _check_perpendicular(perp, g1, g2)
     return perp
 
 
-def _diameter_perpendicular(g1: Geodesic, g2: Geodesic, tol: float) -> Geodesic:
+def _diameter_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
     # a diameter is orthogonal to (c, r) iff its line passes through c
     cands = []
     for g in (g1, g2):
@@ -315,7 +323,7 @@ def _diameter_perpendicular(g1: Geodesic, g2: Geodesic, tol: float) -> Geodesic:
         if min(angle_dist(a0, a), angle_dist(a0, a + math.pi)) > 1e-7:
             raise NotDisjoint("no common perpendicular exists")
     perp = geodesic_between(a0, a0 + math.pi)
-    _check_perpendicular(perp, g1, g2, tol)
+    _check_perpendicular(perp, g1, g2)
     return perp
 
 
@@ -331,9 +339,9 @@ def perpendicularity_residual(a: Geodesic, b: Geodesic) -> float:
     return abs(abs(a.center - b.center) ** 2 - (a.radius ** 2 + b.radius ** 2))
 
 
-def _check_perpendicular(perp: Geodesic, g1: Geodesic, g2: Geodesic, tol: float):
+def _check_perpendicular(perp: Geodesic, g1: Geodesic, g2: Geodesic):
     res = max(perpendicularity_residual(perp, g1), perpendicularity_residual(perp, g2))
-    if res > max(tol, 1e-8):
+    if res > PERP_TOL:
         raise NotDisjoint(f"perpendicularity residual {res:.2e}")
 
 

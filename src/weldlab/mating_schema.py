@@ -68,7 +68,7 @@ class Slot(NamedTuple):
                 raise DegenerateInput(f"group slot needs np >= 3, got {self.n * self.p}")
             fuchsian.check_parameters(self.n, self.p, self.case)
         elif self.kind == "blaschke":
-            if self.degree < 2:
+            if as_count(self.degree, "degree") < 2:
                 raise DegenerateInput("Blaschke slot needs degree >= 2")
             if self.unbounded:
                 raise DegenerateInput("Blaschke slots sit inside the domain")
@@ -267,15 +267,12 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     for a in arcs:
         hb = holes[a.hole]
         s2 = hb.sigma_side[a.side]
-        if s2 == a.side:
-            s_action[a.index] = arc_of[(a.hole, a.side, 1 - a.piece)]
+        if s2 in hb.interior_fixed_sides:
+            # a split side is self-paired (sigma is an involution), and the
+            # orientation reversal swaps its halves
+            s_action[a.index] = arc_of[(a.hole, s2, 1 - a.piece)]
         else:
-            split = s2 in hb.interior_fixed_sides
-            if split:
-                # orientation reversal swaps the halves
-                s_action[a.index] = arc_of[(a.hole, s2, 1 - a.piece)]
-            else:
-                s_action[a.index] = arc_of[(a.hole, s2, 0)]
+            s_action[a.index] = arc_of[(a.hole, s2, 0)]
     for a, b in s_action.items():
         if s_action[b] != a or a == b:
             raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
@@ -414,16 +411,24 @@ class PolynomialEntry(NamedTuple):
         return acc
 
 
-def verify_polynomial(entry: PolynomialEntry, tol_small: float = 1e-8,
-                      tol_big: float = 1e-4):
+#: verify_polynomial: the fixed-point residual and each derivative that must
+#: vanish at a critical point stay below TOL_SMALL, and the first derivative
+#: that must not vanish reaches TOL_BIG.  The registry's coefficients are
+#: closed forms rounded to double precision, so what must vanish is rounding
+#: (at most 6e-15) and what must not is at least 4.2
+TOL_SMALL = 1e-8
+TOL_BIG = 1e-4
+
+
+def verify_polynomial(entry: PolynomialEntry):
     """Check each declared critical point is fixed with the declared multiplicity."""
     report = {"name": entry.name, "critical_points": []}
     for (c, mult) in entry.critical_points:
         fix_res = abs(entry(c) - c)
         derivs = [abs(entry.eval_derivative(c, order=k)) for k in range(1, mult + 2)]
-        ok = (fix_res < tol_small
-              and all(d < tol_small for d in derivs[:mult])
-              and derivs[mult] >= tol_big)
+        ok = (fix_res < TOL_SMALL
+              and all(d < TOL_SMALL for d in derivs[:mult])
+              and derivs[mult] >= TOL_BIG)
         report["critical_points"].append({
             "point": [c.real, c.imag], "multiplicity": mult,
             "fixed_residual": fix_res, "derivative_magnitudes": derivs, "ok": ok,

@@ -81,8 +81,8 @@ class RenderScene:
 
     __slots__ = ("layers", "disk_frame")
 
-    def __init__(self, layers=None, disk_frame: bool = True):
-        self.layers = [] if layers is None else layers
+    def __init__(self, disk_frame: bool = True):
+        self.layers = []
         self.disk_frame = disk_frame
 
     def add(self, prim):
@@ -168,18 +168,17 @@ def _geodesic_samples(g: Geodesic, count: int = 48):
     return [g.point_at(t) for t in _linspace(0.0, 1.0, count)]
 
 
-def polygon_scene(preset, shade_pockets: bool = True) -> RenderScene:
+def polygon_scene(preset) -> RenderScene:
     """Fundamental polygon with its pockets shaded."""
     sc = RenderScene()
-    if shade_pockets:
-        for i, side in enumerate(preset.polygon.sides):
-            pts = _geodesic_samples(side)
-            lo = side.theta1
-            hi = side.theta2
-            arc = [cmath.exp(1j * t) for t in
-                   _linspace(lo, lo + ((hi - lo) % TAU), 24)]
-            sty = Style(stroke="none", fill=_PALETTE[i % len(_PALETTE)], opacity=0.35)
-            sc.add(Polyline(pts + arc[::-1], sty, closed=True))
+    for i, side in enumerate(preset.polygon.sides):
+        pts = _geodesic_samples(side)
+        lo = side.theta1
+        hi = side.theta2
+        arc = [cmath.exp(1j * t) for t in
+               _linspace(lo, lo + ((hi - lo) % TAU), 24)]
+        sty = Style(stroke="none", fill=_PALETTE[i % len(_PALETTE)], opacity=0.35)
+        sc.add(Polyline(pts + arc[::-1], sty, closed=True))
     for side in preset.polygon.sides:
         sc.add(GeodesicArc(side, Style(stroke="#222222", width=2.0)))
     sc.add(GeodesicArc(preset.axis, Style(stroke="#2ca02c", width=1.5)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import GluingInconsistency, ZipNotSphere
+from .errors import CrosscheckFailed, GluingInconsistency, ZipNotSphere
 from .mating_schema import BoundaryComplex, _UnionFind
 
 

@@ -505,8 +505,6 @@ def test_counts_must_be_integers(count):
         bs.tiles(m, count)
     with pytest.raises(InvalidArgument, match="steps must be an integer"):
         bs.circle_orbit(m, 1.0, count)
-    with pytest.raises(InvalidArgument, match="samples must be an integer"):
-        bs.circle_degree(m, count)
     # lift 0.5 on factor (3, 1) at theta 1.0 used to return 2.804, where
     # every root lift gives 1.235
     for factor in (True, False):
@@ -559,19 +557,6 @@ def test_orbit_refuses_negative_steps_before_work(monkeypatch):
     monkeypatch.setattr(bs, "eval_circle", _refuse_enumeration)
     with pytest.raises(RankLimit, match="-5"):
         bs.circle_orbit(m, 1.0, -5)
-
-
-@pytest.mark.parametrize("count", [0, -1, TILE_BUDGET + 1])
-def test_degree_sample_count_in_range(monkeypatch, count):
-    # 0 and -1 used to raise a false InconsistentDegree("preimage counts
-    # disagree: []")
-    m = bs.bowen_series_map(1, 4)
-    assert bs.circle_degree(m, 1) == 3
-    monkeypatch.setattr(bs, "_arc_spans", _refuse_enumeration)
-    with pytest.raises(_Enumerated):
-        bs.circle_degree(m, TILE_BUDGET)
-    with pytest.raises(RankLimit, match=str(count)):
-        bs.circle_degree(m, count)
 
 
 def test_partition_budget_checked_before_enumeration(monkeypatch):

@@ -365,7 +365,7 @@ def hashed_group_elements(preset, max_word_length):
             letters.append((f"g{s}'", g.inverse()))
     if preset.n > 1:
         letters += [("m", preset.rotation), ("m'", preset.rotation.inverse())]
-    c = co._pi_hat_samples(preset, 1)[0]
+    c = co._pi_hat_samples(preset)[0]
     ident = MobiusMap.identity()
     accepted = [((), ident)]
     cells = {co._cell(c): [ident]}

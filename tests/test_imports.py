@@ -1,9 +1,12 @@
 """The import floor: a command loads only the layers it runs, and nothing
 loads numpy.  Each check runs in a fresh interpreter."""
 
+import builtins
+import importlib
 import json
 import os
 import subprocess
+import symtable
 import sys
 
 import pytest
@@ -129,3 +132,23 @@ def test_one_max_depth():
     import weldlab.bowen_series as bs
     import weldlab.cli as cli
     assert bs.MAX_DEPTH is cli.MAX_DEPTH is weldlab.MAX_DEPTH == 64
+
+
+def _global_reads(table):
+    """Names that table and the scopes nested in it read from module scope."""
+    for sym in table.get_symbols():
+        if sym.is_referenced() and (table.get_type() == "module" or sym.is_global()):
+            yield sym.get_name()
+    for child in table.get_children():
+        yield from _global_reads(child)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_reads_only_defined_globals(layer):
+    # welding used to raise CrosscheckFailed without importing it
+    module = importlib.import_module(f"weldlab.{layer}")
+    with open(module.__file__, encoding="utf-8") as fh:
+        table = symtable.symtable(fh.read(), module.__file__, "exec")
+    undefined = {name for name in _global_reads(table)
+                 if not hasattr(module, name) and not hasattr(builtins, name)}
+    assert not undefined

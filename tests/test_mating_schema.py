@@ -72,6 +72,10 @@ def test_group_slot_counts_must_be_integers(n, p):
     # group_slot(3.5, 1) used to return a Slot with n = 3.5
     with pytest.raises(InvalidArgument, match="must be an integer"):
         ms.group_slot(n, p)
+    # blaschke_slot(2.5) used to return a Slot of circle degree 2.5; no
+    # product n * p here is an integer
+    with pytest.raises(InvalidArgument, match="degree must be an integer"):
+        ms.blaschke_slot(n * p)
 
 
 def test_assemble_builds_no_group(monkeypatch):

@@ -388,6 +388,15 @@ def test_genus_crosscheck_errors():
         genus_crosscheck(sr, bc)  # disconnected
 
 
+def test_riemann_hurwitz_violation_is_crosscheck_failed():
+    # a failed Riemann-Hurwitz check used to surface as a NameError
+    wc = wl.weld(ms.assemble(*ms.paper_example("5.4")[:2]))
+    a, b, c = [v for v, u in wc.eta_vertex.items() if u == v][:3]
+    wc.eta_vertex[a], wc.eta_vertex[b], wc.eta_vertex[c] = b, c, a
+    with pytest.raises(CrosscheckFailed, match="Riemann-Hurwitz"):
+        wl.surface_report(wc)
+
+
 def test_eta_fixed_vertices_match_prop_4_11():
     # two independent genus computations on every connected fixture
     for name in ms.PAPER_EXAMPLES:
