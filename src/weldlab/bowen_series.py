@@ -412,6 +412,17 @@ def _marked_fixed_angle(preset: GroupPreset, pockets: PocketTable, factor: bool)
 #: in depth, so the reported arcs stay nested.
 RADIUS_FLOOR = 16 * math.ulp(TAU)
 
+#: least distance by which every other root lift misses a piece when
+#: ConjugacyH._invert runs the arithmetic lift alone.  That lift's target
+#: sits inside the piece's upstairs image arc, more than need = LIFT_MARGIN
+#: (|c| + |d|)^2 from either end, so every other lift's target lies outside
+#: the arc by more than need.  On the circle |(g^-1)'(z)| = 1/|cz + d|^2
+#: >= 1/(|c| + |d|)^2 for the determinant-1 inverse branch g^-1 = (a..d),
+#: so g^-1 puts each of those lifts more than LIFT_MARGIN outside the piece,
+#: far beyond the 1e-9 window the scan accepts: the scan would reject them
+#: all and pick the same lift
+LIFT_MARGIN = 1e-8
+
 
 def power_map_itinerary(theta: float, d: int, depth: int) -> tuple:
     """Base-d digit itinerary of theta under t -> d t (arcs cut at 0)."""
@@ -437,8 +448,11 @@ class ConjugacyH:
     one side pairing (after z -> z^n for factor maps).  Each cut is one
     inverse-matrix application to a lift of the marked angle.  Each cut arc
     is divided at the partition breakpoints into pieces carrying a single
-    Möbius branch, and pulling back is one inverse-matrix application (plus
-    an n-th root choice for factor maps).  The build flattens each cut arc
+    Möbius branch, and pulling back is one inverse-matrix application.  On
+    a factor map it applies to one of the n n-th root lifts of the target:
+    the one that lies in the piece's upstairs image arc, found by
+    arithmetic; a target within LIFT_MARGIN of an end of that arc tries
+    every lift in order instead.  The build flattens each cut arc
     into one table (lo, hi, rows) with a row of constants per piece, so an
     evaluation does only the arithmetic that depends on the angle.  value
     refuses a depth above MAX_DEPTH with RankLimit before it builds the
@@ -486,10 +500,14 @@ class ConjugacyH:
     def _build_pieces(self):
         """One table (lo, hi, rows) per cut arc, in offsets from the marked
         angle: the arc runs from lo to hi and each Möbius piece of it is a row
-        (u0, u1, x0, ref, up_len, a, b, c, d).  [u0, u1] is the image span of
-        the piece rescaled to 2 pi, x0 its start, ref the upstairs angle a
-        pull-back is measured from, up_len its upstairs length and a..d the
-        entries of its inverse branch."""
+        (u0, u1, x0, ref, up_len, a, b, c, d, alpha, span, need).  [u0, u1]
+        is the image span of the piece rescaled to 2 pi, x0 its start, ref
+        the upstairs angle a pull-back is measured from, up_len its upstairs
+        length and a..d the entries of its inverse branch.  For the root
+        lift, alpha is the upstairs start of the piece's image arc (the
+        one-sided value at x0 before it is multiplied by n), span the
+        arc's upstairs length and need = LIFT_MARGIN (|c| + |d|)^2 the
+        distance a target must keep from either end of it."""
         m = self.m
         n = m.preset.n if m.factor else 1
         cut_offs = [ccw_span(self.base, c) if i else 0.0
@@ -497,6 +515,9 @@ class ConjugacyH:
         bp_offs = sorted({norm_angle(b - self.base) for b in breakpoints(m)}
                          - {0.0})
         self._lifts = tuple(TAU * k / n for k in range(n))   # n-th root lifts, in order
+        self._step = TAU / n
+        # lift k, then the scan of every lift in order
+        self._lift_first = tuple((off,) + self._lifts for off in self._lifts)
         self._tables = []
         for j in range(self.d):
             lo, hi = cut_offs[j], cut_offs[j + 1]
@@ -512,12 +533,15 @@ class ConjugacyH:
                                          tol=0.0).map
                 else:
                     g = m.pockets.locate(am, tol=0.0).map
-                a0 = eval_circle_one_sided(m, norm_angle(self.base + x0), +1)
+                # eval_circle_one_sided(m, base + x0, +1), keeping its
+                # upstairs value alpha
+                alpha = eval_circle_raw_one_sided(m, norm_angle(self.base + x0) / n, +1)
+                a0 = norm_angle(n * alpha)
                 a1 = eval_circle_one_sided(m, norm_angle(self.base + x1), -1)
                 rise = (a1 - a0) % TAU
                 if len(bounds) == 2:
                     rise = TAU
-                pieces.append((u_acc, rise, x0, x1, g.inverse()))
+                pieces.append((u_acc, rise, x0, x1, g.inverse(), alpha))
                 u_acc += rise
             if abs(u_acc - TAU) > 1e-6:
                 raise InconsistentDegree(
@@ -525,18 +549,23 @@ class ConjugacyH:
             # rescale tiny lift error so piece lookup is exact at 2 pi
             scale = TAU / u_acc
             rows = []
-            for u0, rise, x0, x1, g_inv in pieces:
+            for u0, rise, x0, x1, g_inv, alpha in pieces:
+                need = LIFT_MARGIN * (abs(g_inv.c) + abs(g_inv.d)) ** 2
+                span = rise / n
                 u0, rise = u0 * scale, rise * scale
                 ref = norm_angle(norm_angle((self.base + x0) / n) - 1e-12)
                 rows.append((u0, u0 + rise, x0, ref, (x1 - x0) / n,
-                             g_inv.a, g_inv.b, g_inv.c, g_inv.d))
+                             g_inv.a, g_inv.b, g_inv.c, g_inv.d, alpha, span, need))
             self._tables.append((lo, hi, tuple(rows)))
 
     def _invert(self, table, u):
         """Inverse branch of one cut arc applied to an offset u in [0, 2 pi].
 
         Offsets u are ccw from the marked angle, in the image and in the cut
-        arc alike.
+        arc alike.  On a factor map the lift k whose target lies in the
+        piece's upstairs image arc is found by arithmetic and run alone when
+        the target clears both ends by the row's margin; otherwise, or if
+        that lift misses the piece, every lift is tried in order.
         """
         lo, hi, rows = table
         if u <= 0.0:
@@ -546,15 +575,29 @@ class ConjugacyH:
         for row in rows:
             if row[0] <= u <= row[1]:
                 break               # no match leaves the last row, as wanted
-        _, _, x0, ref, up_len, a, b, c, d = row
+        _, _, x0, ref, up_len, a, b, c, d, alpha, span, need = row
         lifts = self._lifts
         n = len(lifts)
-        t = norm_angle(self.base + u) / n
+        t = math.fmod(self.base + u, TAU)     # norm_angle, inlined
+        if t < 0.0:
+            t += TAU
+        if t >= TAU:
+            t -= TAU
+        t /= n
+        if n > 1:
+            k = math.ceil((alpha - t) / self._step)
+            if need < t + k * self._step - alpha < span - need:
+                lifts = self._lift_first[k % n]
         for off in lifts:
             z = cmath.exp(1j * (t + off))
             den = c * z + d
             w = complex("inf") if abs(den) < 1e-300 else (a * z + b) / den
-            s = norm_angle(cmath.phase(w)) - ref
+            s = math.fmod(cmath.phase(w), TAU)
+            if s < 0.0:
+                s += TAU
+            if s >= TAU:
+                s -= TAU
+            s -= ref
             if s <= 0.0:
                 s += TAU
             if n == 1:             # unfactored: the one lift, unclamped
@@ -582,10 +625,10 @@ class ConjugacyH:
         if norm_angle(theta) < BREAK_TOL or TAU - norm_angle(theta) < BREAK_TOL:
             return self.base, 0.0  # normalization: the fixed point 1 maps to the marked angle
         lo, hi = 0.0, TAU
-        tables = self._tables
+        tables, invert = self._tables, self._invert
         for sym in reversed(power_map_itinerary(theta, self.d, depth)):
             table = tables[sym]
-            lo, hi = self._invert(table, lo), self._invert(table, hi)
+            lo, hi = invert(table, lo), invert(table, hi)
         radius = max(0.5 * (hi - lo), RADIUS_FLOOR)
         return norm_angle(self.base + 0.5 * (lo + hi)), radius
 

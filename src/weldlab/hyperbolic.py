@@ -146,8 +146,8 @@ class MobiusMap:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def is_identity(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.dist(MobiusMap.identity()) < tol
+    def is_identity(self) -> bool:
+        return self.dist(MobiusMap.identity()) < DEFAULT_TOL
 
     def dist(self, other: "MobiusMap") -> float:
         """Projective matrix distance (minimum over the +-1 ambiguity)."""
@@ -165,22 +165,22 @@ class MobiusMap:
             out = self.compose(out)
         return out
 
-    def order(self, max_order: int = 64, tol: float = DEFAULT_TOL):
+    def order(self, max_order: int = 64):
         """Smallest k >= 1 with self^k = id, or None if none up to max_order.
 
         Read off the trace, no power is formed: the identity has order 1, and
         an elliptic map with real trace tr = +-2 cos(theta), |tr| < 2, has
-        order k iff k theta/pi is an integer (within tol).  Parabolic,
+        order k iff k theta/pi is an integer (within DEFAULT_TOL).  Parabolic,
         hyperbolic and loxodromic maps have none.
         """
-        if self.is_identity(tol):
+        if self.is_identity():
             return 1
         tr = self.trace
-        if abs(tr.imag) > tol or abs(tr.real) >= 2.0:
+        if abs(tr.imag) > DEFAULT_TOL or abs(tr.real) >= 2.0:
             return None
         turn = math.acos(0.5 * abs(tr.real)) / math.pi    # in (0, 1/2]
         return next((k for k in range(2, max_order + 1)
-                     if abs(k * turn - round(k * turn)) <= tol and k * turn > 0.5), None)
+                     if abs(k * turn - round(k * turn)) <= DEFAULT_TOL and k * turn > 0.5), None)
 
 class AntiMobiusMap(NamedTuple):
     """z -> m(conj z) for a Möbius map m."""

@@ -438,6 +438,91 @@ def test_h_value_matches_piece_reference(n, p, case):
                 (theta, depth)
 
 
+class _Reads:
+    """Stands in for ConjugacyH._lift_first and counts its reads: one per
+    pull-back that takes the arithmetic lift."""
+
+    def __init__(self, orders):
+        self.orders, self.count = orders, 0
+
+    def __getitem__(self, k):
+        self.count += 1
+        return self.orders[k]
+
+
+@pytest.mark.parametrize("n,p,case", GRID)
+def test_h_invert_matches_scan_at_piece_ends(n, p, case):
+    # bit for bit at each row end u0, u1, the floats next to it and 1e-12,
+    # 1e-9 and 1e-7 either side, where the arithmetic lift hands over to the
+    # scan; the midpoints and the points 2 margins inside the ends take the
+    # arithmetic lift, the points half a margin inside the scan
+    h = bs.ConjugacyH(bs.bowen_series_map(n, p, case, factor=n >= 3))
+    jarcs = reference_pieces(h)
+    reads = h._lift_first = _Reads(h._lift_first)
+    lifted = scanned = 0
+    for table, pieces in zip(h._tables, jarcs):
+        for row in table[2]:
+            u0, u1, need = row[0], row[1], row[-1]
+            us = [0.5 * (u0 + u1)]
+            for e, inward in ((u0, 1.0), (u1, -1.0)):
+                us += [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+                us += [e + sign * off for off in (1e-12, 1e-9, 1e-7) for sign in (1, -1)]
+                us += [e + inward * f * n * need for f in (0.5, 2.0)]
+            for u in us:
+                before = reads.count
+                got = h._invert(table, u)
+                want = (pieces[0]["x0"] if u <= 0.0 else pieces[-1]["x1"] if u >= TAU
+                        else reference_invert_piece(h, pieces, u))
+                assert got == want, (u, got, want)
+                if 0.0 < u < TAU:
+                    lifted += reads.count > before
+                    scanned += reads.count == before
+    if n >= 3:
+        assert lifted and scanned, (lifted, scanned)
+    else:
+        assert reads.count == 0        # one lift, no choice to make
+
+
+class _CountingCmath:
+    """cmath with a count of its exp calls."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def exp(self, z):
+        self.exps += 1
+        return cmath.exp(z)
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_h_pull_back_runs_one_lift(monkeypatch, n):
+    # a pull-back past the early returns runs the arithmetic lift alone, one
+    # exp, unless its target lies within a margin of a piece end; the scan of
+    # every lift tries two to three lifts a pull-back for n = 3, 4, 5
+    h = bs.ConjugacyH(bs.bowen_series_map(n, 1, factor=True))
+    counting = _CountingCmath()
+    monkeypatch.setattr(bs, "cmath", counting)
+    exps = []
+    invert = h._invert
+
+    def counted(table, u):
+        before = counting.exps
+        out = invert(table, u)
+        exps.append(counting.exps - before)
+        return out
+
+    h._invert = counted
+    rng = random.Random(31)
+    for _ in range(50):
+        h.value(rng.uniform(0.0, TAU), 12)
+    lifted = [k for k in exps if k]
+    assert len(lifted) > 500
+    assert sum(k == 1 for k in lifted) >= 0.95 * len(lifted), sorted(lifted)[-20:]
+
+
 def test_h_value_argument_checks(monkeypatch):
     h = bs.ConjugacyH(bs.bowen_series_map(1, 4))
     monkeypatch.setattr(bs, "power_map_itinerary", _refuse_enumeration)

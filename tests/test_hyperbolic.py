@@ -209,13 +209,13 @@ def test_order_of_large_half_turns_is_two():
         assert half.order() == 2, size
 
 
-def reference_order(g, max_order=64, tol=1e-9):
+def reference_order(g, max_order=64):
     """Order by powers: the smallest k with g^k the identity (the former
     MobiusMap.order, kept as the reference for the closed form)."""
     size = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
     h = g
     for k in range(1, max_order + 1):
-        if h.is_identity(tol):
+        if h.is_identity():
             return k
         h_size = max(abs(h.a), abs(h.b), abs(h.c), abs(h.d))
         if h_size > 1e6 or (h_size > size and size * h_size > 1e6):
