@@ -17,7 +17,7 @@ from . import MAX_DEPTH
 from . import hyperbolic as hyp
 from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
                      MarkovViolation, OutsideDomain, RankLimit, as_count)
-from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group, vertex_cycles
+from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 
 BREAK_TOL = 1e-12
@@ -101,7 +101,7 @@ def bowen_series_from_preset(preset: GroupPreset, factor: bool = False) -> Bowen
     if factor and preset.n < 3:
         raise OutsideDomain("factor map needs n >= 3")
     pockets = _pocket_table(preset)
-    marked = _marked_fixed_angle(preset, pockets, factor)
+    marked = _marked_fixed_angle(preset, pockets)
     return BowenSeriesMap(preset, pockets, factor, marked)
 
 
@@ -124,9 +124,12 @@ def eval_circle_raw_one_sided(m: BowenSeriesMap, theta: float, side: int) -> flo
 
     The pockets subtend the uniform partition at multiples of 2 pi/(np), so
     the arc choice is index arithmetic; the pocket map is then evaluated at
-    theta itself (Möbius maps extend continuously to the closed arc).
+    theta itself (Möbius maps extend continuously to the closed arc).  A side
+    other than +1 or -1 raises InvalidArgument.
     """
     _check_theta(theta)
+    if side != 1 and side != -1:
+        raise InvalidArgument(f"side must be +1 or -1, not {side!r}")
     k = len(m.pockets.entries)
     t = norm_angle(theta)
     idx = math.floor(t * k / TAU + (1e-7 if side > 0 else -1e-7)) % k
@@ -150,20 +153,14 @@ def eval_circle(m: BowenSeriesMap, theta: float, lift: int = 0) -> float:
 
 
 def eval_circle_one_sided(m: BowenSeriesMap, theta: float, side: int) -> float:
+    """One-sided limit of eval_circle at theta, side as in
+    eval_circle_raw_one_sided (factor maps evaluated through z -> z^n)."""
     if not m.factor:
         return eval_circle_raw_one_sided(m, theta, side)
     _check_theta(theta)
     n = m.preset.n
     up = norm_angle(theta) / n
     return norm_angle(n * eval_circle_raw_one_sided(m, up, side))
-
-
-def _eval_circle_safe(m: BowenSeriesMap, theta: float) -> float:
-    """eval_circle with a one-sided fallback at breakpoints (internal use)."""
-    try:
-        return eval_circle(m, theta)
-    except AtBreakpoint:
-        return eval_circle_one_sided(m, theta, +1)
 
 
 def circle_orbit(m: BowenSeriesMap, theta: float, steps: int):
@@ -366,39 +363,21 @@ def _boundary_fixed_points(g: MobiusMap):
     return [z for z in (q / g.c, -g.b / q) if abs(abs(z) - 1.0) < 1e-9]
 
 
-def _circle_fixed_points(m: BowenSeriesMap):
-    """All fixed angles of an n = 1 circle map (every Case II map is one).
+def _marked_fixed_angle(preset: GroupPreset, pockets: PocketTable) -> float:
+    """The normalising fixed angle: 0 in Case I, and in Case II (n = 1) the
+    least fixed angle of the circle map, which lies in arc 2.
 
-    On pocket arc k the map is the pairing g_k, so its fixed angles inside
-    the arc are the boundary roots of g_k(z) = z.  A fixed arc end is a
-    parabolic ideal vertex, where the quadratic has a double root and its
-    discriminant is ill-posed; those come from the vertex cycles of length
-    one instead (a pairing fixing the vertex its side starts from, which is
-    the one-sided value there).
+    On arc k the map is the pairing g_k.  Side 1 is self-paired, and its
+    order-2 pairing fixes no boundary point, so arc 1 holds no fixed angle.
+    No vertex is fixed either: from both sides the map sends vertex v to
+    1 - v mod p, which fixes v only if 2v = 1 mod p, and p is even.  So the
+    least fixed angle is the least root of g_2(z) = z inside arc 2.
     """
-    out = [m.preset.polygon.vertices[c["vertices"][0]]
-           for c in vertex_cycles(m.preset) if len(c["vertices"]) == 1]
-    for pk in m.pockets.entries:
-        for z in _boundary_fixed_points(pk.map):
-            t = norm_angle(cmath.phase(z))
-            if angle_in_open_arc(t, pk.arc[0], pk.arc[1], ROOT_END_TOL):
-                out.append(t)
-    verified = [t for t in out
-                if hyp.angle_dist(_eval_circle_safe(m, t), t) < 1e-6]
-    dedup = []
-    for t in sorted(verified):
-        if all(hyp.angle_dist(t, u) > 1e-6 for u in dedup):
-            dedup.append(t)
-    return dedup
-
-
-def _marked_fixed_angle(preset: GroupPreset, pockets: PocketTable, factor: bool) -> float:
     if preset.case == "I":
         return 0.0
-    # Case II (n = 1): the smallest positive fixed angle of the circle map;
-    # for the regular polygon this is the axis endpoint of g~_2 in pocket 2
-    m = BowenSeriesMap(preset, pockets, factor, 0.0)
-    fixed = [t for t in _circle_fixed_points(m) if t > 1e-9]
+    pk = pockets.entries[1]
+    fixed = [t for t in (norm_angle(cmath.phase(z)) for z in _boundary_fixed_points(pk.map))
+             if angle_in_open_arc(t, pk.arc[0], pk.arc[1], ROOT_END_TOL)]
     if not fixed:
         raise MarkovViolation("no circle fixed point found")
     return min(fixed)

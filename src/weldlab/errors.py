@@ -13,10 +13,6 @@ class CoincidentEndpoints(WeldlabError):
     """Geodesic endpoints closer than the angular tolerance."""
 
 
-class NotDisjoint(WeldlabError):
-    """No common perpendicular: the geodesics cross or share an endpoint."""
-
-
 class DegenerateInput(WeldlabError):
     """Polygon or group parameters below the minimal size."""
 

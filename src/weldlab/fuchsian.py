@@ -4,8 +4,9 @@ Two pairing cases for the np-gon Pi:
 
   Case I   g_s = (reflection along C_{1,s}) then (reflection along the
            diameter l joining +-exp(i pi/n)); pairs side s with p+1-s.
-  Case II  (p even) same with the common perpendicular l~ of C_{1,1} and
-           C_{1,(p+2)/2}; pairs side s with p+2-s mod p.
+  Case II  (p even) same with l~, the common perpendicular of C_{1,1} and
+           C_{1,(p+2)/2}: the diameter through the centre of C_{1,1}; pairs
+           side s with p+2-s mod p.
 
 Only the first-sector generators plus the rotation M_w are stored; the other
 sectors are conjugates M_w^{r-1} g_s M_w^{-(r-1)}.
@@ -18,10 +19,10 @@ import math
 from typing import NamedTuple
 
 from . import hyperbolic as hyp
-from .errors import (DegenerateInput, InvalidCase, NonParabolicCycle, PairingViolation,
-                     RankLimit, as_count)
-from .hyperbolic import (MobiusMap, TAU, common_perpendicular, geodesic_between,
-                         pairing_from_reflections, regular_ideal_polygon)
+from .errors import (DegenerateInput, InvalidArgument, InvalidCase, NonParabolicCycle,
+                     PairingViolation, RankLimit, as_count)
+from .hyperbolic import (MobiusMap, TAU, geodesic_between, pairing_from_reflections,
+                         regular_ideal_polygon)
 
 CASE_I = "I"
 CASE_II = "II"
@@ -81,6 +82,7 @@ class GroupPreset(NamedTuple):
 
     def generator(self, r: int, s: int) -> MobiusMap:
         """Side pairing of C_{r,s}; sectors transfer by rotation conjugation."""
+        r, s = self._check_label(r, s)
         g = self.first_sector[s - 1]
         if r == 1:
             return g
@@ -88,7 +90,15 @@ class GroupPreset(NamedTuple):
         return mw.compose(g).compose(mw.inverse())
 
     def side(self, r: int, s: int) -> hyp.Geodesic:
-        return self.polygon.sides[self.side_index(r, s)]
+        """The side C_{r,s}."""
+        return self.polygon.sides[self.side_index(*self._check_label(r, s))]
+
+    def _check_label(self, r: int, s: int):
+        """(r, s) as ints; a label outside 1..n by 1..p raises InvalidArgument."""
+        r, s = as_count(r, "r"), as_count(s, "s")
+        if not (1 <= r <= self.n and 1 <= s <= self.p):
+            raise InvalidArgument(f"side label ({r}, {s}) outside 1..{self.n} by 1..{self.p}")
+        return r, s
 
     def side_index(self, r: int, s: int) -> int:
         return (r - 1) * self.p + (s - 1)
@@ -133,9 +143,10 @@ def build_group(n: int, p: int, case: str = CASE_I) -> GroupPreset:
     if case == CASE_I:
         axis = geodesic_between(math.pi / n, math.pi / n + math.pi)
     else:
-        c_a = polygon.sides[0]                     # C_{1,1}
-        c_b = polygon.sides[(p + 2) // 2 - 1]      # C_{1,(p+2)/2}
-        axis = common_perpendicular(c_a, c_b)
+        # the half-turn z -> -z swaps C_{1,1} and C_{1,(p+2)/2}, so their common
+        # perpendicular passes through 0: the diameter through C_{1,1}'s centre
+        t = cmath.phase(polygon.sides[0].center)
+        axis = geodesic_between(t, t + math.pi)
 
     gens = tuple(pairing_from_reflections(axis, polygon.sides[s - 1])
                  for s in range(1, p + 1))

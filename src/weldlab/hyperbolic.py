@@ -13,7 +13,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import CoincidentEndpoints, DegenerateInput, NotDisjoint
+from .errors import CoincidentEndpoints, DegenerateInput
 
 TAU = 2.0 * math.pi
 
@@ -24,10 +24,6 @@ DEFAULT_TOL = 1e-9
 #: antipodal span a diameter: about a thousand ulps of 2 pi, far below the
 #: vertex spacing 2 pi / np of any polygon within the side budget
 ENDPOINT_TOL = 1e-12
-#: largest perpendicularity residual a common perpendicular may carry; the
-#: residual differences squared lengths, whose rounding grows with the radii,
-#: so it is looser than DEFAULT_TOL
-PERP_TOL = 1e-8
 
 
 def norm_angle(theta: float) -> float:
@@ -272,77 +268,6 @@ def reflect(g: Geodesic) -> AntiMobiusMap:
 def pairing_from_reflections(axis: Geodesic, side: Geodesic) -> MobiusMap:
     """Reflection along `side` followed by reflection along `axis`."""
     return reflect(axis).compose_anti(reflect(side))
-
-
-def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
-    """The unique geodesic orthogonal to two disjoint geodesics.
-
-    A circle (q, rho) orthogonal to the unit circle satisfies |q|^2 = rho^2+1;
-    orthogonality to a geodesic circle (c, r) with |c|^2 = r^2+1 reduces to
-    the linear condition <q, c> = 1, and orthogonality to a diameter means q
-    lies on its line.  Intersecting the two linear conditions gives q.
-    """
-    rows = []
-    rhs = []
-    for g in (g1, g2):
-        if g.is_diameter:
-            n = 1j * cmath.exp(1j * g.theta1)  # normal of the diameter line
-            rows.append((n.real, n.imag))
-            rhs.append(0.0)
-        else:
-            rows.append((g.center.real, g.center.imag))
-            rhs.append(1.0)
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if abs(det) < 1e-13:
-        # parallel constraints: the perpendicular is a diameter (or fails)
-        return _diameter_perpendicular(g1, g2)
-    qx = (rhs[0] * rows[1][1] - rhs[1] * rows[0][1]) / det
-    qy = (rows[0][0] * rhs[1] - rows[1][0] * rhs[0]) / det
-    q = complex(qx, qy)
-    rho_sq = abs(q) ** 2 - 1.0
-    if rho_sq <= DEFAULT_TOL:
-        raise NotDisjoint("geodesics cross or share an endpoint")
-    # endpoints: unit vectors z with <z, q> = 1
-    half = math.acos(max(-1.0, min(1.0, 1.0 / abs(q))))
-    base = cmath.phase(q)
-    perp = geodesic_between(base - half, base + half)
-    _check_perpendicular(perp, g1, g2)
-    return perp
-
-
-def _diameter_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
-    # a diameter is orthogonal to (c, r) iff its line passes through c
-    cands = []
-    for g in (g1, g2):
-        if g.is_diameter:
-            cands.append(norm_angle(g.theta1 + 0.5 * math.pi))
-        else:
-            cands.append(cmath.phase(g.center))
-    a0 = cands[0]
-    for a in cands[1:]:
-        if min(angle_dist(a0, a), angle_dist(a0, a + math.pi)) > 1e-7:
-            raise NotDisjoint("no common perpendicular exists")
-    perp = geodesic_between(a0, a0 + math.pi)
-    _check_perpendicular(perp, g1, g2)
-    return perp
-
-
-def perpendicularity_residual(a: Geodesic, b: Geodesic) -> float:
-    """0 iff the geodesics meet at a right angle."""
-    if a.is_diameter and b.is_diameter:
-        d = angle_dist(a.theta1, b.theta1)
-        return abs(min(d, abs(math.pi - d)) - 0.5 * math.pi)
-    if a.is_diameter or b.is_diameter:
-        diam, circ = (a, b) if a.is_diameter else (b, a)
-        n = 1j * cmath.exp(1j * diam.theta1)
-        return abs((circ.center * n.conjugate()).real)
-    return abs(abs(a.center - b.center) ** 2 - (a.radius ** 2 + b.radius ** 2))
-
-
-def _check_perpendicular(perp: Geodesic, g1: Geodesic, g2: Geodesic):
-    res = max(perpendicularity_residual(perp, g1), perpendicularity_residual(perp, g2))
-    if res > PERP_TOL:
-        raise NotDisjoint(f"perpendicularity residual {res:.2e}")
 
 
 class IdealPolygon:

@@ -19,6 +19,7 @@ from weldlab.fuchsian import (CASE_I, CASE_II, build_group, legal_presets,
                               self_paired_sides, side_pairing_check)
 from weldlab.hyperbolic import TAU, angle_dist, norm_angle
 
+from test_bowen_series import _eval_circle_safe
 from test_correspondence import fiber_by_roots
 
 GRID = legal_presets()
@@ -208,7 +209,7 @@ def test_11_conjugacy_self_consistency():
                 for depth in (6, 12):
                     hv, _ = h.value(th, depth)
                     hd, _ = h.value(norm_angle(d * th), depth)
-                    res = angle_dist(hd, bs._eval_circle_safe(m, hv))
+                    res = angle_dist(hd, _eval_circle_safe(m, hv))
                     sups[depth] = max(sups[depth], res)
             assert sups[12] < sups[6], (m.name, sups)
             svals = [h.value(t, 12)[0] for t in sorted(thetas)]

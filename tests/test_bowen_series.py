@@ -24,6 +24,14 @@ def all_maps():
     return out
 
 
+def _eval_circle_safe(m, theta):
+    """eval_circle with the ccw one-sided value at breakpoints."""
+    try:
+        return bs.eval_circle(m, theta)
+    except AtBreakpoint:
+        return bs.eval_circle_one_sided(m, theta, +1)
+
+
 # -- circle evaluation ---------------------------------------------------------
 
 def test_fixed_point_case_i():
@@ -90,6 +98,15 @@ def test_factor_continuity_at_discontinuity():
     assert angle_dist(lo, hi) < 1e-9
 
 
+@pytest.mark.parametrize("side", [0, 2, 7, 0.5, -0.5, None, math.nan])
+def test_one_sided_rejects_bad_side(side):
+    for m in (bs.bowen_series_map(1, 4), bs.bowen_series_map(3, 1, factor=True)):
+        with pytest.raises(InvalidArgument):
+            bs.eval_circle_one_sided(m, 1.0, side)
+        with pytest.raises(InvalidArgument):
+            bs.eval_circle_raw_one_sided(m, 1.0, side)
+
+
 def test_unfactored_jump_in_rotation_orbit():
     m = bs.bowen_series_map(3, 1)
     lo = bs.eval_circle_raw_one_sided(m, 0.0, -1)
@@ -145,7 +162,7 @@ def test_preimage_count_oracle():
     vals = []
     for i in range(grid):
         t = TAU * (i + 0.5) / grid
-        vals.append(bs._eval_circle_safe(m, t))
+        vals.append(_eval_circle_safe(m, t))
     crossings = 0
     for i in range(grid):
         a = vals[i]
@@ -322,7 +339,7 @@ def test_h_functional_equation_improves(n, p, case, factor):
         for depth in sups:
             hv, _ = h.value(th, depth)
             hd, _ = h.value(norm_angle(d * th), depth)
-            res = angle_dist(hd, bs._eval_circle_safe(m, hv))
+            res = angle_dist(hd, _eval_circle_safe(m, hv))
             sups[depth] = max(sups[depth], res)
     assert sups[12] < sups[6]
 
@@ -348,7 +365,7 @@ def test_h_pull_back_inverts_forward():
             u = rng.uniform(1e-6, TAU - 1e-6)
             j = rng.randrange(h.d)
             x = h._invert(h._tables[j], u)
-            fwd = bs._eval_circle_safe(m, norm_angle(h.base + x))
+            fwd = _eval_circle_safe(m, norm_angle(h.base + x))
             assert abs(ccw_span(h.base, fwd) - u) < 1e-6
 
 
@@ -841,7 +858,7 @@ def grid_lifted_rise(m, lo, hi, grid=64):
         for i in range(1, steps + 1):
             t = lo + span * i / steps
             cur = (bs.eval_circle_one_sided(m, hi, -1) if i == steps
-                   else bs._eval_circle_safe(m, norm_angle(t)))
+                   else _eval_circle_safe(m, norm_angle(t)))
             d = (cur - prev) % TAU
             if d > math.pi:  # step too coarse to lift safely
                 ok = False
@@ -895,7 +912,7 @@ def grid_solve_lifted(m, lo, hi, target, grid=256):
         for i in range(1, grid + 1):
             t = span * i / grid
             val = (bs.eval_circle_one_sided(m, hi, -1) if i == grid
-                   else bs._eval_circle_safe(m, norm_angle(lo + t)))
+                   else _eval_circle_safe(m, norm_angle(lo + t)))
             step = (val - lifted_prev) % TAU
             max_step = max(max_step, step)
             lifted = lifted_prev + step
@@ -908,10 +925,10 @@ def grid_solve_lifted(m, lo, hi, target, grid=256):
         assert grid <= 262144, "lift bracketing failed"
     a, b, base_lift = bracket
     val_a = (bs.eval_circle_one_sided(m, lo, +1) if a == 0.0
-             else bs._eval_circle_safe(m, norm_angle(lo + a)))
+             else _eval_circle_safe(m, norm_angle(lo + a)))
     for _ in range(80):
         mid = 0.5 * (a + b)
-        vm = bs._eval_circle_safe(m, norm_angle(lo + mid))
+        vm = _eval_circle_safe(m, norm_angle(lo + mid))
         if base_lift + (vm - val_a) % TAU < target:
             a = mid
         else:
@@ -949,7 +966,7 @@ def grid_fixed_points(m, grid=1024):
                 return bs.eval_circle_one_sided(m, lo, +1)
             if t_off >= span:
                 return bs.eval_circle_one_sided(m, hi, -1)
-            return bs._eval_circle_safe(m, norm_angle(lo + t_off))
+            return _eval_circle_safe(m, norm_angle(lo + t_off))
 
         v0 = val_at(0.0)
         disp = (v0 - lo + math.pi) % TAU - math.pi
@@ -982,7 +999,7 @@ def grid_fixed_points(m, grid=1024):
                             b = mid
                     out.append(norm_angle(lo + 0.5 * (a + b)))
             prev_t, prev_v, prev_disp = t, v, disp
-    verified = [t for t in out if angle_dist(bs._eval_circle_safe(m, t), t) < 1e-6]
+    verified = [t for t in out if angle_dist(_eval_circle_safe(m, t), t) < 1e-6]
     dedup = []
     for t in sorted(norm_angle(x) for x in verified):
         if all(angle_dist(t, u) > 1e-6 for u in dedup):
@@ -1012,15 +1029,14 @@ def test_cuts_match_grid_reference(m):
     assert max(angle_dist(a, b) for a, b in zip(h.cuts, want)) < 1e-12
 
 
-@pytest.mark.parametrize("m", [m for m in all_maps() if m.preset.n == 1],
+@pytest.mark.parametrize("m", [m for m in all_maps() if m.preset.n == 1]
+                         + [bs.bowen_series_map(1, p, CASE_II) for p in (8, 12, 20, 30)],
                          ids=lambda m: m.name)
 def test_fixed_points_match_grid_reference(m):
-    got = bs._circle_fixed_points(m)
+    # the marked angle is the least fixed angle the grid finds: the fixed
+    # vertex 0 in Case I, a root of g_2 inside arc 2 in Case II
     want = grid_fixed_points(m)
-    assert len(got) == len(want)
-    assert max(angle_dist(a, b) for a, b in zip(got, want)) < 1e-12
-    if m.preset.case == CASE_II:
-        assert abs(m.marked_fixed_angle - min(t for t in want if t > 1e-9)) < 1e-12
+    assert abs(m.marked_fixed_angle - min(want)) < 1e-12
 
 
 def test_circle_kernel_time_budget():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -128,6 +129,26 @@ def test_extended_group_closure(n, p, case):
             conj = mw.compose(g.generator(r, s)).compose(mw.inverse())
             r2 = r % n + 1
             assert conj.dist(g.generator(r2, s)) < 1e-9
+
+
+@pytest.mark.parametrize("r,s", [(1, 0), (0, 1), (4, 1), (1, 3), (-1, 2), (1.0, 1), (1, None)])
+def test_side_label_out_of_range_raises(r, s):
+    g = build_group(3, 2)
+    with pytest.raises(InvalidArgument):
+        g.generator(r, s)
+    with pytest.raises(InvalidArgument):
+        g.side(r, s)
+
+
+def test_case_ii_axis_is_perpendicular_diameter():
+    # the axis must meet C_{1,1} and C_{1,(p+2)/2} at right angles: a
+    # diameter does so iff its line passes through each circle's centre
+    for p in range(4, 401, 2):
+        g = build_group(1, p, CASE_II)
+        assert g.axis.is_diameter, p
+        normal = 1j * cmath.exp(1j * g.axis.theta1)
+        for side in (g.polygon.sides[0], g.polygon.sides[(p + 2) // 2 - 1]):
+            assert abs((side.center * normal.conjugate()).real) <= 1e-8, p
 
 
 def test_signatures_examples():

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weldlab.errors import CoincidentEndpoints, DegenerateInput, NotDisjoint
-from weldlab.hyperbolic import (MobiusMap, TAU, common_perpendicular,
-                                geodesic_between, perpendicularity_residual,
-                                reflect, regular_ideal_polygon)
+from weldlab.errors import CoincidentEndpoints, DegenerateInput
+from weldlab.hyperbolic import (MobiusMap, TAU, geodesic_between, reflect,
+                                regular_ideal_polygon)
 
 angles = st.floats(min_value=0.0, max_value=TAU - 1e-6)
 disk_pts = st.complex_numbers(max_magnitude=0.95, allow_nan=False,
@@ -136,39 +135,6 @@ def test_anti_compose_is_mobius():
     z = 0.1 + 0.2j
     assert abs(m(z) - r1(r2(z))) < 1e-12
     assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
-
-
-def test_common_perpendicular_symmetric():
-    g1 = geodesic_between(math.pi / 6, -math.pi / 6)
-    g2 = geodesic_between(math.pi - math.pi / 3, math.pi + math.pi / 3)
-    perp = common_perpendicular(g1, g2)
-    assert perp.is_diameter
-    assert min(abs(perp.theta1), abs(perp.theta1 - math.pi)) < 1e-9
-
-
-def test_common_perpendicular_case_ii():
-    c1 = geodesic_between(0, math.pi / 2)
-    c3 = geodesic_between(math.pi, 1.5 * math.pi)
-    lt = common_perpendicular(c1, c3)
-    assert lt.is_diameter
-    assert abs(lt.theta1 - math.pi / 4) < 1e-9
-    assert perpendicularity_residual(lt, c1) < 1e-8
-    assert perpendicularity_residual(lt, c3) < 1e-8
-
-
-def test_common_perpendicular_generic_orthogonal():
-    g1 = geodesic_between(0.1, 0.9)
-    g2 = geodesic_between(2.0, 3.4)
-    perp = common_perpendicular(g1, g2)
-    assert perpendicularity_residual(perp, g1) < 1e-8
-    assert perpendicularity_residual(perp, g2) < 1e-8
-
-
-def test_common_perpendicular_crossing_raises():
-    g1 = geodesic_between(0.0, math.pi)
-    g2 = geodesic_between(math.pi / 2, 1.5 * math.pi)
-    with pytest.raises(NotDisjoint):
-        common_perpendicular(g1, g2)
 
 
 def test_regular_polygon():
