@@ -12,14 +12,10 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 from . import MAX_DEPTH, SCHEMA_VERSION
 from .errors import RankLimit, UsageError, WeldlabError
-
-#: gallery names of the Newton family: 5.6 (n = 3) or 5.6:<n>
-_NEWTON_NAME = re.compile(r"5\.6(:-?\d+)?")
 
 
 def _emit(doc):
@@ -47,7 +43,7 @@ def _preset(args):
 def _load_schema_arg(path):
     from . import mating_schema as ms
     if not os.path.exists(path):
-        if path in ms.PAPER_EXAMPLES or _NEWTON_NAME.fullmatch(path):
+        if path in ms.PAPER_EXAMPLES or ms.NEWTON_NAME.fullmatch(path):
             return ms.paper_example(path)
         raise UsageError(f"file not found: {path}")
     try:

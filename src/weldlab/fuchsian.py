@@ -61,13 +61,19 @@ def sigma_corner(p: int, case: str):
 
 
 def self_paired_sides(p: int, case: str):
-    sig = sigma_side(p, case)
-    return [s for s in range(1, p + 1) if sig[s] == s]
+    """Sides s with sigma(s) = s: p+1-s = s in Case I, 2s = 2 mod p (p even)
+    in Case II."""
+    if case == CASE_I:
+        return [(p + 1) // 2] if p % 2 else []
+    return [1, p // 2 + 1]
 
 
 def fixed_corners(p: int, case: str):
-    sig = sigma_corner(p, case)
-    return [k for k in range(p) if sig[k] == k]
+    """Corners k with sigma(k) = k: 2k = 0 mod p in Case I; none in Case II,
+    where 2k = 1 mod p has no root for even p."""
+    if case == CASE_I:
+        return [0] if p % 2 else [0, p // 2]
+    return []
 
 
 class GroupPreset(NamedTuple):

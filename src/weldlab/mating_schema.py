@@ -16,12 +16,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from typing import NamedTuple
 
 from . import SCHEMA_VERSION, fuchsian
 from .errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                     InconsistentInvolution, NonPlanar, RankLimit, VerificationFailed,
-                     as_count)
+                     InconsistentInvolution, InvalidArgument, NonPlanar, RankLimit,
+                     VerificationFailed, as_count)
 from .fuchsian import CASE_I, CASE_II
 
 
@@ -134,10 +135,19 @@ class ContactData(NamedTuple):
 
 
 def validate_contact(holes: dict, contact: ContactData):
-    """Involution-consistency: identified corners have identified images."""
+    """Involution-consistency: identified corners have identified images.
+
+    An incidence that is not a pair of integers (a bool is refused, as
+    schema_from_dict refuses it) raises InvalidArgument.
+    """
     seen = {}
     for ci, cls in enumerate(contact.classes):
-        for (h, k) in cls:
+        for inc in cls:
+            if (type(inc) is not tuple or len(inc) != 2
+                    or type(inc[0]) is not int or type(inc[1]) is not int):
+                raise InvalidArgument(f"incidence {inc!r} must be a pair of integers "
+                                      "(slot, corner)")
+            h, k = inc
             if h not in holes:
                 raise InconsistentInvolution(f"incidence {(h, k)}: slot {h} has no hole")
             if not (0 <= k < holes[h].p):
@@ -199,17 +209,6 @@ class BoundaryComplex(NamedTuple):
                    for s in self.slots if s.kind == "group")
 
 
-def _rotation_orders(holes, contact):
-    """Vertex table: identification classes plus implicit singletons."""
-    claimed = {inc for cls in contact.classes for inc in cls}
-    classes = [tuple(cls) for cls in contact.classes]
-    for h in sorted(holes):
-        for k in range(holes[h].p):
-            if (h, k) not in claimed:
-                classes.append(((h, k),))
-    return classes
-
-
 def assemble(slots, contact: ContactData) -> BoundaryComplex:
     """Build the boundary complex of a mating schema.
 
@@ -219,72 +218,83 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     arcs backward with the face on the left (see _domain_faces); the Euler
     count V - E + F = 2 per boundary component rejects non-planar contact
     data.
+
+    Arcs are numbered hole by hole in slot order, each hole's sides 1..p in
+    order, a split side's two pieces in order; first[h][s] is the index of
+    side s's first arc on hole h (its piece 1 is the next one), and
+    first[h][p + 1] is one past the hole's last arc.
     """
     slots = tuple(slots)
     for s in slots:
         s.validate()
     if sum(1 for s in slots if s.unbounded) > 1:
         raise DegenerateInput("at most one unbounded slot")
-    holes = {i: build_hole(s, i) for i, s in enumerate(slots) if s.kind == "group"}
+    holes = {}
+    tables = {}          # (p, case) -> a hole's fields after slot_index, this call only
+    for i, s in enumerate(slots):
+        if s.kind == "group":
+            shape = tables.get((s.p, s.case))
+            if shape is None:
+                shape = tables[s.p, s.case] = build_hole(s, i)[1:]
+            holes[i] = HoleBoundary(i, *shape)
     if not holes:
         raise DegenerateInput("a schema needs at least one group slot")
     validate_contact(holes, contact)
 
-    corner_classes = _rotation_orders(holes, contact)
-    vertex_of_corner = {}
-    vertices = []
-    for cls in corner_classes:
-        vid = len(vertices)
-        vertices.append({"kind": "corner", "incidences": cls})
-        for inc in cls:
-            vertex_of_corner[inc] = vid
+    # vertex table: the identification classes, then each unclaimed corner
+    # alone, hole by hole; corner_vertex[h][k] is the vertex of corner k
+    corner_classes = [tuple(cls) for cls in contact.classes]
+    corner_vertex = {h: [-1] * hb.p for h, hb in holes.items()}
+    for vid, cls in enumerate(corner_classes):
+        for h, k in cls:
+            corner_vertex[h][k] = vid
+    for h, ks in corner_vertex.items():
+        for k, vid in enumerate(ks):
+            if vid < 0:
+                ks[k] = len(corner_classes)
+                corner_classes.append(((h, k),))
+    vertices = [{"kind": "corner", "incidences": cls} for cls in corner_classes]
 
     # arcs: split self-paired sides at an interior fixed point
     arcs = []
-    arc_of = {}          # (hole, side, piece) -> arc index
-
-    def add_arc(h, side, piece, u, w):
-        a = Arc(len(arcs), h, side, piece, u, w)
-        arcs.append(a)
-        arc_of[(h, side, piece)] = a.index
-        return a
-
-    for h in sorted(holes):
-        hb = holes[h]
-        for s in range(1, hb.p + 1):
-            u = vertex_of_corner[(h, s - 1)]
-            w = vertex_of_corner[(h, s % hb.p)]
-            if s in hb.interior_fixed_sides:
+    first = {}
+    for h, hb in holes.items():
+        p, split, ks = hb.p, hb.interior_fixed_sides, corner_vertex[h]
+        f = first[h] = [len(arcs)] * (p + 2)
+        for s in range(1, p + 1):
+            f[s] = a = len(arcs)
+            u, w = ks[s - 1], ks[s % p]
+            if s in split:
                 vid = len(vertices)
                 vertices.append({"kind": "midpoint", "incidences": ((h, s),)})
-                add_arc(h, s, 0, u, vid)
-                add_arc(h, s, 1, vid, w)
+                arcs += (Arc(a, h, s, 0, u, vid), Arc(a + 1, h, s, 1, vid, w))
             else:
-                add_arc(h, s, 0, u, w)
+                arcs.append(Arc(a, h, s, 0, u, w))
+        f[p + 1] = len(arcs)
 
-    # boundary involution on arcs
+    # boundary involution on arcs: sigma carries side s onto sigma(s)
+    # reversing orientation, and a split side is self-paired (sigma is an
+    # involution), so the reversal swaps its halves
     s_action = {}
-    for a in arcs:
-        hb = holes[a.hole]
-        s2 = hb.sigma_side[a.side]
-        if s2 in hb.interior_fixed_sides:
-            # a split side is self-paired (sigma is an involution), and the
-            # orientation reversal swaps its halves
-            s_action[a.index] = arc_of[(a.hole, s2, 1 - a.piece)]
-        else:
-            s_action[a.index] = arc_of[(a.hole, s2, 0)]
-    for a, b in s_action.items():
-        if s_action[b] != a or a == b:
-            raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
+    for h, hb in holes.items():
+        f, sig, split = first[h], hb.sigma_side, hb.interior_fixed_sides
+        for s in range(1, hb.p + 1):
+            a, b = f[s], f[sig[s]]
+            if s in split:
+                s_action[a], s_action[a + 1] = b + 1, b
+            else:
+                s_action[a] = b
+    if any(s_action.get(b) != a or a == b for a, b in s_action.items()):
+        raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
 
-    faces, arc_face, components = _domain_faces(holes, arcs, arc_of, vertices,
+    faces, arc_face, components = _domain_faces(holes, arcs, first, vertices,
                                                 corner_classes)
 
     return BoundaryComplex(slots, holes, contact, arcs, s_action, vertices,
                            faces, arc_face, components)
 
 
-def _domain_faces(holes, arcs, arc_of, vertices, corner_classes):
+def _domain_faces(holes, arcs, first, vertices, corner_classes):
     """Faces of the multi-domain, each arc's face, and the boundary components.
 
     A domain face walks its arcs backward (face on the left), so it leaves
@@ -296,40 +306,39 @@ def _domain_faces(holes, arcs, arc_of, vertices, corner_classes):
     piece 0.  nxt is a permutation of the arcs and the domain faces are its
     cycles (Lando & Zvonkin, ch. 1); the sides of each hole bound its
     interior, one more face per hole.
+
+    A hole's boundary is one closed walk through all its corners and
+    midpoints, so the boundary components are the holes joined by the
+    identification classes.
     """
-    nxt = {}
+    E = len(arcs)
+    nxt = list(range(-1, E - 1))     # piece 1 turns into piece 0 before it
+    hole_uf = _UnionFind(holes)
     for cls in corner_classes:
-        for i, (h, k) in enumerate(cls):
-            h2, k2 = cls[i - 1]
-            s2 = k2 or holes[h2].p
-            nxt[arc_of[(h, k + 1, 0)]] = arc_of[
-                (h2, s2, 1 if s2 in holes[h2].interior_fixed_sides else 0)]
-    for a in arcs:
-        if a.piece == 1:
-            nxt[a.index] = arc_of[(a.hole, a.side, 0)]
+        h2, k2 = cls[-1]
+        for h, k in cls:
+            # the last piece of side s ends one arc before side s+1 begins
+            nxt[first[h][k + 1]] = first[h2][(k2 or holes[h2].p) + 1] - 1
+            h2, k2 = h, k
+        if len(cls) > 1:
+            for h, _ in cls:
+                hole_uf.union(h, h2)
+    ncomp = sum(1 for h, root in hole_uf.parent.items() if h == root)
 
     domain_cycles = []
-    seen = set()
-    for a0 in range(len(arcs)):
+    seen = [False] * E
+    for a0 in range(E):
         cyc = []
         a = a0
-        while a not in seen:
-            seen.add(a)
+        while not seen[a]:
+            seen[a] = True
             cyc.append((a, -1))
             a = nxt[a]
         if cyc:
             domain_cycles.append(cyc)
 
-    # connected components of the boundary graph, for the Euler check and the
-    # merge of outer faces
-    uf = _UnionFind(range(len(vertices)))
-    for a in arcs:
-        uf.union(a.start, a.end)
-    ncomp = len(uf.classes())
-
     # per-component sphere maps: V - E + F = 2 per component
     V = len(vertices)
-    E = len(arcs)
     F = len(domain_cycles) + len(holes)
     if V - E + F != 2 * ncomp:
         raise NonPlanar(f"V - E + F = {V - E + F}, expected {2 * ncomp}")
@@ -338,6 +347,13 @@ def _domain_faces(holes, arcs, arc_of, vertices, corner_classes):
     if ncomp == 1:
         faces = [[cyc] for cyc in domain_cycles]
     else:
+        # the merged face lists its cycles by the root vertex of a union-find
+        # over the arcs' ends, the order it has always had; no rule on the
+        # holes alone reproduces that order, so this union-find stays as the
+        # sort key (the components themselves come from hole_uf above)
+        uf = _UnionFind(range(V))
+        for a in arcs:
+            uf.union(a.start, a.end)
         by_comp = {}
         for cyc in domain_cycles:
             c = uf.find(arcs[cyc[0][0]].end)
@@ -584,9 +600,9 @@ def paper_example(name: str):
         slots = (group_slot(5, 1, unbounded=True), group_slot(1, 4, CASE_II),
                  group_slot(1, 3))
         return slots, ContactData(()), "quartic_double"
-    if name.startswith("5.6"):
-        n = int(name.split(":")[1]) if ":" in name else 3
-        slots, contact = newton_schema(n)
+    newton = NEWTON_NAME.fullmatch(name)
+    if newton:
+        slots, contact = newton_schema(int(newton[1] or 3))
         return slots, contact, None
     if name == "final":
         slots = (group_slot(4, 1), group_slot(3, 1), group_slot(3, 1),
@@ -597,6 +613,8 @@ def paper_example(name: str):
 
 
 PAPER_EXAMPLES = ("5.1", "5.2", "5.3", "5.4", "5.5", "final")
+#: gallery names of the Newton family: 5.6 (n = 3) or 5.6:<n>, n in ASCII digits
+NEWTON_NAME = re.compile(r"5\.6(?::(-?[0-9]+))?")
 
 
 # -- randomized schemas -----------------------------------------------------------

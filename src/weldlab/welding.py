@@ -82,18 +82,31 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     components: each corner step stays in its face copy and each gluing step
     stays on its edge.
     """
-    arcs = bc.arcs
+    E = len(bc.arcs)
     S = bc.s_action
     # guard hand-built complexes: the gluing needs a fixed-point-free arc
     # involution (fixed points of S are vertices because arcs are pre-split)
-    for a in range(len(arcs)):
+    for a in range(E):
         if S.get(S.get(a)) != a or S[a] == a:
             raise GluingInconsistency("s_action is not a fixed-point-free involution")
-    cycles = [cyc for face in bc.faces for cyc in face]
-    if sorted(d for cyc in cycles for d in cyc) != [(a, -1) for a in range(len(arcs))]:
-        raise GluingInconsistency("the domain faces do not traverse each arc "
-                                  "once backward")
-    prev = {a: cyc[i - 1][0] for cyc in cycles for i, (a, _) in enumerate(cyc)}
+    # one pass over the darts: each is (a, -1) for an arc a not walked before,
+    # and then the E arcs are all walked once backward
+    once = "the domain faces do not traverse each arc once backward"
+    prev = [-1] * E
+    for face in bc.faces:
+        for cyc in face:
+            b = E                # the cycle's last arc, set once the cycle closes
+            for dart in cyc:
+                if (type(dart) is not tuple or len(dart) != 2 or dart[1] != -1
+                        or type(a := dart[0]) is not int or not 0 <= a < E
+                        or prev[a] != -1):
+                    raise GluingInconsistency(once)
+                prev[a] = b
+                b = a
+            if cyc:
+                prev[cyc[0][0]] = b
+    if -1 in prev:
+        raise GluingInconsistency(once)
 
     # Orientability is structural: edge e_a borders face(a) in copy + (which
     # traverses arc a backward) and face(S a) in copy - (whose walk traverses
@@ -111,19 +124,19 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
         for fc in comp_faces:
             comp_of_face_copy[fc] = len(components)
         components.append({"faces": comp_faces, "edges": set(), "vertices": set()})
-    for a in range(len(arcs)):
+    for a in range(E):
         components[comp_of_face_copy[(bc.arc_face[a], +1)]]["edges"].add(a)
 
     # walk each rho-cycle once; the start of arc a in copy c lies on face(a)
     # in copy c
     eta_vertex = {}
-    seen = set()
-    for a0 in range(len(arcs)):
-        if a0 in seen:
+    seen = [False] * E
+    for a0 in range(E):
+        if seen[a0]:
             continue
         a, length = a0, 0
-        while a not in seen:
-            seen.add(a)
+        while not seen[a]:
+            seen[a] = True
             length += 1
             a = prev[S[a]]
         v = len(eta_vertex)

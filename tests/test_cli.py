@@ -287,6 +287,42 @@ def test_json_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_surface_pipeline_bytes_pinned(capsys, monkeypatch):
+    # the complex JSON of `mate build` and the `surface report` JSON of 300
+    # seeded random schemas, as the vertex union-find and the arc dict
+    # printed them, hashed together
+    import random
+
+    from weldlab import cli
+    from weldlab import mating_schema as ms
+    rng = random.Random(20261019)
+    schemas = [ms.random_schema(rng) for _ in range(300)]
+    monkeypatch.setattr(cli, "_load_schema_arg", lambda key: (*schemas[int(key)], None))
+    digest = hashlib.sha256()
+    for i, (slots, contact) in enumerate(schemas):
+        doc = cli._complex_json(ms.assemble(slots, contact))
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+        code, out, _ = run(capsys, "surface", "report", str(i))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "d54f9400e7b984099a26c119ce4f6822eb2785c36b4227b60b6b9f800efde787")
+
+
+def test_disconnected_mate_build_bytes_pinned(capsys, tmp_path):
+    # two free holes: the merged face lists hole 1's cycle first
+    from weldlab import mating_schema as ms
+    slots = (ms.group_slot(3, 1), ms.group_slot(1, 3))
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(ms.schema_to_dict(slots, ms.ContactData(()))))
+    code, out, _ = run(capsys, "mate", "build", str(path))
+    assert code == 0
+    faces = json.loads(out)["complex"]["faces"]
+    assert [[arc for arc, _ in cyc] for cyc in faces[0]] == [[2, 5, 4, 3], [0, 1]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cfdb712f289a750e5c075cf1244498ac20bd7652af76df483b9a606c466a93d3")
+
+
 #: SHA-256 of the JSON `bs conjugacy` printed when each pull-back looked its
 #: piece up in a dict; the flat per-piece tables reproduce it byte for byte
 CONJUGACY_DIGESTS = [
@@ -386,6 +422,13 @@ def test_bad_newton_name_is_a_bad_schema_name(capsys):
         assert run(capsys, "surface", "report", name) == (
             code, "", err.replace("no-such-schema", name))
 
+
+def test_non_ascii_newton_name_is_a_bad_schema_name(capsys):
+    # "5.6:" with an Arabic-Indic 4 was read as 5.6:4
+    code, _, err = run(capsys, "surface", "report", "no-such-schema")
+    for name in ("5.6:\u0664", "5.60", "5.6:4:5"):
+        assert run(capsys, "surface", "report", name) == (
+            code, "", err.replace("no-such-schema", name))
 
 # -- every argv exits 0, 1 or 2 ---------------------------------------------------
 

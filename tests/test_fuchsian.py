@@ -6,9 +6,9 @@ import pytest
 from weldlab.errors import (DegenerateInput, InvalidArgument, InvalidCase,
                             NonParabolicCycle, PairingViolation)
 from weldlab.fuchsian import (CASE_I, CASE_II, build_group, degree_plan,
-                              legal_presets, orbifold_signature,
-                              poincare_check, side_pairing_check,
-                              vertex_cycles)
+                              fixed_corners, legal_presets, orbifold_signature,
+                              poincare_check, self_paired_sides, side_pairing_check,
+                              sigma_corner, sigma_side, vertex_cycles)
 from weldlab.hyperbolic import MobiusMap
 
 GRID = legal_presets()
@@ -149,6 +149,15 @@ def test_case_ii_axis_is_perpendicular_diameter():
         normal = 1j * cmath.exp(1j * g.axis.theta1)
         for side in (g.polygon.sides[0], g.polygon.sides[(p + 2) // 2 - 1]):
             assert abs((side.center * normal.conjugate()).real) <= 1e-8, p
+
+
+def test_fixed_sides_and_corners_in_closed_form():
+    # the closed forms name the fixed points of sigma on sides and corners
+    for p in range(1, 400):
+        for case in (CASE_I, CASE_II) if p % 2 == 0 and p >= 4 else (CASE_I,):
+            sides, corners = sigma_side(p, case), sigma_corner(p, case)
+            assert self_paired_sides(p, case) == [s for s in sides if sides[s] == s]
+            assert fixed_corners(p, case) == [k for k in corners if corners[k] == k]
 
 
 def test_signatures_examples():

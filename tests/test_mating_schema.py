@@ -104,6 +104,16 @@ def test_double_identification_rejected():
         ms.assemble(slots, bad)
 
 
+@pytest.mark.parametrize("inc", [(0, 1.0), (1, True), (True, 1), (0,), (0, 1, 2),
+                                 [0, 1], "01", None])
+def test_contact_incidence_must_be_an_integer_pair(inc):
+    # (0, 1.0) and (1, True) were stored as corner 1 and printed back as 1.0
+    # and true; (0,) raised a raw ValueError
+    slots = (ms.group_slot(1, 4), ms.group_slot(1, 4))
+    with pytest.raises(InvalidArgument, match="must be a pair of integers"):
+        ms.assemble(slots, ms.ContactData(((inc,),)))
+
+
 def test_swapped_pair_pinch_is_consistent_but_changes_topology():
     # the {1,3} pinch is involution-consistent (its image class is itself)
     slots = (ms.group_slot(1, 4, unbounded=True),)
@@ -142,6 +152,33 @@ def test_newton_wedge():
         assert len(bc.faces[0]) == 1
     with pytest.raises(DegenerateInput):
         ms.newton_schema(2)
+
+
+@pytest.mark.parametrize("name", ["5.60", "5.6abc", "5.6: 4", "5.6:4:5", "5.6:x",
+                                  "5.6:4.0", "5.6:\u0664", "5.6:", "5.6\n"])
+def test_malformed_newton_name_is_unknown(name):
+    # the first four returned Newton schemas, the next two raised a raw
+    # ValueError, and an Arabic-Indic 4 named 5.6:4
+    with pytest.raises(DegenerateInput, match="unknown example"):
+        ms.paper_example(name)
+
+
+def test_holes_built_once_per_shape_and_call(monkeypatch):
+    calls = []
+    real = ms.build_hole
+
+    def counted(slot, slot_index=0):
+        calls.append((slot.p, slot.case))
+        return real(slot, slot_index)
+
+    monkeypatch.setattr(ms, "build_hole", counted)
+    slots = (ms.group_slot(3, 1), ms.group_slot(1, 4, CASE_II), ms.group_slot(3, 1),
+             ms.group_slot(1, 4), ms.group_slot(1, 4, CASE_II))
+    for _ in range(2):
+        bc = ms.assemble(slots, ms.ContactData(()))
+        assert [hb.slot_index for hb in bc.holes.values()] == [0, 1, 2, 3, 4]
+        assert bc.holes[4] == real(slots[4], 4)
+    assert calls == [(1, CASE_I), (4, CASE_II), (4, CASE_I)] * 2
 
 
 def test_crossing_pinch_is_not_planar():
@@ -326,11 +363,13 @@ def test_arc_permutation_matches_traced_faces(monkeypatch):
     real = ms._domain_faces
     seen = []
 
-    def both(*args):
-        got = _outcome(real, *args)
-        assert got == _outcome(reference_trace_faces, *args)
+    def both(holes, arcs, first, vertices, corner_classes):
+        got = _outcome(real, holes, arcs, first, vertices, corner_classes)
+        arc_of = {(a.hole, a.side, a.piece): a.index for a in arcs}
+        assert got == _outcome(reference_trace_faces, holes, arcs, arc_of, vertices,
+                               corner_classes)
         seen.append(got[0])
-        return real(*args)
+        return real(holes, arcs, first, vertices, corner_classes)
 
     monkeypatch.setattr(ms, "_domain_faces", both)
     for slots, contact in schemas:

@@ -112,6 +112,21 @@ def test_weld_guards_malformed_involution():
         wl.weld(bad)
 
 
+@pytest.mark.parametrize("fault", ["repeat", "forward", "outside", "float", "bool",
+                                   "triple", "list"])
+def test_weld_refuses_each_bad_dart(fault):
+    # each dart must be (a, -1) for an integer arc a walked once, E in all
+    from weldlab.errors import GluingInconsistency
+    bc = ms.assemble(*ms.paper_example("5.4")[:2])
+    cyc = bc.faces[0][0]
+    a = cyc[1][0]
+    cyc[1] = {"repeat": cyc[0], "forward": (a, +1), "outside": (len(bc.arcs), -1),
+              "float": (float(a), -1), "bool": (True, -1), "triple": (a, -1, 0),
+              "list": [a, -1]}[fault]
+    with pytest.raises(GluingInconsistency, match="each arc once backward"):
+        wl.weld(bc)
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_newton_genus_law(n):
     slots, contact = ms.newton_schema(n)
