@@ -28,8 +28,7 @@ _EXPORTS = {
                        "model_tiling_set", "recover_representation"),
     "fuchsian": ("CASE_I", "CASE_II", "build_group", "degree_plan",
                  "orbifold_signature", "poincare_check", "side_pairing_check"),
-    "hyperbolic": ("Geodesic", "MobiusMap", "geodesic_between", "reflect",
-                   "regular_ideal_polygon"),
+    "hyperbolic": ("Geodesic", "MobiusMap", "geodesic_between"),
     "mating_schema": ("ContactData", "assemble", "blaschke_slot", "group_slot",
                       "load_schema", "newton_schema", "paper_example",
                       "polynomial_registry", "verify_polynomial"),

@@ -70,7 +70,7 @@ def _pocket_table(preset: GroupPreset) -> PocketTable:
             g = preset.first_sector[s - 1]
             if r > 1:
                 g = mw.compose(g).compose(mw_inv)
-            entries.append(Pocket(r, s, preset.polygon.sides[k], g,
+            entries.append(Pocket(r, s, preset.sides[k], g,
                                   (TAU * k / m, TAU * (k + 1) / m)))
         mw = preset.rotation.compose(mw)         # the step of MobiusMap.power
     return PocketTable(tuple(entries))
@@ -680,7 +680,7 @@ def tiles(m: BowenSeriesMap, rank: int):
     if count > TILE_BUDGET or count * n * p > VERTEX_BUDGET:
         raise RankLimit(f"rank {rank} gives {count} tiles of {n * p} vertices, more "
                         f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
-    base = Tile((), tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
+    base = Tile((), tuple(cmath.exp(1j * side.theta1) for side in m.preset.sides))
     rows = _branches(m)
     # the sector-1 labels (1, s) sort first: a factor map's last rank uses them
     last = rows[:p] if m.factor else rows
@@ -696,9 +696,15 @@ def tiles(m: BowenSeriesMap, rank: int):
     return [_project_tiles(m, lvl) for lvl in levels]
 
 
+#: 2 pi as the factor tile keys round it: a key angle of 0 reads 2 pi, so a
+#: vertex at angle 0 sorts alike whichever way rounding moved it
+_KEY_TURN = round(TAU, 6)
+
+
 def _project_tiles(m: BowenSeriesMap, level):
-    """First-sector tiles by vertex angles rounded to 6 digits, then by word."""
+    """First-sector tiles by vertex angles rounded to 6 digits in (0, 2 pi], then
+    by word."""
     n = m.preset.n
     kept = [t for t in level if not t.word or t.word[0][0] == 1]
     return sorted(kept, key=lambda t: sorted(
-        round(norm_angle(cmath.phase(v ** n)), 6) for v in t.vertices))
+        round(norm_angle(cmath.phase(v ** n)), 6) or _KEY_TURN for v in t.vertices))

@@ -300,7 +300,7 @@ def cmd_corr_tiling(args):
         sty = render.Style(stroke="#1f77b4", width=0.8)
         for tile in rep["tiles"]:
             g = tile["map"]
-            for side in preset.polygon.sides:
+            for side in preset.sides:
                 pts = [g(side.point_at(i / 16)) for i in range(17)]
                 sc.add(render.Polyline(pts, sty))
         _write_svg(args.svg, sc)

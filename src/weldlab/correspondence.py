@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import (DegenerateInput, InvalidArgument, NotHyperbolic, OverlapDetected,
                      RankLimit, RelationMismatch, as_count)
-from .fuchsian import TILE_BUDGET, GroupPreset, build_group, sigma_side
+from .fuchsian import TILE_BUDGET, GroupPreset, build_group, check_parameters, sigma_side
 from .hyperbolic import TAU, MobiusMap, norm_angle
 
 
@@ -169,6 +169,9 @@ class ModelTilingSet(NamedTuple):
 
 
 def model_tiling_set(n: int, p: int, case: str = "I") -> ModelTilingSet:
+    """The model of Gamma-hat_{n,p}; (n, p, case) is checked by
+    fuchsian.check_parameters before any table is built."""
+    check_parameters(n, p, case)
     sig = sigma_side(p, case)
     # f_j = tau^{k_j} o eta stabilizes component j, and eta sends component j
     # to sigma(j); tau steps the component index up by one
@@ -274,7 +277,7 @@ def _pi_hat_contains(preset: GroupPreset, z: complex) -> bool:
         if not (_SAMPLE_MARGIN <= a <= TAU / preset.n - _SAMPLE_MARGIN):
             return False
     for s in range(1, preset.p + 1):
-        if preset.polygon.sides[s - 1].side(z) < _SAMPLE_MARGIN:
+        if preset.sides[s - 1].side(z) < _SAMPLE_MARGIN:
             return False
     return True
 
@@ -414,7 +417,7 @@ def group_tiling(preset: GroupPreset, max_word_length: int):
     # once np >= 3, so their pockets are |z - center| < radius
     spin = [r.a / r.d for r in (preset.rotation.power(-k) for k in range(n))]
     pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
-               for side, g in zip(preset.polygon.sides, preset.first_sector)]
+               for side, g in zip(preset.sides, preset.first_sector)]
 
     def reduce(w):
         """Point of Pi-hat equivalent to w, or None past the step bound."""

@@ -8,6 +8,11 @@ Two pairing cases for the np-gon Pi:
            C_{1,(p+2)/2}: the diameter through the centre of C_{1,1}; pairs
            side s with p+2-s mod p.
 
+Both cases come from one closed form in h = pi/(np) and the axis angle
+(build_group): the sides and the generator entries are written down directly,
+with no reflection composed and no entry renormalised by a square root of a
+difference that cancels (Beardon, The Geometry of Discrete Groups, section 7).
+
 Only the first-sector generators plus the rotation M_w are stored; the other
 sectors are conjugates M_w^{r-1} g_s M_w^{-(r-1)}.
 """
@@ -18,11 +23,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from . import hyperbolic as hyp
 from .errors import (DegenerateInput, InvalidArgument, InvalidCase, NonParabolicCycle,
                      PairingViolation, RankLimit, as_count)
-from .hyperbolic import (MobiusMap, TAU, geodesic_between, pairing_from_reflections,
-                         regular_ideal_polygon)
+from .hyperbolic import Geodesic, MobiusMap, TAU, _canonical_sign, geodesic_between
 
 CASE_I = "I"
 CASE_II = "II"
@@ -39,8 +42,9 @@ VERTEX_BUDGET = 30 * TILE_BUDGET
 #: largest endpoint residual |g(e) - e'| side_pairing_check accepts
 PAIRING_TOL = 1e-8
 #: largest |log T'(v)| poincare_check accepts on a vertex cycle, which is 0
-#: for an exact parabolic cycle.  Rounding grows with the polygon: (64, 64)
-#: passes, while (64, 399) reaches 6.3e-7 and is refused
+#: for an exact parabolic cycle.  Rounding grows with the polygon: the worst
+#: cycle reaches 2.3e-12 on (64, 399), 4.0e-11 on (1, 50000) and 2.6e-10 on
+#: (1, 250000) Case II, at the side budget
 TOL_PARABOLIC = 1e-7
 #: largest |trace| poincare_check accepts on an order-2 generator
 TOL_TRACE = 1e-9
@@ -80,8 +84,8 @@ class GroupPreset(NamedTuple):
     n: int
     p: int
     case: str
-    polygon: hyp.IdealPolygon
-    axis: hyp.Geodesic
+    sides: tuple                 # Geodesic C_{r,s} at index side_index(r, s)
+    axis: Geodesic
     first_sector: tuple          # MobiusMap for s = 1..p (index s-1)
     rotation: MobiusMap          # M_w, identity when n = 1
     sigma: dict                  # side pairing on {1..p}
@@ -95,9 +99,9 @@ class GroupPreset(NamedTuple):
         mw = self.rotation.power(r - 1)
         return mw.compose(g).compose(mw.inverse())
 
-    def side(self, r: int, s: int) -> hyp.Geodesic:
+    def side(self, r: int, s: int) -> Geodesic:
         """The side C_{r,s}."""
-        return self.polygon.sides[self.side_index(*self._check_label(r, s))]
+        return self.sides[self.side_index(*self._check_label(r, s))]
 
     def _check_label(self, r: int, s: int):
         """(r, s) as ints; a label outside 1..n by 1..p raises InvalidArgument."""
@@ -143,21 +147,42 @@ def check_parameters(n: int, p: int, case: str = CASE_I):
 
 
 def build_group(n: int, p: int, case: str = CASE_I) -> GroupPreset:
-    """Construct the preset group Gamma_{n,p} (Case I) or Gamma^2_{n,p} (Case II)."""
-    check_parameters(n, p, case)
-    polygon = regular_ideal_polygon(n, p)
-    if case == CASE_I:
-        axis = geodesic_between(math.pi / n, math.pi / n + math.pi)
-    else:
-        # the half-turn z -> -z swaps C_{1,1} and C_{1,(p+2)/2}, so their common
-        # perpendicular passes through 0: the diameter through C_{1,1}'s centre
-        t = cmath.phase(polygon.sides[0].center)
-        axis = geodesic_between(t, t + math.pi)
+    """Construct the preset group Gamma_{n,p} (Case I) or Gamma^2_{n,p} (Case II).
 
-    gens = tuple(pairing_from_reflections(axis, polygon.sides[s - 1])
-                 for s in range(1, p + 1))
+    With m = np, h = pi/m and the axis angle alpha = j h (j = p in Case I, so
+    alpha = pi/n, and j = 1 in Case II), side k has centre e^{i(2k+1)h}/cos h
+    and radius tan h, and g_s, reflection along C_{1,s} then along the axis,
+    is [[a, b], [conj b, conj a]] with a = i e^{i(j-2s+1)h}/sin h and
+    b = -i e^{i alpha} cot h, of determinant 1/sin^2 h - cot^2 h = 1, so no
+    entry is renormalised.  The phase of a is an integer multiple of h: a
+    self-paired side's a is exactly i/sin h in Case I.
+    """
+    check_parameters(n, p, case)
+    m = n * p
+    h = math.pi / m
+    alpha, j = (math.pi / n, p) if case == CASE_I else (h, 1)
+    sin_h = math.sin(h)
+    b = -1j * cmath.exp(1j * alpha) / math.tan(h)
+    gens = []
+    for s in range(1, p + 1):
+        a = 1j * cmath.exp(1j * (j - 2 * s + 1) * h) / sin_h
+        gens.append(MobiusMap(*_canonical_sign(a, b, b.conjugate(), a.conjugate())))
+    axis = geodesic_between(alpha, alpha + math.pi)
     rotation = MobiusMap.rotation(TAU / n) if n > 1 else MobiusMap.identity()
-    return GroupPreset(n, p, case, polygon, axis, gens, rotation, sigma_side(p, case))
+    return GroupPreset(n, p, case, _sides(m, h), axis, tuple(gens), rotation,
+                       sigma_side(p, case))
+
+
+def _sides(m: int, h: float) -> tuple:
+    """Sides of the regular ideal m-gon, side k from vertex k to vertex k + 1.
+    For m = 2 both are the diameter through vertices 0 and 1, where the circle
+    would have radius tan(pi/2), about 1.6e16."""
+    ends = [TAU * k / m for k in range(m)] + [0.0]
+    if m == 2:
+        return (Geodesic(ends[0], ends[1], True), Geodesic(ends[1], ends[2], True))
+    cos_h, tan_h = math.cos(h), math.tan(h)
+    return tuple(Geodesic(ends[k], ends[k + 1], False, cmath.exp(1j * (2 * k + 1) * h) / cos_h,
+                          tan_h) for k in range(m))
 
 
 # -- verification ----------------------------------------------------------

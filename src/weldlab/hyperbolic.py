@@ -1,10 +1,10 @@
 """Double-precision arithmetic for the unit-disk model.
 
-Möbius and anti-Möbius maps are stored as normalized 2x2 complex matrices,
-boundary points as angles in [0, 2pi), geodesics by their ideal endpoints
-with a derived Euclidean center/radius (or a diameter flag).  Everything is
-read-only after construction: records are NamedTuples, and the two slots
-classes (MobiusMap, IdealPolygon) are read-only by convention.
+Möbius maps are stored as normalized 2x2 complex matrices, boundary points
+as angles in [0, 2pi), geodesics by their ideal endpoints with a derived
+Euclidean center/radius (or a diameter flag).  Everything is read-only after
+construction: Geodesic is a NamedTuple, and the slots class MobiusMap is
+read-only by convention.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import CoincidentEndpoints, DegenerateInput
+from .errors import CoincidentEndpoints, InvalidArgument
 
 TAU = 2.0 * math.pi
 
@@ -178,21 +178,6 @@ class MobiusMap:
         return next((k for k in range(2, max_order + 1)
                      if abs(k * turn - round(k * turn)) <= DEFAULT_TOL and k * turn > 0.5), None)
 
-class AntiMobiusMap(NamedTuple):
-    """z -> m(conj z) for a Möbius map m."""
-
-    m: MobiusMap
-
-    def __call__(self, z: complex) -> complex:
-        return self.m(z.conjugate())
-
-    def compose_anti(self, other: "AntiMobiusMap") -> MobiusMap:
-        """self after other; two anti maps compose to a Möbius map."""
-        om = other.m
-        conj_other = MobiusMap.from_entries(om.a.conjugate(), om.b.conjugate(),
-                                            om.c.conjugate(), om.d.conjugate())
-        return self.m.compose(conj_other)
-
 
 class Geodesic(NamedTuple):
     """Bi-infinite geodesic with ideal endpoints theta1, theta2.
@@ -238,7 +223,10 @@ class Geodesic(NamedTuple):
 
 
 def geodesic_between(theta1: float, theta2: float) -> Geodesic:
-    """Geodesic with the given ideal endpoints."""
+    """Geodesic with the given ideal endpoints; an endpoint that is not a
+    finite angle raises InvalidArgument."""
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        raise InvalidArgument(f"endpoints must be finite angles, not {theta1!r} and {theta2!r}")
     t1, t2 = norm_angle(theta1), norm_angle(theta2)
     if angle_dist(t1, t2) < ENDPOINT_TOL:
         raise CoincidentEndpoints(f"endpoints {t1} and {t2} coincide")
@@ -249,71 +237,3 @@ def geodesic_between(theta1: float, theta2: float) -> Geodesic:
     center = (z1 + z2) / denom
     radius = math.sqrt(abs(center) ** 2 - 1.0)
     return Geodesic(t1, t2, False, center, radius)
-
-
-def reflect(g: Geodesic) -> AntiMobiusMap:
-    """Anti-Möbius inversion fixing g pointwise and preserving the disk."""
-    if g.is_diameter:
-        # reflection in the line at angle t: z -> exp(2it) conj(z)
-        rot = cmath.exp(2j * g.theta1)
-        m = MobiusMap.from_entries(rot, 0j, 0j, 1.0 + 0j)
-        return AntiMobiusMap(m)
-    c, r = g.center, g.radius
-    # inversion z -> c + r^2/conj(z - c); with |c|^2 = r^2 + 1 the associated
-    # matrix [[c, -1], [1, -conj(c)]] has determinant -r^2
-    m = MobiusMap.from_entries(c, -1.0 + 0j, 1.0 + 0j, -c.conjugate())
-    return AntiMobiusMap(m)
-
-
-def pairing_from_reflections(axis: Geodesic, side: Geodesic) -> MobiusMap:
-    """Reflection along `side` followed by reflection along `axis`."""
-    return reflect(axis).compose_anti(reflect(side))
-
-
-class IdealPolygon:
-    """Ideal polygon given by cyclically ordered boundary angles.
-
-    len() is the vertex count, so this is a slots class and not a record,
-    whose len() counts its fields; read-only by convention.
-    """
-
-    __slots__ = ("vertices", "sides")
-
-    def __init__(self, vertices: tuple, sides: tuple):
-        self.vertices = vertices
-        self.sides = sides
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.sides) == (other.vertices, other.sides)
-
-    def __hash__(self):
-        return hash((self.vertices, self.sides))
-
-    def __repr__(self):
-        return f"IdealPolygon(vertices={self.vertices!r}, sides={self.sides!r})"
-
-
-def ideal_polygon(vertex_angles) -> IdealPolygon:
-    vs = tuple(norm_angle(t) for t in vertex_angles)
-    k = len(vs)
-    if k < 2:
-        raise DegenerateInput("need at least 2 vertices")
-    sides = tuple(geodesic_between(vs[i], vs[(i + 1) % k]) for i in range(k))
-    return IdealPolygon(vs, sides)
-
-
-def regular_ideal_polygon(n: int, p: int) -> IdealPolygon:
-    """Regular ideal np-gon with vertices at exp(2 pi i k/(np)).
-
-    Side k (0-based) joins vertex k to vertex k+1; in (r, s) indexing it is
-    the side C_{r,s} with k = (r-1) p + (s-1).
-    """
-    if n < 1 or p < 1 or n * p < 2:
-        raise DegenerateInput(f"np = {n * p} < 2")
-    m = n * p
-    return ideal_polygon(TAU * k / m for k in range(m))

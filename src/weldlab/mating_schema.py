@@ -568,7 +568,9 @@ def load_schema(path):
 
 def newton_schema(n: int):
     """n immediate basins each carrying the (3,1) factor map, all teardrop
-    corners identified at one point (the image of infinity)."""
+    corners identified at one point (the image of infinity); an n that is not
+    an integer raises InvalidArgument."""
+    n = as_count(n, "n")
     if n < 3:
         raise DegenerateInput("Newton schema needs n >= 3")
     if n > fuchsian.TILE_BUDGET:

@@ -171,7 +171,7 @@ def _geodesic_samples(g: Geodesic, count: int = 48):
 def polygon_scene(preset) -> RenderScene:
     """Fundamental polygon with its pockets shaded."""
     sc = RenderScene()
-    for i, side in enumerate(preset.polygon.sides):
+    for i, side in enumerate(preset.sides):
         pts = _geodesic_samples(side)
         lo = side.theta1
         hi = side.theta2
@@ -179,7 +179,7 @@ def polygon_scene(preset) -> RenderScene:
                _linspace(lo, lo + ((hi - lo) % TAU), 24)]
         sty = Style(stroke="none", fill=_PALETTE[i % len(_PALETTE)], opacity=0.35)
         sc.add(Polyline(pts + arc[::-1], sty, closed=True))
-    for side in preset.polygon.sides:
+    for side in preset.sides:
         sc.add(GeodesicArc(side, Style(stroke="#222222", width=2.0)))
     sc.add(GeodesicArc(preset.axis, Style(stroke="#2ca02c", width=1.5)))
     return sc

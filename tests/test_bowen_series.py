@@ -9,8 +9,8 @@ import weldlab.bowen_series as bs
 from weldlab import MAX_DEPTH
 from weldlab.errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
                             OutsideDomain, RankLimit)
-from weldlab.fuchsian import CASE_I, CASE_II, TILE_BUDGET, legal_presets
-from weldlab.hyperbolic import TAU, angle_dist, angle_in_open_arc, ccw_span, norm_angle
+from weldlab.fuchsian import CASE_I, CASE_II, TILE_BUDGET, build_group, legal_presets
+from weldlab.hyperbolic import TAU, MobiusMap, angle_dist, angle_in_open_arc, ccw_span, norm_angle
 
 GRID = legal_presets()
 
@@ -689,7 +689,7 @@ def test_tiles_disjoint_interiors():
     levels = bs.tiles(m, 3)
     all_tiles = [t for lv in levels for t in lv]
     maps = [tile_map(m, t.word) for t in all_tiles]
-    polygon = m.preset.polygon
+    sides = m.preset.sides
     base = levels[0][0].vertices
     # the word determines the tile: its vertices are the map's images of Pi's
     for t, g in zip(all_tiles, maps):
@@ -699,11 +699,11 @@ def test_tiles_disjoint_interiors():
         w = g.inverse()(z)
         if abs(w) >= 1:
             return False
-        return all(s.side(w) > tol for s in polygon.sides)
+        return all(s.side(w) > tol for s in sides)
 
     # interior sample of each tile: image of interior points of the polygon
     samples = [0j, 0.2 + 0.1j, -0.15 + 0.2j, 0.1 - 0.25j]
-    samples = [z for z in samples if all(s.side(z) > 0 for s in polygon.sides)]
+    samples = [z for z in samples if all(s.side(z) > 0 for s in sides)]
     assert samples
     for i, g1 in enumerate(maps):
         pts = [g1(z) for z in samples]
@@ -749,6 +749,19 @@ def test_factor_tile_counts_formula(n, p, rank):
     # M_w acts freely on the np (np - 1)^(r - 1) rank-r tiles upstairs
     counts = tile_counts(bs.bowen_series_map(n, p, factor=True), rank)
     assert counts == [1] + [p * (n * p - 1) ** (r - 1) for r in range(1, rank + 1)]
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 4), (5, 6), (6, 2)])
+def test_factor_tile_order_survives_rounding(n, p):
+    # a vertex at angle 0 mod 2 pi/n comes out at +-1e-15, so the order must
+    # not depend on which side of 0 rounding puts it
+    preset = build_group(n, p)
+    want = [[t.word for t in lvl] for lvl in bs.tiles(bs.bowen_series_from_preset(preset, True), 2)]
+    for eps in (-4e-15, 4e-15):
+        tilt = MobiusMap.rotation(eps)
+        gens = tuple(tilt.compose(g).compose(tilt.inverse()) for g in preset.first_sector)
+        m = bs.bowen_series_from_preset(preset._replace(first_sector=gens), True)
+        assert [[t.word for t in lvl] for lvl in bs.tiles(m, 2)] == want, eps
 
 
 #: presets whose rank-4 factor tiles the rounded vertex-angle keys once merged
@@ -810,7 +823,7 @@ def reference_children(m, tile):
 def reference_tiles(m, rank):
     """Reference: tiles level by level, each tile's children in turn, and
     every level sorted by word."""
-    base = bs.Tile((), tuple(cmath.exp(1j * t) for t in m.preset.polygon.vertices))
+    base = bs.Tile((), tuple(cmath.exp(1j * side.theta1) for side in m.preset.sides))
     p = m.preset.p
     last = m._replace(pockets=bs.PocketTable(m.pockets.entries[:p])) if m.factor else m
     levels = [[base]]

@@ -6,8 +6,8 @@ import time
 import pytest
 
 import weldlab.correspondence as co
-from weldlab.errors import (DegenerateInput, InvalidArgument, NotHyperbolic, OverlapDetected,
-                            RankLimit)
+from weldlab.errors import (DegenerateInput, InvalidArgument, InvalidCase, NotHyperbolic,
+                            OverlapDetected, RankLimit)
 from weldlab.fuchsian import CASE_I, CASE_II, build_group, legal_presets
 from weldlab.hyperbolic import TAU, MobiusMap
 
@@ -127,6 +127,16 @@ def test_branch_words_smallest_case():
     words, ident = co.branch_words(mt)
     assert [str(w) for w in words] == ["tau*eta"]
     assert ident
+
+
+@pytest.mark.parametrize("n,p,case,error", [(3, 2.5, CASE_I, InvalidArgument),
+                                             (3, 10**9, CASE_I, RankLimit),
+                                             (2, 3, CASE_I, InvalidCase),
+                                             (1, 3, CASE_II, InvalidCase)])
+def test_model_tiling_set_checks_parameters(n, p, case, error):
+    # (3, 2.5) raised a raw TypeError and (3, 10**9) built a table of 1e9 sides
+    with pytest.raises(error):
+        co.model_tiling_set(n, p, case)
 
 
 def test_eta_squared_identity_on_points():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -147,8 +148,62 @@ def test_case_ii_axis_is_perpendicular_diameter():
         g = build_group(1, p, CASE_II)
         assert g.axis.is_diameter, p
         normal = 1j * cmath.exp(1j * g.axis.theta1)
-        for side in (g.polygon.sides[0], g.polygon.sides[(p + 2) // 2 - 1]):
+        for side in (g.sides[0], g.sides[(p + 2) // 2 - 1]):
             assert abs((side.center * normal.conjugate()).real) <= 1e-8, p
+
+
+#: pi to 50 digits, for the 40-digit reference of the closed-form presets
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _sin_cos(x):
+    """sin x and cos x of a Decimal |x| <= 2 pi by their Taylor series."""
+    sin = cos = Decimal(0)
+    term, k = Decimal(1), 0
+    while abs(term) > Decimal(10) ** -45:
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        k += 1
+        term = term * x / k
+    return sin, cos
+
+
+def _ulps(z, x, y):
+    """|z - (x + iy)| for a float complex z and Decimal x, y, in units of 2^-52 |z|."""
+    err = math.hypot(float(Decimal(z.real) - x), float(Decimal(z.imag) - y))
+    return err / (2.0 ** -52 * abs(z))
+
+
+@pytest.mark.parametrize("n,p,case", [(3, 1, CASE_I), (1, 4, CASE_II), (5, 6, CASE_I),
+                                      (64, 399, CASE_I), (1, 50000, CASE_II),
+                                      (1, 250000, CASE_I)])
+def test_closed_form_matches_40_digit_reference(n, p, case):
+    # side k: centre e^{i(2k+1)h}/cos h and radius tan h; generator s: entries
+    # a = i e^{i(alpha - (2s-1)h)}/sin h and b = -i e^{i alpha} cot h, with c, d
+    # their conjugates; sampled at both ends and the middle of each range
+    g = build_group(n, p, case)
+    m = n * p
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h = _PI / m
+        sin_h, cos_h = _sin_cos(h)
+        alpha = _PI / n if case == CASE_I else h
+        sin_a, cos_a = _sin_cos(alpha)
+        for k in sorted({0, 1, m // 2, m - 1}):
+            sin_k, cos_k = _sin_cos((2 * k + 1) * h)
+            assert _ulps(g.sides[k].center, cos_k / cos_h, sin_k / cos_h) < 8, k
+            assert _ulps(g.sides[k].radius, sin_h / cos_h, Decimal(0)) < 8, k
+        for s in sorted({1, 2, p // 2 + 1, p} & set(range(1, p + 1))):
+            sin_t, cos_t = _sin_cos(alpha - (2 * s - 1) * h)
+            a = (-sin_t / sin_h, cos_t / sin_h)
+            b = (sin_a * cos_h / sin_h, -cos_a * cos_h / sin_h)
+            exact = [a, b, (b[0], -b[1]), (a[0], -a[1])]
+            gen = g.first_sector[s - 1]
+            assert min(max(_ulps(sign * z, x, y) for z, (x, y) in
+                           zip((gen.a, gen.b, gen.c, gen.d), exact))
+                       for sign in (1, -1)) < 8, s
 
 
 def test_fixed_sides_and_corners_in_closed_form():

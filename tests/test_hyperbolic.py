@@ -1,13 +1,14 @@
 import cmath
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weldlab.errors import CoincidentEndpoints, DegenerateInput
-from weldlab.hyperbolic import (MobiusMap, TAU, geodesic_between, reflect,
-                                regular_ideal_polygon)
+from weldlab.errors import CoincidentEndpoints, DegenerateInput, InvalidArgument
+from weldlab.fuchsian import CASE_I, CASE_II, build_group, legal_presets
+from weldlab.hyperbolic import MobiusMap, TAU, geodesic_between
 
 angles = st.floats(min_value=0.0, max_value=TAU - 1e-6)
 disk_pts = st.complex_numbers(max_magnitude=0.95, allow_nan=False,
@@ -73,8 +74,7 @@ def test_geodesic_examples():
     assert abs(g.radius - 1.0) < 1e-12
     assert abs(abs(g.center) ** 2 - g.radius ** 2 - 1.0) < 1e-12
     # C_{1,1} for (n, p) = (3, 1) has endpoints at angles 0 and 2 pi/3
-    poly = regular_ideal_polygon(3, 1)
-    s = poly.sides[0]
+    s = build_group(3, 1).sides[0]
     assert abs(s.theta1 - 0.0) < 1e-12 and abs(s.theta2 - TAU / 3) < 1e-12
 
 
@@ -90,6 +90,48 @@ def test_orthogonality_invariant(a, b):
         return
     g = geodesic_between(a, b)
     assert g.is_diameter or abs(abs(g.center) ** 2 - g.radius ** 2 - 1.0) < 1e-9
+
+
+# -- reference: the reflection path the presets were once built by ----------
+
+class Reflection(NamedTuple):
+    """z -> m(conj z): the former hyperbolic.AntiMobiusMap, kept with reflect
+    as the reference for the closed-form presets of fuchsian.build_group."""
+
+    m: MobiusMap
+
+    def __call__(self, z):
+        return self.m(z.conjugate())
+
+    def compose_anti(self, other):
+        """self after other; two anti maps compose to a Möbius map."""
+        om = other.m
+        return self.m.compose(MobiusMap.from_entries(om.a.conjugate(), om.b.conjugate(),
+                                                     om.c.conjugate(), om.d.conjugate()))
+
+
+def reflect(g):
+    """Anti-Möbius inversion fixing g pointwise and preserving the disk."""
+    if g.is_diameter:
+        # reflection in the line at angle t: z -> exp(2it) conj(z)
+        return Reflection(MobiusMap.from_entries(cmath.exp(2j * g.theta1), 0j, 0j, 1.0 + 0j))
+    # inversion z -> c + r^2/conj(z - c); with |c|^2 = r^2 + 1 the matrix
+    # [[c, -1], [1, -conj(c)]] has determinant -r^2
+    c = g.center
+    return Reflection(MobiusMap.from_entries(c, -1.0 + 0j, 1.0 + 0j, -c.conjugate()))
+
+
+def reflection_generators(n, p, case):
+    """First-sector generators as the reflection path built them: reflection
+    along C_{1,s}, drawn by geodesic_between, then along the axis."""
+    m = n * p
+    if case == CASE_I:
+        t = math.pi / n
+    else:
+        t = cmath.phase(geodesic_between(0.0, TAU / m).center)
+    axis = reflect(geodesic_between(t, t + math.pi))
+    return [axis.compose_anti(reflect(geodesic_between(TAU * (s - 1) / m, TAU * s / m)))
+            for s in range(1, p + 1)]
 
 
 def test_reflect_diameter_is_conjugation():
@@ -138,15 +180,44 @@ def test_anti_compose_is_mobius():
 
 
 def test_regular_polygon():
-    poly = regular_ideal_polygon(3, 1)
-    assert [round(v, 12) for v in poly.vertices] == \
+    # side k of a preset joins vertex k to vertex k + 1 of the regular np-gon
+    poly = build_group(3, 1).sides
+    assert [round(side.theta1, 12) for side in poly] == \
         [round(TAU * k / 3, 12) for k in range(3)]
-    sq = regular_ideal_polygon(1, 4)
-    assert len(sq) == 4
-    for k, side in enumerate(sq.sides):
-        assert abs(side.theta1 - TAU * k / 4) < 1e-12
+    for n, p in [(1, 2), (1, 4), (3, 5), (1, 997)]:
+        m = n * p
+        sides = build_group(n, p).sides
+        assert len(sides) == m
+        for k, side in enumerate(sides):
+            assert side.theta1 == TAU * k / m
+            assert side.theta2 == sides[(k + 1) % m].theta1
+            drawn = geodesic_between(side.theta1, side.theta2)
+            assert side.is_diameter == drawn.is_diameter == (m == 2)
+            assert abs(side.center - drawn.center) <= 1e-9 * abs(drawn.center)
     with pytest.raises(DegenerateInput):
-        regular_ideal_polygon(1, 1)
+        build_group(1, 1)
+
+
+@pytest.mark.parametrize("n,p,case", legal_presets() + [(3, 17, CASE_I), (7, 13, CASE_I),
+                                                        (1, 300, CASE_II), (1, 997, CASE_I),
+                                                        (1, 1000, CASE_II)])
+def test_closed_form_matches_reflection_path(n, p, case):
+    # up to the projective sign, within 1e-13 on the legal grid (np <= 36).
+    # Beyond it the reflection path's own error dominates: it draws the radius
+    # sqrt(|c|^2 - 1) with |c|^2 - 1 = tan^2(pi/np), losing a factor
+    # 1/tan^2(pi/np) of its precision
+    h = math.pi / (n * p)
+    tol = 1e-13 if n * p <= 36 else 32 * 2.0 ** -52 / math.tan(h) ** 2
+    for g, ref in zip(build_group(n, p, case).first_sector, reflection_generators(n, p, case)):
+        size = max(abs(ref.a), abs(ref.b), abs(ref.c), abs(ref.d))
+        assert g.dist(ref) < tol * size, (n, p, case)
+
+
+@pytest.mark.parametrize("t1,t2", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.0)])
+def test_geodesic_between_refuses_non_finite_angles(t1, t2):
+    # geodesic_between(inf, 1.0) used to raise ValueError: math domain error
+    with pytest.raises(InvalidArgument, match="finite"):
+        geodesic_between(t1, t2)
 
 
 def _translation(cosh_half, k):
@@ -191,7 +262,6 @@ def reference_order(g, max_order=64):
 
 
 def test_order_from_trace_matches_powers():
-    from weldlab.fuchsian import build_group, legal_presets
     maps = []
     for n, p, case in legal_presets(n_range=(1, 3, 4, 5, 6, 7, 8), p_range=range(1, 9)):
         preset = build_group(n, p, case)

@@ -154,6 +154,13 @@ def test_newton_wedge():
         ms.newton_schema(2)
 
 
+@pytest.mark.parametrize("n", [float("nan"), 3.5])
+def test_newton_basin_count_must_be_an_integer(n):
+    # both used to raise a raw TypeError from range()
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        ms.newton_schema(n)
+
+
 @pytest.mark.parametrize("name", ["5.60", "5.6abc", "5.6: 4", "5.6:4:5", "5.6:x",
                                   "5.6:4.0", "5.6:\u0664", "5.6:", "5.6\n"])
 def test_malformed_newton_name_is_unknown(name):
