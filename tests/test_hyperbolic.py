@@ -3,7 +3,7 @@ import math
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weldlab.errors import CoincidentEndpoints, DegenerateInput, InvalidArgument
@@ -50,6 +50,9 @@ def test_det_normalized_and_su11():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 1000))
+# f^3 has entries near 70; renormalizing it by the computed ad - bc put the
+# two groupings 2.4e-10 apart
+@example(165, 165, 165)
 def test_associativity(s1, s2, s3):
     f, g, h = (random_disk_mobius(s) for s in (s1, s2, s3))
     lhs = f.compose(g).compose(h)
