@@ -58,22 +58,11 @@ class PocketTable(NamedTuple):
 
 
 def _pocket_table(preset: GroupPreset) -> PocketTable:
-    """Pockets in side order; sector r conjugates the first sector's pairings
-    by M_w^(r-1), formed once per sector as in GroupPreset.generator."""
+    """Pockets in side order, each with its sector's pairing g_{r,s}."""
     m = preset.n * preset.p
-    entries = []
-    mw = MobiusMap.identity()                    # M_w^(r-1)
-    for r in range(1, preset.n + 1):
-        mw_inv = mw.inverse()
-        for s in range(1, preset.p + 1):
-            k = preset.side_index(r, s)
-            g = preset.first_sector[s - 1]
-            if r > 1:
-                g = mw.compose(g).compose(mw_inv)
-            entries.append(Pocket(r, s, preset.sides[k], g,
-                                  (TAU * k / m, TAU * (k + 1) / m)))
-        mw = preset.rotation.compose(mw)         # the step of MobiusMap.power
-    return PocketTable(tuple(entries))
+    return PocketTable(tuple(Pocket(r, s, preset.sides[k], preset._sector_pairing(r, s),
+                                    (TAU * k / m, TAU * (k + 1) / m))
+                             for k, (r, s) in enumerate(preset.all_side_labels())))
 
 
 class BowenSeriesMap(NamedTuple):

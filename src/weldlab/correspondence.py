@@ -68,10 +68,12 @@ def fiber(m: ModelMaps, pt: ModelPoint):
 
     np points when w != 0 and p points at the critical fiber w = 0.  An n, p
     or sheet that is not an integer raises InvalidArgument, n or p below 1
-    DegenerateInput, a sheet outside 1..p InvalidArgument and np above
-    TILE_BUDGET RankLimit.
+    DegenerateInput, a sheet outside 1..p or a w that is not finite
+    InvalidArgument and np above TILE_BUDGET RankLimit.
     """
     n, p, j = as_count(m.n, "n"), as_count(m.p, "p"), as_count(pt.j, "sheet")
+    if not cmath.isfinite(pt.w0):
+        raise InvalidArgument(f"w must be finite, not {pt.w0!r}")
     if n < 1 or p < 1:
         raise DegenerateInput(f"n = {n} and p = {p} must be at least 1")
     if not 1 <= j <= p:
@@ -413,9 +415,9 @@ def group_tiling(preset: GroupPreset, max_word_length: int):
     base_pts = _pi_hat_samples(preset)
     tiles = [{"word": w, "map": g} for (w, g) in elems]
     n, sector = preset.n, TAU / preset.n
-    # M_w^-k acts as z -> (a/d) z; the sides of Pi-hat are never diameters
+    # M_w^-k is z -> e^{-ik sector} z; the sides of Pi-hat are never diameters
     # once np >= 3, so their pockets are |z - center| < radius
-    spin = [r.a / r.d for r in (preset.rotation.power(-k) for k in range(n))]
+    spin = [cmath.exp(-1j * sector * k) for k in range(n)]
     pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
                for side, g in zip(preset.sides, preset.first_sector)]
 

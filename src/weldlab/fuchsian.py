@@ -13,8 +13,10 @@ Both cases come from one closed form in h = pi/(np) and the axis angle
 with no reflection composed and no entry renormalised by a square root of a
 difference that cancels (Beardon, The Geometry of Discrete Groups, section 7).
 
-Only the first-sector generators plus the rotation M_w are stored; the other
-sectors are conjugates M_w^{r-1} g_s M_w^{-(r-1)}.
+Only the first-sector generators plus the rotation M_w are stored.  Sector r
+pairs by g_{r,s} = M_w^{r-1} g_s M_w^{-(r-1)}, which conjugation by a rotation
+about 0 writes down: a and d are g_s's, b is multiplied by w = e^{2 pi i(r-1)/n}
+and c by its conjugate.
 """
 
 from __future__ import annotations
@@ -92,12 +94,15 @@ class GroupPreset(NamedTuple):
 
     def generator(self, r: int, s: int) -> MobiusMap:
         """Side pairing of C_{r,s}; sectors transfer by rotation conjugation."""
-        r, s = self._check_label(r, s)
+        return self._sector_pairing(*self._check_label(r, s))
+
+    def _sector_pairing(self, r: int, s: int) -> MobiusMap:
+        """g_{r,s} = M_w^{r-1} g_s M_w^{-(r-1)} in closed form, for a checked
+        label: b times w = e^{i tau (r-1)/n}, c times conj w, a and d kept,
+        so |a| >= 1 keeps _canonical_sign's choice and no matrix is composed."""
         g = self.first_sector[s - 1]
-        if r == 1:
-            return g
-        mw = self.rotation.power(r - 1)
-        return mw.compose(g).compose(mw.inverse())
+        w = cmath.exp(1j * TAU * (r - 1) / self.n)
+        return MobiusMap(g.a, g.b * w, g.c * w.conjugate(), g.d)
 
     def side(self, r: int, s: int) -> Geodesic:
         """The side C_{r,s}."""
@@ -362,9 +367,10 @@ def degree_plan(multiplicities) -> DegreePlan:
 
     Adds a fully ramified critical point of multiplicity sum(m_i), so the
     degree is sum(m_i) + 1; the constraints m_i <= d-1, sum = 2d-2 and
-    n+1 <= d then hold automatically.
+    n+1 <= d then hold automatically.  A multiplicity that is not an integer
+    raises InvalidArgument.
     """
-    ms = tuple(int(m) for m in multiplicities)
+    ms = tuple(as_count(m, "multiplicity") for m in multiplicities)
     if not ms or any(m < 1 for m in ms):
         raise DegenerateInput("need a nonempty sequence of positive integers")
     top = sum(ms)

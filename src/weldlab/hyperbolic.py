@@ -117,7 +117,10 @@ class MobiusMap:
 
     @staticmethod
     def rotation(theta: float) -> "MobiusMap":
-        """Rotation of the disk about 0 by angle theta."""
+        """Rotation of the disk about 0 by angle theta; a theta that is not
+        finite raises InvalidArgument."""
+        if not math.isfinite(theta):
+            raise InvalidArgument(f"theta must be finite, not {theta!r}")
         h = cmath.exp(0.5j * theta)
         return MobiusMap.from_entries(h, 0j, 0j, 1.0 / h)
 
@@ -160,14 +163,6 @@ class MobiusMap:
         dm = (abs(self.a + other.a) + abs(self.b + other.b)
               + abs(self.c + other.c) + abs(self.d + other.d))
         return min(dp, dm)
-
-    def power(self, k: int) -> "MobiusMap":
-        if k < 0:
-            return self.inverse().power(-k)
-        out = MobiusMap.identity()
-        for _ in range(k):
-            out = self.compose(out)
-        return out
 
     def order(self, max_order: int = 64):
         """Smallest k >= 1 with self^k = id, or None if none up to max_order.

@@ -105,6 +105,14 @@ def test_fiber_refuses_bad_counts_and_sheets(n, p, j, error):
         co.fiber(m, co.ModelPoint(0.5 + 0j, 0, j))
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+def test_fiber_refuses_non_finite_points(w):
+    # a NaN or infinite w once gave a fiber of NaN or infinite points
+    m = co.ModelMaps(3, 2)
+    with pytest.raises(InvalidArgument, match="w must be finite"):
+        co.fiber(m, m.point(w))
+
+
 # -- words ------------------------------------------------------------------------
 
 def test_branch_words_count_and_identity():

@@ -107,6 +107,14 @@ def test_generator_symmetry(n, p, case):
         assert inv.dist(g.first_sector[g.sigma[s] - 1]) < 1e-9
 
 
+def power(g, k):
+    """g^k by k compositions: the reference for the sector closed form."""
+    out = MobiusMap.identity()
+    for _ in range(k):
+        out = g.compose(out)
+    return out
+
+
 @pytest.mark.parametrize("n,p,case", [t for t in GRID if t[0] > 1])
 def test_sector_conjugation(n, p, case):
     g = build_group(n, p, case)
@@ -114,9 +122,24 @@ def test_sector_conjugation(n, p, case):
     for r in range(2, n + 1):
         for s in range(1, p + 1):
             lhs = g.generator(r, s)
-            rhs = mw.power(r - 1).compose(g.first_sector[s - 1]).compose(
-                mw.power(r - 1).inverse())
+            rhs = power(mw, r - 1).compose(g.first_sector[s - 1]).compose(
+                power(mw, r - 1).inverse())
             assert lhs.dist(rhs) < 1e-9
+
+
+def test_sector_pairings_compose_nothing(monkeypatch):
+    # g_{r,s} is written down from g_s and w = e^{2 pi i(r-1)/n}: neither the
+    # pairing check nor the pocket table multiplies a matrix
+    from weldlab.bowen_series import _pocket_table
+    g = build_group(7, 7)
+
+    def refuse(self, other):
+        raise AssertionError("MobiusMap.compose called")
+
+    monkeypatch.setattr(MobiusMap, "compose", refuse)
+    assert side_pairing_check(g)["max_residual"] < 1e-8
+    table = _pocket_table(g)
+    assert [pk.map for pk in table.entries] == [g.generator(r, s) for r, s in g.all_side_labels()]
 
 
 @pytest.mark.parametrize("n,p,case", [t for t in GRID if t[0] > 1])
@@ -177,12 +200,13 @@ def _ulps(z, x, y):
 
 
 @pytest.mark.parametrize("n,p,case", [(3, 1, CASE_I), (1, 4, CASE_II), (5, 6, CASE_I),
-                                      (64, 399, CASE_I), (1, 50000, CASE_II),
-                                      (1, 250000, CASE_I)])
+                                      (64, 399, CASE_I), (100, 100, CASE_I),
+                                      (1, 50000, CASE_II), (1, 250000, CASE_I)])
 def test_closed_form_matches_40_digit_reference(n, p, case):
-    # side k: centre e^{i(2k+1)h}/cos h and radius tan h; generator s: entries
-    # a = i e^{i(alpha - (2s-1)h)}/sin h and b = -i e^{i alpha} cot h, with c, d
-    # their conjugates; sampled at both ends and the middle of each range
+    # side k: centre e^{i(2k+1)h}/cos h and radius tan h; generator (r, s):
+    # entries a = i e^{i(alpha - (2s-1)h)}/sin h and
+    # b = -i e^{i(alpha + 2 pi (r-1)/n)} cot h, with c, d their conjugates;
+    # sampled at both ends and the middle of each range, in sectors 1, 2 and n
     g = build_group(n, p, case)
     m = n * p
     with localcontext() as ctx:
@@ -190,20 +214,21 @@ def test_closed_form_matches_40_digit_reference(n, p, case):
         h = _PI / m
         sin_h, cos_h = _sin_cos(h)
         alpha = _PI / n if case == CASE_I else h
-        sin_a, cos_a = _sin_cos(alpha)
         for k in sorted({0, 1, m // 2, m - 1}):
             sin_k, cos_k = _sin_cos((2 * k + 1) * h)
             assert _ulps(g.sides[k].center, cos_k / cos_h, sin_k / cos_h) < 8, k
             assert _ulps(g.sides[k].radius, sin_h / cos_h, Decimal(0)) < 8, k
-        for s in sorted({1, 2, p // 2 + 1, p} & set(range(1, p + 1))):
-            sin_t, cos_t = _sin_cos(alpha - (2 * s - 1) * h)
-            a = (-sin_t / sin_h, cos_t / sin_h)
+        for r in sorted({1, 2, n} & set(range(1, n + 1))):
+            sin_a, cos_a = _sin_cos(alpha + 2 * _PI * (r - 1) / n)
             b = (sin_a * cos_h / sin_h, -cos_a * cos_h / sin_h)
-            exact = [a, b, (b[0], -b[1]), (a[0], -a[1])]
-            gen = g.first_sector[s - 1]
-            assert min(max(_ulps(sign * z, x, y) for z, (x, y) in
-                           zip((gen.a, gen.b, gen.c, gen.d), exact))
-                       for sign in (1, -1)) < 8, s
+            for s in sorted({1, 2, p // 2 + 1, p} & set(range(1, p + 1))):
+                sin_t, cos_t = _sin_cos(alpha - (2 * s - 1) * h)
+                a = (-sin_t / sin_h, cos_t / sin_h)
+                exact = [a, b, (b[0], -b[1]), (a[0], -a[1])]
+                gen = g.generator(r, s)
+                assert min(max(_ulps(sign * z, x, y) for z, (x, y) in
+                               zip((gen.a, gen.b, gen.c, gen.d), exact))
+                           for sign in (1, -1)) < 8, (r, s)
 
 
 def test_fixed_sides_and_corners_in_closed_form():
@@ -263,3 +288,10 @@ def test_degree_plans():
         assert len(plan.multiplicities) + 1 <= d
     with pytest.raises(DegenerateInput):
         degree_plan(())
+
+
+@pytest.mark.parametrize("m", [1.5, "2", math.nan])
+def test_degree_plan_multiplicities_must_be_integers(m):
+    # int(m) once planned 1.5 as 1 and "2" as 2, and raised ValueError on nan
+    with pytest.raises(InvalidArgument, match="multiplicity must be an integer"):
+        degree_plan([1, m])
