@@ -9,8 +9,11 @@ np - 1.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
+import operator
 from typing import NamedTuple
 
 from . import MAX_DEPTH
@@ -630,35 +633,22 @@ def _branches(m: BowenSeriesMap):
     return rows
 
 
-def _children(row, parents):
-    """The children of a level's tiles under one branch, in the parents' order."""
-    label, skip, a, b, c, d = row
-    inf = complex("inf")
-    out = []
-    for t in parents:
-        word = t.word
-        if word and word[0] == skip:
-            continue
-        verts = tuple([inf if abs(den := c * z + d) < 1e-300 else (a * z + b) / den
-                       for z in t.vertices])
-        out.append(Tile((label,) + word, verts))
-    return out
-
-
 def tiles(m: BowenSeriesMap, rank: int):
     """Rank-k tiles as inverse-branch images of the fundamental polygon.
 
     Returned per rank, sorted by word in the pocket alphabet (word[0] the
     branch applied last).  Each inverse branch is computed once per map, and
-    a level is built branch by branch: for each label in ascending order, the
-    children of the previous level's tiles in their order.  So it comes out
-    in word order, with no sort.  M_w shifts pocket labels (r, s) ->
-    (r + 1, s), so a factor map keeps the one tile per orbit whose outer
-    letter lies in sector 1, ordered by vertex angle.  Rank r >= 1 holds
-    np (np - 1)^(r - 1) tiles of np vertices, p (np - 1)^(r - 1) for factor
-    maps; more than TILE_BUDGET tiles or VERTEX_BUDGET vertices raises
-    RankLimit and a rank that is not an integer InvalidArgument, before any
-    is built.
+    a level is held as two parallel lists, words and vertex tuples, built
+    branch by branch: for each label in ascending order, the children of the
+    previous level's tiles in their order, all of a branch's child vertices
+    in one comprehension.  So it comes out in word order, with no sort, and
+    a Tile record is made only for a returned tile.  M_w shifts pocket
+    labels (r, s) -> (r + 1, s), so a factor map keeps the one tile per
+    orbit whose outer letter lies in sector 1, ordered by vertex angle
+    (_project_tiles).  Rank r >= 1 holds np (np - 1)^(r - 1) tiles of np
+    vertices, p (np - 1)^(r - 1) for factor maps; more than TILE_BUDGET
+    tiles or VERTEX_BUDGET vertices raises RankLimit and a rank that is not
+    an integer InvalidArgument, before any is built.
     """
     rank = as_count(rank, "rank")
     if rank < 0 or rank > MAX_RANK:
@@ -669,31 +659,75 @@ def tiles(m: BowenSeriesMap, rank: int):
     if count > TILE_BUDGET or count * n * p > VERTEX_BUDGET:
         raise RankLimit(f"rank {rank} gives {count} tiles of {n * p} vertices, more "
                         f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
-    base = Tile((), tuple(cmath.exp(1j * side.theta1) for side in m.preset.sides))
     rows = _branches(m)
     # the sector-1 labels (1, s) sort first: a factor map's last rank uses them
     last = rows[:p] if m.factor else rows
-    levels = [[base]]
+    inf, nv = complex("inf"), n * p
+    words = [()]
+    verts = [tuple(cmath.exp(1j * side.theta1) for side in m.preset.sides)]
+    levels = []
     for k in range(rank):
-        parents = levels[-1]
-        nxt = []
-        for row in (last if k == rank - 1 else rows):
-            nxt.extend(_children(row, parents))
-        levels.append(nxt)
-    if not m.factor:
-        return levels
-    return [_project_tiles(m, lvl) for lvl in levels]
+        kid_words, kid_verts = [], []
+        for label, skip, a, b, c, d in (last if k == rank - 1 else rows):
+            kid_words += [(label,) + w for w in words if not w or w[0] != skip]
+            flat = [inf if abs(den := c * z + d) < 1e-300 else (a * z + b) / den
+                    for w, vs in zip(words, verts) if not w or w[0] != skip for z in vs]
+            kid_verts += zip(*[iter(flat)] * nv)     # cut into tuples of np
+            del flat        # freed before the next branch's is built, which can reuse it
+        # made into Tiles once its children are built, a factor level drops
+        # the other sectors' tiles before the next level grows
+        levels.append(_level(m, words, verts))
+        words, verts = kid_words, kid_verts
+    levels.append(_level(m, words, verts))
+    return levels
 
 
-#: 2 pi as the factor tile keys round it: a key angle of 0 reads 2 pi, so a
-#: vertex at angle 0 sorts alike whichever way rounding moved it
-_KEY_TURN = round(TAU, 6)
+def _level(m: BowenSeriesMap, words, verts):
+    """A level's Tile records: every tile, or a factor map's projection."""
+    if m.factor:
+        return _project_tiles(m.preset.n, words, verts)
+    return [tuple.__new__(Tile, wv) for wv in zip(words, verts)]
 
 
-def _project_tiles(m: BowenSeriesMap, level):
-    """First-sector tiles by vertex angles rounded to 6 digits in (0, 2 pi], then
-    by word."""
-    n = m.preset.n
-    kept = [t for t in level if not t.word or t.word[0][0] == 1]
-    return sorted(kept, key=lambda t: sorted(
-        round(norm_angle(cmath.phase(v ** n)), 6) or _KEY_TURN for v in t.vertices))
+#: 2 pi in the factor tile keys, millionths of a radian: a key angle of 0
+#: reads 2 pi, so a vertex at angle 0 sorts alike whichever way rounding
+#: moved it
+_KEY_TURN = round(TAU * 1e6)
+
+
+def _project_tiles(n: int, words, verts):
+    """First-sector tiles by vertex angles in (0, 2 pi] to 6 digits, then by
+    word.
+
+    A vertex v keys as the integer N nearest x 10^6, ties to even, where x
+    is the phase of v^n plus 2 pi when negative; a key of 0 reads
+    _KEY_TURN.  A tile keys as its sorted vertex keys.  round(x, 6) is the
+    double nearest N / 10^6 (it rounds x correctly, ties to even), and
+    distinct N give distinct doubles in the same order, so these keys sort
+    and tie exactly as the rounded angles do, with no per-vertex decimal
+    rounding.  x * 1e6 < 2^23 is within half an ulp, 4.7e-10, of exact
+    x 10^6, so round(x * 1e6) is N unless x * 1e6 lies within 1e-4 of a
+    half-integer; there the key is round(round(x, 6) * 1e6).  The sort is
+    stable and the level is in word order, so ties keep word order.
+    """
+    # the level is in word order, so () and the sector-1 words come first
+    kept = bisect.bisect_left(words, ((2,),))
+    words, verts, nv = words[:kept], verts[:kept], len(verts[0])
+    keys = []
+    for lo in range(0, kept, 1024):         # in batches, to keep the float lists short
+        vs = itertools.chain.from_iterable(verts[lo:lo + 1024])
+        ks = _angle_keys(list(map(cmath.phase, map(pow, vs, itertools.repeat(n)))))
+        keys += [sorted(ks[j:j + nv]) for j in range(0, len(ks), nv)]
+    order = sorted(range(kept), key=keys.__getitem__)
+    return [tuple.__new__(Tile, (words[j], verts[j])) for j in order]
+
+
+def _angle_keys(xs):
+    """The integer keys of phases xs in [-pi, pi] (see _project_tiles)."""
+    ys = [(x + TAU if x < 0.0 else x) * 1e6 for x in xs]
+    ks = list(map(round, ys))
+    near_half = map((0.4999).__lt__, map(abs, map(operator.sub, ys, ks)))
+    for j in itertools.compress(itertools.count(), near_half):
+        x = xs[j]
+        ks[j] = round(round(x + TAU if x < 0.0 else x, 6) * 1e6)
+    return [k or _KEY_TURN for k in ks] if 0 in ks else ks

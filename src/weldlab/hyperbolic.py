@@ -13,7 +13,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import CoincidentEndpoints, InvalidArgument
+from .errors import CoincidentEndpoints, DegenerateInput, InvalidArgument
 
 TAU = 2.0 * math.pi
 
@@ -75,6 +75,13 @@ def _canonical_sign(a: complex, b: complex, c: complex, d: complex):
     return a, b, c, d
 
 
+def _refusal(a, b, c, d) -> Exception:
+    """The error for entries that give no Möbius map."""
+    if all(map(cmath.isfinite, (a, b, c, d))):
+        return DegenerateInput(f"matrix [[{a}, {b}], [{c}, {d}]] is singular or overflows")
+    return InvalidArgument(f"matrix entries must be finite, not [[{a}, {b}], [{c}, {d}]]")
+
+
 class MobiusMap:
     """z -> (az + b)/(cz + d), normalized to determinant 1.
 
@@ -104,12 +111,16 @@ class MobiusMap:
 
     @staticmethod
     def from_entries(a, b, c, d) -> "MobiusMap":
+        """The map of [[a, b], [c, d]], normalised; a singular matrix raises
+        DegenerateInput and an entry that is not finite InvalidArgument."""
         det = a * d - b * c
         if abs(det) < 1e-20:
-            raise ValueError("singular matrix")
+            raise _refusal(a, b, c, d)
         s = cmath.sqrt(det)
-        a, b, c, d = _canonical_sign(a / s, b / s, c / s, d / s)
-        return MobiusMap(a, b, c, d)
+        try:
+            return MobiusMap(*_canonical_sign(a / s, b / s, c / s, d / s))
+        except ValueError:                  # a NaN or infinite det divides to NaN
+            raise _refusal(a, b, c, d) from None
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -131,9 +142,12 @@ class MobiusMap:
         return (self.a * z + self.b) / den
 
     def boundary_angle(self, theta: float) -> float:
-        """Image angle of a unit-modulus point (for disk-preserving maps)."""
-        w = self(cmath.exp(1j * theta))
-        return norm_angle(cmath.phase(w))
+        """Image angle of a unit-modulus point (for disk-preserving maps); a
+        theta that is not finite raises InvalidArgument."""
+        t = norm_angle(cmath.phase(self(cmath.exp(1j * theta))))
+        if t != t:                          # NaN: theta was not finite
+            raise InvalidArgument(f"theta must be finite, not {theta!r}")
+        return t
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """self after other (matrix product, renormalized while |ad| is at

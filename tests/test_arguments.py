@@ -68,6 +68,9 @@ ROWS = [
     ("degree_plan", "multiplicities", "count", lambda v: weldlab.degree_plan([1, v]), None, ()),
     ("blaschke_slot", "degree", "count", weldlab.blaschke_slot, None, ()),
     ("MobiusMap", "rotation", "angle", weldlab.MobiusMap.rotation, None, ()),
+    ("MobiusMap", "from_entries", "point",
+     lambda v: weldlab.MobiusMap.from_entries(v, 0.5, 0.5, 1.0), None, ()),
+    ("MobiusMap", "boundary_angle", "angle", _GROUP.first_sector[0].boundary_angle, None, ()),
     ("geodesic_between", "theta1", "angle", lambda v: weldlab.geodesic_between(v, 1.0), None, ()),
     ("geodesic_between", "theta2", "angle", lambda v: weldlab.geodesic_between(1.0, v), None, ()),
     ("blaschke", "zeros", "point", lambda v: weldlab.blaschke([0.1, v]), None, ()),

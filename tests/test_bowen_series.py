@@ -791,6 +791,22 @@ def vertex_test_letters(m, tile, tol=1e-9):
     return out
 
 
+def reference_branch_children(row, parents):
+    """Reference: the per-row child step of one branch, one Tile per child,
+    that the flat word and vertex lists replaced."""
+    label, skip, a, b, c, d = row
+    inf = complex("inf")
+    out = []
+    for t in parents:
+        word = t.word
+        if word and word[0] == skip:
+            continue
+        verts = tuple([inf if abs(den := c * z + d) < 1e-300 else (a * z + b) / den
+                       for z in t.vertices])
+        out.append(bs.Tile((label,) + word, verts))
+    return out
+
+
 @pytest.mark.parametrize("n,p,case", GRID)
 def test_tile_children_match_vertex_test(n, p, case):
     # every tile at ranks 1-3, factor and not.  For n >= 3 and np > 15 the
@@ -803,7 +819,7 @@ def test_tile_children_match_vertex_test(n, p, case):
     rows = bs._branches(m)
     for level in levels:
         for t in level:
-            assert [c.word[0] for row in rows for c in bs._children(row, [t])] == \
+            assert [c.word[0] for row in rows for c in reference_branch_children(row, [t])] == \
                 vertex_test_letters(m, t), t.word
 
 
@@ -836,7 +852,26 @@ def reference_tiles(m, rank):
         levels.append(nxt)
     if not m.factor:
         return levels
-    return [bs._project_tiles(m, lvl) for lvl in levels]
+    return [reference_project_tiles(m, lvl) for lvl in levels]
+
+
+#: 2 pi as the reference factor keys round it
+REFERENCE_KEY_TURN = round(TAU, 6)
+
+
+def reference_angle_key(x):
+    """Reference: the float key of one vertex phase x that the integer keys
+    replaced, the angle in (0, 2 pi] rounded to 6 digits."""
+    return round(norm_angle(x), 6) or REFERENCE_KEY_TURN
+
+
+def reference_project_tiles(m, level):
+    """Reference: first-sector tiles by their rounded vertex angles, then by
+    word, sorted on per-vertex float keys."""
+    n = m.preset.n
+    kept = [t for t in level if not t.word or t.word[0][0] == 1]
+    return sorted(kept, key=lambda t: sorted(
+        reference_angle_key(cmath.phase(v ** n)) for v in t.vertices))
 
 
 #: (n, p, case, factor, rank) beyond the grid at rank 2: deep unfactored
@@ -1061,3 +1096,74 @@ def test_circle_kernel_time_budget():
             bs.ConjugacyH(bs.bowen_series_map(n, p, case, factor=n >= 3))
         best = min(best, time.perf_counter() - t0)
     assert best < 0.35
+
+
+def half_way_angles(ks):
+    """The doubles nearest (k + 1/2) 1e-6 for each k, each with both of its
+    neighbours."""
+    out = []
+    for k in ks:
+        h = (2 * k + 1) / 2e6           # correctly rounded quotient
+        out += (math.nextafter(h, 0.0), h, math.nextafter(h, 7.0))
+    return out
+
+
+def assert_same_order_and_ties(xs):
+    keys, ref = bs._angle_keys(xs), [reference_angle_key(x) for x in xs]
+    order = sorted(range(len(xs)), key=ref.__getitem__)
+    assert sorted(range(len(xs)), key=keys.__getitem__) == order
+    assert [ref[i] == ref[j] for i, j in zip(order, order[1:])] == \
+        [keys[i] == keys[j] for i, j in zip(order, order[1:])]
+
+
+def test_integer_angle_keys_sort_and_tie_as_rounded_angles():
+    # the integer keys agree with round(angle, 6) on every phase, so factor
+    # tiles sort and tie as before; half-way decimals are where the fast
+    # round(x * 1e6) could part from it
+    rng = random.Random(20)
+    turn = round(TAU * 1e6)
+    edges = [0.0, -0.0, 1e-15, -1e-15, math.pi, -math.pi, TAU - 1e-15, 5e-7, -5e-7]
+    # j/128 times 10^6 is a half-integer exactly, which both round to even
+    edges += [j / 128 for j in range(1, 805, 2)]
+    seeded = [rng.uniform(-math.pi, math.pi) for _ in range(60000)]
+    # both ends of the range, each binade edge of x 1e6, and a seeded sample
+    ks = (list(range(200)) + list(range(turn - 200, turn))
+          + [k for e in range(1, 23) for k in range(2 ** e - 3, 2 ** e + 3)]
+          + rng.sample(range(turn), 60000))
+    half_way = half_way_angles(ks)
+    # as phases in [-pi, pi]: the half-way angles above pi come in below 0
+    half_way += [x - TAU for x in half_way if x > math.pi]
+    xs = edges + seeded + half_way
+    assert_same_order_and_ties(xs)
+    assert bs._angle_keys(edges[:4]) == [turn] * 4
+
+
+def test_every_half_way_angle_is_in_the_fallback_band():
+    # every (k + 1/2) 1e-6 in [0, 2 pi) and both its neighbours lie in the
+    # band where the key goes through round(x, 6): x * 1e6 is within 1e-4 of
+    # a half-integer.  numpy's float64 product and rint are IEEE, as are
+    # Python's.  The library itself takes a sample of these angles above:
+    # all 18.8 million take it about 13 s on a 2-core host
+    np = pytest.importorskip("numpy")
+    turn = round(TAU * 1e6)
+    for lo in range(0, turn, 1 << 20):
+        k = np.arange(lo, min(lo + (1 << 20), turn), dtype=np.float64)
+        h = (2 * k + 1) / 2e6
+        for x in (np.nextafter(h, 0.0), h, np.nextafter(h, 7.0)):
+            y = x * 1e6
+            assert np.all(np.abs(y - np.rint(y)) > 0.4999)
+
+
+def test_factor_tiles_make_no_per_vertex_float_keys(monkeypatch):
+    # the keys are integers from one pass over each batch of phases; the
+    # per-vertex norm_angle and round(x, 6) keys they replaced must not come
+    # back
+    want = {(n, p, rank): bs.tiles(bs.bowen_series_map(n, p, factor=True), rank)
+            for n, p, rank in [(3, 1, 5), (4, 2, 3), (5, 6, 2)]}
+
+    def refuse(theta):
+        raise AssertionError("per-vertex norm_angle in the factor tile keys")
+
+    monkeypatch.setattr(bs, "norm_angle", refuse)
+    for (n, p, rank), levels in want.items():
+        assert bs.tiles(bs.bowen_series_map(n, p, factor=True), rank) == levels

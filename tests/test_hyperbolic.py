@@ -223,6 +223,31 @@ def test_geodesic_between_refuses_non_finite_angles(t1, t2):
         geodesic_between(t1, t2)
 
 
+@pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, 2, 2, 4), (1e-11, 0, 0, 1e-11),
+                                     (1e200, 0, 0, 1e200)])
+def test_from_entries_refuses_singular_matrices_by_name(entries):
+    # these raised a raw ValueError ("singular matrix" or "zero matrix")
+    with pytest.raises(DegenerateInput, match="singular"):
+        MobiusMap.from_entries(*entries)
+
+
+@pytest.mark.parametrize("entries", [(math.nan, 0, 0, 1), (math.inf, 0, 0, 1),
+                                     (1, -math.inf, 0, 1), (1, 0, complex(0, math.inf), 1),
+                                     (1, 0, 0, complex(1, math.nan))])
+def test_from_entries_refuses_non_finite_entries(entries):
+    with pytest.raises(InvalidArgument, match="finite"):
+        MobiusMap.from_entries(*entries)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_boundary_angle_refuses_non_finite_angles(theta):
+    # these returned nan
+    g = build_group(3, 2).first_sector[0]
+    with pytest.raises(InvalidArgument, match="finite"):
+        g.boundary_angle(theta)
+    assert 0.0 <= g.boundary_angle(1.0) < TAU
+
+
 def _translation(cosh_half, k):
     """Hyperbolic translation through 0 along direction k, entries about cosh_half."""
     sh = math.sqrt(cosh_half ** 2 - 1)
