@@ -17,7 +17,6 @@ import operator
 from typing import NamedTuple
 
 from . import MAX_DEPTH
-from . import hyperbolic as hyp
 from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
                      MarkovViolation, OutsideDomain, RankLimit, as_count)
 from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group
@@ -26,51 +25,9 @@ from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 BREAK_TOL = 1e-12
 
 
-class Pocket(NamedTuple):
-    r: int
-    s: int
-    geodesic: hyp.Geodesic
-    map: MobiusMap
-    arc: tuple  # (lo, hi) ccw boundary arc subtended by the side
-
-
-class PocketTable(NamedTuple):
-    entries: tuple            # pocket k subtends the k-th arc of the uniform partition
-
-    def locate(self, theta: float, tol: float = BREAK_TOL):
-        """Pocket whose open arc contains theta; AtBreakpoint at arc ends.
-
-        The arcs are the uniform partition at multiples of 2 pi/(np), so the
-        pocket is found by index arithmetic: only the indexed arc and its two
-        neighbours can hold theta, and they are tested in table order.  An
-        infinite theta raises InvalidArgument; a NaN lies in no arc.
-        """
-        if math.isinf(theta):
-            raise InvalidArgument(f"theta must be finite, not {theta!r}")
-        t = norm_angle(theta)
-        if t == t:                  # a NaN lies in no arc
-            k = len(self.entries)
-            i = int(t * k / TAU) % k
-            for j in sorted({(i - 1) % k, i, (i + 1) % k}):
-                pk = self.entries[j]
-                if angle_in_open_arc(t, pk.arc[0], pk.arc[1]):
-                    if ccw_span(pk.arc[0], t) < tol or ccw_span(t, pk.arc[1]) < tol:
-                        break
-                    return pk
-        raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
-
-
-def _pocket_table(preset: GroupPreset) -> PocketTable:
-    """Pockets in side order, each with its sector's pairing g_{r,s}."""
-    m = preset.n * preset.p
-    return PocketTable(tuple(Pocket(r, s, preset.sides[k], preset._sector_pairing(r, s),
-                                    (TAU * k / m, TAU * (k + 1) / m))
-                             for k, (r, s) in enumerate(preset.all_side_labels())))
-
-
 class BowenSeriesMap(NamedTuple):
     preset: GroupPreset
-    pockets: PocketTable
+    maps: tuple               # g_{r,s} of pocket k, the side at preset.sides[k]
     factor: bool
     marked_fixed_angle: float
 
@@ -90,11 +47,42 @@ def bowen_series_map(n: int, p: int, case: str = "I", factor: bool = False) -> B
 
 
 def bowen_series_from_preset(preset: GroupPreset, factor: bool = False) -> BowenSeriesMap:
+    """The map whose pocket k, bounded by the side C_{r,s} at index k =
+    side_index(r, s), carries the sector pairing g_{r,s}."""
     if factor and preset.n < 3:
         raise OutsideDomain("factor map needs n >= 3")
-    pockets = _pocket_table(preset)
-    marked = _marked_fixed_angle(preset, pockets)
-    return BowenSeriesMap(preset, pockets, factor, marked)
+    maps = tuple(preset._sector_pairing(r, s) for r, s in preset.all_side_labels())
+    return BowenSeriesMap(preset, maps, factor, _marked_fixed_angle(preset, maps))
+
+
+def _arc(k: int, np: int) -> tuple:
+    """(lo, hi), the ccw boundary arc pocket k of np subtends: the k-th arc
+    of the uniform partition, between the vertices bounding side k."""
+    return TAU * k / np, TAU * (k + 1) / np
+
+
+def _pocket_index(m: BowenSeriesMap, theta: float) -> int:
+    """Pocket whose open arc contains theta; AtBreakpoint within BREAK_TOL
+    of an arc end.
+
+    The arcs are the uniform partition at multiples of 2 pi/(np), so the
+    pocket is found by index arithmetic: only the indexed arc and its two
+    neighbours can hold theta, and they are tested in index order.  An
+    infinite theta raises InvalidArgument; a NaN lies in no arc.
+    """
+    if math.isinf(theta):
+        raise InvalidArgument(f"theta must be finite, not {theta!r}")
+    t = norm_angle(theta)
+    if t == t:                  # a NaN lies in no arc
+        k = len(m.maps)
+        i = int(t * k / TAU) % k
+        for j in sorted({(i - 1) % k, i, (i + 1) % k}):
+            lo, hi = _arc(j, k)
+            if angle_in_open_arc(t, lo, hi):
+                if ccw_span(lo, t) < BREAK_TOL or ccw_span(t, hi) < BREAK_TOL:
+                    break
+                return j
+    raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
 
 
 # -- circle evaluation -------------------------------------------------------
@@ -107,8 +95,7 @@ def _check_theta(theta: float):
 def eval_circle_raw(m: BowenSeriesMap, theta: float) -> float:
     """Unfactored circle action: apply the generator of the pocket at theta."""
     _check_theta(theta)
-    pk = m.pockets.locate(theta)
-    return pk.map.boundary_angle(theta)
+    return m.maps[_pocket_index(m, theta)].boundary_angle(theta)
 
 
 def eval_circle_raw_one_sided(m: BowenSeriesMap, theta: float, side: int) -> float:
@@ -122,10 +109,10 @@ def eval_circle_raw_one_sided(m: BowenSeriesMap, theta: float, side: int) -> flo
     _check_theta(theta)
     if side != 1 and side != -1:
         raise InvalidArgument(f"side must be +1 or -1, not {side!r}")
-    k = len(m.pockets.entries)
+    k = len(m.maps)
     t = norm_angle(theta)
     idx = math.floor(t * k / TAU + (1e-7 if side > 0 else -1e-7)) % k
-    return m.pockets.entries[idx].map.boundary_angle(t)
+    return m.maps[idx].boundary_angle(t)
 
 
 def eval_circle(m: BowenSeriesMap, theta: float, lift: int = 0) -> float:
@@ -188,12 +175,13 @@ def breakpoints(m: BowenSeriesMap):
 POCKET_TOL = 1e-12
 
 
-def _locate_pocket_disk(m: BowenSeriesMap, z: complex):
+def _locate_pocket_disk(m: BowenSeriesMap, z: complex) -> int:
+    """Index of the pocket holding z: the deepest beyond its side."""
     best = None
-    for pk in m.pockets.entries:
-        d = pk.geodesic.side(z)  # <= 0 on the pocket side of the geodesic
+    for k, side in enumerate(m.preset.sides):
+        d = side.side(z)  # <= 0 on the pocket side of the geodesic
         if d <= POCKET_TOL and (best is None or d < best[0]):
-            best = (d, pk)
+            best = (d, k)
     if best is None:
         raise OutsideDomain(f"{z} lies in the interior of the polygon")
     return best[1]
@@ -204,12 +192,10 @@ def eval_pocket(m: BowenSeriesMap, z: complex) -> complex:
     if abs(z) > 1.0 + 1e-9:
         raise OutsideDomain(f"{z} outside the closed disk")
     if not m.factor:
-        pk = _locate_pocket_disk(m, z)
-        return pk.map(z)
+        return m.maps[_locate_pocket_disk(m, z)](z)
     n = m.preset.n
     u = _principal_root(z, n)
-    pk = _locate_pocket_disk(m, u)
-    return pk.map(u) ** n
+    return m.maps[_locate_pocket_disk(m, u)](u) ** n
 
 
 def _principal_root(z: complex, n: int) -> complex:
@@ -221,12 +207,11 @@ def _principal_root(z: complex, n: int) -> complex:
 
 # -- degree by preimage counting ----------------------------------------------
 
-def _arc_image(pk: Pocket):
-    """One-sided endpoint images of a pocket arc under the unfactored map."""
-    lo, hi = pk.arc
-    a = pk.map.boundary_angle(lo)
-    b = pk.map.boundary_angle(hi)
-    return a, b
+def _arc_image(m: BowenSeriesMap, k: int):
+    """One-sided endpoint images of pocket k's arc under the unfactored map."""
+    lo, hi = _arc(k, len(m.maps))
+    g = m.maps[k]
+    return g.boundary_angle(lo), g.boundary_angle(hi)
 
 
 def _arc_spans(m: BowenSeriesMap):
@@ -236,11 +221,8 @@ def _arc_spans(m: BowenSeriesMap):
     identity, so testing s = t - start (plus 2 pi when s <= 0) against
     0 < s < span decides exactly what angle_in_open_arc decides.
     """
-    out = []
-    for pk in m.pockets.entries:
-        a, b = _arc_image(pk)
-        out.append((a, ccw_span(a, b)))
-    return out
+    images = (_arc_image(m, k) for k in range(len(m.maps)))
+    return [(a, ccw_span(a, b)) for a, b in images]
 
 
 def count_preimages(m: BowenSeriesMap, target: float) -> int:
@@ -316,9 +298,8 @@ def markov_partition(m: BowenSeriesMap) -> MarkovPartition:
     rows = []
     images = []
     for i in range(k):
-        pk = m.pockets.entries[i]
         start = eval_circle_one_sided(m, bps[i], +1)
-        rise = n * ccw_span(*_arc_image(pk))
+        rise = n * ccw_span(*_arc_image(m, i))
         end = start + rise
         for v in (start, end):
             snap = round(v / arc_len) * arc_len
@@ -355,7 +336,7 @@ def _boundary_fixed_points(g: MobiusMap):
     return [z for z in (q / g.c, -g.b / q) if abs(abs(z) - 1.0) < 1e-9]
 
 
-def _marked_fixed_angle(preset: GroupPreset, pockets: PocketTable) -> float:
+def _marked_fixed_angle(preset: GroupPreset, maps: tuple) -> float:
     """The normalising fixed angle: 0 in Case I, and in Case II (n = 1) the
     least fixed angle of the circle map, which lies in arc 2.
 
@@ -367,9 +348,9 @@ def _marked_fixed_angle(preset: GroupPreset, pockets: PocketTable) -> float:
     """
     if preset.case == "I":
         return 0.0
-    pk = pockets.entries[1]
-    fixed = [t for t in (norm_angle(cmath.phase(z)) for z in _boundary_fixed_points(pk.map))
-             if angle_in_open_arc(t, pk.arc[0], pk.arc[1], ROOT_END_TOL)]
+    lo, hi = _arc(1, len(maps))
+    fixed = [t for t in (norm_angle(cmath.phase(z)) for z in _boundary_fixed_points(maps[1]))
+             if angle_in_open_arc(t, lo, hi, ROOT_END_TOL)]
     if not fixed:
         raise MarkovViolation("no circle fixed point found")
     return min(fixed)
@@ -452,11 +433,12 @@ class ConjugacyH:
         m = self.m
         n = m.preset.n if m.factor else 1
         cuts = [self.base]
-        for pk in m.pockets.entries[:len(breakpoints(m))]:
-            g_inv = pk.map.inverse()
+        for k in range(len(breakpoints(m))):
+            g_inv = m.maps[k].inverse()
+            lo, hi = _arc(k, len(m.maps))
             for j in range(n):
                 u = g_inv.boundary_angle((self.base + TAU * j) / n)
-                if angle_in_open_arc(u, pk.arc[0], pk.arc[1], BREAK_TOL):
+                if angle_in_open_arc(u, lo, hi, BREAK_TOL):
                     cuts.append(norm_angle(n * u))
         dedup = []
         for t in sorted(norm_angle(c - self.base) for c in cuts):
@@ -481,6 +463,7 @@ class ConjugacyH:
         distance a target must keep from either end of it."""
         m = self.m
         n = m.preset.n if m.factor else 1
+        np = len(m.maps)
         cut_offs = [ccw_span(self.base, c) if i else 0.0
                     for i, c in enumerate(self.cuts)] + [TAU]
         bp_offs = sorted({norm_angle(b - self.base) for b in breakpoints(m)}
@@ -498,12 +481,11 @@ class ConjugacyH:
             u_acc = 0.0
             for i in range(len(bounds) - 1):
                 x0, x1 = bounds[i], bounds[i + 1]
+                # a piece's ends are cuts or breakpoints more than 1e-12 apart,
+                # so its midpoint lies inside one pocket's arc by far more
+                # than the rounding of the index arithmetic
                 am = norm_angle(self.base + 0.5 * (x0 + x1))
-                if m.factor:
-                    g = m.pockets.locate(norm_angle(am / n) if abs(am) > 0 else 0.0,
-                                         tol=0.0).map
-                else:
-                    g = m.pockets.locate(am, tol=0.0).map
+                g = m.maps[int(norm_angle(am / n) * np / TAU) % np]
                 # eval_circle_one_sided(m, base + x0, +1), keeping its
                 # upstairs value alpha
                 alpha = eval_circle_raw_one_sided(m, norm_angle(self.base + x0) / n, +1)
@@ -626,10 +608,10 @@ def _branches(m: BowenSeriesMap):
     """
     sigma = m.preset.sigma
     rows = []
-    for pk in m.pockets.entries:
-        inv = pk.map.inverse()
-        rows.append(((pk.r, pk.s), (pk.r, sigma[pk.s]), inv.a, inv.b, inv.c, inv.d))
-    rows.sort(key=lambda row: row[0])
+    # side order is label order
+    for (r, s), g in zip(m.preset.all_side_labels(), m.maps):
+        inv = g.inverse()
+        rows.append(((r, s), (r, sigma[s]), inv.a, inv.b, inv.c, inv.d))
     return rows
 
 

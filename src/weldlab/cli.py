@@ -25,9 +25,13 @@ def _emit(doc):
 
 
 def _write_svg(path, scene):
+    """Write the scene; a path that cannot be written is a usage error."""
     from . import render
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render.render_svg(scene))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render.render_svg(scene))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _mobius_json(m):

@@ -68,12 +68,14 @@ def fiber(m: ModelMaps, pt: ModelPoint):
 
     np points when w != 0 and p points at the critical fiber w = 0.  An n, p
     or sheet that is not an integer raises InvalidArgument, n or p below 1
-    DegenerateInput, a sheet outside 1..p or a w that is not finite
-    InvalidArgument and np above TILE_BUDGET RankLimit.
+    DegenerateInput, a sheet outside 1..p or a w that is not finite or not
+    in the open unit disk InvalidArgument and np above TILE_BUDGET RankLimit.
     """
     n, p, j = as_count(m.n, "n"), as_count(m.p, "p"), as_count(pt.j, "sheet")
     if not cmath.isfinite(pt.w0):
         raise InvalidArgument(f"w must be finite, not {pt.w0!r}")
+    if not math.hypot(pt.w0.real, pt.w0.imag) < 1.0:       # abs() can overflow
+        raise InvalidArgument(f"w must lie in the open unit disk, not {pt.w0!r}")
     if n < 1 or p < 1:
         raise DegenerateInput(f"n = {n} and p = {p} must be at least 1")
     if not 1 <= j <= p:

@@ -212,55 +212,33 @@ def side_pairing_check(preset: GroupPreset):
     return {"max_residual": worst}
 
 
-def _vertex_action(preset: GroupPreset):
-    """Index-level action of each pairing on polygon vertices.
-
-    Side k (0-based full index) spans vertices k, k+1 and is carried to side
-    k' in the same sector with the start/end exchanged:
-    start(k) -> end(k'), end(k) -> start(k').
-    """
-    m = preset.n * preset.p
-    act = {}
-    for (r, s) in preset.all_side_labels():
-        k = preset.side_index(r, s)
-        k2 = preset.side_index(r, preset.sigma[s])
-        act[k] = {k % m: (k2 + 1) % m, (k + 1) % m: k2 % m}
-    return act
-
-
 def vertex_cycles(preset: GroupPreset):
     """Ideal-vertex cycles under the side pairings, purely combinatorial.
 
     Each cycle lists its vertex indices and, in step with them, the side
     labels (r, s) whose pairing carries each vertex to the next; the cycle
     transformation is that word's product, which fixes the first vertex.
+    Side e runs from vertex e to e + 1, and its pairing carries it onto side
+    e' = side_index(r, sigma(s)) reversed, so the start e of side e goes to
+    the end e' + 1 of side e', where the cycle leaves along side e' + 1: each
+    vertex is the start of the side it leaves along.
     """
-    m = preset.n * preset.p
-    act = _vertex_action(preset)
-
-    def sides_at(v):
-        return ((v - 1) % m, v % m)  # side arriving at v, side leaving v
-
-    seen = set()
+    m, p, sigma = preset.n * preset.p, preset.p, preset.sigma
+    seen = [False] * m
     cycles = []
     for v0 in range(m):
-        e0 = sides_at(v0)[1]
-        if (v0, e0) in seen:
+        if seen[v0]:
             continue
-        v, e = v0, e0
+        v = v0
         word = []
         cycle_vertices = []
         while True:
-            seen.add((v, e))
+            seen[v] = True
             cycle_vertices.append(v)
-            r, s = e // preset.p + 1, e % preset.p + 1
+            r, s = v // p + 1, v % p + 1
             word.append((r, s))
-            v2 = act[e][v]
-            e_img = preset.side_index(r, preset.sigma[s])
-            ein, eout = sides_at(v2)
-            e2 = eout if e_img == ein else ein
-            v, e = v2, e2
-            if (v, e) == (v0, e0):
+            v = (preset.side_index(r, sigma[s]) + 1) % m
+            if v == v0:
                 break
         cycles.append({"vertices": cycle_vertices, "word": word})
     return cycles

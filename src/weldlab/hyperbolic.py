@@ -24,11 +24,6 @@ DEFAULT_TOL = 1e-9
 #: antipodal span a diameter: about a thousand ulps of 2 pi, far below the
 #: vertex spacing 2 pi / np of any polygon within the side budget
 ENDPOINT_TOL = 1e-12
-#: the product of two determinant-1 matrices has determinant 1, but the
-#: computed ad - bc loses about |ad| ulps to cancellation, and dividing by its
-#: root scales every entry by that error; past this |ad| compose keeps the
-#: product as it is, which is off by a few ulps per entry
-RENORM_LIMIT = 16.0
 
 
 def norm_angle(theta: float) -> float:
@@ -150,15 +145,16 @@ class MobiusMap:
         return t
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other (matrix product, renormalized while |ad| is at
-        most RENORM_LIMIT)."""
+        """self after other: the matrix product, not renormalised.  The product
+        of two determinant-1 matrices has determinant 1, but the computed
+        ad - bc loses about |ad| ulps to cancellation, so dividing by its root
+        would scale every entry by that error.  Kept as computed, each entry
+        is off by a few ulps."""
         a = self.a * other.a + self.b * other.c
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        if abs(a * d) > RENORM_LIMIT:
-            return MobiusMap(*_canonical_sign(a, b, c, d))
-        return MobiusMap.from_entries(a, b, c, d)
+        return MobiusMap(*_canonical_sign(a, b, c, d))
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap.from_entries(self.d, -self.b, -self.c, self.a)

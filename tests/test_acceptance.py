@@ -167,10 +167,10 @@ def test_09_inner_boundary_involution():
         rng = random.Random(17)
         for (n, p, case) in GRID:
             m = bs.bowen_series_map(n, p, case)
-            pockets = m.pockets.entries
+            sides = m.preset.sides
             for _ in range(200):
-                pk = pockets[rng.randrange(len(pockets))]
-                z = pk.geodesic.point_at(rng.uniform(0.1, 0.9))
+                side = sides[rng.randrange(len(sides))]
+                z = side.point_at(rng.uniform(0.1, 0.9))
                 w = bs.eval_pocket(m, z)
                 assert abs(bs.eval_pocket(m, w) - z) < 1e-8
 

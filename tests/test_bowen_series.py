@@ -42,18 +42,18 @@ def test_fixed_point_case_i():
 
 @pytest.mark.parametrize("m", all_maps(), ids=lambda m: m.name)
 def test_pocket_arcs_tile_the_circle(m):
-    entries = m.pockets.entries
+    k = len(m.maps)
     total = 0.0
-    for i, pk in enumerate(entries):
-        lo, hi = pk.arc
-        total += (hi - lo) % TAU or TAU / len(entries)
-        nxt = entries[(i + 1) % len(entries)]
-        assert angle_dist(hi % TAU, nxt.arc[0] % TAU) < 1e-12
+    for i, (label, g) in enumerate(zip(m.preset.all_side_labels(), m.maps)):
+        lo, hi = bs._arc(i, k)
+        total += (hi - lo) % TAU or TAU / k
+        assert angle_dist(hi % TAU, bs._arc((i + 1) % k, k)[0] % TAU) < 1e-12
         # the arc's endpoints are the vertices bounding the side
-        assert angle_dist(pk.geodesic.theta1, lo % TAU) < 1e-12
-        assert angle_dist(pk.geodesic.theta2, hi % TAU) < 1e-12
-        # the table's sector conjugates are the preset's, bit for bit
-        assert pk.map == m.preset.generator(pk.r, pk.s)
+        side = m.preset.sides[i]
+        assert angle_dist(side.theta1, lo % TAU) < 1e-12
+        assert angle_dist(side.theta2, hi % TAU) < 1e-12
+        # the map's sector conjugates are the preset's, bit for bit
+        assert g == m.preset.generator(*label)
     assert abs(total - TAU) < 1e-9
 
 
@@ -85,9 +85,9 @@ def test_locate_refuses_infinite_theta():
     m = bs.bowen_series_map(1, 4)
     for theta in (math.inf, -math.inf):
         with pytest.raises(InvalidArgument, match="theta"):
-            m.pockets.locate(theta)
+            bs._pocket_index(m, theta)
     with pytest.raises(AtBreakpoint):
-        m.pockets.locate(math.nan)
+        bs._pocket_index(m, math.nan)
 
 
 def test_factor_continuity_at_discontinuity():
@@ -178,7 +178,7 @@ def reference_count_preimages(m, target):
     """Reference: the preimage count the (start, span) pairs replaced, one
     angle_in_open_arc scan of the raw arc images per lifted target."""
     y = norm_angle(target)
-    images = [bs._arc_image(pk) for pk in m.pockets.entries]
+    images = [bs._arc_image(m, k) for k in range(len(m.maps))]
     if not m.factor:
         return sum(angle_in_open_arc(y, a, b) for a, b in images)
     n = m.preset.n
@@ -189,14 +189,17 @@ def reference_count_preimages(m, target):
     return total // n
 
 
-def reference_locate(m, theta, tol):
-    """Reference: the linear pocket scan the index arithmetic replaced."""
+def reference_locate(m, theta, tol=bs.BREAK_TOL):
+    """Reference: the linear pocket scan the index arithmetic replaced, over
+    the arcs (2 pi k/np, 2 pi (k + 1)/np); returns the pocket's index."""
     t = norm_angle(theta)
-    for pk in m.pockets.entries:
-        if angle_in_open_arc(t, pk.arc[0], pk.arc[1]):
-            if ccw_span(pk.arc[0], t) < tol or ccw_span(t, pk.arc[1]) < tol:
+    k = len(m.maps)
+    for j in range(k):
+        lo, hi = TAU * j / k, TAU * (j + 1) / k
+        if angle_in_open_arc(t, lo, hi):
+            if ccw_span(lo, t) < tol or ccw_span(t, hi) < tol:
                 raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
-            return pk
+            return j
     raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
 
 
@@ -209,18 +212,17 @@ def _outcome(f, *args):
 
 def test_lookups_match_scan_references():
     # bit for bit on every map: seeded angles, the breakpoints 2 pi k/(np),
-    # every arc-image end and NaN, at both tolerances
+    # every arc-image end and NaN
     for m in all_maps():
         k = m.preset.n * m.preset.p
-        ends = [t for pk in m.pockets.entries for t in bs._arc_image(pk)]
+        ends = [t for j in range(k) for t in bs._arc_image(m, j)]
         rng = random.Random(k + 100 * m.factor)
         thetas = ([rng.uniform(-TAU, 2 * TAU) for _ in range(300)]
                   + [TAU * j / k for j in range(k)] + ends
                   + [-0.0, math.nextafter(TAU, 0.0)])
         for theta in thetas + [math.nan]:
-            for tol in (0.0, bs.BREAK_TOL):
-                assert _outcome(m.pockets.locate, theta, tol) == \
-                    _outcome(reference_locate, m, theta, tol), (m.name, theta, tol)
+            assert _outcome(bs._pocket_index, m, theta) == \
+                _outcome(reference_locate, m, theta), (m.name, theta)
         for theta in thetas:
             assert _outcome(bs.count_preimages, m, theta) == \
                 _outcome(reference_count_preimages, m, theta), (m.name, theta)
@@ -232,10 +234,10 @@ def test_lookups_match_scan_references():
 @pytest.mark.parametrize("m", all_maps(), ids=lambda m: m.name)
 def test_inner_boundary_involution(m):
     rng = random.Random(3)
-    pockets = m.pockets.entries
+    sides = m.preset.sides
     for _ in range(40):
-        pk = pockets[rng.randrange(len(pockets))]
-        z = pk.geodesic.point_at(rng.uniform(0.15, 0.85))
+        side = sides[rng.randrange(len(sides))]
+        z = side.point_at(rng.uniform(0.15, 0.85))
         if m.factor:
             z = z ** m.preset.n
         w = bs.eval_pocket(m, z)
@@ -244,10 +246,9 @@ def test_inner_boundary_involution(m):
 
 def test_pocket_image_on_paired_geodesic():
     m = bs.bowen_series_map(1, 4)
-    pk = m.pockets.entries[0]
-    z = pk.geodesic.point_at(0.3)
+    z = m.preset.sides[0].point_at(0.3)
     w = bs.eval_pocket(m, z)
-    dst = m.pockets.entries[m.preset.sigma[1] - 1].geodesic
+    dst = m.preset.sides[m.preset.sigma[1] - 1]
     assert abs(abs(w - dst.center) - dst.radius) < 1e-8
 
 
@@ -386,10 +387,10 @@ def reference_pieces(h):
             x0, x1 = bounds[i], bounds[i + 1]
             am = norm_angle(h.base + 0.5 * (x0 + x1))
             if m.factor:
-                g = m.pockets.locate(norm_angle(am / n) if abs(am) > 0 else 0.0,
-                                     tol=0.0).map
+                g = m.maps[reference_locate(m, norm_angle(am / n) if abs(am) > 0 else 0.0,
+                                            tol=0.0)]
             else:
-                g = m.pockets.locate(am, tol=0.0).map
+                g = m.maps[reference_locate(m, am, tol=0.0)]
             a0 = bs.eval_circle_one_sided(m, norm_angle(h.base + x0), +1)
             a1 = bs.eval_circle_one_sided(m, norm_angle(h.base + x1), -1)
             rise = TAU if len(bounds) == 2 else (a1 - a0) % TAU
@@ -680,7 +681,7 @@ def tile_map(m, word):
     ..., word[-1], with word[0] applied last."""
     g = bs.MobiusMap.identity()
     for r, s in reversed(word):
-        g = m.pockets.entries[m.preset.side_index(r, s)].map.inverse().compose(g)
+        g = m.maps[m.preset.side_index(r, s)].inverse().compose(g)
     return g
 
 
@@ -784,10 +785,10 @@ def vertex_test_letters(m, tile, tol=1e-9):
     open pocket (r, sigma(s)).
     """
     out = []
-    for pk in m.pockets.entries:
-        tgt = m.pockets.entries[m.preset.side_index(pk.r, m.preset.sigma[pk.s])]
-        if all(tgt.geodesic.side(v) >= -tol for v in tile.vertices):
-            out.append((pk.r, pk.s))
+    for r, s in m.preset.all_side_labels():
+        tgt = m.preset.sides[m.preset.side_index(r, m.preset.sigma[s])]
+        if all(tgt.side(v) >= -tol for v in tile.vertices):
+            out.append((r, s))
     return out
 
 
@@ -827,12 +828,12 @@ def reference_children(m, tile):
     """Reference: the per-tile child step the branch-by-branch levels
     replaced, inverting each pocket's pairing once per tile."""
     out = []
-    for pk in m.pockets.entries:
-        if tile.word and tile.word[0] == (pk.r, m.preset.sigma[pk.s]):
+    for (r, s), g in zip(m.preset.all_side_labels(), m.maps):
+        if tile.word and tile.word[0] == (r, m.preset.sigma[s]):
             continue
-        inv = pk.map.inverse()
+        inv = g.inverse()
         verts = tuple(inv(v) for v in tile.vertices)
-        out.append(bs.Tile(((pk.r, pk.s),) + tile.word, verts))
+        out.append(bs.Tile(((r, s),) + tile.word, verts))
     return out
 
 
@@ -841,7 +842,7 @@ def reference_tiles(m, rank):
     every level sorted by word."""
     base = bs.Tile((), tuple(cmath.exp(1j * side.theta1) for side in m.preset.sides))
     p = m.preset.p
-    last = m._replace(pockets=bs.PocketTable(m.pockets.entries[:p])) if m.factor else m
+    last = m._replace(maps=m.maps[:p]) if m.factor else m
     levels = [[base]]
     for k in range(rank):
         step = last if k == rank - 1 else m

@@ -3,7 +3,7 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from weldlab.cli import main
@@ -246,6 +246,10 @@ SVG_DIGESTS = [
      "7530fe348824c779785ac918482ab3f8e9d8f5d8fe830f866245b634c143853c"),
     (["bs", "tiles", "--n", "1", "--p", "4", "--case", "II", "--rank", "3"],
      "7ef3ad43f3258e222ec72d02a055afc92ecb1b9fa2fdb7138b8b86810cb25dad"),
+    # a larger polygon: its rotation words are products with |ad| <= 16, once
+    # renormalised by MobiusMap.compose, and its generator words are not
+    (["corr", "tiling", "--n", "4", "--p", "4", "--len", "4"],
+     "66f4589b730af0020c8221799e257e662d9d4094c7ece7a4c4d45dc953bfbbd2"),
 ]
 
 
@@ -255,6 +259,33 @@ def test_svg_bytes_pinned(capsys, tmp_path, argv, digest):
     code, _, _ = run(capsys, *argv, "--svg", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+#: the four commands that write an SVG
+SVG_COMMANDS = [("bs", "tiles", "--n", "1", "--p", "4", "--rank", "2"),
+                ("corr", "tiling", "--n", "3", "--p", "1", "--len", "2"),
+                ("mate", "build", "5.4"), ("surface", "graph", "5.4")]
+
+
+@pytest.mark.parametrize("argv", SVG_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("target", ["directory", "missing"])
+def test_unwritable_svg_is_a_usage_error(capsys, tmp_path, argv, target):
+    # open() used to end the run in a FileNotFoundError or IsADirectoryError
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.svg"
+    code, out, err = run(capsys, *argv, "--svg", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"weldlab: usage error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("w", [("2", "0"), ("1", "0"), ("0", "-1"), ("0.8", "0.8"),
+                               ("1.7e308", "1.7e308")])
+def test_fiber_outside_the_disk_is_refused(capsys, w):
+    # 1.7e308 + 1.7e308i rotated to an infinite fiber value, which json.dumps
+    # refused with a raw ValueError; the model is D x {1..p}
+    code, out, err = run(capsys, "corr", "fibers", "--n", "3", "--p", "1",
+                         "--w-re", w[0], "--w-im", w[1])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("weldlab: InvalidArgument: w must lie in")
 
 
 #: SHA-256 of the JSON each command prints; the `bs tiles` digests follow the
@@ -475,6 +506,20 @@ _COMMAND_OPTIONS = {("bs", "eval"): ["--theta"], ("bs", "orbit"): ["--theta", "-
                     ("corr", "fibers"): ["--w-re", "--w-im", "--j"]}
 
 
+#: the commands that take --svg, and the paths it is drawn from, made in a
+#: test's tmp_path: a file, the directory itself and a file under a missing
+#: directory
+_SVG_CMDS = [argv[:2] for argv in SVG_COMMANDS]
+_SVG_TARGETS = {"<file>": lambda d: d / "out.svg", "<dir>": lambda d: d,
+                "<missing>": lambda d: d / "missing" / "out.svg"}
+
+
+def _svg_option(draw, cmd):
+    if cmd in _SVG_CMDS and draw(st.booleans()):
+        return ["--svg", draw(st.sampled_from(sorted(_SVG_TARGETS)))]
+    return []
+
+
 @st.composite
 def _argv(draw):
     cmd = draw(st.sampled_from(_GROUP + _BS + [("corr", "tiling"), ("corr", "fibers"),
@@ -487,7 +532,7 @@ def _argv(draw):
             argv.append(draw(st.sampled_from(["cubic_power", "deg7_symmetric", "nope"])))
         else:
             argv.append(draw(_SCHEMA))
-        return argv
+        return argv + _svg_option(draw, cmd)
     argv += ["--n", draw(_SIZE), "--p", draw(_SIZE)]
     if cmd != ("corr", "fibers"):
         argv += ["--case", draw(st.sampled_from(["I", "II", "III"]))]
@@ -499,6 +544,7 @@ def _argv(draw):
     if cmd == ("bs", "tiles") and argv[-1] == "1":
         np_ = int(argv[3]) * int(argv[5])
         assume(np_ * (np_ + 1) <= 300_000)
+    argv += _svg_option(draw, cmd)
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-1", "x"])))
     return argv
@@ -507,7 +553,12 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
-def test_every_argv_exits_0_1_or_2(capsys, argv):
+@example(argv=["corr", "fibers", "--n", "3", "--p", "1", "--w-re", "1.7e308",
+               "--w-im", "1.7e308"])
+@example(argv=["bs", "tiles", "--n", "1", "--p", "4", "--rank", "1", "--svg", "<missing>"])
+@example(argv=["corr", "tiling", "--n", "3", "--p", "1", "--len", "1", "--svg", "<dir>"])
+def test_every_argv_exits_0_1_or_2(capsys, tmp_path, argv):
+    argv = [str(_SVG_TARGETS[a](tmp_path)) if a in _SVG_TARGETS else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code in (0, 1, 2), argv
     if code:

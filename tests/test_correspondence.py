@@ -113,6 +113,15 @@ def test_fiber_refuses_non_finite_points(w):
         co.fiber(m, m.point(w))
 
 
+@pytest.mark.parametrize("w", [1.0, -1.0, 1j, 2.0, 0.8 + 0.8j, complex(1.7e308, 1.7e308)])
+def test_fiber_refuses_points_outside_the_disk(w):
+    # the model is D x {1..p}; 1.7e308 + 1.7e308i once rotated to an infinite
+    # fiber point
+    m = co.ModelMaps(3, 2)
+    with pytest.raises(InvalidArgument, match="open unit disk"):
+        co.fiber(m, m.point(w))
+
+
 # -- words ------------------------------------------------------------------------
 
 def test_branch_words_count_and_identity():

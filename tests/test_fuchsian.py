@@ -129,8 +129,8 @@ def test_sector_conjugation(n, p, case):
 
 def test_sector_pairings_compose_nothing(monkeypatch):
     # g_{r,s} is written down from g_s and w = e^{2 pi i(r-1)/n}: neither the
-    # pairing check nor the pocket table multiplies a matrix
-    from weldlab.bowen_series import _pocket_table
+    # pairing check nor the Bowen-Series map's pairings multiply a matrix
+    from weldlab.bowen_series import bowen_series_from_preset
     g = build_group(7, 7)
 
     def refuse(self, other):
@@ -138,8 +138,8 @@ def test_sector_pairings_compose_nothing(monkeypatch):
 
     monkeypatch.setattr(MobiusMap, "compose", refuse)
     assert side_pairing_check(g)["max_residual"] < 1e-8
-    table = _pocket_table(g)
-    assert [pk.map for pk in table.entries] == [g.generator(r, s) for r, s in g.all_side_labels()]
+    maps = bowen_series_from_preset(g).maps
+    assert list(maps) == [g.generator(r, s) for r, s in g.all_side_labels()]
 
 
 @pytest.mark.parametrize("n,p,case", [t for t in GRID if t[0] > 1])
@@ -277,6 +277,52 @@ def test_vertex_cycle_counts_match_punctures():
         g = build_group(n, p, case)
         sig = orbifold_signature(g, extended=False)
         assert sig.punctures == len(vertex_cycles(g))
+
+
+def reference_vertex_cycles(preset):
+    """Reference: the walk over a dict-of-dicts vertex action that the
+    arithmetic step replaced.  Side k (0-based full index) spans vertices k,
+    k+1 and is carried to side k' in the same sector with the start and end
+    exchanged: start(k) -> end(k'), end(k) -> start(k')."""
+    m = preset.n * preset.p
+    act = {}
+    for (r, s) in preset.all_side_labels():
+        k = preset.side_index(r, s)
+        k2 = preset.side_index(r, preset.sigma[s])
+        act[k] = {k % m: (k2 + 1) % m, (k + 1) % m: k2 % m}
+
+    def sides_at(v):
+        return ((v - 1) % m, v % m)  # side arriving at v, side leaving v
+
+    seen = set()
+    cycles = []
+    for v0 in range(m):
+        e0 = sides_at(v0)[1]
+        if (v0, e0) in seen:
+            continue
+        v, e = v0, e0
+        word = []
+        cycle_vertices = []
+        while True:
+            seen.add((v, e))
+            cycle_vertices.append(v)
+            r, s = e // preset.p + 1, e % preset.p + 1
+            word.append((r, s))
+            v2 = act[e][v]
+            e_img = preset.side_index(r, preset.sigma[s])
+            ein, eout = sides_at(v2)
+            e2 = eout if e_img == ein else ein
+            v, e = v2, e2
+            if (v, e) == (v0, e0):
+                break
+        cycles.append({"vertices": cycle_vertices, "word": word})
+    return cycles
+
+
+@pytest.mark.parametrize("n,p,case", GRID + [(500, 20, CASE_I), (1, 1000, CASE_I)])
+def test_vertex_cycles_match_action_table_reference(n, p, case):
+    g = build_group(n, p, case)
+    assert vertex_cycles(g) == reference_vertex_cycles(g)
 
 
 def test_degree_plans():
