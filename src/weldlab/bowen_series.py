@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import itertools
 import math
 import operator
 from typing import NamedTuple
 
 from . import MAX_DEPTH
-from .errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
-                     MarkovViolation, OutsideDomain, RankLimit, as_count)
+from .errors import (AtBreakpoint, DegenerateInput, DepthTooSmall, InconsistentDegree,
+                     InvalidArgument, MarkovViolation, OutsideDomain, RankLimit, as_count)
 from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group
 from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
 
@@ -188,8 +189,11 @@ def _locate_pocket_disk(m: BowenSeriesMap, z: complex) -> int:
 
 
 def eval_pocket(m: BowenSeriesMap, z: complex) -> complex:
-    """Disk action on the closure of the pocket union."""
-    if abs(z) > 1.0 + 1e-9:
+    """Disk action on the closure of the pocket union; a z that is not
+    finite raises InvalidArgument."""
+    if not cmath.isfinite(z):
+        raise InvalidArgument(f"z must be finite, not {z!r}")
+    if math.hypot(z.real, z.imag) > 1.0 + 1e-9:     # abs(z) can overflow
         raise OutsideDomain(f"{z} outside the closed disk")
     if not m.factor:
         return m.maps[_locate_pocket_disk(m, z)](z)
@@ -228,26 +232,8 @@ def _arc_spans(m: BowenSeriesMap):
 def count_preimages(m: BowenSeriesMap, target: float) -> int:
     """Number of circle preimages of a generic target angle."""
     _check_theta(target)
-    return _count_preimages(m, norm_angle(target), _arc_spans(m))
-
-
-def _count_preimages(m: BowenSeriesMap, y: float, spans) -> int:
-    """count_preimages of y in [0, 2 pi), given the pockets' _arc_spans."""
-    # count upstairs solutions of A(u) in the n-th root lifts of y (y itself
-    # when unfactored), then divide by the n-fold redundancy of z -> z^n
     n = m.preset.n if m.factor else 1
-    total = 0
-    for k in range(n):
-        t = norm_angle(y / n + TAU * k / n)
-        for a, span in spans:
-            s = t - a
-            if s <= 0.0:
-                s += TAU
-            if 0.0 < s < span:
-                total += 1
-    if total % n != 0:
-        raise InconsistentDegree(f"upstairs count {total} not divisible by n = {n}")
-    return total // n
+    return _preimage_counts(m, _sorted_lifts((norm_angle(target),), n))[0]
 
 
 #: angles at which circle_degree counts preimages; every count must agree
@@ -256,14 +242,68 @@ DEGREE_SAMPLES = 20
 
 def circle_degree(m: BowenSeriesMap) -> int:
     """Covering degree via preimage counting at DEGREE_SAMPLES generic angles."""
-    spans = _arc_spans(m)
-    counts = set()
-    for i in range(DEGREE_SAMPLES):
-        y = TAU * (i + 0.318309886) / DEGREE_SAMPLES  # offset avoids breakpoints
-        counts.add(_count_preimages(m, norm_angle(y), spans))
+    n = m.preset.n if m.factor else 1
+    counts = set(_preimage_counts(m, _degree_lifts(n)))
     if len(counts) != 1:
         raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
     return counts.pop()
+
+
+def _sorted_lifts(ys, n: int):
+    """(ts, owners, count): the n-th root lifts y/n + 2 pi k/n of the angles
+    ys in [0, 2 pi), normalised and sorted, each with the index of its y."""
+    lifts = sorted((norm_angle(y / n + TAU * k / n), i)
+                   for k in range(n) for i, y in enumerate(ys))
+    return tuple(t for t, _ in lifts), tuple(i for _, i in lifts), len(ys)
+
+
+@functools.lru_cache(maxsize=16)
+def _degree_lifts(n: int):
+    """_sorted_lifts of the DEGREE_SAMPLES angles, kept for the 16 n used
+    last; their offset avoids breakpoints."""
+    return _sorted_lifts([norm_angle(TAU * (i + 0.318309886) / DEGREE_SAMPLES)
+                          for i in range(DEGREE_SAMPLES)], n)
+
+
+#: the miss window of a pocket is the complement of its arc image widened
+#: by this much at each end: far beyond the rounding of the exact test
+MISS_MARGIN = 1e-9
+
+
+def _preimage_counts(m: BowenSeriesMap, lifts):
+    """count_preimages of each angle the _sorted_lifts were made from.
+
+    A preimage upstairs is a lift t inside the open image arc (a, a + span)
+    of a pocket (_arc_spans); the count divides the hits by the n-fold
+    redundancy of z -> z^n (n = 1 when unfactored).  Each image arc covers
+    all of the circle but about 2 pi/np, so the misses are counted: a
+    bisection of the sorted lifts finds those in the closed complement
+    [a + span, a + 2 pi] widened by MISS_MARGIN, with wrap-around, and only
+    they get the exact test.  Any other lift lies more than MISS_MARGIN
+    inside the open arc, so the exact test would count it a hit.
+    """
+    ts, owners, count = lifts
+    n = len(ts) // count
+    spans = _arc_spans(m)
+    misses = [0] * count
+    for a, span in spans:
+        lo = (a + span - MISS_MARGIN) % TAU
+        hi = lo + (TAU - span) + 2.0 * MISS_MARGIN
+        i = bisect.bisect_left(ts, lo)
+        wrap = min(bisect.bisect_right(ts, hi - TAU), i)    # past 2 pi, not twice
+        for j in itertools.chain(range(i, bisect.bisect_right(ts, hi)), range(wrap)):
+            s = ts[j] - a
+            if s <= 0.0:
+                s += TAU
+            if not 0.0 < s < span:
+                misses[owners[j]] += 1
+    out = []
+    for miss in misses:
+        total = n * len(spans) - miss
+        if total % n != 0:
+            raise InconsistentDegree(f"upstairs count {total} not divisible by n = {n}")
+        out.append(total // n)
+    return out
 
 
 # -- Markov partition ----------------------------------------------------------
@@ -419,10 +459,13 @@ class ConjugacyH:
         self.m = m
         self.d = circle_degree(m)
         self.base = m.marked_fixed_angle
-        self.cuts = self._preimages_of_marked()
-        self._build_pieces()
+        # the inverse branches of the pockets over the partition arcs (of the
+        # first sector for factor maps), each inverted once
+        inverses = [g.inverse() for g in m.maps[:len(breakpoints(m))]]
+        self.cuts = self._preimages_of_marked(inverses)
+        self._build_pieces(inverses)
 
-    def _preimages_of_marked(self):
+    def _preimages_of_marked(self, inverses):
         """The d preimages of the marked angle y, one inverse branch each.
 
         A preimage in pocket k (of the first sector for factor maps) solves
@@ -433,8 +476,7 @@ class ConjugacyH:
         m = self.m
         n = m.preset.n if m.factor else 1
         cuts = [self.base]
-        for k in range(len(breakpoints(m))):
-            g_inv = m.maps[k].inverse()
+        for k, g_inv in enumerate(inverses):
             lo, hi = _arc(k, len(m.maps))
             for j in range(n):
                 u = g_inv.boundary_angle((self.base + TAU * j) / n)
@@ -450,7 +492,7 @@ class ConjugacyH:
                 f"marked angle has {len(cuts)} preimages, expected {self.d}")
         return cuts
 
-    def _build_pieces(self):
+    def _build_pieces(self, inverses):
         """One table (lo, hi, rows) per cut arc, in offsets from the marked
         angle: the arc runs from lo to hi and each Möbius piece of it is a row
         (u0, u1, x0, ref, up_len, a, b, c, d, alpha, span, need).  [u0, u1]
@@ -463,7 +505,8 @@ class ConjugacyH:
         distance a target must keep from either end of it."""
         m = self.m
         n = m.preset.n if m.factor else 1
-        np = len(m.maps)
+        maps = m.maps
+        np = len(maps)
         cut_offs = [ccw_span(self.base, c) if i else 0.0
                     for i, c in enumerate(self.cuts)] + [TAU]
         bp_offs = sorted({norm_angle(b - self.base) for b in breakpoints(m)}
@@ -485,16 +528,19 @@ class ConjugacyH:
                 # so its midpoint lies inside one pocket's arc by far more
                 # than the rounding of the index arithmetic
                 am = norm_angle(self.base + 0.5 * (x0 + x1))
-                g = m.maps[int(norm_angle(am / n) * np / TAU) % np]
+                g_inv = inverses[int(norm_angle(am / n) * np / TAU) % np]
                 # eval_circle_one_sided(m, base + x0, +1), keeping its
-                # upstairs value alpha
-                alpha = eval_circle_raw_one_sided(m, norm_angle(self.base + x0) / n, +1)
+                # upstairs value alpha, and eval_circle_one_sided(m, base +
+                # x1, -1), by the index arithmetic of eval_circle_raw_one_sided
+                t0 = norm_angle(self.base + x0) / n
+                alpha = maps[math.floor(t0 * np / TAU + 1e-7) % np].boundary_angle(t0)
                 a0 = norm_angle(n * alpha)
-                a1 = eval_circle_one_sided(m, norm_angle(self.base + x1), -1)
+                t1 = norm_angle(self.base + x1) / n
+                a1 = norm_angle(n * maps[math.floor(t1 * np / TAU - 1e-7) % np].boundary_angle(t1))
                 rise = (a1 - a0) % TAU
                 if len(bounds) == 2:
                     rise = TAU
-                pieces.append((u_acc, rise, x0, x1, g.inverse(), alpha))
+                pieces.append((u_acc, rise, x0, x1, g_inv, alpha))
                 u_acc += rise
             if abs(u_acc - TAU) > 1e-6:
                 raise InconsistentDegree(
@@ -598,19 +644,32 @@ class Tile(NamedTuple):
     vertices: tuple      # image vertices (complex), unfactored
 
 
+#: least (|d| - |c|)(|d| + |c|) of an inverse branch that tiles applies.
+#: A branch preserving the disk, normalised to determinant 1, has
+#: |d|^2 - |c|^2 = 1, so |cz + d| >= |d| - |c| |z| > 0 on the closed disk
+#: and no vertex meets a pole.  Half the exact value is far above rounding,
+#: which moves it by about eps (|c| + |d|)^2: under 2e-3 on every map tiles
+#: can take to rank 1 within VERTEX_BUDGET
+POLE_MARGIN = 0.5
+
+
 def _branches(m: BowenSeriesMap):
     """One row (label, skip, a, b, c, d) per pocket, sorted by label.
 
     a..d are the entries of g_{r,s}^-1, the inverse branch of pocket
     label = (r, s).  It pulls back every tile outside the open pocket
     skip = (r, sigma(s)), and a tile lies in the pocket of its outer letter
-    word[0] (the Markov property of the Bowen-Series map).
+    word[0] (the Markov property of the Bowen-Series map).  A branch with a
+    pole near the closed disk (POLE_MARGIN) raises DegenerateInput.
     """
     sigma = m.preset.sigma
     rows = []
     # side order is label order
     for (r, s), g in zip(m.preset.all_side_labels(), m.maps):
         inv = g.inverse()
+        if not (abs(inv.d) - abs(inv.c)) * (abs(inv.d) + abs(inv.c)) > POLE_MARGIN:
+            raise DegenerateInput(f"inverse branch {(r, s)} has a pole near the closed "
+                                  f"disk: |c| = {abs(inv.c)!r}, |d| = {abs(inv.d)!r}")
         rows.append(((r, s), (r, sigma[s]), inv.a, inv.b, inv.c, inv.d))
     return rows
 
@@ -630,7 +689,8 @@ def tiles(m: BowenSeriesMap, rank: int):
     (_project_tiles).  Rank r >= 1 holds np (np - 1)^(r - 1) tiles of np
     vertices, p (np - 1)^(r - 1) for factor maps; more than TILE_BUDGET
     tiles or VERTEX_BUDGET vertices raises RankLimit and a rank that is not
-    an integer InvalidArgument, before any is built.
+    an integer InvalidArgument, before any is built, and a branch with a
+    pole near the closed disk DegenerateInput (_branches).
     """
     rank = as_count(rank, "rank")
     if rank < 0 or rank > MAX_RANK:
@@ -641,10 +701,10 @@ def tiles(m: BowenSeriesMap, rank: int):
     if count > TILE_BUDGET or count * n * p > VERTEX_BUDGET:
         raise RankLimit(f"rank {rank} gives {count} tiles of {n * p} vertices, more "
                         f"than the budget of {TILE_BUDGET} tiles or {VERTEX_BUDGET} vertices")
-    rows = _branches(m)
+    rows = _branches(m) if rank else []        # rank 0 applies no branch
     # the sector-1 labels (1, s) sort first: a factor map's last rank uses them
     last = rows[:p] if m.factor else rows
-    inf, nv = complex("inf"), n * p
+    nv = n * p
     words = [()]
     verts = [tuple(cmath.exp(1j * side.theta1) for side in m.preset.sides)]
     levels = []
@@ -652,7 +712,8 @@ def tiles(m: BowenSeriesMap, rank: int):
         kid_words, kid_verts = [], []
         for label, skip, a, b, c, d in (last if k == rank - 1 else rows):
             kid_words += [(label,) + w for w in words if not w or w[0] != skip]
-            flat = [inf if abs(den := c * z + d) < 1e-300 else (a * z + b) / den
+            # no pole near the disk (_branches), so no vertex meets one
+            flat = [(a * z + b) / (c * z + d)
                     for w, vs in zip(words, verts) if not w or w[0] != skip for z in vs]
             kid_verts += zip(*[iter(flat)] * nv)     # cut into tuples of np
             del flat        # freed before the next branch's is built, which can reuse it

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import random
 import time
@@ -7,8 +8,8 @@ import pytest
 
 import weldlab.bowen_series as bs
 from weldlab import MAX_DEPTH
-from weldlab.errors import (AtBreakpoint, DepthTooSmall, InconsistentDegree, InvalidArgument,
-                            OutsideDomain, RankLimit)
+from weldlab.errors import (AtBreakpoint, DegenerateInput, DepthTooSmall, InconsistentDegree,
+                            InvalidArgument, OutsideDomain, RankLimit)
 from weldlab.fuchsian import CASE_I, CASE_II, TILE_BUDGET, build_group, legal_presets
 from weldlab.hyperbolic import TAU, MobiusMap, angle_dist, angle_in_open_arc, ccw_span, norm_angle
 
@@ -174,11 +175,13 @@ def test_preimage_count_oracle():
     assert crossings == bs.count_preimages(m, y) == 3
 
 
-def reference_count_preimages(m, target):
+def reference_count_preimages(m, target, images=None):
     """Reference: the preimage count the (start, span) pairs replaced, one
-    angle_in_open_arc scan of the raw arc images per lifted target."""
+    angle_in_open_arc scan of the raw arc images per lifted target; the
+    images are the pockets' _arc_image, made here unless passed in."""
     y = norm_angle(target)
-    images = [bs._arc_image(m, k) for k in range(len(m.maps))]
+    if images is None:
+        images = [bs._arc_image(m, k) for k in range(len(m.maps))]
     if not m.factor:
         return sum(angle_in_open_arc(y, a, b) for a, b in images)
     n = m.preset.n
@@ -203,6 +206,19 @@ def reference_locate(m, theta, tol=bs.BREAK_TOL):
     raise AtBreakpoint(f"theta = {theta} is a partition breakpoint")
 
 
+def reference_circle_degree(m):
+    """Reference: the degree as one hit count per sample angle, each by
+    reference_count_preimages, in sample order."""
+    images = [bs._arc_image(m, k) for k in range(len(m.maps))]
+    counts = set()
+    for i in range(bs.DEGREE_SAMPLES):
+        y = TAU * (i + 0.318309886) / bs.DEGREE_SAMPLES
+        counts.add(reference_count_preimages(m, y, images))
+    if len(counts) != 1:
+        raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
+    return counts.pop()
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -212,21 +228,26 @@ def _outcome(f, *args):
 
 def test_lookups_match_scan_references():
     # bit for bit on every map: seeded angles, the breakpoints 2 pi k/(np),
-    # every arc-image end and NaN
-    for m in all_maps():
+    # every arc-image end and NaN; on the mutated maps, whose degree counts
+    # disagree or do not divide, the counts at fewer seeded angles and the
+    # arc-image ends, where the miss windows end, and the degree's error
+    for m, mutated in [(m, False) for m in all_maps()] + [(m, True) for m in mutated_maps()]:
         k = m.preset.n * m.preset.p
-        ends = [t for j in range(k) for t in bs._arc_image(m, j)]
+        images = [bs._arc_image(m, j) for j in range(k)]
+        ends = [t for image in images for t in image]
         rng = random.Random(k + 100 * m.factor)
-        thetas = ([rng.uniform(-TAU, 2 * TAU) for _ in range(300)]
-                  + [TAU * j / k for j in range(k)] + ends
+        thetas = ([rng.uniform(-TAU, 2 * TAU) for _ in range(10 if mutated else 300)]
+                  + ([] if mutated else [TAU * j / k for j in range(k)]) + ends
                   + [-0.0, math.nextafter(TAU, 0.0)])
-        for theta in thetas + [math.nan]:
-            assert _outcome(bs._pocket_index, m, theta) == \
-                _outcome(reference_locate, m, theta), (m.name, theta)
+        if not mutated:         # the pocket index reads no pairing
+            for theta in thetas + [math.nan]:
+                assert _outcome(bs._pocket_index, m, theta) == \
+                    _outcome(reference_locate, m, theta), (m.name, theta)
         for theta in thetas:
             assert _outcome(bs.count_preimages, m, theta) == \
-                _outcome(reference_count_preimages, m, theta), (m.name, theta)
-        assert bs.circle_degree(m) == m.degree
+                _outcome(reference_count_preimages, m, theta, images), (m.name, theta)
+        assert _outcome(bs.circle_degree, m) == _outcome(reference_circle_degree, m)
+    assert all(bs.circle_degree(m) == m.degree for m in all_maps())
 
 
 # -- disk action --------------------------------------------------------------------
@@ -256,6 +277,25 @@ def test_polygon_interior_rejected():
     m = bs.bowen_series_map(1, 4)
     with pytest.raises(OutsideDomain):
         bs.eval_pocket(m, 0j)
+
+
+@pytest.mark.parametrize("factor", [False, True])
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0.0),
+                               complex(-math.inf, math.nan)], ids=repr)
+def test_eval_pocket_refuses_non_finite_points(z, factor):
+    # before the disk test, which a NaN passes and so reached the pocket scan
+    m = bs.bowen_series_map(3, 1, factor=factor)
+    with pytest.raises(InvalidArgument) as info:
+        bs.eval_pocket(m, z)
+    assert str(info.value) == f"z must be finite, not {z!r}"
+
+
+def test_eval_pocket_refuses_huge_points_outside_the_disk():
+    # abs() of this z overflows; its modulus is inf, outside the disk
+    m = bs.bowen_series_map(1, 4)
+    z = complex(1.7e308, 1.7e308)
+    with pytest.raises(OutsideDomain, match="outside the closed disk"):
+        bs.eval_pocket(m, z)
 
 
 def test_factor_critical_structure():
@@ -441,6 +481,123 @@ def reference_value(h, jarcs, theta, depth):
     return norm_angle(h.base + 0.5 * (arc[0] + arc[1])), radius
 
 
+def reference_preimages_of_marked(m, d):
+    """Reference: ConjugacyH._preimages_of_marked as it was before the build
+    inverted each pairing once, an inverse per pocket here and again per
+    piece in reference_build_pieces."""
+    base = m.marked_fixed_angle
+    n = m.preset.n if m.factor else 1
+    cuts = [base]
+    for k in range(len(bs.breakpoints(m))):
+        g_inv = m.maps[k].inverse()
+        lo, hi = bs._arc(k, len(m.maps))
+        for j in range(n):
+            u = g_inv.boundary_angle((base + TAU * j) / n)
+            if angle_in_open_arc(u, lo, hi, bs.BREAK_TOL):
+                cuts.append(norm_angle(n * u))
+    dedup = []
+    for t in sorted(norm_angle(c - base) for c in cuts):
+        if (not dedup or t - dedup[-1] > 1e-9) and t < TAU - 1e-9:
+            dedup.append(t)
+    cuts = [norm_angle(t + base) for t in dedup]
+    if len(cuts) != d:
+        raise InconsistentDegree(f"marked angle has {len(cuts)} preimages, expected {d}")
+    return cuts
+
+
+def reference_build_pieces(m, d, cuts):
+    """Reference: ConjugacyH._build_pieces as it was before the build
+    inverted each pairing once and inlined the one-sided values, each piece
+    end by eval_circle_one_sided.  Returns (lifts, step, lift_first,
+    tables)."""
+    base = m.marked_fixed_angle
+    n = m.preset.n if m.factor else 1
+    np = len(m.maps)
+    cut_offs = [ccw_span(base, c) if i else 0.0 for i, c in enumerate(cuts)] + [TAU]
+    bp_offs = sorted({norm_angle(b - base) for b in bs.breakpoints(m)} - {0.0})
+    lifts = tuple(TAU * k / n for k in range(n))
+    tables = []
+    for j in range(d):
+        lo, hi = cut_offs[j], cut_offs[j + 1]
+        inner = [x for x in bp_offs if lo + 1e-12 < x < hi - 1e-12]
+        bounds = [lo] + inner + [hi]
+        pieces = []
+        u_acc = 0.0
+        for i in range(len(bounds) - 1):
+            x0, x1 = bounds[i], bounds[i + 1]
+            am = norm_angle(base + 0.5 * (x0 + x1))
+            g = m.maps[int(norm_angle(am / n) * np / TAU) % np]
+            alpha = bs.eval_circle_raw_one_sided(m, norm_angle(base + x0) / n, +1)
+            a0 = norm_angle(n * alpha)
+            a1 = bs.eval_circle_one_sided(m, norm_angle(base + x1), -1)
+            rise = (a1 - a0) % TAU
+            if len(bounds) == 2:
+                rise = TAU
+            pieces.append((u_acc, rise, x0, x1, g.inverse(), alpha))
+            u_acc += rise
+        if abs(u_acc - TAU) > 1e-6:
+            raise InconsistentDegree(f"cut arc {j} lifts to rise {u_acc}, expected 2 pi")
+        scale = TAU / u_acc
+        rows = []
+        for u0, rise, x0, x1, g_inv, alpha in pieces:
+            need = bs.LIFT_MARGIN * (abs(g_inv.c) + abs(g_inv.d)) ** 2
+            span = rise / n
+            u0, rise = u0 * scale, rise * scale
+            ref = norm_angle(norm_angle((base + x0) / n) - 1e-12)
+            rows.append((u0, u0 + rise, x0, ref, (x1 - x0) / n,
+                         g_inv.a, g_inv.b, g_inv.c, g_inv.d, alpha, span, need))
+        tables.append((lo, hi, tuple(rows)))
+    return lifts, TAU / n, tuple((off,) + lifts for off in lifts), tables
+
+
+def reference_build(m, d):
+    """Reference: (cuts, lifts, step, lift_first, tables) of a ConjugacyH of
+    degree d."""
+    cuts = reference_preimages_of_marked(m, d)
+    return (cuts,) + reference_build_pieces(m, d, cuts)
+
+
+def test_h_build_matches_reference(monkeypatch):
+    # bit for bit, or the same error, on every conjugacy map and on the
+    # mutated maps, with the degree taken as np - 1 so the build runs on
+    # maps whose sampled degree would stop it
+    def state(m):
+        h = bs.ConjugacyH(m)
+        return h.cuts, h._lifts, h._step, h._lift_first, h._tables
+
+    maps = conjugacy_maps()
+    for m in maps:
+        assert state(m) == reference_build(m, bs.circle_degree(m)), m.name
+    monkeypatch.setattr(bs, "circle_degree", lambda m: m.degree)
+    outcomes = collections.Counter()
+    for m in maps + mutated_maps():
+        got = _outcome(state, m)
+        assert got == _outcome(reference_build, m, m.degree), m.name
+        outcomes[got[0] if isinstance(got[0], str) else "built"] += 1
+    assert outcomes["built"] > len(maps) and outcomes["InconsistentDegree"], outcomes
+
+
+@pytest.mark.parametrize("n,p,case", [(1, 4, CASE_I), (1, 6, CASE_II), (3, 2, CASE_I),
+                                      (5, 6, CASE_I)])
+def test_h_build_inverts_each_pairing_once(monkeypatch, n, p, case):
+    # the build inverts each pocket's pairing at most once, not once per
+    # piece as well
+    m = bs.bowen_series_map(n, p, case, factor=n >= 3)
+    calls = collections.Counter()
+    inverse = MobiusMap.inverse
+
+    def counted(g):
+        calls[id(g)] += 1
+        return inverse(g)
+
+    monkeypatch.setattr(MobiusMap, "inverse", counted)
+    h = bs.ConjugacyH(m)
+    pieces = sum(len(table[2]) for table in h._tables)
+    assert pieces > len(calls) > 0
+    assert set(calls) <= {id(g) for g in m.maps}
+    assert max(calls.values()) == 1, calls
+
+
 @pytest.mark.parametrize("n,p,case", GRID)
 def test_h_value_matches_piece_reference(n, p, case):
     # bit for bit: seeded angles, the angles 1-5, the cuts and the d-adic
@@ -594,6 +751,16 @@ def test_tile_branching_matches_degree():
     d = bs.circle_degree(m)
     assert counts[2] == d * counts[1]
     assert counts[3] == d * counts[2]
+
+
+def test_tiles_refuse_a_branch_with_a_pole_in_the_disk():
+    # z -> 1/z has its pole at 0; its inverse is itself.  Rank 0 applies no
+    # branch and is not refused
+    m = bs.bowen_series_map(1, 4)
+    bad = m._replace(maps=m.maps[:2] + (MobiusMap.from_entries(0j, 1j, 1j, 0j),) + m.maps[3:])
+    with pytest.raises(DegenerateInput, match=r"inverse branch \(1, 3\) has a pole"):
+        bs.tiles(bad, 1)
+    assert bs.tiles(bad, 0) == bs.tiles(m, 0)
 
 
 def test_tile_rank_guard():
@@ -1059,6 +1226,19 @@ def grid_fixed_points(m, grid=1024):
 def conjugacy_maps():
     """The maps with a conjugacy: n = 1 unfactored, n >= 3 factored."""
     return [bs.bowen_series_map(n, p, case, factor=n >= 3) for (n, p, case) in GRID]
+
+
+def mutated_maps():
+    """The conjugacy maps with one pocket's pairing replaced by the first or
+    the last pocket's: 512 maps, whose preimage counts go wrong."""
+    out = []
+    for m in conjugacy_maps():
+        k = len(m.maps)
+        for j in range(k):
+            for src in (0, k - 1):
+                if src != j:
+                    out.append(m._replace(maps=m.maps[:j] + (m.maps[src],) + m.maps[j + 1:]))
+    return out
 
 
 @pytest.mark.parametrize("m", all_maps(), ids=lambda m: m.name)
