@@ -22,6 +22,7 @@ def _emit(doc):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     sys.stdout.write("\n")
+    sys.stdout.flush()          # inside main's guard, not at exit
 
 
 def _write_svg(path, scene):
@@ -455,6 +456,13 @@ def main(argv=None) -> int:
     except WeldlabError as exc:
         print(f"weldlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:      # stdout is closed or full; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"weldlab: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("weldlab: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import (DegenerateInput, InvalidArgument, NotHyperbolic, OverlapDetected,
@@ -252,10 +253,6 @@ def recover_representation(m: ModelTilingSet):
 
 MAX_WORD_LENGTH = 8
 
-#: cell of the grid that hashes the first sample's tile images.  Distinct
-#: elements move a point of Pi-hat a fixed hyperbolic distance apart, far more
-#: than a cell, so a shared or neighbouring cell means a repeated tile
-_CELL = 1e-9
 #: a sample reduced into Pi-hat must come back this close to where it started
 _RETURN_TOL = 1e-6
 #: sample points of Pi-hat that group_tiling carries into every tile
@@ -304,34 +301,24 @@ def _pi_hat_samples(preset: GroupPreset):
     return pts
 
 
-def _cell(z: complex):
-    return (round(z.real / _CELL), round(z.imag / _CELL))
-
-
-def _near(cells: dict, z: complex):
-    """Entries hashed at the grid cell of z or at one of its eight neighbours."""
-    kx, ky = _cell(z)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            yield from cells.get((kx + dx, ky + dy), ())
-
-
 def _free_factors(preset: GroupPreset):
     """The extended group as a free product: Z for each pair of sides {s,
     sigma(s)}, spelled by g_s and g_s' = g_s^-1 with s < sigma(s); Z/2 for each
     self-paired side; Z/n for M_w, whose shortest powers are m^k, k <= n/2, and
-    m'^k, k < n/2.  Each factor lists (name, generator, longest run) per letter.
+    m'^k, k < n/2.  Each factor lists (name, generator, longest run, undo) per
+    letter, where undo is the side s whose pocket the letter carries Pi-hat
+    into, so that the pocket's pairing g_s undoes it, or None for M_w.
     """
     factors = []
     for s, t in preset.sigma.items():
         g = preset.first_sector[s - 1]
         if s == t:
-            factors.append([(f"g{s}", g, 1)])
+            factors.append([(f"g{s}", g, 1, s)])
         elif s < t:
-            factors.append([(f"g{s}", g, math.inf), (f"g{s}'", g.inverse(), math.inf)])
+            factors.append([(f"g{s}", g, math.inf, t), (f"g{s}'", g.inverse(), math.inf, s)])
     if preset.n > 1:
-        factors.append([("m", preset.rotation, preset.n // 2),
-                        ("m'", preset.rotation.inverse(), (preset.n - 1) // 2)])
+        factors.append([("m", preset.rotation, preset.n // 2, None),
+                        ("m'", preset.rotation.inverse(), (preset.n - 1) // 2, None)])
     return factors
 
 
@@ -349,7 +336,7 @@ def _ball_size(preset: GroupPreset, length: int) -> int:
     for k in range(1, length + 1):
         for f, end in zip(factors, ends):
             end[k] = sum(sphere[k - j] - end[k - j]
-                         for _, _, run in f for j in range(1, min(run, k) + 1))
+                         for _, _, run, _ in f for j in range(1, min(run, k) + 1))
         sphere[k] = sum(end[k] for end in ends)
     return sum(sphere)
 
@@ -378,7 +365,7 @@ def group_elements(preset: GroupPreset, max_word_length: int):
                         f"more than the budget of {TILE_BUDGET}")
     letters = [(i, name, gen, run)
                for i, factor in enumerate(_free_factors(preset))
-               for name, gen, run in factor]
+               for name, gen, run, _ in factor]
     ident = MobiusMap.identity()
     accepted = [((), ident)]
     frontier = [((), ident, None, 0)]   # word, element, last factor, its run
@@ -399,58 +386,63 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
 
 
+def _word_returns(preset: GroupPreset, elems, samples):
+    """For each (word, element), the samples carried into its tile and reduced
+    back along the word as group_tiling describes, or None where a point
+    leaves the path the word names."""
+    # M_w^-k is z -> e^{-ik sector} z; the sides of Pi-hat are never diameters
+    # once np >= 3, so their pockets are |z - center| < radius
+    spin = [cmath.exp(-1j * TAU / preset.n * k) for k in range(preset.n)]
+    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
+               for side, g in zip(preset.sides, preset.first_sector)]
+    undo = {name: s for factor in _free_factors(preset) for name, _, _, s in factor}
+    for word, g in elems:
+        a, b, c, d = g.a, g.b, g.c, g.d
+        ws = [(a * z + b) / (c * z + d) for z in samples]
+        i = len(word)
+        while i and ws is not None:
+            name = word[i - 1]
+            if undo[name] is None:
+                j = i - 1
+                while j and word[j - 1] == name:
+                    j -= 1
+                turn = spin[i - j] if name == "m" else spin[j - i]
+                ws = [w * turn for w in ws]
+                # 0 <= arg w < 2 pi/n: not below the real axis, below the far edge
+                ws = ws if all(w.imag >= 0 > (w * spin[1]).imag for w in ws) else None
+                i = j
+            else:
+                center, radius, pa, pb, pc, pd = pockets[undo[name] - 1]
+                ws = ([(pa * w + pb) / (pc * w + pd) for w in ws]
+                      if all(abs(w - center) < radius for w in ws) else None)
+                i -= 1
+        yield ws
+
+
 def group_tiling(preset: GroupPreset, max_word_length: int):
     """Tiles gamma(Pi-hat) for reduced words up to the length bound, checked
-    by Bowen-Series reduction to Pi-hat (Bowen & Series 1979).
+    by Bowen-Series reduction to Pi-hat (Bowen & Series 1979) along each tile's
+    own word.
 
     Each sample z0 of Pi-hat is carried into each tile, w = g(z0), and reduced
-    back: rotate w into the sector by a power of M_w; if it then lies in the
-    pocket beyond a side C_{1,s}, apply that pocket's pairing g_s, which is the
-    inverse of the pairing carrying Pi-hat into the pocket; repeat until w is
-    in Pi-hat.  As Pi-hat is a fundamental domain, the point reached is z0
-    only if g is the element of the tile holding w; it must be reached within
-    max_word_length + 1 pocket steps.  No two tiles may share the image of the
-    first sample.  Anything else raises OverlapDetected.  The length is
-    checked by group_elements before any tile is built.
+    back along the tile's normal-form word, the letter applied last first: a
+    run of M_w by one rotation, after which w must lie in the sector of
+    Pi-hat, and a pairing letter by the pairing g_s of the one pocket, beyond
+    a side C_{1,s}, that the letter carries Pi-hat into, once w is found in
+    that pocket.  At the end of the word w must be back within _RETURN_TOL of
+    z0.  Pockets and the sector are disjoint, so two distinct words that share
+    an image cannot both pass, and a repeated tile can only be a repeated
+    word; c copies of one word are c(c - 1)/2 shared pairs.  A stray tile or a
+    shared pair raises OverlapDetected.  The length is checked by
+    group_elements before any tile is built.
     """
     elems = group_elements(preset, max_word_length)
     base_pts = _pi_hat_samples(preset)
     tiles = [{"word": w, "map": g} for (w, g) in elems]
-    n, sector = preset.n, TAU / preset.n
-    # M_w^-k is z -> e^{-ik sector} z; the sides of Pi-hat are never diameters
-    # once np >= 3, so their pockets are |z - center| < radius
-    spin = [cmath.exp(-1j * sector * k) for k in range(n)]
-    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
-               for side, g in zip(preset.sides, preset.first_sector)]
-
-    def reduce(w):
-        """Point of Pi-hat equivalent to w, or None past the step bound."""
-        for _ in range(max_word_length + 2):    # checked after 0..L+1 steps
-            if n > 1:
-                w *= spin[min(int(cmath.phase(w) % TAU // sector), n - 1)]
-            depth, pocket = 0.0, None
-            for pk in pockets:
-                d = abs(w - pk[0]) - pk[1]
-                if d < depth:
-                    depth, pocket = d, pk
-            if pocket is None:
-                return w
-            _, _, pa, pb, pc, pd = pocket
-            w = (pa * w + pb) / (pc * w + pd)
-        return None
-
-    stray = shared = 0
-    first_images = {}
-    for _, g in elems:
-        a, b, c, d = g.a, g.b, g.c, g.d
-        for z0 in base_pts:
-            w = reduce((a * z0 + b) / (c * z0 + d))
-            if w is None or abs(w - z0) > _RETURN_TOL:
-                stray += 1
-                break
-        w = g(base_pts[0])
-        shared += sum(1 for _ in _near(first_images, w))
-        first_images.setdefault(_cell(w), []).append(w)
+    stray = sum(1 for ws in _word_returns(preset, elems, base_pts)
+                if ws is None or any(abs(w - z0) > _RETURN_TOL
+                                     for w, z0 in zip(ws, base_pts)))
+    shared = sum(c * (c - 1) // 2 for c in Counter(w for w, _ in elems).values())
     if stray or shared:
         raise OverlapDetected(f"{stray} tiles fail the reduction to Pi-hat and "
                               f"{shared} tile pairs share the image of the first "

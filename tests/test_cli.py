@@ -1,11 +1,16 @@
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import weldlab
 from weldlab.cli import main
 
 
@@ -563,3 +568,56 @@ def test_every_argv_exits_0_1_or_2(capsys, tmp_path, argv):
     assert code in (0, 1, 2), argv
     if code:
         assert out == "" and err.count("\n") == 1 and err.startswith("weldlab: "), argv
+
+
+# -- the output side, in a child process ---------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(weldlab.__file__)))
+
+
+def _child(*args, **kwargs):
+    """A fresh interpreter that imports weldlab from this tree."""
+    path = os.pathsep.join([_SRC] + ([os.environ["PYTHONPATH"]]
+                                     if os.environ.get("PYTHONPATH") else []))
+    return subprocess.Popen([sys.executable, *args], text=True,
+                            env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def test_a_pipe_closed_early_is_one_line():
+    # `bs tiles --n 1 --p 4 --rank 6 | head -c 100`: 764 KB, far more than a
+    # pipe holds, so the writer is still writing when the reader goes
+    proc = _child("-m", "weldlab.cli", "bs", "tiles", "--n", "1", "--p", "4", "--rank", "6",
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == "weldlab: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_is_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _child("-m", "weldlab.cli", "group", "info", "--n", "3", "--p", "2",
+                      stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == "weldlab: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_an_interrupt_is_one_line():
+    # a child of a shell's background job ignores SIGINT, so the child puts
+    # Python's own handler back; it says when it reaches main, whose tiling
+    # then runs for seconds
+    code = ("import signal, sys\n"
+            "from weldlab.cli import main\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "print('ready', flush=True)\n"
+            "sys.exit(main(['corr', 'tiling', '--n', '5', '--p', '6', '--len', '6']))\n")
+    proc = _child("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == "ready\n"
+    time.sleep(0.2)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert out == "" and err == "weldlab: interrupted\n"

@@ -379,6 +379,22 @@ def test_group_elements_free_product_ball(n, p):
     assert co.group_tiling(preset, 3)["count"] == FREE_PRODUCT_BALL_3[n, p]
 
 
+#: cell of the grid on which hashed_group_elements hashes images
+_CELL = 1e-9
+
+
+def _cell(z: complex):
+    return (round(z.real / _CELL), round(z.imag / _CELL))
+
+
+def _near(cells: dict, z: complex):
+    """Entries hashed at the grid cell of z or at one of its eight neighbours."""
+    kx, ky = _cell(z)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            yield from cells.get((kx + dx, ky + dy), ())
+
+
 def hashed_group_elements(preset, max_word_length):
     """Reference: the BFS the normal-form enumeration replaced, deduplicated
     by a grid hash of the image of one interior point and, inside the hashed
@@ -395,7 +411,7 @@ def hashed_group_elements(preset, max_word_length):
     c = co._pi_hat_samples(preset)[0]
     ident = MobiusMap.identity()
     accepted = [((), ident)]
-    cells = {co._cell(c): [ident]}
+    cells = {_cell(c): [ident]}
     frontier = [((), ident)]
     for _ in range(max_word_length):
         nxt = []
@@ -405,9 +421,9 @@ def hashed_group_elements(preset, max_word_length):
                 z = m2(c)
                 size = max(abs(m2.a), abs(m2.b), abs(m2.c), abs(m2.d))
                 if any(m2.dist(other) < same_element * size
-                       for other in co._near(cells, z)):
+                       for other in _near(cells, z)):
                     continue
-                cells.setdefault(co._cell(z), []).append(m2)
+                cells.setdefault(_cell(z), []).append(m2)
                 accepted.append((word + (name,), m2))
                 nxt.append(accepted[-1])
         frontier = sorted(nxt, key=lambda e: e[0])
@@ -445,6 +461,13 @@ def test_tiling_5_4_length_6():
     assert co.group_tiling(preset, 6)["count"] == 22_437
 
 
+@pytest.mark.parametrize("n,p", [(3, 6), (4, 6)])
+def test_tiling_length_5_passes(n, p):
+    # (5, 6) at length 5 is still refused, with 3 stray tiles
+    preset = build_group(n, p)
+    assert co.group_tiling(preset, 5)["count"] == co._ball_size(preset, 5)
+
+
 def test_tiling_time_budget():
     t0 = time.perf_counter()
     rep = co.group_tiling(build_group(1, 4), 6)
@@ -459,9 +482,7 @@ def test_tiling_rejects_perturbed_generator(n, p, case, side):
     preset = build_group(n, p, case)
     gens = list(preset.first_sector)
     gens[side - 1] = gens[side - 1].compose(MobiusMap.rotation(1e-4))
-    bad = preset._replace(first_sector=tuple(gens))
-    with pytest.raises(OverlapDetected):
-        co.group_tiling(bad, 3)
+    refused_like_the_search(preset._replace(first_sector=tuple(gens)))
 
 
 def test_tiling_rejects_repeated_tile(monkeypatch):
@@ -470,6 +491,119 @@ def test_tiling_rejects_repeated_tile(monkeypatch):
     monkeypatch.setattr(co, "group_elements", lambda *_: elems + [elems[7]])
     with pytest.raises(OverlapDetected, match="1 tile pairs share the image"):
         co.group_tiling(preset, 3)
+
+
+def test_tiling_counts_each_pair_of_copies(monkeypatch):
+    # three copies of one word are three pairs, two of another one more
+    preset = build_group(1, 4)
+    elems = co.group_elements(preset, 3)
+    monkeypatch.setattr(co, "group_elements",
+                        lambda *_: elems + [elems[7], elems[7], elems[9]])
+    with pytest.raises(OverlapDetected, match="^0 tiles fail .* 4 tile pairs share"):
+        co.group_tiling(preset, 3)
+
+
+def test_tiling_rejects_two_words_of_one_map(monkeypatch):
+    # every word is distinct, but two carry one element, as a grid of first
+    # images would have caught
+    preset = build_group(1, 4)
+    elems = co.group_elements(preset, 3)
+    elems[8] = (elems[8][0], elems[7][1])
+    monkeypatch.setattr(co, "group_elements", lambda *_: elems)
+    with pytest.raises(OverlapDetected, match="^1 tiles fail .* 0 tile pairs share"):
+        co.group_tiling(preset, 3)
+
+
+def test_tiling_rejects_a_mislabelled_rotation_run(monkeypatch):
+    # M_w labelled m^3, a run longer than Z/5 spells, which is M_w^3
+    preset = build_group(5, 1)
+    elems = co.group_elements(preset, 3)
+    i = next(i for i, (w, _) in enumerate(elems) if w == ("m",))
+    elems[i] = (("m", "m", "m"), elems[i][1])
+    monkeypatch.setattr(co, "group_elements", lambda *_: elems)
+    with pytest.raises(OverlapDetected, match="^1 tiles fail .* 0 tile pairs share"):
+        co.group_tiling(preset, 3)
+
+
+def test_word_returns_stop_where_a_point_leaves_its_path():
+    # the word's algebra cannot see these: M_w^2 read as m ends one sector
+    # off, and the identity read as g1 never enters g1's pocket
+    preset = build_group(3, 1)
+    samples = co._pi_hat_samples(preset)
+    m = preset.rotation
+    assert list(co._word_returns(preset, [(("m",), m.compose(m)), (("g1",), MobiusMap.identity())],
+                                 samples)) == [None, None]
+    ws, = co._word_returns(preset, [(("m",), m)], samples)
+    assert max(abs(w - z0) for w, z0 in zip(ws, samples)) < 1e-15
+
+
+@pytest.mark.parametrize("n,p,case", [(1, 4, CASE_I), (3, 1, CASE_I), (3, 2, CASE_I),
+                                      (4, 2, CASE_I)])
+def test_tiling_rejects_a_pocket_that_misses_its_tiles(n, p, case):
+    # side 1 drawn at 0.9 of its radius: the generators still spell every
+    # word back to z0, so only the pocket test can see it
+    preset = build_group(n, p, case)
+    sides = list(preset.sides)
+    sides[0] = sides[0]._replace(radius=0.9 * sides[0].radius)
+    refused_like_the_search(preset._replace(sides=tuple(sides)))
+
+
+def search_returns(preset, elems, max_word_length):
+    """Reference: the pocket search group_tiling used before it reduced along
+    each tile's word.  Every step rotates the point into the sector by its
+    phase and applies the pairing of the deepest pocket holding it; each
+    sample ends where no pocket holds it, or as None past L + 1 steps."""
+    n, sector = preset.n, TAU / preset.n
+    spin = [cmath.exp(-1j * sector * k) for k in range(n)]
+    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
+               for side, g in zip(preset.sides, preset.first_sector)]
+
+    def reduce(w):
+        for _ in range(max_word_length + 2):
+            if n > 1:
+                w *= spin[min(int(cmath.phase(w) % TAU // sector), n - 1)]
+            depth, pocket = 0.0, None
+            for pk in pockets:
+                d = abs(w - pk[0]) - pk[1]
+                if d < depth:
+                    depth, pocket = d, pk
+            if pocket is None:
+                return w
+            _, _, pa, pb, pc, pd = pocket
+            w = (pa * w + pb) / (pc * w + pd)
+        return None
+
+    return [[reduce((g.a * z0 + g.b) / (g.c * z0 + g.d)) for z0 in co._pi_hat_samples(preset)]
+            for _, g in elems]
+
+
+def _strays(returns, samples):
+    return sum(1 for ws in returns
+               if ws is None or any(w is None or abs(w - z0) > co._RETURN_TOL
+                                    for w, z0 in zip(ws, samples)))
+
+
+@pytest.mark.parametrize("n,p,case", legal_presets())
+def test_word_returns_match_the_search(n, p, case):
+    # at the longest length whose ball has at most 3,000 tiles, every
+    # sample comes back to the same bits by either path
+    preset = build_group(n, p, case)
+    length = max(k for k in range(co.MAX_WORD_LENGTH + 1) if co._ball_size(preset, k) <= 3000)
+    elems = co.group_elements(preset, length)
+    got = list(co._word_returns(preset, elems, co._pi_hat_samples(preset)))
+    assert got == search_returns(preset, elems, length)
+    assert co.group_tiling(preset, length)["count"] == len(elems)
+
+
+def refused_like_the_search(preset, length=3):
+    """group_tiling refuses the preset, with as many stray tiles as the search
+    reference finds, and more than none."""
+    elems = co.group_elements(preset, length)
+    samples = co._pi_hat_samples(preset)
+    strays = _strays(co._word_returns(preset, elems, samples), samples)
+    assert strays == _strays(search_returns(preset, elems, length), samples) > 0
+    with pytest.raises(OverlapDetected, match=f"^{strays} tiles fail"):
+        co.group_tiling(preset, length)
 
 
 def test_tiling_needs_interior():
