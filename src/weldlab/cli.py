@@ -9,6 +9,7 @@ corr {fibers,branches,tiling,recover}.  JSON goes to stdout with sorted keys;
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from .errors import RankLimit, UsageError, WeldlabError
 
 def _emit(doc):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
+    if sys.stdout is None:      # file descriptor 1 was closed at start-up
+        raise OSError(errno.EBADF, "stdout is closed")
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     sys.stdout.write("\n")
     sys.stdout.flush()          # inside main's guard, not at exit
@@ -339,6 +342,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        # argparse drops the errors of its own write and leaves the flush to
+        # exit; here both happen inside main's guard
+        out = file or sys.stdout or sys.stderr
+        out.write(self.format_help())
+        out.flush()
+
 
 def _at_least(lo):
     def parse(text):
@@ -457,7 +467,7 @@ def main(argv=None) -> int:
         print(f"weldlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:      # stdout is closed or full; devnull takes the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         print(f"weldlab: cannot write output: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

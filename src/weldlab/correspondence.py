@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -255,6 +256,10 @@ MAX_WORD_LENGTH = 8
 
 #: a sample reduced into Pi-hat must come back this close to where it started
 _RETURN_TOL = 1e-6
+#: or within _RETURN_GROWTH eps |c z0 + d|^2 / (1 - |z0|^2) of it, a bound
+#: that grows with the tile's map (a, b, c, d): rounding in the products of
+#: long words grows like the square of their entries
+_RETURN_GROWTH = 1024
 #: sample points of Pi-hat that group_tiling carries into every tile
 SAMPLES_PER_TILE = 20
 #: margin by which a sample keeps inside Pi-hat, so that rounding never
@@ -430,17 +435,22 @@ def group_tiling(preset: GroupPreset, max_word_length: int):
     Pi-hat, and a pairing letter by the pairing g_s of the one pocket, beyond
     a side C_{1,s}, that the letter carries Pi-hat into, once w is found in
     that pocket.  At the end of the word w must be back within _RETURN_TOL of
-    z0.  Pockets and the sector are disjoint, so two distinct words that share
-    an image cannot both pass, and a repeated tile can only be a repeated
-    word; c copies of one word are c(c - 1)/2 shared pairs.  A stray tile or a
-    shared pair raises OverlapDetected.  The length is checked by
-    group_elements before any tile is built.
+    z0, or within _RETURN_GROWTH eps |c z0 + d|^2 / (1 - |z0|^2), a bound
+    that grows with the tile's map (a, b, c, d) and is only evaluated where
+    the fixed one fails.  Pockets and the sector are disjoint, so two distinct
+    words that share an image cannot both pass, and a repeated tile can only
+    be a repeated word; c copies of one word are c(c - 1)/2 shared pairs.  A
+    stray tile or a shared pair raises OverlapDetected.  The length is checked
+    by group_elements before any tile is built.
     """
     elems = group_elements(preset, max_word_length)
     base_pts = _pi_hat_samples(preset)
     tiles = [{"word": w, "map": g} for (w, g) in elems]
-    stray = sum(1 for ws in _word_returns(preset, elems, base_pts)
+    growth = _RETURN_GROWTH * sys.float_info.epsilon
+    stray = sum(1 for (_, g), ws in zip(elems, _word_returns(preset, elems, base_pts))
                 if ws is None or any(abs(w - z0) > _RETURN_TOL
+                                     and abs(w - z0) > growth * abs(g.c * z0 + g.d) ** 2
+                                     / (1 - abs(z0) ** 2)
                                      for w, z0 in zip(ws, base_pts)))
     shared = sum(c * (c - 1) // 2 for c in Counter(w for w, _ in elems).values())
     if stray or shared:
@@ -478,7 +488,8 @@ BLASCHKE_MAX_ITER = 2000
 def blaschke(zeros, rotation=1.0 + 0j) -> BlaschkeProduct:
     """Construct a hyperbolic Blaschke product; the attracting fixed point is
     located by iteration from 0 (which converges exactly in the hyperbolic
-    case and fails loudly otherwise)."""
+    case and fails loudly otherwise), and its multiplier B' is evaluated in
+    closed form."""
     zeros = tuple(complex(a) for a in zeros)
     if len(zeros) < 2:
         raise NotHyperbolic("need degree >= 2")
@@ -498,8 +509,11 @@ def blaschke(zeros, rotation=1.0 + 0j) -> BlaschkeProduct:
         raise NotHyperbolic("iteration from 0 did not converge")
     if abs(z) >= 1 - 1e-9:
         raise NotHyperbolic("iteration escaped to the boundary")
-    h = 1e-6
-    mult = (b(z + h) - b(z - h)) / (2 * h)
+    # B' = rot sum_k (1 - |a_k|^2)/(1 - conj(a_k) z)^2 times the other
+    # factors, in closed form also where z is a zero
+    f = [(z - a) / (1.0 - a.conjugate() * z) for a in zeros]
+    mult = rot * sum((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * z) ** 2
+                     * math.prod(f[:k] + f[k + 1:]) for k, a in enumerate(zeros))
     if abs(mult) >= 1 - 1e-9:
         raise NotHyperbolic(f"interior fixed point is not attracting (|B'| = {abs(mult):.4f})")
     return BlaschkeProduct(zeros, rot, z, mult)

@@ -12,16 +12,18 @@ which is exactly what makes the fixed-point accounting of the welded surface
 come out right (the Newton-family parity emerges rather than being
 hard-coded).  Fix(eta) is the number of odd cycles.
 
-The zipped surface (one copy of each face, boundary glued along a ~ S(a)) is
-the quotient Sigma/eta, read off the welded complex one eta-orbit of
-components at a time and checked against Riemann-Hurwitz.
+weld counts each component's Euler characteristic and Fix(eta) in that one
+walk over the cycles and keeps no vertex or edge sets.  The zipped surface
+(one copy of each face, boundary glued along a ~ S(a)) is the quotient
+Sigma/eta: its Euler characteristic per eta-orbit of components is counted
+by Riemann-Hurwitz, and any component that is not a sphere is refused.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CrosscheckFailed, GluingInconsistency, ZipNotSphere
+from .errors import GluingInconsistency, ZipNotSphere
 from .mating_schema import BoundaryComplex, _UnionFind
 
 
@@ -57,11 +59,19 @@ def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
 
 # -- welded complex ----------------------------------------------------------------
 
+class ComponentReport(NamedTuple):
+    index: int
+    faces: tuple
+    euler_characteristic: int
+    genus: int
+    eta_invariant: bool
+    fix_eta: int          # eta-fixed vertices on this component (0 if not invariant)
+
+
 class WeldedComplex(NamedTuple):
     bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
-    eta_vertex: dict         # vertex index -> vertex index
-    components: list         # per component: dict of cell sets
-    comp_of_face_copy: dict
+    components: tuple        # a ComponentReport per component of the double
+    comp_of_face_copy: dict  # (face, copy) -> component index
     graph: WeldingGraph      # its components are those of the double
 
 
@@ -78,9 +88,11 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     eta fixes; an even cycle is two vertices that eta swaps.  Fix(eta) is
     the number of odd rho-cycles.
 
-    eta permutes the vertices by construction, and a vertex never spans two
-    components: each corner step stays in its face copy and each gluing step
-    stays on its edge.
+    A vertex never spans two components: each corner step stays in its face
+    copy and each gluing step stays on its edge.  So one walk over the
+    rho-cycles counts each component's chi = V - E + sum over its face
+    copies of (2 - #boundary cycles) and its Fix(eta), and weld returns the
+    component reports without storing a cell.
     """
     E = len(bc.arcs)
     S = bc.s_action
@@ -118,18 +130,14 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     # the welding-graph edge v_{face(S a)}^- ~ v_{face(a)}^+ of arc S(a), so
     # the double's components are the graph's (Lemma 4.7)
     graph = welding_graph(bc)
-    components = []
-    comp_of_face_copy = {}
-    for comp_faces in graph.components():
-        for fc in comp_faces:
-            comp_of_face_copy[fc] = len(components)
-        components.append({"faces": comp_faces, "edges": set(), "vertices": set()})
-    for a in range(E):
-        components[comp_of_face_copy[(bc.arc_face[a], +1)]]["edges"].add(a)
-
-    # walk each rho-cycle once; the start of arc a in copy c lies on face(a)
-    # in copy c
-    eta_vertex = {}
+    comps = graph.components()
+    comp_of_face_copy = {fc: ci for ci, faces in enumerate(comps) for fc in faces}
+    chi = [sum(2 - len(bc.faces[fi]) for (fi, _) in faces) for faces in comps]
+    fix = [0] * len(comps)
+    # edge e_a lies on face(a) in copy +, and so does the start of arc a
+    plus = [comp_of_face_copy[(bc.arc_face[a], +1)] for a in range(E)]
+    for ci in plus:
+        chi[ci] -= 1
     seen = [False] * E
     for a0 in range(E):
         if seen[a0]:
@@ -139,29 +147,26 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
             seen[a] = True
             length += 1
             a = prev[S[a]]
-        v = len(eta_vertex)
+        chi[plus[a0]] += 1
         if length % 2:     # one vertex through both copies, fixed by eta
-            eta_vertex[v] = v
-            placed = ((v, +1),)
+            fix[plus[a0]] += 1
         else:              # one vertex per copy, swapped by eta
-            eta_vertex[v], eta_vertex[v + 1] = v + 1, v
-            placed = ((v, +1), (v + 1, -1))
-        for w, c in placed:
-            components[comp_of_face_copy[(bc.arc_face[a0], c)]]["vertices"].add(w)
+            chi[comp_of_face_copy[(bc.arc_face[a0], -1)]] += 1
 
-    return WeldedComplex(bc, eta_vertex, components, comp_of_face_copy, graph)
+    # eta carries components to components (the welding graph's edges are
+    # symmetric, Lemma 4.6), so one face copy decides invariance (Lemma 4.8)
+    components = []
+    for ci, faces in enumerate(comps):
+        if chi[ci] > 2 or chi[ci] % 2 != 0:
+            raise GluingInconsistency(f"component chi = {chi[ci]} not of a closed "
+                                      "orientable surface")
+        f0, c0 = faces[0]
+        components.append(ComponentReport(ci, tuple(faces), chi[ci], (2 - chi[ci]) // 2,
+                                          comp_of_face_copy[(f0, -c0)] == ci, fix[ci]))
+    return WeldedComplex(bc, tuple(components), comp_of_face_copy, graph)
 
 
 # -- surface report ------------------------------------------------------------------
-
-class ComponentReport(NamedTuple):
-    index: int
-    faces: tuple
-    euler_characteristic: int
-    genus: int
-    eta_invariant: bool
-    fix_eta: int          # eta-fixed vertices on this component (0 if not invariant)
-
 
 class SurfaceReport(NamedTuple):
     components: tuple
@@ -172,37 +177,15 @@ class SurfaceReport(NamedTuple):
         return len(self.components) == 1
 
 
-def component_euler(bc: BoundaryComplex, comp) -> int:
-    """chi via compactly-supported counts: V - E + sum over face copies (2 - b)."""
-    V = len(comp["vertices"])
-    E = len(comp["edges"])
-    F = sum(2 - len(bc.faces[fi]) for (fi, _) in comp["faces"])
-    return V - E + F
-
-
 def surface_report(wc: WeldedComplex) -> SurfaceReport:
-    """Euler characteristic, genus and Fix(eta) per component of the double.
+    """Euler characteristic, genus and Fix(eta) per component of the double,
+    as weld counted them, and the zipped quotient.
 
     The components are those of the welding graph (see weld).  A component
     is eta-invariant iff eta carries each of its face copies into it; by
     Lemma 4.8 that is iff it holds both copies of some face.
     """
-    bc = wc.bc
-    reports = []
-    for ci, comp in enumerate(wc.components):
-        chi = component_euler(bc, comp)
-        if chi > 2 or chi % 2 != 0:
-            raise GluingInconsistency(f"component chi = {chi} not of a closed "
-                                      "orientable surface")
-        genus = (2 - chi) // 2
-        invariant = all(wc.comp_of_face_copy[(fi, -c)] == ci for (fi, c) in comp["faces"])
-        fix = 0
-        if invariant:
-            fix = sum(1 for vi in comp["vertices"] if wc.eta_vertex[vi] == vi)
-        reports.append(ComponentReport(ci, tuple(comp["faces"]), chi, genus,
-                                       invariant, fix))
-    zipped = _eta_quotient(wc)
-    return SurfaceReport(tuple(reports), wc.graph, tuple(zipped))
+    return SurfaceReport(wc.components, wc.graph, tuple(_eta_quotient(wc)))
 
 
 # -- zipped quotient ---------------------------------------------------------------
@@ -210,35 +193,21 @@ def surface_report(wc: WeldedComplex) -> SurfaceReport:
 def _eta_quotient(wc: WeldedComplex):
     """The zipped surface Sigma/eta: one sphere per eta-orbit of components.
 
-    An orbit is one eta-invariant component C or a swapped pair C, eta(C);
-    either way C meets every face of the orbit, so the quotient counts the
-    eta-orbits of C's vertices and edges and each face once.  Riemann-Hurwitz
-    checks the counts: chi(C) = 2 chi(C/eta) - #Fix(eta) for an invariant C,
-    chi(C/eta) = chi(C) for a swapped pair.
+    An orbit is one eta-invariant component C or a swapped pair C, eta(C),
+    of which the lower-indexed is kept; either way C meets every face of
+    the orbit.  By Riemann-Hurwitz chi(C/eta) = (chi(C) + #Fix(eta))/2 for
+    an invariant C, and chi(C/eta) = chi(C) for a swapped pair.
     """
-    bc = wc.bc
-    S = bc.s_action
     out = []
-    partners = set()
-    for ci, comp in enumerate(wc.components):
-        if ci in partners:
+    for c in wc.components:
+        f0, c0 = c.faces[0]
+        if wc.comp_of_face_copy[(f0, -c0)] < c.index:
             continue
-        f0, c0 = comp["faces"][0]
-        partner = wc.comp_of_face_copy[(f0, -c0)]
-        partners.add(partner)
-        fis = sorted({fi for (fi, _) in comp["faces"]})
-        V = len({min(v, wc.eta_vertex[v]) for v in comp["vertices"]})
-        E = len({min(a, S[a]) for a in comp["edges"]})
-        F = sum(2 - len(bc.faces[fi]) for fi in fis)
-        chi = V - E + F
-        lifted = chi
-        if partner == ci:
-            lifted = 2 * chi - sum(1 for v in comp["vertices"]
-                                   if wc.eta_vertex[v] == v)
-        if component_euler(bc, comp) != lifted:
-            raise CrosscheckFailed(f"Riemann-Hurwitz violated: zipped chi = {chi}, "
-                                   f"lifted {lifted} != {component_euler(bc, comp)}")
-        out.append({"faces": fis, "euler_characteristic": chi, "sphere": True})
+        chi = c.euler_characteristic
+        if c.eta_invariant:
+            chi = (chi + c.fix_eta) // 2
+        out.append({"faces": sorted({fi for (fi, _) in c.faces}),
+                    "euler_characteristic": chi, "sphere": True})
     out.sort(key=lambda z: z["faces"][-1])
     for z in out:
         if z["euler_characteristic"] != 2:

@@ -134,7 +134,7 @@ def test_06_welding_graph_lemmas():
             assert all((b, a) in graph.edges for (a, b) in graph.edges)  # Lemma 4.6
             wc = wl.weld(bc)
             assert len(graph.components()) == len(wc.components)  # Lemma 4.7
-            sr = wl.surface_report(wc)  # Lemma 4.8 cross-checked internally
+            sr = wl.surface_report(wc)  # Lemma 4.8: both invariance tests agree
             for c in sr.components:
                 minus = {fi for (fi, cp) in c.faces if cp == -1}
                 plus = {fi for (fi, cp) in c.faces if cp == +1}

@@ -575,12 +575,17 @@ def test_every_argv_exits_0_1_or_2(capsys, tmp_path, argv):
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(weldlab.__file__)))
 
 
-def _child(*args, **kwargs):
+def _child_env(base=None):
+    """base (os.environ by default) with weldlab imported from this tree."""
+    base = os.environ if base is None else base
+    path = os.pathsep.join([_SRC] + ([base["PYTHONPATH"]] if base.get("PYTHONPATH") else []))
+    return {**base, "PYTHONPATH": path}
+
+
+def _child(*args, env=None, **kwargs):
     """A fresh interpreter that imports weldlab from this tree."""
-    path = os.pathsep.join([_SRC] + ([os.environ["PYTHONPATH"]]
-                                     if os.environ.get("PYTHONPATH") else []))
-    return subprocess.Popen([sys.executable, *args], text=True,
-                            env={**os.environ, "PYTHONPATH": path}, **kwargs)
+    return subprocess.Popen([sys.executable, *args], text=True, env=_child_env(env),
+                            **kwargs)
 
 
 def test_a_pipe_closed_early_is_one_line():
@@ -600,6 +605,33 @@ def test_a_full_device_is_one_line():
     with open("/dev/full", "w") as full:
         proc = _child("-m", "weldlab.cli", "group", "info", "--n", "3", "--p", "2",
                       stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == "weldlab: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_a_closed_stdout_is_one_line():
+    # the interpreter sets sys.stdout to None when file descriptor 1 is closed
+    proc = subprocess.run(["sh", "-c", '"$0" -m weldlab.cli group info --n 3 --p 2 >&-',
+                           sys.executable], text=True, capture_output=True, timeout=60,
+                          env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == "weldlab: cannot write output: [Errno 9] stdout is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["group", "info", "--help"]],
+                         ids=["top", "group-info"])
+def test_help_to_a_full_device_is_one_line(argv, unbuffered):
+    # argparse drops the error of an unbuffered write, and leaves buffered
+    # help to the flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = _child("-m", "weldlab.cli", *argv, stdout=full, stderr=subprocess.PIPE,
+                      env=env)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == "weldlab: cannot write output: [Errno 28] No space left on device\n"

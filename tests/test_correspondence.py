@@ -461,11 +461,18 @@ def test_tiling_5_4_length_6():
     assert co.group_tiling(preset, 6)["count"] == 22_437
 
 
-@pytest.mark.parametrize("n,p", [(3, 6), (4, 6)])
+@pytest.mark.parametrize("n,p", [(3, 6), (4, 6), (5, 6)])
 def test_tiling_length_5_passes(n, p):
-    # (5, 6) at length 5 is still refused, with 3 stray tiles
+    # (5, 6) passes since the return bound grows with the tile: its 3 strays
+    # under the fixed 1e-6 alone came back within the growing bound
     preset = build_group(n, p)
     assert co.group_tiling(preset, 5)["count"] == co._ball_size(preset, 5)
+
+
+def test_tiling_3_5_length_6_passes():
+    # refused with 8 strays under the fixed return bound alone
+    preset = build_group(3, 5)
+    assert co.group_tiling(preset, 6)["count"] == co._ball_size(preset, 6) == 52_698
 
 
 def test_tiling_time_budget():
@@ -625,7 +632,23 @@ def test_blaschke_z2():
 def test_blaschke_half():
     b = co.blaschke([0, 0.5])
     assert abs(b.fixed_point) < 1e-12
-    assert abs(abs(b.multiplier) - 0.5) < 1e-5
+    assert abs(b.multiplier + 0.5) < 1e-15
+
+
+def test_blaschke_multiplier_matches_finite_difference():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(300):
+        zeros = [cmath.rect(rng.uniform(0, 0.9), rng.uniform(0, TAU))
+                 for _ in range(rng.randint(2, 5))]
+        try:
+            b = co.blaschke(zeros)
+        except NotHyperbolic:
+            continue
+        z, h = b.fixed_point, 1e-6
+        assert abs(b.multiplier - (b(z + h) - b(z - h)) / (2 * h)) < 1e-8
+        checked += 1
+    assert checked > 100
 
 
 def test_blaschke_orbits_converge():
