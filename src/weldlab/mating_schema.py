@@ -204,9 +204,9 @@ class BoundaryComplex(NamedTuple):
         return sum(1 for v in self.vertices if v["kind"] == "midpoint")
 
     def order2_total(self):
-        """b of Cor 4.14: order-2 orbifold points across the group slots."""
-        return sum(fuchsian.order2_point_count(s.n, s.p, s.case)
-                   for s in self.slots if s.kind == "group")
+        """b of Cor 4.14: order-2 orbifold points across the group slots, one
+        per self-paired side of each hole."""
+        return sum(len(hb.interior_fixed_sides) for hb in self.holes.values())
 
 
 def assemble(slots, contact: ContactData) -> BoundaryComplex:
@@ -528,13 +528,24 @@ def _corner_index(v) -> int:
     raise TypeError                 # null, arrays, objects: a malformed document
 
 
+def _unbounded(slot_doc) -> bool:
+    """A slot's placement: "unbounded", or "bounded" where it is absent."""
+    placement = slot_doc.get("placement", "bounded")
+    if placement not in ("bounded", "unbounded"):
+        raise DegenerateInput('placement must be "bounded" or "unbounded", '
+                              f"not {placement!r}")
+    return placement == "unbounded"
+
+
 def schema_from_dict(d):
     """(slots, contact, polynomial) of a schema document.
 
-    A document of the wrong shape raises DegenerateInput, and a slot count
-    (n, p, degree) that is no integer raises InvalidArgument.  A corner index
-    must be a JSON integer: a number or string of any other kind raises
-    ValueError, a usage error, and so does a boolean.
+    A document of the wrong shape raises DegenerateInput, and so do a
+    placement other than "bounded" or "unbounded" (absent means bounded) and
+    an unbounded Blaschke slot.  A slot count (n, p, degree) that is no
+    integer raises InvalidArgument.  A corner index must be a JSON integer: a
+    number or string of any other kind raises ValueError, a usage error, and
+    so does a boolean.
     """
     if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
         raise DegenerateInput("schema document needs a 'slots' array")
@@ -543,10 +554,12 @@ def schema_from_dict(d):
         kind = s.get("kind") if isinstance(s, dict) else None
         if kind == "group":
             slots.append(group_slot(as_count(s["n"], "n"), as_count(s["p"], "p"),
-                                    s.get("case", CASE_I),
-                                    s.get("placement") == "unbounded"))
+                                    s.get("case", CASE_I), _unbounded(s)))
         elif kind == "blaschke":
-            slots.append(blaschke_slot(as_count(s["degree"], "degree")))
+            slot = Slot("blaschke", degree=as_count(s["degree"], "degree"),
+                        unbounded=_unbounded(s))
+            slot.validate()
+            slots.append(slot)
         else:
             raise DegenerateInput(f"unknown slot {s!r}")
     try:

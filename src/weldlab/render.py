@@ -1,15 +1,17 @@
 """Deterministic SVG rendering of disks, polygons, pockets, tessellations,
 hole diagrams and welding graphs.
 
-Geodesics are drawn as exact circular arcs; scenes are plain layer lists and
-identical scenes produce byte-identical documents.
+Each element is an SVG string, made by style() and one of circle(),
+geodesic_arc(), polyline() and dot(); a scene is a generator of elements, and
+svg_document() yields the document's lines as the scene makes them, so the
+output is written while it is drawn.  Geodesics are drawn as exact circular
+arcs, and identical scenes produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .errors import CoincidentEndpoints
 from .hyperbolic import Geodesic, TAU, geodesic_between, norm_angle
@@ -38,56 +40,41 @@ def _clamp_disk(z: complex) -> complex:
     return z
 
 
-class Style(NamedTuple):
-    stroke: str = "#333333"
-    width: float = 1.5
-    fill: str = "none"
-    opacity: float = 1.0
-
-    def attrs(self):
-        return (f'stroke="{self.stroke}" stroke-width="{_fmt(self.width)}" '
-                f'fill="{self.fill}" opacity="{_fmt(self.opacity)}"')
+def style(stroke="#333333", width=1.5, fill="none", opacity=1.0) -> str:
+    """The presentation attributes of one element."""
+    return (f'stroke="{stroke}" stroke-width="{_fmt(width)}" '
+            f'fill="{fill}" opacity="{_fmt(opacity)}"')
 
 
-class CirclePrim(NamedTuple):
-    center: complex
-    radius: float
-    style: Style
+def circle(center: complex, radius: float, attrs: str) -> str:
+    cx, cy = _xy(center)
+    r = radius * (SIZE - 2 * MARGIN) / 2.0
+    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {attrs}/>'
 
 
-class GeodesicArc(NamedTuple):
-    geodesic: Geodesic
-    style: Style
+#: the unit circle, the first element of the disk scenes
+_DISK_FRAME = circle(0j, 1.0, 'stroke="#888888" stroke-width="1.0" fill="none"')
 
 
-class Polyline(NamedTuple):
-    points: list
-    style: Style
-    closed: bool = False
+def geodesic_arc(g: Geodesic, attrs: str) -> str:
+    return f'<path d="{geodesic_path(g)}" {attrs}/>'
 
 
-class Dot(NamedTuple):
-    point: complex
-    label: str = ""
-    style: Style = Style(fill="#000000")     # shared safely: a Style is immutable
+def polyline(points, attrs: str, closed: bool = False) -> str:
+    coords = " ".join("{},{}".format(_fmt(x), _fmt(y))
+                      for x, y in (_xy(_clamp_disk(z)) for z in points))
+    tag = "polygon" if closed else "polyline"
+    return f'<{tag} points="{coords}" {attrs}/>'
 
 
-class RenderScene:
-    """Layer list over a unit-disk viewport.
-
-    A plain class, not a record: each scene owns a fresh layer list, where a
-    record's default would be one list shared by every scene.
-    """
-
-    __slots__ = ("layers", "disk_frame")
-
-    def __init__(self, disk_frame: bool = True):
-        self.layers = []
-        self.disk_frame = disk_frame
-
-    def add(self, prim):
-        self.layers.append(prim)
-        return self
+def dot(point: complex, attrs: str, label: str = "") -> str:
+    """A marked point, followed by its label if it has one."""
+    x, y = _xy(_clamp_disk(point))
+    mark = f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4.0" {attrs}/>'
+    if not label:
+        return mark
+    return (f'{mark}\n<text x="{_fmt(x + 8)}" y="{_fmt(y - 8)}" '
+            f'font-size="18">{label}</text>')
 
 
 def geodesic_path(g: Geodesic) -> str:
@@ -112,44 +99,16 @@ def geodesic_path(g: Geodesic) -> str:
             f"{_fmt(x2)} {_fmt(y2)}")
 
 
-def render_svg(scene: RenderScene) -> str:
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '
-        f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
-        f'<rect width="{int(SIZE)}" height="{int(SIZE)}" fill="#ffffff"/>',
-    ]
-    if scene.disk_frame:
-        cx, cy = _xy(0j)
-        r = (SIZE - 2 * MARGIN) / 2.0
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-                     'stroke="#888888" stroke-width="1.0" fill="none"/>')
-    for prim in scene.layers:
-        if isinstance(prim, CirclePrim):
-            cx, cy = _xy(prim.center)
-            r = prim.radius * (SIZE - 2 * MARGIN) / 2.0
-            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-                         f'{prim.style.attrs()}/>')
-        elif isinstance(prim, GeodesicArc):
-            parts.append(f'<path d="{geodesic_path(prim.geodesic)}" '
-                         f'{prim.style.attrs()}/>')
-        elif isinstance(prim, Polyline):
-            pts = [_clamp_disk(z) for z in prim.points]
-            coords = " ".join("{},{}".format(_fmt(x), _fmt(y))
-                              for x, y in (_xy(z) for z in pts))
-            tag = "polygon" if prim.closed else "polyline"
-            parts.append(f'<{tag} points="{coords}" {prim.style.attrs()}/>')
-        elif isinstance(prim, Dot):
-            x, y = _xy(_clamp_disk(prim.point))
-            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4.0" '
-                         f'{prim.style.attrs()}/>')
-            if prim.label:
-                parts.append(f'<text x="{_fmt(x + 8)}" y="{_fmt(y - 8)}" '
-                             f'font-size="18">{prim.label}</text>')
-        else:
-            raise TypeError(f"unknown primitive {prim!r}")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+def svg_document(elements):
+    """The lines of the SVG document around the given element strings, each
+    yielded as soon as it is made, so that no element or scene is held."""
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '
+           f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">\n')
+    yield f'<rect width="{int(SIZE)}" height="{int(SIZE)}" fill="#ffffff"/>\n'
+    for element in elements:
+        yield element + "\n"
+    yield "</svg>\n"
 
 
 # -- scene builders ----------------------------------------------------------------
@@ -168,29 +127,30 @@ def _geodesic_samples(g: Geodesic, count: int = 48):
     return [g.point_at(t) for t in _linspace(0.0, 1.0, count)]
 
 
-def polygon_scene(preset) -> RenderScene:
-    """Fundamental polygon with its pockets shaded."""
-    sc = RenderScene()
+def polygon_scene(preset):
+    """Fundamental polygon with its pockets shaded, in the disk frame."""
+    yield _DISK_FRAME
     for i, side in enumerate(preset.sides):
         pts = _geodesic_samples(side)
         lo = side.theta1
         hi = side.theta2
         arc = [cmath.exp(1j * t) for t in
                _linspace(lo, lo + ((hi - lo) % TAU), 24)]
-        sty = Style(stroke="none", fill=_PALETTE[i % len(_PALETTE)], opacity=0.35)
-        sc.add(Polyline(pts + arc[::-1], sty, closed=True))
+        yield polyline(pts + arc[::-1],
+                       style(stroke="none", fill=_PALETTE[i % len(_PALETTE)], opacity=0.35),
+                       closed=True)
+    attrs = style(stroke="#222222", width=2.0)
     for side in preset.sides:
-        sc.add(GeodesicArc(side, Style(stroke="#222222", width=2.0)))
-    sc.add(GeodesicArc(preset.axis, Style(stroke="#2ca02c", width=1.5)))
-    return sc
+        yield geodesic_arc(side, attrs)
+    yield geodesic_arc(preset.axis, style(stroke="#2ca02c", width=1.5))
 
 
-def tiles_scene(tile_levels, factor: bool = False, n: int = 1) -> RenderScene:
-    """Tessellation by tiles; factor tiles are drawn as z^n images sampled
-    along the boundary geodesics."""
-    sc = RenderScene()
+def tiles_scene(tile_levels, factor: bool = False, n: int = 1):
+    """Tessellation by tiles in the disk frame; factor tiles are drawn as z^n
+    images sampled along the boundary geodesics."""
+    yield _DISK_FRAME
     for li, level in enumerate(tile_levels):
-        sty = Style(stroke=_PALETTE[li % len(_PALETTE)], width=1.2)
+        attrs = style(stroke=_PALETTE[li % len(_PALETTE)], width=1.2)
         for tile in level:
             verts = list(tile.vertices)
             k = len(verts)
@@ -198,8 +158,7 @@ def tiles_scene(tile_levels, factor: bool = False, n: int = 1) -> RenderScene:
                 seg = _boundary_samples(verts[i], verts[(i + 1) % k])
                 if factor:
                     seg = [z ** n for z in seg]
-                sc.add(Polyline(seg, sty))
-    return sc
+                yield polyline(seg, attrs)
 
 
 def _boundary_samples(z1, z2, count: int = 24):
@@ -213,45 +172,43 @@ def _boundary_samples(z1, z2, count: int = 24):
     return _geodesic_samples(g, count)
 
 
-def hole_diagram_scene(bc) -> RenderScene:
+def hole_diagram_scene(bc):
     """Schematic of the holes: one circle per hole, corners marked, wedge
     classes drawn as chords to a shared dot."""
-    sc = RenderScene(disk_frame=False)
     holes = sorted(bc.holes)
     k = len(holes)
     centers = {}
     for i, h in enumerate(holes):
         c = 0.55 * cmath.exp(1j * TAU * i / max(k, 1)) if k > 1 else 0j
         centers[h] = c
-        sc.add(CirclePrim(c, 0.28, Style(stroke=_PALETTE[i % len(_PALETTE)], width=2.0)))
+        yield circle(c, 0.28, style(stroke=_PALETTE[i % len(_PALETTE)], width=2.0))
         hb = bc.holes[h]
         for corner in range(hb.p):
             z = c + 0.28 * cmath.exp(1j * TAU * corner / hb.p)
-            sc.add(Dot(z, label=f"{h}.{corner}", style=Style(fill="#333333")))
-    for ci, cls in enumerate(bc.contact.classes):
+            yield dot(z, style(fill="#333333"), label=f"{h}.{corner}")
+    chord = style(stroke="#cc0000", width=1.0)
+    for cls in bc.contact.classes:
         pts = []
         for (h, corner) in cls:
             hb = bc.holes[h]
             pts.append(centers[h] + 0.28 * cmath.exp(1j * TAU * corner / hb.p))
         mid = sum(pts) / len(pts)
         for z in pts:
-            sc.add(Polyline([z, mid], Style(stroke="#cc0000", width=1.0)))
-        sc.add(Dot(mid, style=Style(fill="#cc0000")))
-    return sc
+            yield polyline([z, mid], chord)
+        yield dot(mid, style(fill="#cc0000"))
 
 
-def welding_graph_scene(graph) -> RenderScene:
+def welding_graph_scene(graph):
     """Welding graph: minus copies on the left, plus copies on the right."""
-    sc = RenderScene(disk_frame=False)
     k = graph.num_faces
     pos = {}
     for i in range(k):
         y = 0.8 - 1.6 * i / max(k - 1, 1) if k > 1 else 0.0
         pos[(i, -1)] = complex(-0.6, y)
         pos[(i, +1)] = complex(0.6, y)
+    edge = style(stroke="#555555", width=1.2)
     for (a, b) in sorted(graph.edges):
-        sc.add(Polyline([pos[(a, -1)], pos[(b, +1)]], Style(stroke="#555555", width=1.2)))
+        yield polyline([pos[(a, -1)], pos[(b, +1)]], edge)
     for v, z in sorted(pos.items()):
         lab = f"v{v[0]}{'+' if v[1] > 0 else '-'}"
-        sc.add(Dot(z, label=lab, style=Style(fill="#1f77b4" if v[1] > 0 else "#d62728")))
-    return sc
+        yield dot(z, style(fill="#1f77b4" if v[1] > 0 else "#d62728"), label=lab)

@@ -11,20 +11,38 @@ from weldlab.mating_schema import assemble, paper_example
 from weldlab.welding import weld, welding_graph
 
 
+def svg(elements):
+    return "".join(rd.svg_document(elements))
+
+
 def test_empty_scene_valid():
-    svg = rd.render_svg(rd.RenderScene())
-    assert svg.startswith("<?xml")
-    assert svg.rstrip().endswith("</svg>")
-    assert "circle" in svg  # the disk frame
+    doc = svg([])
+    assert doc.startswith("<?xml")
+    assert doc.rstrip().endswith("</svg>")
+    assert "circle" not in doc
+    assert "circle" in svg(rd.tiles_scene([]))  # the disk frame
 
 
 def test_scene_deterministic():
     def build():
-        sc = rd.RenderScene()
-        sc.add(rd.GeodesicArc(geodesic_between(0.0, math.pi / 2), rd.Style()))
-        sc.add(rd.Dot(0.5 + 0.1j, label="x"))
-        return rd.render_svg(sc)
+        return svg([rd.geodesic_arc(geodesic_between(0.0, math.pi / 2), rd.style()),
+                    rd.dot(0.5 + 0.1j, rd.style(fill="#000000"), label="x")])
     assert build() == build()
+    assert build().count("\n") == 7
+
+
+def test_document_is_written_as_the_scene_makes_it():
+    made = []
+
+    def scene():
+        made.append(rd.dot(0j, rd.style()))
+        yield made[-1]
+        raise RuntimeError("the scene fails after its first element")
+    lines = rd.svg_document(scene())
+    head = [next(lines) for _ in range(4)]
+    assert head[0].startswith("<?xml") and head[3] == made[0] + "\n"
+    with pytest.raises(RuntimeError):
+        next(lines)
 
 
 def test_geodesic_paths():
@@ -55,28 +73,28 @@ def test_linspace_matches_numpy_bit_for_bit():
 
 
 def test_clamp_rejects_outside_points():
-    sc = rd.RenderScene()
-    sc.add(rd.Dot(2.0 + 0j))
     with pytest.raises(ValueError):
-        rd.render_svg(sc)
+        rd.dot(2.0 + 0j, rd.style())
+    with pytest.raises(ValueError):
+        rd.polyline([0j, 2.0 + 0j], rd.style())
 
 
 def test_polygon_scene_runs():
-    svg = rd.render_svg(rd.polygon_scene(build_group(3, 1)))
-    assert svg.count("<path") >= 3
+    doc = svg(rd.polygon_scene(build_group(3, 1)))
+    assert doc.count("<path") >= 3
 
 
 def test_tiles_scene_factor():
     m = bowen_series_map(3, 1, factor=True)
-    svg = rd.render_svg(rd.tiles_scene(tiles(m, 2), factor=True, n=3))
-    assert "<polyline" in svg
+    doc = svg(rd.tiles_scene(tiles(m, 2), factor=True, n=3))
+    assert "<polyline" in doc
 
 
 def test_hole_diagram_and_graph_scenes():
     slots, contact, _ = paper_example("5.3")
     bc = assemble(slots, contact)
-    svg = rd.render_svg(rd.hole_diagram_scene(bc))
-    assert svg.count("<circle") >= 3
+    doc = svg(rd.hole_diagram_scene(bc))
+    assert doc.count("<circle") >= 3
     g = welding_graph(bc)
-    svg2 = rd.render_svg(rd.welding_graph_scene(g))
-    assert "v0+" in svg2 and "v1-" in svg2
+    doc2 = svg(rd.welding_graph_scene(g))
+    assert "v0+" in doc2 and "v1-" in doc2
