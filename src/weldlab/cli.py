@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from . import MAX_DEPTH, SCHEMA_VERSION
@@ -68,7 +69,7 @@ def cmd_group_info(args):
     from . import fuchsian
     preset = _preset(args)
     sig = fuchsian.orbifold_signature(preset, extended=not args.plain)
-    _emit({
+    return {
         "group": preset.name,
         "n": preset.n, "p": preset.p, "case": preset.case,
         "signature": {"genus": sig.genus, "punctures": sig.punctures,
@@ -77,8 +78,7 @@ def cmd_group_info(args):
                        for s in range(1, preset.p + 1)},
         "rotation": _mobius_json(preset.rotation),
         "sigma": {str(s): preset.sigma[s] for s in preset.sigma},
-    })
-    return 0
+    }
 
 
 def cmd_group_check(args):
@@ -86,7 +86,7 @@ def cmd_group_check(args):
     preset = _preset(args)
     pairing = fuchsian.side_pairing_check(preset)
     poincare = fuchsian.poincare_check(preset)
-    _emit({
+    return {
         "group": preset.name,
         "pairing_max_residual": pairing["max_residual"],
         "cycles": [{"vertices": c["vertices"],
@@ -94,8 +94,7 @@ def cmd_group_check(args):
                    for c in poincare["cycles"]],
         "rotation_order": poincare["rotation_order"],
         "ok": True,
-    })
-    return 0
+    }
 
 
 # -- bs ---------------------------------------------------------------------
@@ -109,30 +108,27 @@ def _bsmap(args):
 def cmd_bs_eval(args):
     from . import bowen_series as bs
     m = _bsmap(args)
-    _emit({"map": m.name, "theta": args.theta,
-           "image": bs.eval_circle(m, args.theta)})
-    return 0
+    return {"map": m.name, "theta": args.theta,
+            "image": bs.eval_circle(m, args.theta)}
 
 
 def cmd_bs_orbit(args):
     from . import bowen_series as bs
     m = _bsmap(args)
-    _emit({"map": m.name, "theta": args.theta, "steps": args.steps,
-           "orbit": bs.circle_orbit(m, args.theta, args.steps)})
-    return 0
+    return {"map": m.name, "theta": args.theta, "steps": args.steps,
+            "orbit": bs.circle_orbit(m, args.theta, args.steps)}
 
 
 def cmd_bs_partition(args):
     from . import bowen_series as bs
     m = _bsmap(args)
     part = bs.markov_partition(m)
-    _emit({
+    return {
         "map": m.name,
         "degree": bs.circle_degree(m),
         "breakpoints": list(part.breakpoints),
         "transition": [list(r) for r in part.transition],
-    })
-    return 0
+    }
 
 
 def cmd_bs_conjugacy(args):
@@ -142,9 +138,8 @@ def cmd_bs_conjugacy(args):
     m = _bsmap(args)
     h = bs.ConjugacyH(m)
     val, rad = h.value(args.theta, args.depth)
-    _emit({"map": m.name, "theta": args.theta, "depth": args.depth,
-           "value": val, "radius": rad, "cuts": list(h.cuts)})
-    return 0
+    return {"map": m.name, "theta": args.theta, "depth": args.depth,
+            "value": val, "radius": rad, "cuts": list(h.cuts)}
 
 
 def cmd_bs_tiles(args):
@@ -157,14 +152,13 @@ def cmd_bs_tiles(args):
     if args.svg:
         _write_svg(args.svg, render.tiles_scene(levels, factor=m.factor,
                                                 n=m.preset.n))
-    _emit({
+    return {
         "map": m.name, "rank": args.rank,
         "counts": [len(lv) for lv in levels],
         "tiles": [[{"word": ["%d,%d" % rs for rs in t.word],
                     "vertices": [[v.real, v.imag] for v in t.vertices]}
                    for t in lv] for lv in levels],
-    })
-    return 0
+    }
 
 
 # -- mate ---------------------------------------------------------------------
@@ -193,17 +187,15 @@ def cmd_mate_build(args):
            "complex": _complex_json(bc)}
     if args.svg:
         _write_svg(args.svg, render.hole_diagram_scene(bc))
-    _emit(doc)
-    return 0
+    return doc
 
 
 def cmd_mate_report(args):
     from . import mating_schema as ms
     slots, contact, poly = _load_schema_arg(args.schema)
     report = ms.validate_degrees(slots)
-    _emit({"schema": ms.schema_to_dict(slots, contact, poly),
-           "degrees": report})
-    return 0
+    return {"schema": ms.schema_to_dict(slots, contact, poly),
+            "degrees": report}
 
 
 def cmd_mate_verify_poly(args):
@@ -212,9 +204,7 @@ def cmd_mate_verify_poly(args):
     if args.name not in reg:
         raise UsageError(f"unknown polynomial {args.name!r}; "
                          f"known: {sorted(reg)}")
-    rep = ms.verify_polynomial(reg[args.name])
-    _emit(rep)
-    return 0
+    return ms.verify_polynomial(reg[args.name])
 
 
 # -- surface ---------------------------------------------------------------------
@@ -222,15 +212,13 @@ def cmd_mate_verify_poly(args):
 def _surface(args):
     from . import mating_schema as ms
     from . import welding
-    slots, contact, poly = _load_schema_arg(args.schema)
-    bc = ms.assemble(slots, contact)
-    wc = welding.weld(bc)
-    return bc, wc, welding.surface_report(wc)
+    slots, contact, _ = _load_schema_arg(args.schema)
+    return welding.surface_report(welding.weld(ms.assemble(slots, contact)))
 
 
 def cmd_surface_report(args):
-    bc, wc, sr = _surface(args)
-    _emit({
+    sr = _surface(args)
+    return {
         "components": [{
             "euler_characteristic": c.euler_characteristic,
             "genus": c.genus,
@@ -246,27 +234,23 @@ def cmd_surface_report(args):
             "components": len(sr.components),
         },
         "zipped": list(sr.zipped),
-    })
-    return 0
+    }
 
 
 def cmd_surface_graph(args):
     from . import render
-    bc, wc, sr = _surface(args)
+    sr = _surface(args)
     if args.svg:
         _write_svg(args.svg, render.welding_graph_scene(sr.welding_graph))
-    _emit({"edges": sorted([a, b] for (a, b) in sr.welding_graph.edges),
-           "components": len(sr.components)})
-    return 0
+    return {"edges": sorted([a, b] for (a, b) in sr.welding_graph.edges),
+            "components": len(sr.components)}
 
 
 def cmd_surface_zip(args):
     from . import mating_schema as ms
     from . import welding
-    slots, contact, poly = _load_schema_arg(args.schema)
-    bc = ms.assemble(slots, contact)
-    _emit({"zipped": welding.zipped_report(bc)})
-    return 0
+    slots, contact, _ = _load_schema_arg(args.schema)
+    return {"zipped": welding.zipped_report(ms.assemble(slots, contact))}
 
 
 # -- corr ---------------------------------------------------------------------
@@ -278,25 +262,23 @@ def cmd_corr_fibers(args):
     m = corr.ModelMaps(args.n, args.p)
     pt = m.point(complex(args.w_re, args.w_im), args.j)
     fib = corr.fiber(m, pt)
-    _emit({"n": args.n, "p": args.p,
-           "point": {"w": [args.w_re, args.w_im], "j": args.j},
-           "fiber": [{"w": [q.value(args.n).real, q.value(args.n).imag], "j": q.j}
-                     for q in fib],
-           "cardinality": len(fib)})
-    return 0
+    return {"n": args.n, "p": args.p,
+            "point": {"w": [args.w_re, args.w_im], "j": args.j},
+            "fiber": [{"w": [q.value(args.n).real, q.value(args.n).imag], "j": q.j}
+                      for q in fib],
+            "cardinality": len(fib)}
 
 
 def cmd_corr_branches(args):
     from . import correspondence as corr
     mt = corr.model_tiling_set(args.n, args.p, args.case)
     words = corr.branch_words(mt)
-    _emit({"n": args.n, "p": args.p, "case": args.case,
-           "branches": words,
-           "count": len(words),
-           # (tau^2 eta)(tau eta)^-1 = tau^2 eta eta tau^-1 = tau, as eta^2 = 1
-           "tau_generating_identity": True,
-           "k_exponents": list(mt.k_exponents)})
-    return 0
+    return {"n": args.n, "p": args.p, "case": args.case,
+            "branches": words,
+            "count": len(words),
+            # (tau^2 eta)(tau eta)^-1 = tau^2 eta eta tau^-1 = tau, as eta^2 = 1
+            "tau_generating_identity": True,
+            "k_exponents": list(mt.k_exponents)}
 
 
 def cmd_corr_tiling(args):
@@ -308,21 +290,22 @@ def cmd_corr_tiling(args):
     rep = corr.group_tiling(preset, args.length)
     if args.svg:
         attrs = render.style(stroke="#1f77b4", width=0.8)
-        tiles = (render.polyline([g(side.point_at(i / 16)) for i in range(17)], attrs)
-                 for g in (tile["map"] for tile in rep["tiles"]) for side in preset.sides)
+        # the 17 samples of each side of the polygon, carried into every tile
+        samples = [[side.point_at(i / 16) for i in range(17)] for side in preset.sides]
+        tiles = (render.polyline([g(z) for z in pts], attrs)
+                 for g in (tile["map"] for tile in rep["tiles"]) for pts in samples)
         _write_svg(args.svg, itertools.chain(render.polygon_scene(preset), tiles))
-    _emit({"group": preset.name, "length": args.length,
-           "tiles": rep["count"], "overlaps": rep["overlaps"],
-           "words": ["".join(t["word"]) if t["word"] else "1"
-                     for t in rep["tiles"]]})
-    return 0
+    return {"group": preset.name, "length": args.length,
+            "tiles": rep["count"], "overlaps": rep["overlaps"],
+            "words": ["".join(t["word"]) if t["word"] else "1"
+                      for t in rep["tiles"]]}
 
 
 def cmd_corr_recover(args):
     from . import correspondence as corr
     mt = corr.model_tiling_set(args.n, args.p, args.case)
     rep = corr.recover_representation(mt)
-    _emit({
+    return {
         "n": args.n, "p": args.p, "case": args.case,
         "generators": [{
             "side": g.j, "k": g.k, "word": g.word,
@@ -332,13 +315,19 @@ def cmd_corr_recover(args):
         } for g in rep["generators"]],
         "rotation_word": rep["rotation_word"],
         "rotation_order": rep["rotation_order"],
-    })
-    return 0
+    }
 
 
 # -- parser ---------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts with a minus and a digit, with or without a
+        # point between, is a value: argparse's own pattern has no exponents,
+        # so it took -1e-3 for an option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -370,95 +359,78 @@ def _finite(text):
 _finite.__name__ = "float"
 
 
-def _add_group_args(p, factor=False):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--case", default="I", choices=["I", "II"])
-    if factor:
-        p.add_argument("--factor", action="store_true")
+#: the argument specs that commands share, each a name and its add_argument
+#: keywords: the preset (n, p, case), the factor map, the angle, the drawing
+#: and the schema file or example name
+_PRESET = (("--n", {"type": int, "required": True}),
+           ("--p", {"type": int, "required": True}),
+           ("--case", {"default": "I", "choices": ["I", "II"]}))
+_FACTOR = ("--factor", {"action": "store_true"})
+_THETA = ("--theta", {"type": _finite, "required": True})
+_SVG = ("--svg", {})
+_SCHEMA = ("schema", {})
+
+#: group -> command -> (handler, argument specs in help order)
+_COMMANDS = {
+    "group": {
+        "info": (cmd_group_info, *_PRESET,
+                 ("--plain", {"action": "store_true",
+                              "help": "signature of D/Gamma instead of D/Gamma-hat"})),
+        "check": (cmd_group_check, *_PRESET),
+    },
+    "bs": {
+        "eval": (cmd_bs_eval, *_PRESET, _FACTOR, _THETA),
+        "orbit": (cmd_bs_orbit, *_PRESET, _FACTOR, _THETA,
+                  ("--steps", {"type": _at_least(0), "default": 10})),
+        "partition": (cmd_bs_partition, *_PRESET, _FACTOR),
+        "conjugacy": (cmd_bs_conjugacy, *_PRESET, _FACTOR, _THETA,
+                      ("--depth", {"type": int, "default": 10})),
+        "tiles": (cmd_bs_tiles, *_PRESET, _FACTOR,
+                  ("--rank", {"type": _at_least(0), "default": 2}), _SVG),
+    },
+    "mate": {
+        "build": (cmd_mate_build, _SCHEMA, _SVG),
+        "report": (cmd_mate_report, _SCHEMA),
+        "verify-poly": (cmd_mate_verify_poly, ("name", {})),
+    },
+    "surface": {
+        "report": (cmd_surface_report, _SCHEMA),
+        "graph": (cmd_surface_graph, _SCHEMA, _SVG),
+        "zip": (cmd_surface_zip, _SCHEMA),
+    },
+    "corr": {
+        "fibers": (cmd_corr_fibers,
+                   ("--n", {"type": _at_least(1), "required": True}),
+                   ("--p", {"type": _at_least(1), "required": True}),
+                   ("--w-re", {"type": _finite, "default": 0.5}),
+                   ("--w-im", {"type": _finite, "default": 0.0}),
+                   ("--j", {"type": int, "default": 1})),
+        "branches": (cmd_corr_branches, *_PRESET),
+        "tiling": (cmd_corr_tiling, *_PRESET,
+                   ("--len", {"dest": "length", "type": _at_least(0), "default": 4}), _SVG),
+        "recover": (cmd_corr_recover, *_PRESET),
+    },
+}
 
 
 def build_parser():
     top = _Parser(prog="weldlab", description=__doc__)
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    g = sub.add_parser("group").add_subparsers(dest="sub", required=True)
-    gi = g.add_parser("info")
-    _add_group_args(gi)
-    gi.add_argument("--plain", action="store_true",
-                    help="signature of D/Gamma instead of D/Gamma-hat")
-    gi.set_defaults(fn=cmd_group_info)
-    gc = g.add_parser("check")
-    _add_group_args(gc)
-    gc.set_defaults(fn=cmd_group_check)
-
-    b = sub.add_parser("bs").add_subparsers(dest="sub", required=True)
-    for name, fn, extra in [
-        ("eval", cmd_bs_eval, [("--theta", _finite, True, None)]),
-        ("orbit", cmd_bs_orbit, [("--theta", _finite, True, None),
-                                 ("--steps", _at_least(0), False, 10)]),
-        ("partition", cmd_bs_partition, []),
-        ("conjugacy", cmd_bs_conjugacy, [("--theta", _finite, True, None),
-                                         ("--depth", int, False, 10)]),
-        ("tiles", cmd_bs_tiles, [("--rank", _at_least(0), False, 2)]),
-    ]:
-        sp = b.add_parser(name)
-        _add_group_args(sp, factor=True)
-        for flag, typ, req, dflt in extra:
-            sp.add_argument(flag, type=typ, required=req, default=dflt)
-        if name == "tiles":
-            sp.add_argument("--svg")
-        sp.set_defaults(fn=fn)
-
-    m = sub.add_parser("mate").add_subparsers(dest="sub", required=True)
-    mb = m.add_parser("build")
-    mb.add_argument("schema")
-    mb.add_argument("--svg")
-    mb.set_defaults(fn=cmd_mate_build)
-    mr = m.add_parser("report")
-    mr.add_argument("schema")
-    mr.set_defaults(fn=cmd_mate_report)
-    mv = m.add_parser("verify-poly")
-    mv.add_argument("name")
-    mv.set_defaults(fn=cmd_mate_verify_poly)
-
-    s = sub.add_parser("surface").add_subparsers(dest="sub", required=True)
-    for name, fn, svg in [("report", cmd_surface_report, False),
-                          ("graph", cmd_surface_graph, True),
-                          ("zip", cmd_surface_zip, False)]:
-        sp = s.add_parser(name)
-        sp.add_argument("schema")
-        if svg:
-            sp.add_argument("--svg")
-        sp.set_defaults(fn=fn)
-
-    c = sub.add_parser("corr").add_subparsers(dest="sub", required=True)
-    cf = c.add_parser("fibers")
-    cf.add_argument("--n", type=_at_least(1), required=True)
-    cf.add_argument("--p", type=_at_least(1), required=True)
-    cf.add_argument("--w-re", type=_finite, default=0.5)
-    cf.add_argument("--w-im", type=_finite, default=0.0)
-    cf.add_argument("--j", type=int, default=1)
-    cf.set_defaults(fn=cmd_corr_fibers)
-    cb = c.add_parser("branches")
-    _add_group_args(cb)
-    cb.set_defaults(fn=cmd_corr_branches)
-    ct = c.add_parser("tiling")
-    _add_group_args(ct)
-    ct.add_argument("--len", dest="length", type=_at_least(0), default=4)
-    ct.add_argument("--svg")
-    ct.set_defaults(fn=cmd_corr_tiling)
-    cr = c.add_parser("recover")
-    _add_group_args(cr)
-    cr.set_defaults(fn=cmd_corr_recover)
+    groups = top.add_subparsers(dest="cmd", required=True)
+    for group, commands in _COMMANDS.items():
+        sub = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        for name, (fn, *specs) in commands.items():
+            parser = sub.add_parser(name)
+            for flag, options in specs:
+                parser.add_argument(flag, **options)
+            parser.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        _emit(args.fn(args))
+        return 0
     except (UsageError, RankLimit) as exc:
         # the handlers check --rank and --len, so RankLimit is an output budget
         print(f"weldlab: usage error: {exc}", file=sys.stderr)

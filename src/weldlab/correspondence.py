@@ -67,7 +67,7 @@ class ModelMaps(NamedTuple):
 
 
 def fiber(m: ModelMaps, pt: ModelPoint):
-    """Full covering fiber through pt, as the tau-orbit.
+    """Full covering fiber through pt, as the tau-orbit in closed form.
 
     np points when w != 0 and p points at the critical fiber w = 0.  An n, p
     or sheet that is not an integer raises InvalidArgument, n or p below 1
@@ -85,14 +85,11 @@ def fiber(m: ModelMaps, pt: ModelPoint):
         raise InvalidArgument(f"sheet {j} outside 1..{p}")
     if n * p > TILE_BUDGET:
         raise RankLimit(f"a fiber of {n * p} points, more than {TILE_BUDGET}")
-    seen = {}
-    cur = pt
-    for _ in range(n * p):
-        key = cur.canonical(m.n) if cur.w0 != 0 else (0j, 0, cur.j)
-        if key not in seen:
-            seen[key] = cur
-        cur = m.tau(cur)
-    return list(seen.values())
+    # tau^i takes sheet j to sheet (j - 1 + i) mod p + 1 and turns the
+    # exponent once each time it passes sheet p; at w = 0 the exponent drops
+    # out, and the fiber is the p sheets
+    return [ModelPoint(pt.w0, (pt.e + (j - 1 + i) // p) % n, (j - 1 + i) % p + 1)
+            for i in range(p if pt.w0 == 0 else n * p)]
 
 
 # -- words in eta and tau ---------------------------------------------------------

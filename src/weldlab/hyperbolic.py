@@ -215,16 +215,20 @@ class Geodesic(NamedTuple):
         z1, z2 = self.endpoints
         if self.is_diameter:
             return (1.0 - t) * z1 + t * z2
-        # sweep along the Euclidean circle between the endpoint directions,
-        # through the arc inside the disk
+        a1, d = self.sweep(z1, z2)
+        return self.center + self.radius * cmath.exp(1j * (a1 + t * d))
+
+    def sweep(self, z1: complex, z2: complex):
+        """The phase a1 of z1 about the center, and the turn d from it to the
+        phase of z2, wrapped into [-pi, pi]: the arc from z1 to z2 inside the
+        disk is a1 + t d for t in [0, 1]."""
         a1 = cmath.phase(z1 - self.center)
-        a2 = cmath.phase(z2 - self.center)
-        d = a2 - a1
+        d = cmath.phase(z2 - self.center) - a1
         while d > math.pi:
             d -= TAU
         while d < -math.pi:
             d += TAU
-        return self.center + self.radius * cmath.exp(1j * (a1 + t * d))
+        return a1, d
 
     def side(self, z: complex) -> float:
         """Signed separation: > 0 on the center-of-disk side, < 0 beyond."""

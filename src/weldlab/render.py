@@ -11,7 +11,6 @@ arcs, and identical scenes produce byte-identical documents.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .errors import CoincidentEndpoints
 from .hyperbolic import Geodesic, TAU, geodesic_between, norm_angle
@@ -85,15 +84,8 @@ def geodesic_path(g: Geodesic) -> str:
         return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
     scale = (SIZE - 2 * MARGIN) / 2.0
     r = g.radius * scale
-    # the geodesic is the arc on the side of the chord nearer the origin;
-    # pick the sweep flag by testing the midpoint
-    a1 = cmath.phase(z1 - g.center)
-    a2 = cmath.phase(z2 - g.center)
-    d = a2 - a1
-    while d > math.pi:
-        d -= TAU
-    while d < -math.pi:
-        d += TAU
+    # the geodesic is the arc on the side of the chord nearer the origin
+    _, d = g.sweep(z1, z2)
     sweep = 0 if d > 0 else 1  # viewport y-flip inverts orientation
     return (f"M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 {sweep} "
             f"{_fmt(x2)} {_fmt(y2)}")

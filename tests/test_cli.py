@@ -203,6 +203,9 @@ def test_fixture_files_load(capsys):
     ["bs", "eval", "--n", "1", "--p", "4", "--theta", "inf"],
     ["bs", "tiles", "--n", "1", "--p", "4", "--rank", "-1"],
     ["corr", "fibers", "--n", "1000", "--p", "1000"],
+    # a negative number in any spelling is a value, but not a finite one
+    *(["bs", "eval", "--n", "1", "--p", "4", "--theta", text]
+      for text in ("-inf", "-nan", "-Infinity", "-1e999")),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -505,6 +508,148 @@ def test_non_ascii_newton_name_is_a_bad_schema_name(capsys):
     for name in ("5.6:\u0664", "5.60", "5.6:4:5"):
         assert run(capsys, "surface", "report", name) == (
             code, "", err.replace("no-such-schema", name))
+
+# -- help and usage errors, pinned -----------------------------------------------
+
+#: a smallest argv each command runs on
+_MINIMAL = {
+    ("group", "info"): ["--n", "3", "--p", "1"],
+    ("group", "check"): ["--n", "3", "--p", "1"],
+    ("bs", "eval"): ["--n", "1", "--p", "4", "--theta", "1"],
+    ("bs", "orbit"): ["--n", "1", "--p", "4", "--theta", "1"],
+    ("bs", "partition"): ["--n", "1", "--p", "4"],
+    ("bs", "conjugacy"): ["--n", "1", "--p", "4", "--theta", "1"],
+    ("bs", "tiles"): ["--n", "1", "--p", "4"],
+    ("mate", "build"): ["5.1"],
+    ("mate", "report"): ["5.1"],
+    ("mate", "verify-poly"): ["cubic_power"],
+    ("surface", "report"): ["5.1"],
+    ("surface", "graph"): ["5.1"],
+    ("surface", "zip"): ["5.1"],
+    ("corr", "fibers"): ["--n", "3", "--p", "1"],
+    ("corr", "branches"): ["--n", "3", "--p", "1"],
+    ("corr", "tiling"): ["--n", "3", "--p", "1"],
+    ("corr", "recover"): ["--n", "3", "--p", "1"],
+}
+_GROUPS = ["group", "bs", "mate", "surface", "corr"]
+#: the --help of all 23 parsers, every bare group and command, --bogus after
+#: each command's smallest argv, and one of each kind of malformed value
+HELP_AND_USAGE = (
+    [["--help"], []]
+    + [[g, "--help"] for g in _GROUPS] + [[g] for g in _GROUPS]
+    + [[*cmd, "--help"] for cmd in _MINIMAL] + [list(cmd) for cmd in _MINIMAL]
+    + [[*cmd, *args, "--bogus"] for cmd, args in _MINIMAL.items()]
+    + [["nogroup"], ["group", "nocmd"],
+       ["group", "info", "--n", "3", "--p", "1", "--case", "III"],
+       ["bs", "eval", "--n", "1", "--p", "4", "--theta", "x"],
+       ["bs", "eval", "--n", "1", "--p", "4", "--theta", "-inf"],
+       ["bs", "eval", "--n", "1", "--p", "4", "--theta", "-nan"],
+       ["bs", "orbit", "--n", "1", "--p", "4", "--theta", "1", "--steps", "-1"],
+       ["corr", "tiling", "--n", "3", "--p", "1", "--len", "-1"]])
+#: SHA-256 of the JSON list [argv, exit code, stdout, stderr] of each argv
+#: above, at 80 columns; argparse words its help and errors a little
+#: differently from one Python release to the next, so the digests are for 3.11
+HELP_AND_USAGE_DIGESTS = {
+    "--help": "062bfecfb4d618364be650c2488a4601c375127cf9d398ad480c690f9545df88",
+    "": "9c46cf4e2048a7e20cc41ddce0a20915e27509dbd031029e7f419a5306ad0192",
+    "group --help": "f700fd885a14df4a0d0481d1e5173c9e160e3f637547ff4810bb8a751f4300c8",
+    "bs --help": "ccae76a0c3c5e0a31ae5cdc38e593d3984901ea82585a12d17f76cee530ed090",
+    "mate --help": "5727306bde40e0c4ae9b40e6c606d6e310fb88bdaa05251299017c9788435956",
+    "surface --help": "cdc4fc7cf04bf78cb4fa2519aaf6770031a855b5e16611b425c8eb1e0915a4cb",
+    "corr --help": "55c64c2e3ce28aed1ad6cd85734aae78e722085e520ede8fc8dc9347529fb39b",
+    "group": "55d0e0cfcb4e4e1ba4d9923bc96af2c8b64f69e0b13ca26c40342214255ba42d",
+    "bs": "9a3d0d5401cf12f1babf313d486bb891449a1fc35ef9db3c85ccb51847a1b761",
+    "mate": "accff86f416cbc86e583f504d0f0a97cb4e706550fb21ea4842ebd27d2768e74",
+    "surface": "e1562c0785738e4609151cac6407f2f8ac6be613771256dc6e9d657d4c229234",
+    "corr": "df97c57648ab4b4fc747ce2d95c4c470bdffcb0e2a5287b1a258dfc9397722e0",
+    "group info --help": "241cbc4a3957fa151f9eacc4a878684ac5390524b710ec88a296321b212eecab",
+    "group check --help": "44b4ade4e666fd596cd06831a11eb28f7b031ffc242877ac182aad70c1d1c05a",
+    "bs eval --help": "892a2d7310fd4ea329dda9129bcf160a5a3a025b82d175b1b45f14d87a8fb86b",
+    "bs orbit --help": "3f134efe54097668f289852b0f2e08508d89c51fa6c72e7bf4db414c8bcbb42d",
+    "bs partition --help": "5eebd16ae1d95fe644feb5993ed6dea24760c478a400835455f56571c4f25446",
+    "bs conjugacy --help": "7b09130a7e2ec6686611ccc6bc0b18caec42cea1b928711b8c29b40b428f91bc",
+    "bs tiles --help": "c6b7271aa6884f52b1f314db6e0e8111e5021c02da18e89cf8a9384800cb5eca",
+    "mate build --help": "2679daa05be7441e7a30e3981cfbce1d0c6d7557466ccbe29162864ccfd1d0cf",
+    "mate report --help": "79963dc5679f1f22a9a2df9748b45a0f8c9e68f24dadb2467ac130dc65690916",
+    "mate verify-poly --help": "d63e790b56b10ad580f840a2f3eb92e71db5128c7740073b0dd0939fc701c097",
+    "surface report --help": "6c0dc8ae486f7458a23a2c580d5fedfc24ac67f4a12dd0d7a3254e3c8821262f",
+    "surface graph --help": "b43f71fd2b63aac6ddade549a24f87f115781c755c9381ead101f843a9f1fe17",
+    "surface zip --help": "ca7224781baef4c8f9acd40362a8a7f00309ee61f0030746fb2969c9a4f91781",
+    "corr fibers --help": "08b1c603bdc06c8fbd96f6b0522b830df7d9afc2f75de31aa3b405dcb19b7f4c",
+    "corr branches --help": "c5683d09cff7aac394dacb2e0dcc43c4e2ff31767d7ff22923d455833dc54bc5",
+    "corr tiling --help": "552d6717a1dc0d591b0ce38c49245a10b348cee2678b0a525bb54dd8018be385",
+    "corr recover --help": "5088188d52d92015e50c73b312e8f6f582c35b1830a395212bf755bccc97b59d",
+    "group info": "2d12f4176b37264bb5a81d517efffcaf7cbcc079d5ff4b9b096eb7d6aebb7c35",
+    "group check": "a304405752013f7f855823c9fafc8931ba92eb1652a13486663ae7928e8ba001",
+    "bs eval": "1327dd6c6e9493d1f7de978877be89e584baefe17e123e039fcba13155ea77be",
+    "bs orbit": "71124dd9f4f39adcca3af41729806de1b9cadf8f4286dbc055eba6f48ba7e9ab",
+    "bs partition": "3716883fa82cf79b83bcaf6d808d0c57e25d680330166163c80e472170cf82a5",
+    "bs conjugacy": "f26390ddae8d1301044d38aa68b2eef89211cac517feb805a3058c79b0d2217d",
+    "bs tiles": "bb8b267405ff89fdbfc86fd0bc4759d9923a370bbff76998c542f932847fde3a",
+    "mate build": "504d7e902fe9088a0dc49045ef6b1978cd276665358a7b9d0fa00f48e5d8f2c3",
+    "mate report": "4a88615e88784366450658cca4b65a519e41f401608302a4758fa83136913462",
+    "mate verify-poly": "1b64534d0daccc36f32abaecbf192d0068602d3cd9ffc45dbe2664c19bacb094",
+    "surface report": "f72e4c14f23e8b28b9e120a1657de4d79e402b4ba4a392870d55e324917639fe",
+    "surface graph": "f3e3ea2c31e79df46fde76fccd6227182a6453392c72435e1b676fc3d02f0205",
+    "surface zip": "918a4741c17b51633c20c60eaa3e2082061b54e234c04492006526a69dd3d68c",
+    "corr fibers": "c167bedcd291a8cf17a59fefd7e03ec575463de82422d5a21bac80ad90d25ea2",
+    "corr branches": "610a8bfb82ff8a2429e95b730e2031284e3d104727ce5c68af7a006e22dd9e55",
+    "corr tiling": "0ffc81ac0e88a3ef470734da73eae48acadc66f2f15e841b9c7b0ccc1f2bbd7a",
+    "corr recover": "838cfd4fb83faf23d28b202c6a43c05d9e29925c232f0318fd0d42328634c173",
+    "group info --n 3 --p 1 --bogus": "d7873bb5740f399b62544478c8c757548e1b26fd56488a729ebab24bd74db3d5",
+    "group check --n 3 --p 1 --bogus": "760608f0b94715070e8651821e0d0d3cc353e456dc91761bb24009a4d3d08935",
+    "bs eval --n 1 --p 4 --theta 1 --bogus": "47ba2b0ffb3267b6a3acd7b0479cd51e1bf6e0fbf62d6e7460590540887cc77d",
+    "bs orbit --n 1 --p 4 --theta 1 --bogus": "f878d06018ccd35bde4651a35b9813d06f03e38410791711d88d6b124892c47b",
+    "bs partition --n 1 --p 4 --bogus": "91ac7e33f6fab3d6016ad09511f55e9001e5e9de417c3a52863a95c7345236eb",
+    "bs conjugacy --n 1 --p 4 --theta 1 --bogus": "baa1dd01d584502dc8462e391bf59b2fefe9cdc4c2a42e51f56b571d29d83061",
+    "bs tiles --n 1 --p 4 --bogus": "09515a564c02729bd0e175c1cc27ecbf82ecce77ab01fdb54db36d3b199016c4",
+    "mate build 5.1 --bogus": "32030e01c8413bbee45071b668b6bd33fa0a6eeddb571c24199189123c8f5b56",
+    "mate report 5.1 --bogus": "15586a2b0731d6e6cf890f55ffef2c1e113e0e42f60f18866e610dff5734f20e",
+    "mate verify-poly cubic_power --bogus": "0a333aa493b931c5bf971c982fa35efb40861a4280302e3db9b90ab3ccbad809",
+    "surface report 5.1 --bogus": "e4a7ee4d7e28ee97efb1e07dc863255385ed88608fd6640d3a7e2169b5d4e5d9",
+    "surface graph 5.1 --bogus": "d7d5d8c114ae63a0daa36835d6e19eec5e8b210b7908060ee6e6bdb3b6a8f97b",
+    "surface zip 5.1 --bogus": "a134a22764fb8637fde9f6671d6aecc80ba4526dc4548312083a81f18be080f6",
+    "corr fibers --n 3 --p 1 --bogus": "8ad86141c8ef9553284223bd1ef74e7df03f24b14bcb087ec994f128bb2f4491",
+    "corr branches --n 3 --p 1 --bogus": "19ee47e451dff5e37b0067a8b1ebfdffb01f1668a196a26398f14aa77c1b961d",
+    "corr tiling --n 3 --p 1 --bogus": "da2304105168788a339334502d6cd2f4010a7030cd59fceafdd3b09e16e5880e",
+    "corr recover --n 3 --p 1 --bogus": "78f49b848347f4e72911587b98cc6551666013a0b253128afcac9b603c09625f",
+    "nogroup": "68bc393ac038af9dc98d38e79502f87ab766dc7069f52f78d3a92854feb65bc1",
+    "group nocmd": "c5caa5dbb00c41b5641662bb1ee1df7d9e8f2b00bc30de12a00f48e5aed9cd3e",
+    "group info --n 3 --p 1 --case III": "3a3dd4a8c2a6bbdd9aa4e849d91e92c349f38607e382b2bc92025819b0de9626",
+    "bs eval --n 1 --p 4 --theta x": "c6d6bb9022e86e5485584c99eb72bc5363cbb33d902db17f5215ee39d7623aa4",
+    "bs eval --n 1 --p 4 --theta -inf": "a9a288fc40b143f371bdc735cb6bcc887dfb7ccf40fb59ceba097174bf8d7174",
+    "bs eval --n 1 --p 4 --theta -nan": "b57721cfd789c296d7672151f2ffbf3e7d4357b3177d7c9c34f4f1bfeec26e85",
+    "bs orbit --n 1 --p 4 --theta 1 --steps -1": "11e46b1305df58a4b2afa6779053c5ecea3b9d19369acc4e3c5b58234d9d21a6",
+    "corr tiling --n 3 --p 1 --len -1": "17a138a7ae1a1c59f8e270080deba4ad6dd7325b695855ee6cbcc131ce36c65b",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests made with Python 3.11")
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
+def test_help_and_usage_errors_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:       # argparse exits after printing help
+        code = exc.code
+    out = capsys.readouterr()
+    text = json.dumps([argv, code, out.out, out.err])
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_AND_USAGE_DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv,spellings", [
+    (["bs", "eval", "--n", "1", "--p", "4", "--theta"], ["-0.001", "-1e-3", "-1E-3", "-.1e-2"]),
+    (["bs", "conjugacy", "--n", "3", "--p", "1", "--factor", "--theta"], ["-2.5", "-25e-1", "-2_5e-1"]),
+    (["corr", "fibers", "--n", "3", "--p", "2", "--w-im", "0", "--w-re"], ["-0.5", "-5e-1", "-5.E-1"]),
+    (["corr", "fibers", "--n", "3", "--p", "2", "--w-re", "0", "--w-im"], ["-0.25", "-2.5e-1"]),
+])
+def test_negative_numbers_parse_in_every_spelling(capsys, argv, spellings):
+    # argparse took -1e-3 for an option: "--theta: expected one argument"
+    outs = {run(capsys, *argv, text) for text in spellings}
+    assert len(outs) == 1
+    (code, out, err), = outs
+    assert code == 0 and err == ""
+
 
 # -- every argv exits 0, 1 or 2 ---------------------------------------------------
 

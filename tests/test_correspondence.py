@@ -89,6 +89,30 @@ def test_fiber_equals_root_enumeration():
                 assert x[2] == y[2]
 
 
+def tau_walk_fiber(m, pt):
+    """Reference: the fiber as the tau-orbit walked with ModelMaps.tau, each
+    point kept the first time its canonical form is met."""
+    seen = {}
+    cur = pt
+    for _ in range(m.n * m.p):
+        key = cur.canonical(m.n) if cur.w0 != 0 else (0j, 0, cur.j)
+        seen.setdefault(key, cur)
+        cur = m.tau(cur)
+    return list(seen.values())
+
+
+def test_fiber_matches_the_tau_walk():
+    rng = random.Random(11)
+    for _ in range(3000):
+        n, p = rng.randint(1, 12), rng.randint(1, 12)
+        w = 0j if rng.random() < 0.1 else complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+        pt = co.ModelPoint(w, rng.randint(-2 * n, 2 * n), rng.randint(1, p))
+        m = co.ModelMaps(n, p)
+        got, want = co.fiber(m, pt), tau_walk_fiber(m, pt)
+        assert [q.canonical(n) for q in got] == [q.canonical(n) for q in want]
+        assert [q.value(n) for q in got] == [q.value(n) for q in want]
+
+
 def test_fiber_cardinality():
     m = co.ModelMaps(4, 3)
     assert len(co.fiber(m, m.point(0.2, 2))) == 12
@@ -411,11 +435,13 @@ def test_tiling_refuses_negative_length_before_work(monkeypatch):
 
 
 def test_fiber_budget_checked_before_enumeration(monkeypatch):
-    monkeypatch.setattr(co.ModelMaps, "tau", _refuse_enumeration)
+    # the fiber's points are made in closed form, one ModelPoint each
+    pt = co.ModelPoint(0.5, 0, 1)
+    monkeypatch.setattr(co, "ModelPoint", _refuse_enumeration)
     with pytest.raises(_Enumerated):
-        co.fiber(co.ModelMaps(500, 500), co.ModelPoint(0.5, 0, 1))
+        co.fiber(co.ModelMaps(500, 500), pt)
     with pytest.raises(RankLimit, match="250500"):
-        co.fiber(co.ModelMaps(500, 501), co.ModelPoint(0.5, 0, 1))
+        co.fiber(co.ModelMaps(500, 501), pt)
 
 
 def test_tiling_length_zero():
