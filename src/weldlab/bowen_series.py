@@ -405,7 +405,7 @@ def _marked_fixed_angle(preset: GroupPreset, maps: tuple) -> float:
 RADIUS_FLOOR = 16 * math.ulp(TAU)
 
 #: least distance by which every other root lift misses a piece when
-#: ConjugacyH._invert runs the arithmetic lift alone.  That lift's target
+#: ConjugacyH._pull_back runs the arithmetic lift alone.  That lift's target
 #: sits inside the piece's upstairs image arc, more than need = LIFT_MARGIN
 #: (|c| + |d|)^2 from either end, so every other lift's target lies outside
 #: the arc by more than need.  On the circle |(g^-1)'(z)| = 1/|cz + d|^2
@@ -419,10 +419,12 @@ LIFT_MARGIN = 1e-8
 def power_map_itinerary(theta: float, d: int, depth: int) -> tuple:
     """Base-d digit itinerary of theta under t -> d t (arcs cut at 0)."""
     t = norm_angle(theta) / TAU
+    top = d - 1
     syms = []
     for _ in range(depth):
         t = t % 1.0
-        syms.append(min(d - 1, int(t * d)))
+        k = int(t * d)
+        syms.append(k if k < top else top)
         t = t * d
     return tuple(syms)
 
@@ -446,9 +448,10 @@ class ConjugacyH:
     arithmetic; a target within LIFT_MARGIN of an end of that arc tries
     every lift in order instead.  The build flattens each cut arc
     into one table (lo, hi, rows) with a row of constants per piece, so an
-    evaluation does only the arithmetic that depends on the angle.  value
-    refuses a depth above MAX_DEPTH with RankLimit before it builds the
-    itinerary.
+    evaluation does only the arithmetic that depends on the angle: value
+    makes one _pull_back call, whose single loop carries both arc ends
+    through the table of every itinerary symbol.  value refuses a depth
+    above MAX_DEPTH with RankLimit before it builds the itinerary.
     """
 
     def __init__(self, m: BowenSeriesMap):
@@ -557,54 +560,72 @@ class ConjugacyH:
                              g_inv.a, g_inv.b, g_inv.c, g_inv.d, alpha, span, need))
             self._tables.append((lo, hi, tuple(rows)))
 
-    def _invert(self, table, u):
-        """Inverse branch of one cut arc applied to an offset u in [0, 2 pi].
+    def _pull_back(self, syms, lo=0.0, hi=TAU):
+        """The offsets lo and hi pulled back through the inverse branch of
+        each cut arc in syms, in order, as the pair (lo, hi).
 
-        Offsets u are ccw from the marked angle, in the image and in the cut
-        arc alike.  On a factor map the lift k whose target lies in the
-        piece's upstairs image arc is found by arithmetic and run alone when
-        the target clears both ends by the row's margin; otherwise, or if
-        that lift misses the piece, every lift is tried in order.
+        Offsets are ccw from the marked angle, in the image and in the cut
+        arc alike.  One loop carries both ends through every table, with the
+        constants and cmath's exp and phase bound once per call.  On a
+        factor map the lift k whose target lies in the piece's upstairs
+        image arc is found by arithmetic and run alone when the target
+        clears both ends by the row's margin; otherwise, or if that lift
+        misses the piece, every lift is tried in order.
         """
-        lo, hi, rows = table
-        if u <= 0.0:
-            return lo
-        if u >= TAU:
-            return hi
-        for row in rows:
-            if row[0] <= u <= row[1]:
-                break               # no match leaves the last row, as wanted
-        _, _, x0, ref, up_len, a, b, c, d, alpha, span, need = row
-        lifts = self._lifts
+        tables, base = self._tables, self.base
+        lifts, step, lift_first = self._lifts, self._step, self._lift_first
         n = len(lifts)
-        t = math.fmod(self.base + u, TAU)     # norm_angle, inlined
-        if t < 0.0:
-            t += TAU
-        if t >= TAU:
-            t -= TAU
-        t /= n
-        if n > 1:
-            k = math.ceil((alpha - t) / self._step)
-            if need < t + k * self._step - alpha < span - need:
-                lifts = self._lift_first[k % n]
-        for off in lifts:
-            z = cmath.exp(1j * (t + off))
-            den = c * z + d
-            w = complex("inf") if abs(den) < 1e-300 else (a * z + b) / den
-            s = math.fmod(cmath.phase(w), TAU)
-            if s < 0.0:
-                s += TAU
-            if s >= TAU:
-                s -= TAU
-            s -= ref
-            if s <= 0.0:
-                s += TAU
-            if n == 1:             # unfactored: the one lift, unclamped
-                return x0 + s - 1e-12
-            delta = s - 1e-12
-            if -1e-9 <= delta <= up_len + 1e-9:
-                return x0 + n * min(max(delta, 0.0), up_len)
-        raise InconsistentDegree("no root lift lands in the branch piece")
+        exp, phase, fmod, ceil = cmath.exp, cmath.phase, math.fmod, math.ceil
+        ends = [lo, hi]
+        for sym in syms:
+            first, last, rows = tables[sym]
+            for e in (0, 1):
+                u = ends[e]
+                if u <= 0.0:
+                    ends[e] = first
+                    continue
+                if u >= TAU:
+                    ends[e] = last
+                    continue
+                for row in rows:
+                    if row[0] <= u <= row[1]:
+                        break           # no match leaves the last row, as wanted
+                _, _, x0, ref, up_len, a, b, c, d, alpha, span, need = row
+                t = base + u            # norm_angle, as base is in [0, 2 pi)
+                if t >= TAU:
+                    t = fmod(t, TAU)
+                order = lifts
+                if n > 1:
+                    t /= n
+                    k = ceil((alpha - t) / step)
+                    if need < t + k * step - alpha < span - need:
+                        order = lift_first[k % n]
+                for off in order:
+                    z = exp(1j * (t + off))
+                    den = c * z + d
+                    w = complex("inf") if abs(den) < 1e-300 else (a * z + b) / den
+                    s = phase(w)        # in [-pi, pi]
+                    if s < 0.0:
+                        s += TAU
+                        if s >= TAU:
+                            s -= TAU
+                    s -= ref
+                    if s <= 0.0:
+                        s += TAU
+                    if n == 1:          # unfactored: the one lift, unclamped
+                        ends[e] = x0 + s - 1e-12
+                        break
+                    delta = s - 1e-12
+                    if -1e-9 <= delta <= up_len + 1e-9:
+                        if delta < 0.0:
+                            delta = 0.0
+                        elif delta > up_len:
+                            delta = up_len
+                        ends[e] = x0 + n * delta
+                        break
+                else:
+                    raise InconsistentDegree("no root lift lands in the branch piece")
+        return ends[0], ends[1]
 
     def value(self, theta: float, depth: int):
         """h(theta) as (angle, radius): midpoint and half-width of the arc.
@@ -623,11 +644,7 @@ class ConjugacyH:
         _check_theta(theta)
         if norm_angle(theta) < BREAK_TOL or TAU - norm_angle(theta) < BREAK_TOL:
             return self.base, 0.0  # normalization: the fixed point 1 maps to the marked angle
-        lo, hi = 0.0, TAU
-        tables, invert = self._tables, self._invert
-        for sym in reversed(power_map_itinerary(theta, self.d, depth)):
-            table = tables[sym]
-            lo, hi = invert(table, lo), invert(table, hi)
+        lo, hi = self._pull_back(reversed(power_map_itinerary(theta, self.d, depth)))
         radius = max(0.5 * (hi - lo), RADIUS_FLOOR)
         return norm_angle(self.base + 0.5 * (lo + hi)), radius
 

@@ -291,7 +291,7 @@ def cmd_corr_tiling(args):
     if args.svg:
         attrs = render.style(stroke="#1f77b4", width=0.8)
         # the 17 samples of each side of the polygon, carried into every tile
-        samples = [[side.point_at(i / 16) for i in range(17)] for side in preset.sides]
+        samples = [side.points_at([i / 16 for i in range(17)]) for side in preset.sides]
         tiles = (render.polyline([g(z) for z in pts], attrs)
                  for g in (tile["map"] for tile in rep["tiles"]) for pts in samples)
         _write_svg(args.svg, itertools.chain(render.polygon_scene(preset), tiles))

@@ -212,11 +212,16 @@ class Geodesic(NamedTuple):
 
     def point_at(self, t: float) -> complex:
         """Point on the geodesic; t in (0,1) runs endpoint 1 -> endpoint 2."""
+        return self.points_at((t,))[0]
+
+    def points_at(self, ts) -> list:
+        """point_at of each t in ts, the endpoints and sweep found once."""
         z1, z2 = self.endpoints
         if self.is_diameter:
-            return (1.0 - t) * z1 + t * z2
+            return [(1.0 - t) * z1 + t * z2 for t in ts]
         a1, d = self.sweep(z1, z2)
-        return self.center + self.radius * cmath.exp(1j * (a1 + t * d))
+        center, radius = self.center, self.radius
+        return [center + radius * cmath.exp(1j * (a1 + t * d)) for t in ts]
 
     def sweep(self, z1: complex, z2: complex):
         """The phase a1 of z1 about the center, and the turn d from it to the

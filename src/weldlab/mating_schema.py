@@ -225,7 +225,9 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     first[h][p + 1] is one past the hole's last arc.
     """
     slots = tuple(slots)
-    for s in slots:
+    # each slot object once, in order, so the first bad slot still raises;
+    # not each equal slot once, as Slot(n=3.0) == Slot(n=3) but is invalid
+    for s in {id(s): s for s in slots}.values():
         s.validate()
     if sum(1 for s in slots if s.unbounded) > 1:
         raise DegenerateInput("at most one unbounded slot")
@@ -588,7 +590,7 @@ def newton_schema(n: int):
         raise DegenerateInput("Newton schema needs n >= 3")
     if n > fuchsian.TILE_BUDGET:
         raise RankLimit(f"{n} basins, more than the budget of {fuchsian.TILE_BUDGET}")
-    slots = tuple(group_slot(3, 1) for _ in range(n))
+    slots = (group_slot(3, 1),) * n
     contact = ContactData((tuple((i, 0) for i in range(n)),))
     return slots, contact
 

@@ -116,7 +116,7 @@ def _linspace(lo: float, hi: float, count: int):
 
 
 def _geodesic_samples(g: Geodesic, count: int = 48):
-    return [g.point_at(t) for t in _linspace(0.0, 1.0, count)]
+    return g.points_at(_linspace(0.0, 1.0, count))
 
 
 def polygon_scene(preset):

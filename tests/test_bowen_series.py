@@ -405,7 +405,8 @@ def test_h_pull_back_inverts_forward():
         for _ in range(60):
             u = rng.uniform(1e-6, TAU - 1e-6)
             j = rng.randrange(h.d)
-            x = h._invert(h._tables[j], u)
+            x, same = h._pull_back((j,), u, u)
+            assert x == same
             fwd = _eval_circle_safe(m, norm_angle(h.base + x))
             assert abs(ccw_span(h.base, fwd) - u) < 1e-6
 
@@ -635,7 +636,7 @@ def test_h_invert_matches_scan_at_piece_ends(n, p, case):
     jarcs = reference_pieces(h)
     reads = h._lift_first = _Reads(h._lift_first)
     lifted = scanned = 0
-    for table, pieces in zip(h._tables, jarcs):
+    for j, (table, pieces) in enumerate(zip(h._tables, jarcs)):
         for row in table[2]:
             u0, u1, need = row[0], row[1], row[-1]
             us = [0.5 * (u0 + u1)]
@@ -645,10 +646,10 @@ def test_h_invert_matches_scan_at_piece_ends(n, p, case):
                 us += [e + inward * f * n * need for f in (0.5, 2.0)]
             for u in us:
                 before = reads.count
-                got = h._invert(table, u)
+                got = h._pull_back((j,), u, u)
                 want = (pieces[0]["x0"] if u <= 0.0 else pieces[-1]["x1"] if u >= TAU
                         else reference_invert_piece(h, pieces, u))
-                assert got == want, (u, got, want)
+                assert got == (want, want), (u, got, want)
                 if 0.0 < u < TAU:
                     lifted += reads.count > before
                     scanned += reads.count == before
@@ -681,21 +682,51 @@ def test_h_pull_back_runs_one_lift(monkeypatch, n):
     counting = _CountingCmath()
     monkeypatch.setattr(bs, "cmath", counting)
     exps = []
-    invert = h._invert
-
-    def counted(table, u):
-        before = counting.exps
-        out = invert(table, u)
-        exps.append(counting.exps - before)
-        return out
-
-    h._invert = counted
     rng = random.Random(31)
     for _ in range(50):
-        h.value(rng.uniform(0.0, TAU), 12)
+        theta = rng.uniform(0.0, TAU)
+        arc = (0.0, TAU)
+        for sym in reversed(bs.power_map_itinerary(theta, h.d, 12)):
+            ends = []
+            for u in arc:
+                before = counting.exps
+                x, same = h._pull_back((sym,), u, u)
+                assert x == same
+                ends.append(x)
+                exps.append((counting.exps - before) // 2)   # u pulled back twice
+            arc = tuple(ends)
+        assert h.value(theta, 12) == (norm_angle(h.base + 0.5 * (arc[0] + arc[1])),
+                                      max(0.5 * (arc[1] - arc[0]), bs.RADIUS_FLOOR))
     lifted = [k for k in exps if k]
     assert len(lifted) > 500
     assert sum(k == 1 for k in lifted) >= 0.95 * len(lifted), sorted(lifted)[-20:]
+
+
+def min_form_itinerary(theta, d, depth):
+    """Reference: power_map_itinerary with its digit clamped by min()."""
+    t = norm_angle(theta) / TAU
+    syms = []
+    for _ in range(depth):
+        t = t % 1.0
+        syms.append(min(d - 1, int(t * d)))
+        t = t * d
+    return tuple(syms)
+
+
+def test_power_map_itinerary_matches_min_form():
+    rng = random.Random(29)
+    thetas = ([rng.uniform(-20.0, 20.0) for _ in range(200)]
+              + [0.0, -0.0, 1.0, -1.0, TAU, -TAU]
+              + [TAU - k * 1e-16 for k in range(1, 11)]
+              + [-k * 1e-16 for k in range(1, 11)]
+              + [math.nextafter(TAU, 0.0), -math.ulp(0.0)])
+    # norm_angle(theta) within 1e-15 below 2 pi, where every digit is d - 1
+    near = [t for t in thetas if 0.0 < TAU - norm_angle(t) < 1e-15]
+    assert near and all(bs.power_map_itinerary(t, 7, 3) == (6, 6, 6) for t in near)
+    for d in range(2, 30):
+        for theta in thetas:
+            assert bs.power_map_itinerary(theta, d, 64) == min_form_itinerary(theta, d, 64), \
+                (theta, d)
 
 
 def test_h_value_argument_checks(monkeypatch):

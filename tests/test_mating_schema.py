@@ -6,7 +6,7 @@ import pytest
 import weldlab.fuchsian as fuchsian
 import weldlab.mating_schema as ms
 from weldlab.errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                            InconsistentInvolution, InvalidArgument, NonPlanar,
+                            InconsistentInvolution, InvalidArgument, InvalidCase, NonPlanar,
                             VerificationFailed, WeldlabError)
 from weldlab.fuchsian import CASE_I, CASE_II
 
@@ -85,6 +85,33 @@ def test_assemble_builds_no_group(monkeypatch):
     monkeypatch.setattr(fuchsian, "build_group", refuse)
     bc = ms.assemble(*ms.newton_schema(8))
     assert bc.face_count() == 1
+
+
+def test_assemble_checks_each_slot_once_first_failure_first(monkeypatch):
+    # newton_schema checks its one slot once and repeats it, and assemble
+    # checks it once more; of two different bad slots the first one's error
+    # is raised, in either order
+    calls = []
+    validate = ms.Slot.validate
+
+    def counted(slot):
+        calls.append(slot)
+        validate(slot)
+
+    monkeypatch.setattr(ms.Slot, "validate", counted)
+    slots, contact = ms.newton_schema(50)
+    ms.assemble(slots, contact)
+    assert calls == [slots[0]] * 2
+    bad_case = ms.Slot("group", n=1, p=4, case="III")
+    bad_degree = ms.Slot("blaschke", degree=1)
+    good = ms.group_slot(1, 4)
+    with pytest.raises(InvalidCase, match="unknown case 'III'"):
+        ms.assemble((good, bad_case, bad_degree, bad_case), ms.ContactData(()))
+    with pytest.raises(DegenerateInput, match="degree >= 2"):
+        ms.assemble((good, bad_degree, bad_case, bad_degree), ms.ContactData(()))
+    # a slot equal to a good one is still checked: 3.0 == 3, yet n = 3.0 is refused
+    with pytest.raises(InvalidArgument, match="n must be an integer, not 3.0"):
+        ms.assemble((ms.group_slot(3, 1), ms.Slot("group", n=3.0, p=1)), ms.ContactData(()))
 
 
 # -- contact validation -------------------------------------------------------

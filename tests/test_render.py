@@ -6,7 +6,7 @@ import pytest
 import weldlab.render as rd
 from weldlab.bowen_series import bowen_series_map, tiles
 from weldlab.fuchsian import build_group
-from weldlab.hyperbolic import geodesic_between
+from weldlab.hyperbolic import Geodesic, geodesic_between
 from weldlab.mating_schema import assemble, paper_example
 from weldlab.welding import weld, welding_graph
 
@@ -50,6 +50,24 @@ def test_geodesic_paths():
     assert rd.geodesic_path(diam).count("L") == 1
     arc = geodesic_between(0.0, math.pi / 2)
     assert " A " in rd.geodesic_path(arc)
+
+
+def test_geodesic_samples_sweep_once(monkeypatch):
+    # the endpoints and sweep are found once per geodesic, not once per
+    # sample, and each sample is point_at's point bit for bit
+    geos = [geodesic_between(0.3, 2.1), geodesic_between(0.0, math.pi),
+            geodesic_between(5.9, 0.4)]
+    want = [[g.point_at(t) for t in rd._linspace(0.0, 1.0, 48)] for g in geos]
+    calls = []
+    sweep = Geodesic.sweep
+
+    def counted(g, z1, z2):
+        calls.append(g)
+        return sweep(g, z1, z2)
+
+    monkeypatch.setattr(Geodesic, "sweep", counted)
+    assert [rd._geodesic_samples(g) for g in geos] == want
+    assert calls == [geos[0], geos[2]]        # a diameter needs no sweep
 
 
 def test_linspace_matches_numpy_bit_for_bit():

@@ -85,8 +85,8 @@ def test_package_job_commands_run_from_this_tree(tmp_path):
             if want:
                 assert out.stdout == "" and out.stderr.startswith("weldlab: "), line
             ran += 1
-    # nineteen commands, the fixture read by its path and the unwritable --svg
-    assert ran >= 21
+    # 24 commands, among them the fixture read by its path, and the unwritable --svg
+    assert ran >= 25
 
 
 def test_package_data_holds_every_fixture():
