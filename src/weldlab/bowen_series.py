@@ -642,7 +642,8 @@ class ConjugacyH:
         if depth > MAX_DEPTH:
             raise RankLimit(f"depth {depth} above {MAX_DEPTH}")
         _check_theta(theta)
-        if norm_angle(theta) < BREAK_TOL or TAU - norm_angle(theta) < BREAK_TOL:
+        t = norm_angle(theta)
+        if t < BREAK_TOL or TAU - t < BREAK_TOL:
             return self.base, 0.0  # normalization: the fixed point 1 maps to the marked angle
         lo, hi = self._pull_back(reversed(power_map_itinerary(theta, self.d, depth)))
         radius = max(0.5 * (hi - lo), RADIUS_FLOOR)
