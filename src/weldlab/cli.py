@@ -169,7 +169,7 @@ def _complex_json(bc):
         "arcs": [{"index": a.index, "hole": a.hole, "side": a.side,
                   "piece": a.piece, "start": a.start, "end": a.end}
                  for a in bc.arcs],
-        "involution": {str(a): b for a, b in bc.s_action.items()},
+        "involution": {str(a): b for a, b in enumerate(bc.s_action)},
         "vertices": [{"kind": v["kind"], "incidences": [list(i) for i in v["incidences"]]}
                      for v in bc.vertices],
         "components": bc.components,

@@ -27,10 +27,11 @@ from .fuchsian import CASE_I, CASE_II
 
 
 class _UnionFind:
-    """Disjoint sets with path halving; union(x, y) keeps y's root."""
+    """Disjoint sets of 0..n-1 with path halving (Tarjan, JACM 22, 1975);
+    union(x, y) keeps y's root."""
 
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    def __init__(self, n):
+        self.parent = list(range(n))
 
     def find(self, x):
         p = self.parent
@@ -41,12 +42,6 @@ class _UnionFind:
 
     def union(self, x, y):
         self.parent[self.find(x)] = self.find(y)
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 # -- slots -------------------------------------------------------------------
@@ -134,38 +129,6 @@ class ContactData(NamedTuple):
     classes: tuple
 
 
-def validate_contact(holes: dict, contact: ContactData):
-    """Involution-consistency: identified corners have identified images.
-
-    An incidence that is not a pair of integers (a bool is refused, as
-    schema_from_dict refuses it) raises InvalidArgument.
-    """
-    seen = {}
-    for ci, cls in enumerate(contact.classes):
-        for inc in cls:
-            if (type(inc) is not tuple or len(inc) != 2
-                    or type(inc[0]) is not int or type(inc[1]) is not int):
-                raise InvalidArgument(f"incidence {inc!r} must be a pair of integers "
-                                      "(slot, corner)")
-            h, k = inc
-            if h not in holes:
-                raise InconsistentInvolution(f"incidence {(h, k)}: slot {h} has no hole")
-            if not (0 <= k < holes[h].p):
-                raise InconsistentInvolution(f"incidence {(h, k)}: corner out of range")
-            if (h, k) in seen:
-                raise InconsistentInvolution(f"corner {(h, k)} identified twice")
-            seen[(h, k)] = ci
-
-    def class_of(inc):
-        return seen.get(inc, ("single", inc))
-
-    for cls in contact.classes:
-        images = {class_of((h, holes[h].sigma_corner[k])) for (h, k) in cls}
-        if len(images) != 1:
-            raise InconsistentInvolution(
-                f"class {cls}: images fall in distinct classes {images}")
-
-
 # -- boundary complex ------------------------------------------------------------
 
 class Arc(NamedTuple):
@@ -190,10 +153,10 @@ class BoundaryComplex(NamedTuple):
     holes: dict                  # slot index -> HoleBoundary
     contact: ContactData
     arcs: list                   # Arc
-    s_action: dict               # arc index -> arc index (involution)
+    s_action: list               # indexed by arc: the arc S carries it onto
     vertices: list               # vertex records (dicts)
     faces: list                  # list of faces; each face: list of dart cycles
-    arc_face: dict               # arc index -> face index
+    arc_face: list               # indexed by arc: the index of its face
     components: int              # connected components of the boundary graph
 
     def face_count(self):
@@ -241,20 +204,44 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
             holes[i] = HoleBoundary(i, *shape)
     if not holes:
         raise DegenerateInput("a schema needs at least one group slot")
-    validate_contact(holes, contact)
 
     # vertex table: the identification classes, then each unclaimed corner
-    # alone, hole by hole; corner_vertex[h][k] is the vertex of corner k
+    # alone, hole by hole; corner_vertex[h][k] is the vertex of corner k.  An
+    # incidence that is not a pair of integers (a bool is refused, as
+    # schema_from_dict refuses it) raises InvalidArgument.
     corner_classes = [tuple(cls) for cls in contact.classes]
     corner_vertex = {h: [-1] * hb.p for h, hb in holes.items()}
     for vid, cls in enumerate(corner_classes):
-        for h, k in cls:
-            corner_vertex[h][k] = vid
+        for inc in cls:
+            if (type(inc) is not tuple or len(inc) != 2
+                    or type(inc[0]) is not int or type(inc[1]) is not int):
+                raise InvalidArgument(f"incidence {inc!r} must be a pair of integers "
+                                      "(slot, corner)")
+            h, k = inc
+            ks = corner_vertex.get(h)
+            if ks is None:
+                raise InconsistentInvolution(f"incidence {inc}: slot {h} has no hole")
+            if not 0 <= k < len(ks):
+                raise InconsistentInvolution(f"incidence {inc}: corner out of range")
+            if ks[k] >= 0:
+                raise InconsistentInvolution(f"corner {inc} identified twice")
+            ks[k] = vid
+    nclasses = len(corner_classes)
     for h, ks in corner_vertex.items():
         for k, vid in enumerate(ks):
             if vid < 0:
                 ks[k] = len(corner_classes)
                 corner_classes.append(((h, k),))
+    # involution consistency: the images of a class's corners are one vertex
+    for vid, (cls, incs) in enumerate(zip(contact.classes, corner_classes)):
+        if not incs:
+            raise InconsistentInvolution(f"identification class {vid} is empty")
+        images = [corner_vertex[h][holes[h].sigma_corner[k]] for h, k in incs]
+        if len(set(images)) != 1:
+            # a class is named by its index, a lone corner by ("single", corner)
+            named = {i if i < nclasses else ("single", corner_classes[i][0]) for i in images}
+            raise InconsistentInvolution(f"class {cls}: images fall in distinct "
+                                         f"classes {named}")
     vertices = [{"kind": "corner", "incidences": cls} for cls in corner_classes]
 
     # arcs: split self-paired sides at an interior fixed point
@@ -277,7 +264,7 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     # boundary involution on arcs: sigma carries side s onto sigma(s)
     # reversing orientation, and a split side is self-paired (sigma is an
     # involution), so the reversal swaps its halves
-    s_action = {}
+    s_action = [0] * len(arcs)
     for h, hb in holes.items():
         f, sig, split = first[h], hb.sigma_side, hb.interior_fixed_sides
         for s in range(1, hb.p + 1):
@@ -286,7 +273,7 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
                 s_action[a], s_action[a + 1] = b + 1, b
             else:
                 s_action[a] = b
-    if any(s_action.get(b) != a or a == b for a, b in s_action.items()):
+    if any(s_action[b] != a or a == b for a, b in enumerate(s_action)):
         raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
 
     faces, arc_face, components = _domain_faces(holes, arcs, first, vertices,
@@ -309,38 +296,41 @@ def _domain_faces(holes, arcs, first, vertices, corner_classes):
     cycles (Lando & Zvonkin, ch. 1); the sides of each hole bound its
     interior, one more face per hole.
 
-    A hole's boundary is one closed walk through all its corners and
-    midpoints, so the boundary components are the holes joined by the
-    identification classes.
+    The boundary components are those of a union-find over the vertices
+    that joins the two ends of each arc, in arc order.  A hole's boundary is
+    one closed walk through all its corners and midpoints, so these are the
+    holes joined by the identification classes; a merged face lists its
+    cycles by the roots of their components.
     """
     E = len(arcs)
     nxt = list(range(-1, E - 1))     # piece 1 turns into piece 0 before it
-    hole_uf = _UnionFind(holes)
     for cls in corner_classes:
         h2, k2 = cls[-1]
         for h, k in cls:
             # the last piece of side s ends one arc before side s+1 begins
             nxt[first[h][k + 1]] = first[h2][(k2 or holes[h2].p) + 1] - 1
             h2, k2 = h, k
-        if len(cls) > 1:
-            for h, _ in cls:
-                hole_uf.union(h, h2)
-    ncomp = sum(1 for h, root in hole_uf.parent.items() if h == root)
+    V = len(vertices)
+    uf = _UnionFind(V)
+    for a in arcs:
+        uf.union(a.start, a.end)
+    ncomp = sum(1 for v, root in enumerate(uf.parent) if v == root)
 
+    # arc_face[a] is the index of a's cycle, and of its face while the
+    # boundary is connected
     domain_cycles = []
-    seen = [False] * E
+    arc_face = [-1] * E
     for a0 in range(E):
         cyc = []
         a = a0
-        while not seen[a]:
-            seen[a] = True
+        while arc_face[a] < 0:
+            arc_face[a] = len(domain_cycles)
             cyc.append((a, -1))
             a = nxt[a]
         if cyc:
             domain_cycles.append(cyc)
 
     # per-component sphere maps: V - E + F = 2 per component
-    V = len(vertices)
     F = len(domain_cycles) + len(holes)
     if V - E + F != 2 * ncomp:
         raise NonPlanar(f"V - E + F = {V - E + F}, expected {2 * ncomp}")
@@ -349,13 +339,6 @@ def _domain_faces(holes, arcs, first, vertices, corner_classes):
     if ncomp == 1:
         faces = [[cyc] for cyc in domain_cycles]
     else:
-        # the merged face lists its cycles by the root vertex of a union-find
-        # over the arcs' ends, the order it has always had; no rule on the
-        # holes alone reproduces that order, so this union-find stays as the
-        # sort key (the components themselves come from hole_uf above)
-        uf = _UnionFind(range(V))
-        for a in arcs:
-            uf.union(a.start, a.end)
         by_comp = {}
         for cyc in domain_cycles:
             c = uf.find(arcs[cyc[0][0]].end)
@@ -364,8 +347,7 @@ def _domain_faces(holes, arcs, first, vertices, corner_classes):
             raise NonPlanar("disconnected contact graph needs nesting data "
                             "(a component has several domain faces)")
         faces = [[cyc for v in sorted(by_comp) for cyc in by_comp[v]]]
-
-    arc_face = {a: fi for fi, face in enumerate(faces) for cyc in face for (a, _) in cyc}
+        arc_face = [0] * E
     return faces, arc_face, ncomp
 
 

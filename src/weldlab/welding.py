@@ -43,18 +43,20 @@ class WeldingGraph(NamedTuple):
         return [(i, sgn) for i in range(self.num_faces) for sgn in (-1, +1)]
 
     def components(self):
-        uf = _UnionFind(self.vertices())
+        # v_i^- is 2i and v_i^+ is 2i + 1
+        uf = _UnionFind(2 * self.num_faces)
         for (a, b) in self.edges:
-            uf.union((a, -1), (b, +1))
-        comps = sorted(sorted(vs) for vs in uf.classes().values())
-        return comps
+            uf.union(2 * a, 2 * b + 1)
+        comps = {}
+        for x in range(2 * self.num_faces):
+            comps.setdefault(uf.find(x), []).append((x >> 1, 1 if x & 1 else -1))
+        return sorted(comps.values())
 
 
 def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
-    edges = set()
-    for a, b in bc.s_action.items():
-        edges.add((bc.arc_face[a], bc.arc_face[b]))
-    return WeldingGraph(bc.face_count(), frozenset(edges))
+    face = bc.arc_face
+    return WeldingGraph(bc.face_count(),
+                        frozenset((face[a], face[b]) for a, b in enumerate(bc.s_action)))
 
 
 # -- welded complex ----------------------------------------------------------------
@@ -98,9 +100,9 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     S = bc.s_action
     # guard hand-built complexes: the gluing needs a fixed-point-free arc
     # involution (fixed points of S are vertices because arcs are pre-split)
-    for a in range(E):
-        if S.get(S.get(a)) != a or S[a] == a:
-            raise GluingInconsistency("s_action is not a fixed-point-free involution")
+    if (len(S) != E or any(type(b) is not int or not 0 <= b < E for b in S)
+            or any(S[b] != a or b == a for a, b in enumerate(S))):
+        raise GluingInconsistency("s_action is not a fixed-point-free involution")
     # one pass over the darts: each is (a, -1) for an arc a not walked before,
     # and then the E arcs are all walked once backward
     once = "the domain faces do not traverse each arc once backward"
@@ -135,7 +137,7 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     chi = [sum(2 - len(bc.faces[fi]) for (fi, _) in faces) for faces in comps]
     fix = [0] * len(comps)
     # edge e_a lies on face(a) in copy +, and so does the start of arc a
-    plus = [comp_of_face_copy[(bc.arc_face[a], +1)] for a in range(E)]
+    plus = [comp_of_face_copy[(fi, +1)] for fi in bc.arc_face]
     for ci in plus:
         chi[ci] -= 1
     seen = [False] * E

@@ -330,6 +330,11 @@ JSON_DIGESTS = [
      "6014b774f0f9397d81e511366dcf0fb55e1bbdac9f2072c0af9ba59baad6e098"),
     (["surface", "report", "5.6:7"],
      "ba79f1860a59a964d943b253a7187a769738634987852b17db8a1d9d4e912fc0"),
+    # two free holes, so one merged face, its cycles ordered by the roots of
+    # the vertex union-find; the digest was taken while the dict-keyed
+    # union-finds still built the complex, before the integer one
+    (["mate", "build", "5.4"],
+     "de561d16ef8b85672417b3f1682e49e8c7f1c5bd2d21a095d27df067d3a34020"),
 ]
 
 
@@ -479,6 +484,16 @@ def test_bad_placement_is_refused(capsys, tmp_path, slot, message):
     code, out, err = run(capsys, "mate", "report", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("weldlab: DegenerateInput: ") and message in err
+
+
+@pytest.mark.parametrize("cmd", [("surface", "report"), ("mate", "build")])
+def test_empty_identification_class_is_named(capsys, tmp_path, cmd):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"slots": [_HOLE_SLOT],
+                                "identifications": [{"corners": [[0, 0], [0, 2]]},
+                                                    {"corners": []}]}))
+    assert run(capsys, *cmd, str(path)) == (
+        1, "", "weldlab: InconsistentInvolution: identification class 1 is empty\n")
 
 
 @pytest.mark.parametrize("corners", _NON_INTEGER_CORNERS)

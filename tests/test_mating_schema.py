@@ -131,6 +131,15 @@ def test_double_identification_rejected():
         ms.assemble(slots, bad)
 
 
+@pytest.mark.parametrize("classes,index", [(((),), 0), ((((0, 0), (0, 2)), ()), 1),
+                                           (((), ((0, 1), (0, 3))), 0)])
+def test_empty_class_is_named(classes, index):
+    # an empty class was refused as "images fall in distinct classes set()"
+    with pytest.raises(InconsistentInvolution,
+                       match=f"^identification class {index} is empty$"):
+        ms.assemble((ms.group_slot(1, 4),), ms.ContactData(classes))
+
+
 @pytest.mark.parametrize("inc", [(0, 1.0), (1, True), (True, 1), (0,), (0, 1, 2),
                                  [0, 1], "01", None])
 def test_contact_incidence_must_be_an_integer_pair(inc):
@@ -235,6 +244,31 @@ def test_disconnected_pinch_needs_nesting_data():
 
 # -- faces against the traced reference ----------------------------------------------
 
+class DictUnionFind:
+    """Disjoint sets of any hashable items, for the reference gluings: path
+    halving, union(x, y) keeps y's root, classes() maps each root to its
+    items in insertion order."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+    def classes(self):
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
     """Faces traced in the rotation system of darts, walking
     phi = sigma^{-1} o alpha over every dart; the hole interiors come out as
@@ -317,7 +351,7 @@ def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
         if any(dr > 0 for (_, dr) in cyc):
             raise NonPlanar("a domain face uses a forward (hole-side) dart")
 
-    uf = ms._UnionFind(range(len(vertices)))
+    uf = DictUnionFind(range(len(vertices)))
     for a in arcs:
         uf.union(a.start, a.end)
     ncomp = len(uf.classes())
@@ -347,7 +381,7 @@ def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
                 arc_face[a] = fi
     if len(arc_face) != len(arcs):
         raise NonPlanar("some arc belongs to no domain face")
-    return faces, arc_face, ncomp
+    return faces, [arc_face[a] for a in range(len(arcs))], ncomp
 
 
 def _outcome(fn, *args):
@@ -433,7 +467,8 @@ def test_s_action_is_involution():
     for name in ms.PAPER_EXAMPLES:
         slots, contact, _ = ms.paper_example(name)
         bc = ms.assemble(slots, contact)
-        for a, b in bc.s_action.items():
+        assert len(bc.s_action) == len(bc.arcs)
+        for a, b in enumerate(bc.s_action):
             assert a != b and bc.s_action[b] == a
         sv = _vertex_involution(bc)
         # involution on vertices, fixing exactly the midpoints among them
@@ -460,7 +495,11 @@ def test_every_arc_has_one_face():
     for name in ms.PAPER_EXAMPLES:
         slots, contact, _ = ms.paper_example(name)
         bc = ms.assemble(slots, contact)
-        assert sorted(bc.arc_face) == [a.index for a in bc.arcs]
+        # each arc lies on one cycle of one face, and arc_face names that face
+        on = sorted((a, fi) for fi, face in enumerate(bc.faces) for cyc in face
+                    for (a, _) in cyc)
+        assert on == list(enumerate(bc.arc_face))
+        assert [a for a, _ in on] == [a.index for a in bc.arcs]
 
 
 # -- degrees -------------------------------------------------------------------

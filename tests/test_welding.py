@@ -4,6 +4,7 @@ import pytest
 
 import weldlab.mating_schema as ms
 import weldlab.welding as wl
+from test_mating_schema import DictUnionFind
 from weldlab.errors import CrosscheckFailed, ZipNotSphere
 
 
@@ -101,15 +102,19 @@ def test_single_odd_hole_doubles_to_sphere():
     assert c.euler_characteristic == 2 and c.genus == 0 and c.fix_eta == 2
 
 
-def test_weld_guards_malformed_involution():
-    import copy
+@pytest.mark.parametrize("fault", ["fixed", "outside", "float", "bool", "short"])
+def test_weld_guards_malformed_involution(fault):
+    # s_action must be a fixed-point-free involution on the arc indices
     from weldlab.errors import GluingInconsistency
     bc = ms.assemble(*ms.paper_example("5.4")[:2])
-    bad = copy.deepcopy(bc)
-    k = next(iter(bad.s_action))
-    bad.s_action[k] = k
-    with pytest.raises(GluingInconsistency):
-        wl.weld(bad)
+    S = bc.s_action
+    b = S[0]
+    if fault == "short":
+        S.pop()
+    else:
+        S[0] = {"fixed": 0, "outside": len(S), "float": float(b), "bool": True}[fault]
+    with pytest.raises(GluingInconsistency, match="not a fixed-point-free involution"):
+        wl.weld(bc)
 
 
 @pytest.mark.parametrize("fault", ["repeat", "forward", "outside", "float", "bool",
@@ -216,7 +221,7 @@ def reference_weld_counts(bc):
     """
     S = bc.s_action
     arcs = bc.arcs
-    uf = ms._UnionFind([(a.index, end, copy) for a in arcs for end in ("s", "e")
+    uf = DictUnionFind([(a.index, end, copy) for a in arcs for end in ("s", "e")
                         for copy in (+1, -1)])
     for a in range(len(arcs)):
         uf.union((a, "s", +1), (S[a], "e", -1))
@@ -227,7 +232,7 @@ def reference_weld_counts(bc):
     classes = [frozenset(c) for c in uf.classes().values()]
     fixed = [frozenset((a, e, -c) for (a, e, c) in cls) == cls for cls in classes]
 
-    uf2 = ms._UnionFind([(fi, c) for fi in range(bc.face_count()) for c in (+1, -1)])
+    uf2 = DictUnionFind([(fi, c) for fi in range(bc.face_count()) for c in (+1, -1)])
     for a in range(len(arcs)):
         uf2.union((bc.arc_face[a], +1), (bc.arc_face[S[a]], -1))
     comps = {}
@@ -281,7 +286,7 @@ def reference_zipped_report(bc):
     S = bc.s_action
     arcs = bc.arcs
     pair_of = {a: min(a, S[a]) for a in range(len(arcs))}
-    uf = ms._UnionFind([(a.index, end) for a in arcs for end in ("s", "e")])
+    uf = DictUnionFind([(a.index, end) for a in arcs for end in ("s", "e")])
     for a in range(len(arcs)):
         uf.union((a, "s"), (S[a], "e"))
         uf.union((a, "e"), (S[a], "s"))
@@ -292,7 +297,7 @@ def reference_zipped_report(bc):
         for sym in cls:
             vertex_of[sym] = vi
 
-    uf2 = ms._UnionFind([("f", fi) for fi in range(bc.face_count())])
+    uf2 = DictUnionFind([("f", fi) for fi in range(bc.face_count())])
     for a in range(len(arcs)):
         uf2.union(("f", bc.arc_face[a]), ("f", bc.arc_face[S[a]]))
     comp_map = {}

@@ -85,8 +85,9 @@ def test_package_job_commands_run_from_this_tree(tmp_path):
             if want:
                 assert out.stdout == "" and out.stderr.startswith("weldlab: "), line
             ran += 1
-    # 24 commands, among them the fixture read by its path, and the unwritable --svg
-    assert ran >= 25
+    # 25 commands in the first block, among them the fixture read by its path
+    # and the merged face of `mate build 5.4`, and then the unwritable --svg
+    assert ran >= 26
 
 
 def test_package_data_holds_every_fixture():
