@@ -59,7 +59,7 @@ def _load_schema_arg(path):
         raise UsageError(f"file not found: {path}")
     try:
         return ms.load_schema(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read schema {path}: {exc}") from exc
 
 
@@ -165,10 +165,11 @@ def cmd_bs_tiles(args):
 
 def _complex_json(bc):
     return {
-        "faces": [[[[a, d] for (a, d) in cyc] for cyc in face] for face in bc.faces],
-        "arcs": [{"index": a.index, "hole": a.hole, "side": a.side,
+        # a face cycle walks each of its arcs backward: dart [arc, -1]
+        "faces": [[[[a, -1] for a in cyc] for cyc in face] for face in bc.faces],
+        "arcs": [{"index": i, "hole": a.hole, "side": a.side,
                   "piece": a.piece, "start": a.start, "end": a.end}
-                 for a in bc.arcs],
+                 for i, a in enumerate(bc.arcs)],
         "involution": {str(a): b for a, b in enumerate(bc.s_action)},
         "vertices": [{"kind": v["kind"], "incidences": [list(i) for i in v["incidences"]]}
                      for v in bc.vertices],

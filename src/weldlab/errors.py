@@ -71,10 +71,6 @@ def as_count(value, name: str) -> int:
 
 # -- mating_schema ---------------------------------------------------------
 
-class BlaschkeHasNoHole(WeldlabError):
-    """Blaschke slots contribute no hole boundary."""
-
-
 class NonPlanar(WeldlabError):
     """Contact data does not assemble into a sphere map."""
 

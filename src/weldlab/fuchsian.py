@@ -59,27 +59,12 @@ def sigma_side(p: int, case: str):
     return {s: ((p + 1 - s) % p) + 1 for s in range(1, p + 1)}  # p+2-s mod p
 
 
-def sigma_corner(p: int, case: str):
-    """Induced corner permutation on {0..p-1} (corner k between sides k, k+1)."""
-    if case == CASE_I:
-        return {k: (-k) % p for k in range(p)}
-    return {k: (1 - k) % p for k in range(p)}
-
-
 def self_paired_sides(p: int, case: str):
     """Sides s with sigma(s) = s: p+1-s = s in Case I, 2s = 2 mod p (p even)
     in Case II."""
     if case == CASE_I:
         return [(p + 1) // 2] if p % 2 else []
     return [1, p // 2 + 1]
-
-
-def fixed_corners(p: int, case: str):
-    """Corners k with sigma(k) = k: 2k = 0 mod p in Case I; none in Case II,
-    where 2k = 1 mod p has no root for even p."""
-    if case == CASE_I:
-        return [0] if p % 2 else [0, p // 2]
-    return []
 
 
 class GroupPreset(NamedTuple):

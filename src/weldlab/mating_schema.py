@@ -7,7 +7,8 @@ boundary complex: arcs (hole sides, split at involution-fixed interior
 points), vertex classes, the faces of the multi-domain as the cycles of one
 arc permutation, and the arc-level boundary involution.
 
-Holes are stored purely combinatorially; rendering assigns coordinates
+A hole is its group slot, stored purely combinatorially: the boundary
+involution on its sides is its one table.  Rendering assigns coordinates
 separately.
 """
 
@@ -20,9 +21,9 @@ import re
 from typing import NamedTuple
 
 from . import SCHEMA_VERSION, fuchsian
-from .errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                     InconsistentInvolution, InvalidArgument, NonPlanar, RankLimit,
-                     VerificationFailed, as_count)
+from .errors import (DegenerateInput, DegreeMismatch, InconsistentInvolution,
+                     InvalidArgument, NonPlanar, RankLimit, VerificationFailed,
+                     as_count)
 from .fuchsian import CASE_I, CASE_II
 
 
@@ -84,39 +85,6 @@ def blaschke_slot(degree) -> Slot:
     return s
 
 
-# -- hole boundaries -----------------------------------------------------------
-
-class HoleBoundary(NamedTuple):
-    """p-sided hole of a group slot, with its boundary involution data.
-
-    Sides are 1..p, corners 0..p-1; side s runs corner s-1 -> corner s mod p,
-    oriented with the hole interior on the left.  The involution sends side s
-    to sigma(s) reversing orientation; self-paired sides carry an interior
-    fixed point.
-    """
-
-    slot_index: int
-    p: int
-    case: str
-    sigma_side: dict
-    sigma_corner: dict
-    fixed_corners: tuple
-    interior_fixed_sides: tuple
-
-
-def build_hole(slot: Slot, slot_index: int = 0) -> HoleBoundary:
-    if slot.kind != "group":
-        raise BlaschkeHasNoHole("Blaschke slots contribute no hole boundary")
-    p, case = slot.p, slot.case
-    return HoleBoundary(
-        slot_index, p, case,
-        fuchsian.sigma_side(p, case),
-        fuchsian.sigma_corner(p, case),
-        tuple(fuchsian.fixed_corners(p, case)),
-        tuple(fuchsian.self_paired_sides(p, case)),
-    )
-
-
 # -- contact data ---------------------------------------------------------------
 
 class ContactData(NamedTuple):
@@ -132,8 +100,8 @@ class ContactData(NamedTuple):
 # -- boundary complex ------------------------------------------------------------
 
 class Arc(NamedTuple):
-    """Directed boundary arc: a hole side or a half of a self-paired side."""
-    index: int
+    """Directed boundary arc: a hole side or a half of a self-paired side,
+    numbered by its position in BoundaryComplex.arcs."""
     hole: int          # slot index
     side: int          # 1..p
     piece: int         # 0 = whole side; self-paired sides split into 0, 1
@@ -144,18 +112,18 @@ class Arc(NamedTuple):
 class BoundaryComplex(NamedTuple):
     """Arcs, vertex classes, domain faces and arc involution of a schema.
 
-    A face is a list of boundary cycles (several when the boundary graph is
-    disconnected); a cycle lists darts (arc index, -1), the arcs walked
+    A hole is its group slot and is named by the slot index.  A face is a
+    list of boundary cycles (several when the boundary graph is
+    disconnected); a cycle lists the indices of its arcs, each walked
     backward.  The hole interiors are not faces here.
     """
 
     slots: tuple
-    holes: dict                  # slot index -> HoleBoundary
     contact: ContactData
     arcs: list                   # Arc
     s_action: list               # indexed by arc: the arc S carries it onto
     vertices: list               # vertex records (dicts)
-    faces: list                  # list of faces; each face: list of dart cycles
+    faces: list                  # list of faces; each face: list of arc-index cycles
     arc_face: list               # indexed by arc: the index of its face
     components: int              # connected components of the boundary graph
 
@@ -169,7 +137,8 @@ class BoundaryComplex(NamedTuple):
     def order2_total(self):
         """b of Cor 4.14: order-2 orbifold points across the group slots, one
         per self-paired side of each hole."""
-        return sum(len(hb.interior_fixed_sides) for hb in self.holes.values())
+        return sum(len(fuchsian.self_paired_sides(s.p, s.case))
+                   for s in self.slots if s.kind == "group")
 
 
 def assemble(slots, contact: ContactData) -> BoundaryComplex:
@@ -181,6 +150,11 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     arcs backward with the face on the left (see _domain_faces); the Euler
     count V - E + F = 2 per boundary component rejects non-planar contact
     data.
+
+    A hole is its group slot h, with sides 1..p and corners 0..p-1; side s
+    runs corner s-1 -> corner s mod p, the hole interior on its left.  The
+    hole's one table is sigma on sides (fuchsian.sigma_side), which carries
+    side s onto side sigma(s) reversed.
 
     Arcs are numbered hole by hole in slot order, each hole's sides 1..p in
     order, a split side's two pieces in order; first[h][s] is the index of
@@ -194,15 +168,11 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
         s.validate()
     if sum(1 for s in slots if s.unbounded) > 1:
         raise DegenerateInput("at most one unbounded slot")
-    holes = {}
-    tables = {}          # (p, case) -> a hole's fields after slot_index, this call only
-    for i, s in enumerate(slots):
-        if s.kind == "group":
-            shape = tables.get((s.p, s.case))
-            if shape is None:
-                shape = tables[s.p, s.case] = build_hole(s, i)[1:]
-            holes[i] = HoleBoundary(i, *shape)
-    if not holes:
+    # sigma[h]: sigma on hole h's sides, one table per (p, case) this call
+    tables = {key: fuchsian.sigma_side(*key)
+              for key in dict.fromkeys((s.p, s.case) for s in slots if s.kind == "group")}
+    sigma = {h: tables[s.p, s.case] for h, s in enumerate(slots) if s.kind == "group"}
+    if not sigma:
         raise DegenerateInput("a schema needs at least one group slot")
 
     # vertex table: the identification classes, then each unclaimed corner
@@ -210,7 +180,7 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     # incidence that is not a pair of integers (a bool is refused, as
     # schema_from_dict refuses it) raises InvalidArgument.
     corner_classes = [tuple(cls) for cls in contact.classes]
-    corner_vertex = {h: [-1] * hb.p for h, hb in holes.items()}
+    corner_vertex = {h: [-1] * len(sig) for h, sig in sigma.items()}
     for vid, cls in enumerate(corner_classes):
         for inc in cls:
             if (type(inc) is not tuple or len(inc) != 2
@@ -236,7 +206,9 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     for vid, (cls, incs) in enumerate(zip(contact.classes, corner_classes)):
         if not incs:
             raise InconsistentInvolution(f"identification class {vid} is empty")
-        images = [corner_vertex[h][holes[h].sigma_corner[k]] for h, k in incs]
+        # corner k ends side k (side p at k = 0), and sigma reverses that side
+        # onto one that starts at corner sigma(k or p) - 1
+        images = [corner_vertex[h][sigma[h][k or len(sigma[h])] - 1] for h, k in incs]
         if len(set(images)) != 1:
             # a class is named by its index, a lone corner by ("single", corner)
             named = {i if i < nclasses else ("single", corner_classes[i][0]) for i in images}
@@ -244,48 +216,49 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
                                          f"classes {named}")
     vertices = [{"kind": "corner", "incidences": cls} for cls in corner_classes]
 
-    # arcs: split self-paired sides at an interior fixed point
+    # arcs: sigma reverses a side it pairs with itself, so that side has one
+    # interior fixed point, where it is split
     arcs = []
     first = {}
-    for h, hb in holes.items():
-        p, split, ks = hb.p, hb.interior_fixed_sides, corner_vertex[h]
+    for h, sig in sigma.items():
+        p, ks = len(sig), corner_vertex[h]
         f = first[h] = [len(arcs)] * (p + 2)
         for s in range(1, p + 1):
-            f[s] = a = len(arcs)
+            f[s] = len(arcs)
             u, w = ks[s - 1], ks[s % p]
-            if s in split:
+            if sig[s] == s:
                 vid = len(vertices)
                 vertices.append({"kind": "midpoint", "incidences": ((h, s),)})
-                arcs += (Arc(a, h, s, 0, u, vid), Arc(a + 1, h, s, 1, vid, w))
+                arcs += (Arc(h, s, 0, u, vid), Arc(h, s, 1, vid, w))
             else:
-                arcs.append(Arc(a, h, s, 0, u, w))
+                arcs.append(Arc(h, s, 0, u, w))
         f[p + 1] = len(arcs)
 
     # boundary involution on arcs: sigma carries side s onto sigma(s)
-    # reversing orientation, and a split side is self-paired (sigma is an
-    # involution), so the reversal swaps its halves
+    # reversing orientation, so it swaps the halves of a split side
     s_action = [0] * len(arcs)
-    for h, hb in holes.items():
-        f, sig, split = first[h], hb.sigma_side, hb.interior_fixed_sides
-        for s in range(1, hb.p + 1):
-            a, b = f[s], f[sig[s]]
-            if s in split:
-                s_action[a], s_action[a + 1] = b + 1, b
+    for h, sig in sigma.items():
+        f = first[h]
+        for s, t in sig.items():
+            a = f[s]
+            if s == t:
+                s_action[a], s_action[a + 1] = a + 1, a
             else:
-                s_action[a] = b
+                s_action[a] = f[t]
     if any(s_action[b] != a or a == b for a, b in enumerate(s_action)):
         raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
 
-    faces, arc_face, components = _domain_faces(holes, arcs, first, vertices,
+    faces, arc_face, components = _domain_faces(arcs, first, len(vertices),
                                                 corner_classes)
 
-    return BoundaryComplex(slots, holes, contact, arcs, s_action, vertices,
+    return BoundaryComplex(slots, contact, arcs, s_action, vertices,
                            faces, arc_face, components)
 
 
-def _domain_faces(holes, arcs, first, vertices, corner_classes):
+def _domain_faces(arcs, first, V, corner_classes):
     """Faces of the multi-domain, each arc's face, and the boundary components.
 
+    first is assemble's table, one entry per hole, and V the vertex count.
     A domain face walks its arcs backward (face on the left), so it leaves
     arc a at a's start into the wedge there.  If a is the first piece of
     side k+1 at incidence (h, k), that wedge lies between (h, k) and the
@@ -307,10 +280,10 @@ def _domain_faces(holes, arcs, first, vertices, corner_classes):
     for cls in corner_classes:
         h2, k2 = cls[-1]
         for h, k in cls:
-            # the last piece of side s ends one arc before side s+1 begins
-            nxt[first[h][k + 1]] = first[h2][(k2 or holes[h2].p) + 1] - 1
+            # the last piece of side s ends one arc before side s+1 begins,
+            # and that of side p one before the hole's end, first[h][-1]
+            nxt[first[h][k + 1]] = first[h2][k2 + 1 if k2 else -1] - 1
             h2, k2 = h, k
-    V = len(vertices)
     uf = _UnionFind(V)
     for a in arcs:
         uf.union(a.start, a.end)
@@ -325,13 +298,13 @@ def _domain_faces(holes, arcs, first, vertices, corner_classes):
         a = a0
         while arc_face[a] < 0:
             arc_face[a] = len(domain_cycles)
-            cyc.append((a, -1))
+            cyc.append(a)
             a = nxt[a]
         if cyc:
             domain_cycles.append(cyc)
 
     # per-component sphere maps: V - E + F = 2 per component
-    F = len(domain_cycles) + len(holes)
+    F = len(domain_cycles) + len(first)
     if V - E + F != 2 * ncomp:
         raise NonPlanar(f"V - E + F = {V - E + F}, expected {2 * ncomp}")
 
@@ -341,7 +314,7 @@ def _domain_faces(holes, arcs, first, vertices, corner_classes):
     else:
         by_comp = {}
         for cyc in domain_cycles:
-            c = uf.find(arcs[cyc[0][0]].end)
+            c = uf.find(arcs[cyc[0]].end)
             by_comp.setdefault(c, []).append(cyc)
         if any(len(v) != 1 for v in by_comp.values()):
             raise NonPlanar("disconnected contact graph needs nesting data "
@@ -512,6 +485,13 @@ def _corner_index(v) -> int:
     raise TypeError                 # null, arrays, objects: a malformed document
 
 
+def _incidence(inc) -> tuple:
+    """(slot, corner) of a pair [slot, corner]; TypeError for any other shape."""
+    if not isinstance(inc, (list, tuple)) or len(inc) != 2:
+        raise TypeError
+    return _corner_index(inc[0]), _corner_index(inc[1])
+
+
 def _unbounded(slot_doc) -> bool:
     """A slot's placement: "unbounded", or "bounded" where it is absent."""
     placement = slot_doc.get("placement", "bounded")
@@ -536,21 +516,23 @@ def schema_from_dict(d):
     slots = []
     for s in d["slots"]:
         kind = s.get("kind") if isinstance(s, dict) else None
-        if kind == "group":
-            slots.append(group_slot(as_count(s["n"], "n"), as_count(s["p"], "p"),
-                                    s.get("case", CASE_I), _unbounded(s)))
-        elif kind == "blaschke":
-            slot = Slot("blaschke", degree=as_count(s["degree"], "degree"),
-                        unbounded=_unbounded(s))
-            slot.validate()
-            slots.append(slot)
-        else:
-            raise DegenerateInput(f"unknown slot {s!r}")
+        try:
+            if kind == "group":
+                slots.append(group_slot(as_count(s["n"], "n"), as_count(s["p"], "p"),
+                                        s.get("case", CASE_I), _unbounded(s)))
+            elif kind == "blaschke":
+                slot = Slot("blaschke", degree=as_count(s["degree"], "degree"),
+                            unbounded=_unbounded(s))
+                slot.validate()
+                slots.append(slot)
+            else:
+                raise DegenerateInput(f"unknown slot {s!r}")
+        except KeyError as exc:
+            raise DegenerateInput(f"a {kind} slot needs {exc}") from None
     try:
-        classes = tuple(tuple((_corner_index(h), _corner_index(k))
-                              for h, k in cls["corners"])
+        classes = tuple(tuple(_incidence(inc) for inc in cls["corners"])
                         for cls in d.get("identifications", []))
-    except TypeError:
+    except (TypeError, KeyError):
         raise DegenerateInput("'identifications' needs an array of "
                               "{\"corners\": [[slot, corner], ...]}") from None
     return tuple(slots), ContactData(classes), d.get("polynomial")

@@ -167,23 +167,21 @@ def _boundary_samples(z1, z2, count: int = 24):
 def hole_diagram_scene(bc):
     """Schematic of the holes: one circle per hole, corners marked, wedge
     classes drawn as chords to a shared dot."""
-    holes = sorted(bc.holes)
+    holes = [h for h, s in enumerate(bc.slots) if s.kind == "group"]
     k = len(holes)
     centers = {}
     for i, h in enumerate(holes):
         c = 0.55 * cmath.exp(1j * TAU * i / max(k, 1)) if k > 1 else 0j
         centers[h] = c
         yield circle(c, 0.28, style(stroke=_PALETTE[i % len(_PALETTE)], width=2.0))
-        hb = bc.holes[h]
-        for corner in range(hb.p):
-            z = c + 0.28 * cmath.exp(1j * TAU * corner / hb.p)
+        p = bc.slots[h].p
+        for corner in range(p):
+            z = c + 0.28 * cmath.exp(1j * TAU * corner / p)
             yield dot(z, style(fill="#333333"), label=f"{h}.{corner}")
     chord = style(stroke="#cc0000", width=1.0)
     for cls in bc.contact.classes:
-        pts = []
-        for (h, corner) in cls:
-            hb = bc.holes[h]
-            pts.append(centers[h] + 0.28 * cmath.exp(1j * TAU * corner / hb.p))
+        pts = [centers[h] + 0.28 * cmath.exp(1j * TAU * corner / bc.slots[h].p)
+               for (h, corner) in cls]
         mid = sum(pts) / len(pts)
         for z in pts:
             yield polyline([z, mid], chord)

@@ -103,22 +103,25 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
     if (len(S) != E or any(type(b) is not int or not 0 <= b < E for b in S)
             or any(S[b] != a or b == a for a, b in enumerate(S))):
         raise GluingInconsistency("s_action is not a fixed-point-free involution")
-    # one pass over the darts: each is (a, -1) for an arc a not walked before,
-    # and then the E arcs are all walked once backward
+    # one pass over the face cycles: each entry is an arc not walked before,
+    # on the face arc_face names, and then the E arcs are all walked backward
     once = "the domain faces do not traverse each arc once backward"
+    face_of = bc.arc_face
+    if len(face_of) != E:
+        raise GluingInconsistency("arc_face does not name one face per arc")
     prev = [-1] * E
-    for face in bc.faces:
+    for fi, face in enumerate(bc.faces):
         for cyc in face:
             b = E                # the cycle's last arc, set once the cycle closes
-            for dart in cyc:
-                if (type(dart) is not tuple or len(dart) != 2 or dart[1] != -1
-                        or type(a := dart[0]) is not int or not 0 <= a < E
-                        or prev[a] != -1):
+            for a in cyc:
+                if type(a) is not int or not 0 <= a < E or prev[a] != -1:
                     raise GluingInconsistency(once)
+                if type(face_of[a]) is not int or face_of[a] != fi:
+                    raise GluingInconsistency(f"arc_face[{a}] does not name face {fi}")
                 prev[a] = b
                 b = a
             if cyc:
-                prev[cyc[0][0]] = b
+                prev[cyc[0]] = b
     if -1 in prev:
         raise GluingInconsistency(once)
 

@@ -258,6 +258,9 @@ SVG_DIGESTS = [
     # renormalised by MobiusMap.compose, and its generator words are not
     (["corr", "tiling", "--n", "4", "--p", "4", "--len", "4"],
      "66f4589b730af0020c8221799e257e662d9d4094c7ece7a4c4d45dc953bfbbd2"),
+    # a hole diagram: three holes, one wedge class
+    (["mate", "build", "5.3"],
+     "c77f47fb6c46dadba6473ce95027b25aeb31352516b2df9fa91970c709288277"),
 ]
 
 
@@ -381,6 +384,31 @@ def test_disconnected_mate_build_bytes_pinned(capsys, tmp_path):
         "cfdb712f289a750e5c075cf1244498ac20bd7652af76df483b9a606c466a93d3")
 
 
+#: Blaschke slots before and between the holes, so hole h is slot h and not
+#: the h-th hole: a wedge of three holes and a lone corner class
+_MIXED_SCHEMA = {
+    "slots": [{"kind": "blaschke", "degree": 2}, {"kind": "group", "n": 1, "p": 4},
+              {"kind": "group", "n": 3, "p": 1}, {"kind": "blaschke", "degree": 3},
+              {"kind": "group", "n": 1, "p": 5}],
+    "identifications": [{"corners": [[1, 0], [2, 0], [4, 0]]}, {"corners": [[1, 2]]}],
+}
+
+
+@pytest.mark.parametrize("cmd,svg,digest", [
+    (("mate", "build"), False, "69fc7842bd065226a2cb108030cc823edc60b64644d6aa255ab09d0ea33ff6bb"),
+    (("mate", "build"), True, "cc50ddffb54c31879dad1f969bd051dd2209fb7d588fc392acdaa3228f15e399"),
+    (("surface", "report"), False,
+     "282eeefae9d1630db7331915e58cac5e6afffb6a0276233382d0a4787a924240"),
+], ids=["mate-build", "mate-build-svg", "surface-report"])
+def test_blaschke_slots_between_holes_bytes_pinned(capsys, tmp_path, cmd, svg, digest):
+    path, out_svg = tmp_path / "schema.json", tmp_path / "out.svg"
+    path.write_text(json.dumps(_MIXED_SCHEMA))
+    code, out, err = run(capsys, *cmd, str(path), *(["--svg", str(out_svg)] if svg else []))
+    assert (code, err) == (0, "")
+    pinned = out_svg.read_bytes() if svg else out.encode()
+    assert hashlib.sha256(pinned).hexdigest() == digest
+
+
 #: SHA-256 of the JSON `bs conjugacy` prints; like the `bs tiles` digests they
 #: follow the last bits of the generators
 CONJUGACY_DIGESTS = [
@@ -462,6 +490,31 @@ def test_malformed_schema_is_refused(capsys, tmp_path, doc, cmd):
     code, out, err = run(capsys, *cmd, str(path))
     assert code in (1, 2) and out == ""
     assert err.count("\n") == 1 and err.startswith("weldlab: ")
+
+
+@pytest.mark.parametrize("doc,message", [
+    # an incidence that is not a pair used to be a raw unpacking error
+    ({"slots": [_GROUP_SLOT], "identifications": [{"corners": [[0, 0, 1]]}]},
+     "'identifications' needs an array of {\"corners\": [[slot, corner], ...]}"),
+    ({"slots": [_GROUP_SLOT], "identifications": [{"corners": [[0]]}]},
+     "'identifications' needs an array of"),
+    ({"slots": [_GROUP_SLOT], "identifications": [{"corners": "ab"}]},
+     "'identifications' needs an array of"),
+    # and a missing field its bare name
+    ({"slots": [_GROUP_SLOT], "identifications": [{"corner": [[0, 0]]}]},
+     "'identifications' needs an array of"),
+    ({"slots": [{"kind": "group", "p": 1}]}, "a group slot needs 'n'"),
+    ({"slots": [{"kind": "group", "n": 3}]}, "a group slot needs 'p'"),
+    ({"slots": [_GROUP_SLOT, {"kind": "blaschke"}]}, "a blaschke slot needs 'degree'"),
+])
+@pytest.mark.parametrize("cmd", [("surface", "report"), ("mate", "build")])
+def test_wrong_shaped_schema_is_degenerate_input(capsys, tmp_path, doc, message, cmd):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *cmd, str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("weldlab: DegenerateInput: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("slot,message", [

@@ -7,9 +7,9 @@ import pytest
 from weldlab.errors import (DegenerateInput, InvalidArgument, InvalidCase,
                             NonParabolicCycle, PairingViolation)
 from weldlab.fuchsian import (CASE_I, CASE_II, build_group, degree_plan,
-                              fixed_corners, legal_presets, orbifold_signature,
-                              poincare_check, self_paired_sides, side_pairing_check,
-                              sigma_corner, sigma_side, vertex_cycles)
+                              legal_presets, orbifold_signature, poincare_check,
+                              self_paired_sides, side_pairing_check, sigma_side,
+                              vertex_cycles)
 from weldlab.hyperbolic import MobiusMap
 
 GRID = legal_presets()
@@ -232,12 +232,22 @@ def test_closed_form_matches_40_digit_reference(n, p, case):
 
 
 def test_fixed_sides_and_corners_in_closed_form():
-    # the closed forms name the fixed points of sigma on sides and corners
+    # the closed forms name the fixed points of sigma on sides and corners;
+    # corner k ends side k (side p at k = 0), so sigma carries it to the
+    # start of side sigma(k or p), which is -k mod p in Case I and 1 - k mod p
+    # in Case II; the fixed corners are {0}, {0, p/2} or none
     for p in range(1, 400):
         for case in (CASE_I, CASE_II) if p % 2 == 0 and p >= 4 else (CASE_I,):
-            sides, corners = sigma_side(p, case), sigma_corner(p, case)
+            sides = sigma_side(p, case)
             assert self_paired_sides(p, case) == [s for s in sides if sides[s] == s]
-            assert fixed_corners(p, case) == [k for k in corners if corners[k] == k]
+            corners = [sides[k or p] - 1 for k in range(p)]
+            shift = 0 if case == CASE_I else 1
+            assert corners == [(shift - k) % p for k in range(p)]
+            fixed = [k for k in range(p) if corners[k] == k]
+            if case == CASE_II:
+                assert fixed == []
+            else:
+                assert fixed == ([0] if p % 2 else [0, p // 2])
 
 
 def test_signatures_examples():

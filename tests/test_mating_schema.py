@@ -5,41 +5,86 @@ import pytest
 
 import weldlab.fuchsian as fuchsian
 import weldlab.mating_schema as ms
-from weldlab.errors import (BlaschkeHasNoHole, DegenerateInput, DegreeMismatch,
-                            InconsistentInvolution, InvalidArgument, InvalidCase, NonPlanar,
+from weldlab.errors import (DegenerateInput, DegreeMismatch, InconsistentInvolution,
+                            InvalidArgument, InvalidCase, NonPlanar,
                             VerificationFailed, WeldlabError)
 from weldlab.fuchsian import CASE_I, CASE_II
 
 
 # -- holes -----------------------------------------------------------------
 
+def _corner_image(slot, k):
+    """sigma on the corners of slot's hole in closed form: corner k goes to
+    -k mod p in Case I and to 1 - k mod p in Case II."""
+    return ((0 if slot.case == CASE_I else 1) - k) % slot.p
+
+
+def _lone_hole(slot):
+    """sigma on corners read off the complex of slot's hole alone (S carries
+    the start of each side's first arc to the end of its image), and the
+    sides split at a midpoint vertex."""
+    bc = ms.assemble((slot,), ms.ContactData(()))
+    corner = {}
+    for a, arc in enumerate(bc.arcs):
+        if arc.piece == 0:
+            image = bc.arcs[bc.s_action[a]]
+            corner[arc.side - 1] = bc.vertices[image.end]["incidences"][0][1]
+    split = [v["incidences"][0][1] for v in bc.vertices if v["kind"] == "midpoint"]
+    return [corner[k] for k in range(slot.p)], split
+
+
+#: every hole shape of random_schema, and two larger polygons
+_HOLE_SHAPES = [ms.group_slot(*shape) for shape in ms._RANDOM_POOL + ((1, 7, CASE_I),
+                                                                       (1, 8, CASE_II))]
+
+
 def test_teardrop_hole():
-    hb = ms.build_hole(ms.group_slot(3, 1))
-    assert hb.p == 1
-    assert hb.fixed_corners == (0,)
-    assert hb.interior_fixed_sides == (1,)
-    assert hb.sigma_side == {1: 1}
+    slot = ms.group_slot(3, 1)
+    assert fuchsian.sigma_side(1, CASE_I) == {1: 1}
+    assert fuchsian.self_paired_sides(1, CASE_I) == [1]
+    assert _lone_hole(slot) == ([0], [1])
+    bc = ms.assemble((slot,), ms.ContactData(()))
+    assert bc.arcs == [ms.Arc(0, 1, 0, 0, 1), ms.Arc(0, 1, 1, 1, 0)]
 
 
 def test_case_ii_hole():
-    hb = ms.build_hole(ms.group_slot(1, 4, CASE_II))
-    assert hb.fixed_corners == ()
-    assert hb.interior_fixed_sides == (1, 3)
-    assert hb.sigma_side == {1: 1, 2: 4, 3: 3, 4: 2}
+    assert fuchsian.sigma_side(4, CASE_II) == {1: 1, 2: 4, 3: 3, 4: 2}
+    assert fuchsian.self_paired_sides(4, CASE_II) == [1, 3]
+    # no fixed corner
+    assert _lone_hole(ms.group_slot(1, 4, CASE_II)) == ([1, 0, 3, 2], [1, 3])
 
 
 def test_case_i_hole_fixed_data():
-    hb = ms.build_hole(ms.group_slot(1, 4))
-    assert hb.fixed_corners == (0, 2)
-    assert hb.interior_fixed_sides == ()
-    hb5 = ms.build_hole(ms.group_slot(1, 5))
-    assert hb5.fixed_corners == (0,)
-    assert hb5.interior_fixed_sides == (3,)  # (p+1)/2
+    # fixed corners 0 and 2, and no split side
+    assert _lone_hole(ms.group_slot(1, 4)) == ([0, 3, 2, 1], [])
+    # fixed corner 0, and side (p+1)/2 split
+    assert _lone_hole(ms.group_slot(1, 5)) == ([0, 4, 3, 2, 1], [3])
+    for slot in _HOLE_SHAPES:
+        assert _lone_hole(slot) == ([_corner_image(slot, k) for k in range(slot.p)],
+                                    fuchsian.self_paired_sides(slot.p, slot.case))
+
+
+@pytest.mark.parametrize("slot", _HOLE_SHAPES, ids=lambda s: f"{s.n},{s.p},{s.case}")
+def test_two_corner_class_is_consistent_iff_sigma_keeps_it(slot):
+    # assemble derives sigma on corners from sigma on sides; a class {k, j}
+    # passes the involution check iff sigma carries it onto itself
+    for k in range(slot.p):
+        for j in range(k + 1, slot.p):
+            keeps = {_corner_image(slot, k), _corner_image(slot, j)} == {k, j}
+            try:
+                ms.assemble((slot,), ms.ContactData((((0, k), (0, j)),)))
+                refused = False
+            except InconsistentInvolution as exc:
+                refused = "images fall in distinct classes" in str(exc)
+            except NonPlanar:
+                refused = False
+            assert refused != keeps, (k, j)
 
 
 def test_blaschke_has_no_hole():
-    with pytest.raises(BlaschkeHasNoHole):
-        ms.build_hole(ms.blaschke_slot(2))
+    slots = (ms.group_slot(3, 1), ms.blaschke_slot(2))
+    with pytest.raises(InconsistentInvolution, match="slot 1 has no hole"):
+        ms.assemble(slots, ms.ContactData((((1, 0),),)))
 
 
 # -- slot checks ------------------------------------------------------------
@@ -208,19 +253,21 @@ def test_malformed_newton_name_is_unknown(name):
 
 def test_holes_built_once_per_shape_and_call(monkeypatch):
     calls = []
-    real = ms.build_hole
+    real = fuchsian.sigma_side
 
-    def counted(slot, slot_index=0):
-        calls.append((slot.p, slot.case))
-        return real(slot, slot_index)
+    def counted(p, case):
+        calls.append((p, case))
+        return real(p, case)
 
-    monkeypatch.setattr(ms, "build_hole", counted)
     slots = (ms.group_slot(3, 1), ms.group_slot(1, 4, CASE_II), ms.group_slot(3, 1),
              ms.group_slot(1, 4), ms.group_slot(1, 4, CASE_II))
+    alone = [a[1:3] for a in ms.assemble(slots[4:], ms.ContactData(())).arcs]
+    monkeypatch.setattr(fuchsian, "sigma_side", counted)
     for _ in range(2):
         bc = ms.assemble(slots, ms.ContactData(()))
-        assert [hb.slot_index for hb in bc.holes.values()] == [0, 1, 2, 3, 4]
-        assert bc.holes[4] == real(slots[4], 4)
+        assert sorted({a.hole for a in bc.arcs}) == [0, 1, 2, 3, 4]
+        # hole 4 shares hole 1's table and is laid out as if alone
+        assert [a[1:3] for a in bc.arcs if a.hole == 4] == alone
     assert calls == [(1, CASE_I), (4, CASE_II), (4, CASE_I)] * 2
 
 
@@ -269,33 +316,35 @@ class DictUnionFind:
         return out
 
 
-def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
+def reference_trace_faces(arcs, V, corner_classes):
     """Faces traced in the rotation system of darts, walking
     phi = sigma^{-1} o alpha over every dart; the hole interiors come out as
     the forward cycles.  Returns (faces, arc_face, components) as
     mating_schema._domain_faces does."""
     # darts: (arc index, +1 forward / -1 reverse)
+    arc_of = {(a.hole, a.side, a.piece): i for i, a in enumerate(arcs)}
+    sides = {}  # hole -> p
+    for a in arcs:
+        sides[a.hole] = max(sides.get(a.hole, 0), a.side)
+
     def first_piece(h, s):
         return arc_of[(h, s, 0)]
 
     def last_piece(h, s):
-        hb = holes[h]
-        return arc_of[(h, s, 1 if s in hb.interior_fixed_sides else 0)]
+        return arc_of.get((h, s, 1), arc_of[(h, s, 0)])
 
     rotation = {}  # vertex id -> ccw list of out-darts
-    for vid, v in enumerate(vertices):
-        if v["kind"] == "corner":
-            rot = []
-            for (h, k) in v["incidences"]:
-                p = holes[h].p
-                out_side = k + 1
-                in_side = k if k > 0 else p
-                rot.append((first_piece(h, out_side), +1))
-                rot.append((last_piece(h, in_side), -1))
-            rotation[vid] = rot
-        else:
-            (h, s) = v["incidences"][0]
-            rotation[vid] = [(arc_of[(h, s, 1)], +1), (arc_of[(h, s, 0)], -1)]
+    for vid, cls in enumerate(corner_classes):
+        rot = []
+        for (h, k) in cls:
+            out_side = k + 1
+            in_side = k if k > 0 else sides[h]
+            rot.append((first_piece(h, out_side), +1))
+            rot.append((last_piece(h, in_side), -1))
+        rotation[vid] = rot
+    for i, a in enumerate(arcs):
+        if a.piece == 1:            # piece 1 starts at its side's midpoint
+            rotation[a.start] = [(i, +1), (first_piece(a.hole, a.side), -1)]
 
     def tail(d):
         a, dr = d
@@ -339,24 +388,22 @@ def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
         hs = {arcs[a].hole for (a, dr) in cyc}
         if all(dr > 0 for (_, dr) in cyc) and len(hs) == 1:
             h = hs.pop()
-            expected = sum(2 if s in holes[h].interior_fixed_sides else 1
-                           for s in range(1, holes[h].p + 1))
+            expected = sum(1 for a in arcs if a.hole == h)
             if len(cyc) == expected and h not in hole_face_of:
                 hole_face_of[h] = cyc
                 continue
         domain_cycles.append(cyc)
-    if len(hole_face_of) != len(holes):
+    if len(hole_face_of) != len(sides):
         raise NonPlanar("some hole interior failed to close up as a face")
     for cyc in domain_cycles:
         if any(dr > 0 for (_, dr) in cyc):
             raise NonPlanar("a domain face uses a forward (hole-side) dart")
 
-    uf = DictUnionFind(range(len(vertices)))
+    uf = DictUnionFind(range(V))
     for a in arcs:
         uf.union(a.start, a.end)
     ncomp = len(uf.classes())
 
-    V = len(vertices)
     E = len(arcs)
     F = len(cycles)
     if V - E + F != 2 * ncomp:
@@ -373,11 +420,12 @@ def reference_trace_faces(holes, arcs, arc_of, vertices, corner_classes):
             raise NonPlanar("disconnected contact graph needs nesting data "
                             "(a component has several domain faces)")
         faces = [[cyc for v in sorted(by_comp) for cyc in by_comp[v]]]
+    faces = [[[a for (a, _) in cyc] for cyc in face] for face in faces]
 
     arc_face = {}
     for fi, face in enumerate(faces):
         for cyc in face:
-            for (a, _) in cyc:
+            for a in cyc:
                 arc_face[a] = fi
     if len(arc_face) != len(arcs):
         raise NonPlanar("some arc belongs to no domain face")
@@ -399,8 +447,8 @@ def _random_contact(rng):
                   for _ in range(rng.randint(1, 3)))
     orbits = set()
     for h, slot in enumerate(slots):
-        hb = ms.build_hole(slot, h)
-        orbits |= {tuple(sorted({(h, k), (h, hb.sigma_corner[k])})) for k in range(hb.p)}
+        orbits |= {tuple(sorted({(h, k), (h, _corner_image(slot, k))}))
+                   for k in range(slot.p)}
     orbits = sorted(orbits)
     rng.shuffle(orbits)
     classes = []
@@ -431,13 +479,11 @@ def test_arc_permutation_matches_traced_faces(monkeypatch):
     real = ms._domain_faces
     seen = []
 
-    def both(holes, arcs, first, vertices, corner_classes):
-        got = _outcome(real, holes, arcs, first, vertices, corner_classes)
-        arc_of = {(a.hole, a.side, a.piece): a.index for a in arcs}
-        assert got == _outcome(reference_trace_faces, holes, arcs, arc_of, vertices,
-                               corner_classes)
+    def both(arcs, first, V, corner_classes):
+        got = _outcome(real, arcs, first, V, corner_classes)
+        assert got == _outcome(reference_trace_faces, arcs, V, corner_classes)
         seen.append(got[0])
-        return real(holes, arcs, first, vertices, corner_classes)
+        return real(arcs, first, V, corner_classes)
 
     monkeypatch.setattr(ms, "_domain_faces", both)
     for slots, contact in schemas:
@@ -456,10 +502,11 @@ def _vertex_involution(bc):
     for vid, v in enumerate(bc.vertices):
         if v["kind"] == "corner":
             (h, k) = v["incidences"][0]
-            out[vid] = lookup[("corner", (h, bc.holes[h].sigma_corner[k]))]
+            out[vid] = lookup[("corner", (h, _corner_image(bc.slots[h], k)))]
         else:
             (h, s) = v["incidences"][0]
-            out[vid] = lookup[("midpoint", (h, bc.holes[h].sigma_side[s]))]
+            sigma = fuchsian.sigma_side(bc.slots[h].p, bc.slots[h].case)
+            out[vid] = lookup[("midpoint", (h, sigma[s]))]
     return out
 
 
@@ -477,8 +524,8 @@ def test_s_action_is_involution():
             if bc.vertices[vid]["kind"] == "midpoint":
                 assert img == vid
         # orientation reversal: S(start a) = end(S a), S(end a) = start(S a)
-        for a in bc.arcs:
-            img = bc.arcs[bc.s_action[a.index]]
+        for i, a in enumerate(bc.arcs):
+            img = bc.arcs[bc.s_action[i]]
             assert sv[a.start] == img.end
             assert sv[a.end] == img.start
 
@@ -497,9 +544,9 @@ def test_every_arc_has_one_face():
         bc = ms.assemble(slots, contact)
         # each arc lies on one cycle of one face, and arc_face names that face
         on = sorted((a, fi) for fi, face in enumerate(bc.faces) for cyc in face
-                    for (a, _) in cyc)
+                    for a in cyc)
         assert on == list(enumerate(bc.arc_face))
-        assert [a for a, _ in on] == [a.index for a in bc.arcs]
+        assert len(on) == len(bc.arcs)
 
 
 # -- degrees -------------------------------------------------------------------

@@ -117,18 +117,38 @@ def test_weld_guards_malformed_involution(fault):
         wl.weld(bc)
 
 
-@pytest.mark.parametrize("fault", ["repeat", "forward", "outside", "float", "bool",
-                                   "triple", "list"])
+@pytest.mark.parametrize("fault", ["repeat", "outside", "float", "bool", "tuple",
+                                   "forward", "triple", "list"])
 def test_weld_refuses_each_bad_dart(fault):
-    # each dart must be (a, -1) for an integer arc a walked once, E in all
+    # each entry of a face cycle must be an integer arc walked once, E in
+    # all; a dart in the old (a, -1) form, or any other shape, is refused
     from weldlab.errors import GluingInconsistency
     bc = ms.assemble(*ms.paper_example("5.4")[:2])
     cyc = bc.faces[0][0]
-    a = cyc[1][0]
-    cyc[1] = {"repeat": cyc[0], "forward": (a, +1), "outside": (len(bc.arcs), -1),
-              "float": (float(a), -1), "bool": (True, -1), "triple": (a, -1, 0),
+    a = cyc[1]
+    cyc[1] = {"repeat": cyc[0], "outside": len(bc.arcs), "float": float(a), "bool": True,
+              "tuple": (a, -1), "forward": (a, +1), "triple": (a, -1, 0),
               "list": [a, -1]}[fault]
     with pytest.raises(GluingInconsistency, match="each arc once backward"):
+        wl.weld(bc)
+
+
+@pytest.mark.parametrize("name,fault", [("5.4", "short"), ("5.4", "past"), ("5.4", "negative"),
+                                        ("5.4", "float"), ("5.3", "other")])
+def test_weld_refuses_each_bad_arc_face(name, fault):
+    # arc_face must name, for each arc, the face whose cycle walks it; these
+    # used to escape as IndexError, KeyError or TypeError, or pass silently
+    from weldlab.errors import GluingInconsistency
+    bc = ms.assemble(*ms.paper_example(name)[:2])
+    face = bc.arc_face
+    if fault == "short":
+        face.pop()
+    elif fault == "other":
+        assert bc.face_count() > 1
+        face[0] = (face[0] + 1) % bc.face_count()
+    else:
+        face[0] = {"past": 7, "negative": -1, "float": float(face[0])}[fault]
+    with pytest.raises(GluingInconsistency, match="arc_face"):
         wl.weld(bc)
 
 
@@ -195,20 +215,16 @@ def test_zipped_spheres_everywhere():
 def _corner_links(bc):
     """Pairs of arc-ends meeting at a domain-face corner.
 
-    A dart is (arc, dir); in a ccw face cycle the corner between consecutive
-    darts d1, d2 joins the head end of d1 to the tail end of d2.  Ends are
-    ('s'|'e'); dart (a, +1) has tail 's', head 'e'.
+    A face cycle walks its arcs backward, each from its end 'e' to its start
+    's'; the corner between consecutive arcs a1, a2 joins the start of a1 to
+    the end of a2.
     """
     links = []
     for face in bc.faces:
         for cyc in face:
             k = len(cyc)
             for i in range(k):
-                a1, d1 = cyc[i]
-                a2, d2 = cyc[(i + 1) % k]
-                end1 = "e" if d1 > 0 else "s"
-                end2 = "s" if d2 > 0 else "e"
-                links.append(((a1, end1), (a2, end2)))
+                links.append(((cyc[i], "s"), (cyc[(i + 1) % k], "e")))
     return links
 
 
@@ -221,7 +237,7 @@ def reference_weld_counts(bc):
     """
     S = bc.s_action
     arcs = bc.arcs
-    uf = DictUnionFind([(a.index, end, copy) for a in arcs for end in ("s", "e")
+    uf = DictUnionFind([(a, end, copy) for a in range(len(arcs)) for end in ("s", "e")
                         for copy in (+1, -1)])
     for a in range(len(arcs)):
         uf.union((a, "s", +1), (S[a], "e", -1))
@@ -286,7 +302,7 @@ def reference_zipped_report(bc):
     S = bc.s_action
     arcs = bc.arcs
     pair_of = {a: min(a, S[a]) for a in range(len(arcs))}
-    uf = DictUnionFind([(a.index, end) for a in arcs for end in ("s", "e")])
+    uf = DictUnionFind([(a, end) for a in range(len(arcs)) for end in ("s", "e")])
     for a in range(len(arcs)):
         uf.union((a, "s"), (S[a], "e"))
         uf.union((a, "e"), (S[a], "s"))

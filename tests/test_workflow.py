@@ -85,9 +85,10 @@ def test_package_job_commands_run_from_this_tree(tmp_path):
             if want:
                 assert out.stdout == "" and out.stderr.startswith("weldlab: "), line
             ran += 1
-    # 25 commands in the first block, among them the fixture read by its path
-    # and the merged face of `mate build 5.4`, and then the unwritable --svg
-    assert ran >= 26
+    # 26 commands in the first block, among them the fixture read by its path,
+    # the merged face of `mate build 5.4` and the hole diagram of `mate build
+    # 5.2` beside its Blaschke slots, and then the unwritable --svg
+    assert ran >= 27
 
 
 def test_package_data_holds_every_fixture():
