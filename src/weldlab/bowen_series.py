@@ -502,10 +502,11 @@ class ConjugacyH:
         is the image span of the piece rescaled to 2 pi, x0 its start, ref
         the upstairs angle a pull-back is measured from, up_len its upstairs
         length and a..d the entries of its inverse branch.  For the root
-        lift, alpha is the upstairs start of the piece's image arc (the
-        one-sided value at x0 before it is multiplied by n), span the
-        arc's upstairs length and need = LIFT_MARGIN (|c| + |d|)^2 the
-        distance a target must keep from either end of it."""
+        lift, alpha is the upstairs start of the piece's image arc (its
+        pocket's map at x0, before it is multiplied by n), span the arc's
+        upstairs length and need = LIFT_MARGIN (|c| + |d|)^2 the distance a
+        target must keep from either end of it.  A cut arc's breakpoints are
+        a slice of the sorted offsets, found by bisection, not by a scan."""
         m = self.m
         n = m.preset.n if m.factor else 1
         maps = m.maps
@@ -521,8 +522,8 @@ class ConjugacyH:
         self._tables = []
         for j in range(self.d):
             lo, hi = cut_offs[j], cut_offs[j + 1]
-            inner = [x for x in bp_offs if lo + 1e-12 < x < hi - 1e-12]
-            bounds = [lo] + inner + [hi]
+            i = bisect.bisect_right(bp_offs, lo + 1e-12)
+            bounds = [lo] + bp_offs[i:bisect.bisect_left(bp_offs, hi - 1e-12, i)] + [hi]
             pieces = []
             u_acc = 0.0
             for i in range(len(bounds) - 1):
@@ -531,15 +532,13 @@ class ConjugacyH:
                 # so its midpoint lies inside one pocket's arc by far more
                 # than the rounding of the index arithmetic
                 am = norm_angle(self.base + 0.5 * (x0 + x1))
-                g_inv = inverses[int(norm_angle(am / n) * np / TAU) % np]
-                # eval_circle_one_sided(m, base + x0, +1), keeping its
-                # upstairs value alpha, and eval_circle_one_sided(m, base +
-                # x1, -1), by the index arithmetic of eval_circle_raw_one_sided
-                t0 = norm_angle(self.base + x0) / n
-                alpha = maps[math.floor(t0 * np / TAU + 1e-7) % np].boundary_angle(t0)
+                k = int(norm_angle(am / n) * np / TAU) % np
+                g_inv = inverses[k]
+                # the piece's image runs from alpha, its pocket's map at x0
+                # upstairs, to a1, that map at x1 brought down
+                alpha = maps[k].boundary_angle(norm_angle(self.base + x0) / n)
                 a0 = norm_angle(n * alpha)
-                t1 = norm_angle(self.base + x1) / n
-                a1 = norm_angle(n * maps[math.floor(t1 * np / TAU - 1e-7) % np].boundary_angle(t1))
+                a1 = norm_angle(n * maps[k].boundary_angle(norm_angle(self.base + x1) / n))
                 rise = (a1 - a0) % TAU
                 if len(bounds) == 2:
                     rise = TAU

@@ -97,10 +97,6 @@ class ZipNotSphere(WeldlabError):
     """A zipped component has Euler characteristic different from 2."""
 
 
-class CrosscheckFailed(WeldlabError):
-    """Genus / fixed-point identities disagree."""
-
-
 # -- correspondence --------------------------------------------------------
 
 class OverlapDetected(WeldlabError):

@@ -115,7 +115,8 @@ class BoundaryComplex(NamedTuple):
     A hole is its group slot and is named by the slot index.  A face is a
     list of boundary cycles (several when the boundary graph is
     disconnected); a cycle lists the indices of its arcs, each walked
-    backward.  The hole interiors are not faces here.
+    backward.  Each arc lies on one cycle, so the faces are the one record
+    of which face an arc bounds.  The hole interiors are not faces here.
     """
 
     slots: tuple
@@ -124,7 +125,6 @@ class BoundaryComplex(NamedTuple):
     s_action: list               # indexed by arc: the arc S carries it onto
     vertices: list               # vertex records (dicts)
     faces: list                  # list of faces; each face: list of arc-index cycles
-    arc_face: list               # indexed by arc: the index of its face
     components: int              # connected components of the boundary graph
 
     def face_count(self):
@@ -245,18 +245,13 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
                 s_action[a], s_action[a + 1] = a + 1, a
             else:
                 s_action[a] = f[t]
-    if any(s_action[b] != a or a == b for a, b in enumerate(s_action)):
-        raise InconsistentInvolution("arc involution is not a fixed-point-free involution")
 
-    faces, arc_face, components = _domain_faces(arcs, first, len(vertices),
-                                                corner_classes)
-
-    return BoundaryComplex(slots, contact, arcs, s_action, vertices,
-                           faces, arc_face, components)
+    faces, components = _domain_faces(arcs, first, len(vertices), corner_classes)
+    return BoundaryComplex(slots, contact, arcs, s_action, vertices, faces, components)
 
 
 def _domain_faces(arcs, first, V, corner_classes):
-    """Faces of the multi-domain, each arc's face, and the boundary components.
+    """Faces of the multi-domain and the number of boundary components.
 
     first is assemble's table, one entry per hole, and V the vertex count.
     A domain face walks its arcs backward (face on the left), so it leaves
@@ -289,17 +284,14 @@ def _domain_faces(arcs, first, V, corner_classes):
         uf.union(a.start, a.end)
     ncomp = sum(1 for v, root in enumerate(uf.parent) if v == root)
 
-    # arc_face[a] is the index of a's cycle, and of its face while the
-    # boundary is connected
+    # the cycles of nxt, each entry set to -1 once it is walked
     domain_cycles = []
-    arc_face = [-1] * E
     for a0 in range(E):
         cyc = []
         a = a0
-        while arc_face[a] < 0:
-            arc_face[a] = len(domain_cycles)
+        while nxt[a] >= 0:
             cyc.append(a)
-            a = nxt[a]
+            nxt[a], a = -1, nxt[a]
         if cyc:
             domain_cycles.append(cyc)
 
@@ -320,8 +312,7 @@ def _domain_faces(arcs, first, V, corner_classes):
             raise NonPlanar("disconnected contact graph needs nesting data "
                             "(a component has several domain faces)")
         faces = [[cyc for v in sorted(by_comp) for cyc in by_comp[v]]]
-        arc_face = [0] * E
-    return faces, arc_face, ncomp
+    return faces, ncomp
 
 
 # -- degree accounting -----------------------------------------------------------

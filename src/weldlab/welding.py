@@ -54,9 +54,8 @@ class WeldingGraph(NamedTuple):
 
 
 def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
-    face = bc.arc_face
-    return WeldingGraph(bc.face_count(),
-                        frozenset((face[a], face[b]) for a, b in enumerate(bc.s_action)))
+    """The welding graph of bc, as weld builds it from the face cycles."""
+    return weld(bc).graph
 
 
 # -- welded complex ----------------------------------------------------------------
@@ -71,9 +70,11 @@ class ComponentReport(NamedTuple):
 
 
 class WeldedComplex(NamedTuple):
+    """The double of bc, its components in the order of their least face
+    copy, where (face, -1) comes before (face, +1)."""
+
     bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
     components: tuple        # a ComponentReport per component of the double
-    comp_of_face_copy: dict  # (face, copy) -> component index
     graph: WeldingGraph      # its components are those of the double
 
 
@@ -104,22 +105,17 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
             or any(S[b] != a or b == a for a, b in enumerate(S))):
         raise GluingInconsistency("s_action is not a fixed-point-free involution")
     # one pass over the face cycles: each entry is an arc not walked before,
-    # on the face arc_face names, and then the E arcs are all walked backward
+    # and then the E arcs are all walked backward; face[a] is a's face
     once = "the domain faces do not traverse each arc once backward"
-    face_of = bc.arc_face
-    if len(face_of) != E:
-        raise GluingInconsistency("arc_face does not name one face per arc")
     prev = [-1] * E
-    for fi, face in enumerate(bc.faces):
-        for cyc in face:
+    face = [0] * E
+    for fi, f in enumerate(bc.faces):
+        for cyc in f:
             b = E                # the cycle's last arc, set once the cycle closes
             for a in cyc:
                 if type(a) is not int or not 0 <= a < E or prev[a] != -1:
                     raise GluingInconsistency(once)
-                if type(face_of[a]) is not int or face_of[a] != fi:
-                    raise GluingInconsistency(f"arc_face[{a}] does not name face {fi}")
-                prev[a] = b
-                b = a
+                prev[a], face[a], b = b, fi, a
             if cyc:
                 prev[cyc[0]] = b
     if -1 in prev:
@@ -133,14 +129,19 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
 
     # components: edge e_a joins face(a) in copy + to face(S a) in copy -,
     # the welding-graph edge v_{face(S a)}^- ~ v_{face(a)}^+ of arc S(a), so
-    # the double's components are the graph's (Lemma 4.7)
-    graph = welding_graph(bc)
+    # the double's components are the graph's (Lemma 4.7); comp[2 f + 1] is
+    # the component of face f in copy + and comp[2 f] in copy -, so eta is
+    # x -> x ^ 1 on the face copies x
+    graph = WeldingGraph(len(bc.faces), frozenset((face[a], face[b]) for a, b in enumerate(S)))
     comps = graph.components()
-    comp_of_face_copy = {fc: ci for ci, faces in enumerate(comps) for fc in faces}
+    comp = [0] * (2 * len(bc.faces))
+    for ci, faces in enumerate(comps):
+        for (fi, c) in faces:
+            comp[2 * fi + (c > 0)] = ci
     chi = [sum(2 - len(bc.faces[fi]) for (fi, _) in faces) for faces in comps]
     fix = [0] * len(comps)
     # edge e_a lies on face(a) in copy +, and so does the start of arc a
-    plus = [comp_of_face_copy[(fi, +1)] for fi in bc.arc_face]
+    plus = [comp[2 * fi + 1] for fi in face]
     for ci in plus:
         chi[ci] -= 1
     seen = [False] * E
@@ -156,7 +157,7 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
         if length % 2:     # one vertex through both copies, fixed by eta
             fix[plus[a0]] += 1
         else:              # one vertex per copy, swapped by eta
-            chi[comp_of_face_copy[(bc.arc_face[a0], -1)]] += 1
+            chi[comp[2 * face[a0]]] += 1
 
     # eta carries components to components (the welding graph's edges are
     # symmetric, Lemma 4.6), so one face copy decides invariance (Lemma 4.8)
@@ -167,8 +168,8 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
                                       "orientable surface")
         f0, c0 = faces[0]
         components.append(ComponentReport(ci, tuple(faces), chi[ci], (2 - chi[ci]) // 2,
-                                          comp_of_face_copy[(f0, -c0)] == ci, fix[ci]))
-    return WeldedComplex(bc, tuple(components), comp_of_face_copy, graph)
+                                          comp[(2 * f0 + (c0 > 0)) ^ 1] == ci, fix[ci]))
+    return WeldedComplex(bc, tuple(components), graph)
 
 
 # -- surface report ------------------------------------------------------------------
@@ -205,8 +206,8 @@ def _eta_quotient(wc: WeldedComplex):
     """
     out = []
     for c in wc.components:
-        f0, c0 = c.faces[0]
-        if wc.comp_of_face_copy[(f0, -c0)] < c.index:
+        # an orbit's least face copy is a - copy: this one is a pair's upper
+        if c.faces[0][1] > 0:
             continue
         chi = c.euler_characteristic
         if c.eta_invariant:

@@ -194,6 +194,36 @@ def test_fixture_files_load(capsys):
         assert code == 0, name
 
 
+FIXTURE_DIR = os.path.join(os.path.dirname(weldlab.__file__), "fixtures")
+
+
+@pytest.mark.parametrize("filename", sorted(os.listdir(FIXTURE_DIR)))
+def test_fixture_file_is_its_gallery_schema(filename):
+    # a gallery name builds its schema in code and its fixture file is read
+    # as written, so the two must hold the same document: example_<x>.json
+    # is the gallery name x (5_4 -> 5.4), newton_<n>.json the Newton schema
+    from weldlab.mating_schema import paper_example, schema_to_dict
+    stem = filename.removesuffix(".json")
+    name = {"newton_3": "5.6", "newton_6": "5.6:6"}.get(
+        stem, stem.removeprefix("example_").replace("_", "."))
+    with open(os.path.join(FIXTURE_DIR, filename), encoding="utf-8") as fh:
+        assert json.load(fh) == schema_to_dict(*paper_example(name))
+
+
+@pytest.mark.parametrize("cmd,error", [(("mate", "build"), "DegenerateInput"),
+                                       (("surface", "report"), "DegenerateInput"),
+                                       (("surface", "zip"), "DegenerateInput"),
+                                       (("mate", "report"), "DegreeMismatch")])
+def test_two_unbounded_slots_are_refused(capsys, tmp_path, cmd, error):
+    # assemble and validate_degrees each allow at most one unbounded slot
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"slots": [
+        {"kind": "group", "n": 1, "p": 4, "placement": "unbounded"},
+        {"kind": "group", "n": 3, "p": 1, "placement": "unbounded"}]}))
+    code, out, err = run(capsys, *cmd, str(path))
+    assert (code, out, err) == (1, "", f"weldlab: {error}: at most one unbounded slot\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["corr", "tiling", "--n", "3", "--p", "1", "--len", "-1"],
     ["bs", "orbit", "--n", "1", "--p", "4", "--theta", "1.0", "--steps", "-5"],

@@ -145,7 +145,7 @@ def _global_reads(table):
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_layer_reads_only_defined_globals(layer):
-    # welding used to raise CrosscheckFailed without importing it
+    # a layer once raised an error class it never imported
     module = importlib.import_module(f"weldlab.{layer}")
     with open(module.__file__, encoding="utf-8") as fh:
         table = symtable.symtable(fh.read(), module.__file__, "exec")

@@ -316,10 +316,20 @@ class DictUnionFind:
         return out
 
 
+def arc_faces(bc):
+    """Each arc's face, indexed by arc, read off the face cycles of bc."""
+    face = [None] * len(bc.arcs)
+    for fi, f in enumerate(bc.faces):
+        for cyc in f:
+            for a in cyc:
+                face[a] = fi
+    return face
+
+
 def reference_trace_faces(arcs, V, corner_classes):
     """Faces traced in the rotation system of darts, walking
     phi = sigma^{-1} o alpha over every dart; the hole interiors come out as
-    the forward cycles.  Returns (faces, arc_face, components) as
+    the forward cycles.  Returns (faces, components) as
     mating_schema._domain_faces does."""
     # darts: (arc index, +1 forward / -1 reverse)
     arc_of = {(a.hole, a.side, a.piece): i for i, a in enumerate(arcs)}
@@ -422,14 +432,9 @@ def reference_trace_faces(arcs, V, corner_classes):
         faces = [[cyc for v in sorted(by_comp) for cyc in by_comp[v]]]
     faces = [[[a for (a, _) in cyc] for cyc in face] for face in faces]
 
-    arc_face = {}
-    for fi, face in enumerate(faces):
-        for cyc in face:
-            for a in cyc:
-                arc_face[a] = fi
-    if len(arc_face) != len(arcs):
+    if len({a for face in faces for cyc in face for a in cyc}) != len(arcs):
         raise NonPlanar("some arc belongs to no domain face")
-    return faces, [arc_face[a] for a in range(len(arcs))], ncomp
+    return faces, ncomp
 
 
 def _outcome(fn, *args):
@@ -468,7 +473,7 @@ def _random_contact(rng):
 
 
 def test_arc_permutation_matches_traced_faces(monkeypatch):
-    # faces, arc_face and components (or the NonPlanar message) of the arc
+    # faces and components (or the NonPlanar message) of the arc
     # permutation equal those of the traced rotation system, on the gallery,
     # Newton 3..60, 2,000 random schemas and 3,000 random contact data
     rng = random.Random(20261019)
@@ -542,10 +547,10 @@ def test_every_arc_has_one_face():
     for name in ms.PAPER_EXAMPLES:
         slots, contact, _ = ms.paper_example(name)
         bc = ms.assemble(slots, contact)
-        # each arc lies on one cycle of one face, and arc_face names that face
+        # each arc lies on one cycle of one face, and arc_faces names that face
         on = sorted((a, fi) for fi, face in enumerate(bc.faces) for cyc in face
                     for a in cyc)
-        assert on == list(enumerate(bc.arc_face))
+        assert on == list(enumerate(arc_faces(bc)))
         assert len(on) == len(bc.arcs)
 
 

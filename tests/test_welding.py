@@ -4,8 +4,12 @@ import pytest
 
 import weldlab.mating_schema as ms
 import weldlab.welding as wl
-from test_mating_schema import DictUnionFind
-from weldlab.errors import CrosscheckFailed, ZipNotSphere
+from test_mating_schema import DictUnionFind, arc_faces
+from weldlab.errors import WeldlabError, ZipNotSphere
+
+
+class CrosscheckFailed(WeldlabError):
+    """Genus / fixed-point identities disagree (see genus_crosscheck)."""
 
 
 def surface_of(name):
@@ -133,25 +137,6 @@ def test_weld_refuses_each_bad_dart(fault):
         wl.weld(bc)
 
 
-@pytest.mark.parametrize("name,fault", [("5.4", "short"), ("5.4", "past"), ("5.4", "negative"),
-                                        ("5.4", "float"), ("5.3", "other")])
-def test_weld_refuses_each_bad_arc_face(name, fault):
-    # arc_face must name, for each arc, the face whose cycle walks it; these
-    # used to escape as IndexError, KeyError or TypeError, or pass silently
-    from weldlab.errors import GluingInconsistency
-    bc = ms.assemble(*ms.paper_example(name)[:2])
-    face = bc.arc_face
-    if fault == "short":
-        face.pop()
-    elif fault == "other":
-        assert bc.face_count() > 1
-        face[0] = (face[0] + 1) % bc.face_count()
-    else:
-        face[0] = {"past": 7, "negative": -1, "float": float(face[0])}[fault]
-    with pytest.raises(GluingInconsistency, match="arc_face"):
-        wl.weld(bc)
-
-
 @pytest.mark.parametrize("n", range(3, 11))
 def test_newton_genus_law(n):
     slots, contact = ms.newton_schema(n)
@@ -248,9 +233,10 @@ def reference_weld_counts(bc):
     classes = [frozenset(c) for c in uf.classes().values()]
     fixed = [frozenset((a, e, -c) for (a, e, c) in cls) == cls for cls in classes]
 
+    face = arc_faces(bc)
     uf2 = DictUnionFind([(fi, c) for fi in range(bc.face_count()) for c in (+1, -1)])
     for a in range(len(arcs)):
-        uf2.union((bc.arc_face[a], +1), (bc.arc_face[S[a]], -1))
+        uf2.union((face[a], +1), (face[S[a]], -1))
     comps = {}
     for fi in range(bc.face_count()):
         for c in (+1, -1):
@@ -259,8 +245,8 @@ def reference_weld_counts(bc):
     for faces in sorted(sorted(v) for v in comps.values()):
         # a symbol (a, end, c) lies on face(a) in copy c
         mine = [i for i, cls in enumerate(classes)
-                if any((bc.arc_face[a], c) in faces for (a, _, c) in cls)]
-        out.append((faces, {a for a in range(len(arcs)) if (bc.arc_face[a], +1) in faces},
+                if any((face[a], c) in faces for (a, _, c) in cls)]
+        out.append((faces, {a for a in range(len(arcs)) if (face[a], +1) in faces},
                     len(mine), sum(fixed[i] for i in mine)))
     return len(classes), sum(fixed), out
 
@@ -313,9 +299,10 @@ def reference_zipped_report(bc):
         for sym in cls:
             vertex_of[sym] = vi
 
+    face = arc_faces(bc)
     uf2 = DictUnionFind([("f", fi) for fi in range(bc.face_count())])
     for a in range(len(arcs)):
-        uf2.union(("f", bc.arc_face[a]), ("f", bc.arc_face[S[a]]))
+        uf2.union(("f", face[a]), ("f", face[S[a]]))
     comp_map = {}
     for fi in range(bc.face_count()):
         comp_map.setdefault(uf2.find(("f", fi)), []).append(fi)
@@ -323,9 +310,9 @@ def reference_zipped_report(bc):
     out = []
     for key in sorted(comp_map):
         fis = sorted(comp_map[key])
-        earcs = {pair_of[a] for a in range(len(arcs)) if bc.arc_face[a] in fis}
+        earcs = {pair_of[a] for a in range(len(arcs)) if face[a] in fis}
         verts = {vertex_of[(a, end)] for a in range(len(arcs))
-                 if bc.arc_face[a] in fis for end in ("s", "e")}
+                 if face[a] in fis for end in ("s", "e")}
         F = sum(2 - len(bc.faces[fi]) for fi in fis)
         chi = len(verts) - len(earcs) + F
         if chi != 2:
