@@ -25,7 +25,11 @@ def _emit(doc):
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     if sys.stdout is None:      # file descriptor 1 was closed at start-up
         raise OSError(errno.EBADF, "stdout is closed")
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
+    # json.dumps's encoder, in batches; a closed pipe can cut a write short
+    # unreported, so the newline is a write of its own, which then fails
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 65536)):
+        sys.stdout.write(batch)
     sys.stdout.write("\n")
     sys.stdout.flush()          # inside main's guard, not at exit
 
@@ -171,8 +175,10 @@ def _complex_json(bc):
                   "piece": a.piece, "start": a.start, "end": a.end}
                  for i, a in enumerate(bc.arcs)],
         "involution": {str(a): b for a, b in enumerate(bc.s_action)},
-        "vertices": [{"kind": v["kind"], "incidences": [list(i) for i in v["incidences"]]}
-                     for v in bc.vertices],
+        "vertices": [{"kind": "corner", "incidences": [list(i) for i in cls]}
+                     for cls in bc.corners]
+                    + [{"kind": "midpoint", "incidences": [[a.hole, a.side]]}
+                       for a in bc.arcs if a.piece],
         "components": bc.components,
         "s_fixed_boundary_points": bc.s_fixed_boundary_points(),
         "order2_points": bc.order2_total(),

@@ -4,7 +4,7 @@ A schema is a list of slots (group or Blaschke) plus contact data saying
 which hole corners are identified at singular points, with the ccw rotation
 order of the hole wedges around each singular point.  Assembly produces the
 boundary complex: arcs (hole sides, split at involution-fixed interior
-points), vertex classes, the faces of the multi-domain as the cycles of one
+points), corner classes, the faces of the multi-domain as the cycles of one
 arc permutation, and the arc-level boundary involution.
 
 A hole is its group slot, stored purely combinatorially: the boundary
@@ -110,10 +110,12 @@ class Arc(NamedTuple):
 
 
 class BoundaryComplex(NamedTuple):
-    """Arcs, vertex classes, domain faces and arc involution of a schema.
+    """Arcs, corner classes, domain faces and arc involution of a schema.
 
-    A hole is its group slot and is named by the slot index.  A face is a
-    list of boundary cycles (several when the boundary graph is
+    A hole is its group slot and is named by the slot index.  Vertex ids
+    below C = len(corners) are the corner classes, and C + k is the k-th
+    split side's midpoint, where its piece 0 ends and piece 1 starts.  A face
+    is a list of boundary cycles (several when the boundary graph is
     disconnected); a cycle lists the indices of its arcs, each walked
     backward.  Each arc lies on one cycle, so the faces are the one record
     of which face an arc bounds.  The hole interiors are not faces here.
@@ -123,16 +125,13 @@ class BoundaryComplex(NamedTuple):
     contact: ContactData
     arcs: list                   # Arc
     s_action: list               # indexed by arc: the arc S carries it onto
-    vertices: list               # vertex records (dicts)
+    corners: list                # corner classes: contact classes, then lone corners
     faces: list                  # list of faces; each face: list of arc-index cycles
     components: int              # connected components of the boundary graph
 
-    def face_count(self):
-        return len(self.faces)
-
     def s_fixed_boundary_points(self):
-        """S-fixed points on the desingularized boundary (side-interior only)."""
-        return sum(1 for v in self.vertices if v["kind"] == "midpoint")
+        """S-fixed points on the desingularized boundary: the midpoints."""
+        return sum(1 for a in self.arcs if a.piece == 1)
 
     def order2_total(self):
         """b of Cor 4.14: order-2 orbifold points across the group slots, one
@@ -175,7 +174,7 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
     if not sigma:
         raise DegenerateInput("a schema needs at least one group slot")
 
-    # vertex table: the identification classes, then each unclaimed corner
+    # corner classes: the identification classes, then each unclaimed corner
     # alone, hole by hole; corner_vertex[h][k] is the vertex of corner k.  An
     # incidence that is not a pair of integers (a bool is refused, as
     # schema_from_dict refuses it) raises InvalidArgument.
@@ -214,12 +213,12 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
             named = {i if i < nclasses else ("single", corner_classes[i][0]) for i in images}
             raise InconsistentInvolution(f"class {cls}: images fall in distinct "
                                          f"classes {named}")
-    vertices = [{"kind": "corner", "incidences": cls} for cls in corner_classes]
 
     # arcs: sigma reverses a side it pairs with itself, so that side has one
-    # interior fixed point, where it is split
+    # interior fixed point, where it is split; the midpoint ids follow C
     arcs = []
     first = {}
+    vid = len(corner_classes)
     for h, sig in sigma.items():
         p, ks = len(sig), corner_vertex[h]
         f = first[h] = [len(arcs)] * (p + 2)
@@ -227,9 +226,8 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
             f[s] = len(arcs)
             u, w = ks[s - 1], ks[s % p]
             if sig[s] == s:
-                vid = len(vertices)
-                vertices.append({"kind": "midpoint", "incidences": ((h, s),)})
                 arcs += (Arc(h, s, 0, u, vid), Arc(h, s, 1, vid, w))
+                vid += 1
             else:
                 arcs.append(Arc(h, s, 0, u, w))
         f[p + 1] = len(arcs)
@@ -246,8 +244,8 @@ def assemble(slots, contact: ContactData) -> BoundaryComplex:
             else:
                 s_action[a] = f[t]
 
-    faces, components = _domain_faces(arcs, first, len(vertices), corner_classes)
-    return BoundaryComplex(slots, contact, arcs, s_action, vertices, faces, components)
+    faces, components = _domain_faces(arcs, first, vid, corner_classes)
+    return BoundaryComplex(slots, contact, arcs, s_action, corner_classes, faces, components)
 
 
 def _domain_faces(arcs, first, V, corner_classes):

@@ -610,6 +610,21 @@ def test_h_build_is_linear_in_the_breakpoints():
     assert len(h._tables) == bs.circle_degree(m) == 19999
 
 
+def test_h_builds_where_the_rise_rounds_past_a_fixed_tolerance():
+    # np = 60,000: a cut arc's rises sum to within 5 eps K^2 of 2 pi, past
+    # 1e-6, so a fixed tolerance refused this map; the values still nest
+    h = bs.ConjugacyH(bs.bowen_series_map(3, 20000, factor=True))
+    assert len(h._tables) == h.d == 59999
+    for i in range(24):
+        theta = TAU * (i + 0.5) / 24
+        shallow = h.value(theta, 2)
+        for depth in (3, 12):
+            deep = h.value(theta, depth)
+            assert deep[1] > 0.0
+            assert angle_dist(deep[0], shallow[0]) <= shallow[1] - deep[1] + 1e-12
+            shallow = deep
+
+
 @pytest.mark.parametrize("n,p,case", GRID)
 def test_h_value_matches_piece_reference(n, p, case):
     # bit for bit: seeded angles, the angles 1-5, the cuts and the d-adic

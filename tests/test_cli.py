@@ -400,6 +400,30 @@ def test_surface_pipeline_bytes_pinned(capsys, monkeypatch):
         "d54f9400e7b984099a26c119ce4f6822eb2785c36b4227b60b6b9f800efde787")
 
 
+def test_emit_writes_a_large_document_in_batches(monkeypatch):
+    # the `mate build 5.6:3000` document (2.5 MB) takes more than one write
+    # before its newline, and the writes join to what json.dumps makes of it
+    import argparse
+
+    from weldlab import SCHEMA_VERSION, cli
+    doc = cli.cmd_mate_build(argparse.Namespace(schema="5.6:3000", svg=None))
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    cli._emit(doc)
+    want = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2,
+                      allow_nan=False)
+    assert "".join(writes) == want + "\n"
+    assert len(writes[:-1]) > 1 and writes[-1] == "\n"
+
+
 def test_disconnected_mate_build_bytes_pinned(capsys, tmp_path):
     # two free holes: the merged face lists hole 1's cycle first
     from weldlab import mating_schema as ms
@@ -857,6 +881,18 @@ def test_a_pipe_closed_early_is_one_line():
     # `bs tiles --n 1 --p 4 --rank 6 | head -c 100`: 764 KB, far more than a
     # pipe holds, so the writer is still writing when the reader goes
     proc = _child("-m", "weldlab.cli", "bs", "tiles", "--n", "1", "--p", "4", "--rank", "6",
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == "weldlab: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_a_pipe_closed_between_batches_is_one_line():
+    # `mate build 5.6:3000` is written in several batches: a batch the closed
+    # pipe cuts short is not reported, and the next write fails
+    proc = _child("-m", "weldlab.cli", "mate", "build", "5.6:3000",
                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()

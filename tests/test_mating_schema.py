@@ -22,14 +22,14 @@ def _corner_image(slot, k):
 def _lone_hole(slot):
     """sigma on corners read off the complex of slot's hole alone (S carries
     the start of each side's first arc to the end of its image), and the
-    sides split at a midpoint vertex."""
+    sides split at a midpoint, where a piece 1 starts."""
     bc = ms.assemble((slot,), ms.ContactData(()))
     corner = {}
     for a, arc in enumerate(bc.arcs):
         if arc.piece == 0:
             image = bc.arcs[bc.s_action[a]]
-            corner[arc.side - 1] = bc.vertices[image.end]["incidences"][0][1]
-    split = [v["incidences"][0][1] for v in bc.vertices if v["kind"] == "midpoint"]
+            corner[arc.side - 1] = bc.corners[image.end][0][1]
+    split = [arc.side for arc in bc.arcs if arc.piece == 1]
     return [corner[k] for k in range(slot.p)], split
 
 
@@ -129,7 +129,7 @@ def test_assemble_builds_no_group(monkeypatch):
 
     monkeypatch.setattr(fuchsian, "build_group", refuse)
     bc = ms.assemble(*ms.newton_schema(8))
-    assert bc.face_count() == 1
+    assert len(bc.faces) == 1
 
 
 def test_assemble_checks_each_slot_once_first_failure_first(monkeypatch):
@@ -200,7 +200,7 @@ def test_swapped_pair_pinch_is_consistent_but_changes_topology():
     slots = (ms.group_slot(1, 4, unbounded=True),)
     contact = ms.ContactData((((0, 1), (0, 3)),))
     bc = ms.assemble(slots, contact)
-    assert bc.face_count() == 2
+    assert len(bc.faces) == 2
 
 
 # -- assembly of the gallery -----------------------------------------------------
@@ -210,7 +210,7 @@ def test_example_faces():
     for name, faces in want.items():
         slots, contact, _ = ms.paper_example(name)
         bc = ms.assemble(slots, contact)
-        assert bc.face_count() == faces, name
+        assert len(bc.faces) == faces, name
 
 
 def test_example_5_4_annulus():
@@ -229,7 +229,7 @@ def test_newton_wedge():
     for n in (3, 6):
         slots, contact = ms.newton_schema(n)
         bc = ms.assemble(slots, contact)
-        assert bc.face_count() == 1
+        assert len(bc.faces) == 1
         assert len(bc.faces[0]) == 1
     with pytest.raises(DegenerateInput):
         ms.newton_schema(2)
@@ -498,20 +498,17 @@ def test_arc_permutation_matches_traced_faces(monkeypatch):
 
 
 def _vertex_involution(bc):
-    """S on vertex classes, from the per-hole corner/side involutions."""
-    lookup = {}
-    for vid, v in enumerate(bc.vertices):
-        for inc in v["incidences"]:
-            lookup[(v["kind"], inc)] = vid
+    """S on vertex ids, from the per-hole corner/side involutions: a corner
+    class by its incidences, a midpoint by the split side whose piece 1
+    starts there."""
+    corner = {inc: vid for vid, cls in enumerate(bc.corners) for inc in cls}
+    midpoint = {(a.hole, a.side): a.start for a in bc.arcs if a.piece == 1}
     out = {}
-    for vid, v in enumerate(bc.vertices):
-        if v["kind"] == "corner":
-            (h, k) = v["incidences"][0]
-            out[vid] = lookup[("corner", (h, _corner_image(bc.slots[h], k)))]
-        else:
-            (h, s) = v["incidences"][0]
-            sigma = fuchsian.sigma_side(bc.slots[h].p, bc.slots[h].case)
-            out[vid] = lookup[("midpoint", (h, sigma[s]))]
+    for vid, ((h, k), *_) in enumerate(bc.corners):
+        out[vid] = corner[(h, _corner_image(bc.slots[h], k))]
+    for (h, s), vid in midpoint.items():
+        sigma = fuchsian.sigma_side(bc.slots[h].p, bc.slots[h].case)
+        out[vid] = midpoint[(h, sigma[s])]
     return out
 
 
@@ -526,7 +523,7 @@ def test_s_action_is_involution():
         # involution on vertices, fixing exactly the midpoints among them
         for vid, img in sv.items():
             assert sv[img] == vid
-            if bc.vertices[vid]["kind"] == "midpoint":
+            if vid >= len(bc.corners):
                 assert img == vid
         # orientation reversal: S(start a) = end(S a), S(end a) = start(S a)
         for i, a in enumerate(bc.arcs):
@@ -541,6 +538,30 @@ def test_fixed_point_counts_match_order2():
         slots, contact, _ = ms.paper_example(name)
         bc = ms.assemble(slots, contact)
         assert bc.s_fixed_boundary_points() == bc.order2_total()
+
+
+def test_vertex_numbering():
+    # ids below C are the corner classes, the contact classes as tuples and
+    # then each lone corner hole by hole; id C + k is the midpoint where the
+    # k-th piece 1 starts and the piece 0 before it ends
+    rng = random.Random(7)
+    schemas = [ms.paper_example(name)[:2] for name in ms.PAPER_EXAMPLES]
+    schemas += [ms.random_schema(rng) for _ in range(600)]
+    for slots, contact in schemas:
+        bc = ms.assemble(slots, contact)
+        claimed = {inc for cls in contact.classes for inc in cls}
+        lone = [((h, k),) for h, s in enumerate(slots) if s.kind == "group"
+                for k in range(s.p) if (h, k) not in claimed]
+        assert bc.corners == [tuple(cls) for cls in contact.classes] + lone
+        C = len(bc.corners)
+        split = [a for a, arc in enumerate(bc.arcs) if arc.piece == 1]
+        for k, a in enumerate(split):
+            hole, side = bc.arcs[a][:2]
+            assert bc.arcs[a - 1][:3] == (hole, side, 0)
+            assert bc.arcs[a].start == bc.arcs[a - 1].end == C + k
+        ends = {v for arc in bc.arcs for v in (arc.start, arc.end)}
+        assert ends == set(range(C + len(split)))
+        assert bc.s_fixed_boundary_points() == len(split) == bc.order2_total()
 
 
 def test_every_arc_has_one_face():
@@ -623,7 +644,7 @@ def test_schema_round_trip(tmp_path):
     assert contact2.classes == contact.classes
     bc1 = ms.assemble(slots, contact)
     bc2 = ms.assemble(slots2, contact2)
-    assert bc1.face_count() == bc2.face_count()
+    assert len(bc1.faces) == len(bc2.faces)
 
 
 def test_random_schemas_assemble():
@@ -632,4 +653,4 @@ def test_random_schemas_assemble():
     for _ in range(60):
         slots, contact = ms.random_schema(rng)
         bc = ms.assemble(slots, contact)
-        assert bc.face_count() >= 1
+        assert len(bc.faces) >= 1

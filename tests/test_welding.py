@@ -234,11 +234,11 @@ def reference_weld_counts(bc):
     fixed = [frozenset((a, e, -c) for (a, e, c) in cls) == cls for cls in classes]
 
     face = arc_faces(bc)
-    uf2 = DictUnionFind([(fi, c) for fi in range(bc.face_count()) for c in (+1, -1)])
+    uf2 = DictUnionFind([(fi, c) for fi in range(len(bc.faces)) for c in (+1, -1)])
     for a in range(len(arcs)):
         uf2.union((face[a], +1), (face[S[a]], -1))
     comps = {}
-    for fi in range(bc.face_count()):
+    for fi in range(len(bc.faces)):
         for c in (+1, -1):
             comps.setdefault(uf2.find((fi, c)), []).append((fi, c))
     out = []
@@ -300,11 +300,11 @@ def reference_zipped_report(bc):
             vertex_of[sym] = vi
 
     face = arc_faces(bc)
-    uf2 = DictUnionFind([("f", fi) for fi in range(bc.face_count())])
+    uf2 = DictUnionFind([("f", fi) for fi in range(len(bc.faces))])
     for a in range(len(arcs)):
         uf2.union(("f", face[a]), ("f", face[S[a]]))
     comp_map = {}
-    for fi in range(bc.face_count()):
+    for fi in range(len(bc.faces)):
         comp_map.setdefault(uf2.find(("f", fi)), []).append(fi)
 
     out = []
@@ -391,7 +391,7 @@ def euler_additivity_check(wc):
     classes of the domain boundary open up into several vertices of Sigma.
     """
     bc = wc.bc
-    V_b = len(bc.vertices)
+    V_b = len(bc.corners) + sum(1 for a in bc.arcs if a.piece == 1)
     E_b = len(bc.arcs)
     chi_domain_closed = V_b - E_b + sum(2 - len(f) for f in bc.faces)
     chi_sigma = sum(c.euler_characteristic for c in wc.components)

@@ -85,11 +85,12 @@ def test_package_job_commands_run_from_this_tree(tmp_path):
             if want:
                 assert out.stdout == "" and out.stderr.startswith("weldlab: "), line
             ran += 1
-    # 27 commands in the first block, among them the fixture read by its path,
+    # 29 commands in the first block, among them the fixture read by its path,
     # the merged face of `mate build 5.4`, the hole diagram of `mate build
-    # 5.2` beside its Blaschke slots and the degree-19,999 conjugacy, and then
-    # the unwritable --svg
-    assert ran >= 28
+    # 5.2` beside its Blaschke slots, the 16 MB `mate build 5.6:20000` written
+    # in several batches and the degree-19,999 and 59,999 conjugacies, and
+    # then the unwritable --svg
+    assert ran >= 30
 
 
 def test_package_data_holds_every_fixture():
