@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import itertools
 import math
 import operator
@@ -68,8 +67,8 @@ def _pocket_index(m: BowenSeriesMap, theta: float) -> int:
 
     The arcs are the uniform partition at multiples of 2 pi/(np), so the
     pocket is found by index arithmetic: only the indexed arc and its two
-    neighbours can hold theta, and they are tested in index order.  An
-    infinite theta raises InvalidArgument; a NaN lies in no arc.
+    neighbours can hold theta, and at most one does.  An infinite theta
+    raises InvalidArgument; a NaN lies in no arc.
     """
     if math.isinf(theta):
         raise InvalidArgument(f"theta must be finite, not {theta!r}")
@@ -77,7 +76,7 @@ def _pocket_index(m: BowenSeriesMap, theta: float) -> int:
     if t == t:                  # a NaN lies in no arc
         k = len(m.maps)
         i = int(t * k / TAU) % k
-        for j in sorted({(i - 1) % k, i, (i + 1) % k}):
+        for j in ((i - 1) % k, i, (i + 1) % k):
             lo, hi = _arc(j, k)
             if angle_in_open_arc(t, lo, hi):
                 if ccw_span(lo, t) < BREAK_TOL or ccw_span(t, hi) < BREAK_TOL:
@@ -232,8 +231,7 @@ def _arc_spans(m: BowenSeriesMap):
 def count_preimages(m: BowenSeriesMap, target: float) -> int:
     """Number of circle preimages of a generic target angle."""
     _check_theta(target)
-    n = m.preset.n if m.factor else 1
-    return _preimage_counts(m, _sorted_lifts((norm_angle(target),), n))[0]
+    return _preimage_counts(m, (norm_angle(target),))[0]
 
 
 #: angles at which circle_degree counts preimages; every count must agree
@@ -242,27 +240,11 @@ DEGREE_SAMPLES = 20
 
 def circle_degree(m: BowenSeriesMap) -> int:
     """Covering degree via preimage counting at DEGREE_SAMPLES generic angles."""
-    n = m.preset.n if m.factor else 1
-    counts = set(_preimage_counts(m, _degree_lifts(n)))
+    counts = set(_preimage_counts(m, [norm_angle(TAU * (i + 0.318309886) / DEGREE_SAMPLES)
+                                      for i in range(DEGREE_SAMPLES)]))
     if len(counts) != 1:
         raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
     return counts.pop()
-
-
-def _sorted_lifts(ys, n: int):
-    """(ts, owners, count): the n-th root lifts y/n + 2 pi k/n of the angles
-    ys in [0, 2 pi), normalised and sorted, each with the index of its y."""
-    lifts = sorted((norm_angle(y / n + TAU * k / n), i)
-                   for k in range(n) for i, y in enumerate(ys))
-    return tuple(t for t, _ in lifts), tuple(i for _, i in lifts), len(ys)
-
-
-@functools.lru_cache(maxsize=16)
-def _degree_lifts(n: int):
-    """_sorted_lifts of the DEGREE_SAMPLES angles, kept for the 16 n used
-    last; their offset avoids breakpoints."""
-    return _sorted_lifts([norm_angle(TAU * (i + 0.318309886) / DEGREE_SAMPLES)
-                          for i in range(DEGREE_SAMPLES)], n)
 
 
 #: the miss window of a pocket is the complement of its arc image widened
@@ -270,33 +252,35 @@ def _degree_lifts(n: int):
 MISS_MARGIN = 1e-9
 
 
-def _preimage_counts(m: BowenSeriesMap, lifts):
-    """count_preimages of each angle the _sorted_lifts were made from.
+def _preimage_counts(m: BowenSeriesMap, ys):
+    """count_preimages of each of the S evenly spaced angles ys in [0, 2 pi).
 
-    A preimage upstairs is a lift t inside the open image arc (a, a + span)
-    of a pocket (_arc_spans); the count divides the hits by the n-fold
-    redundancy of z -> z^n (n = 1 when unfactored).  Each image arc covers
-    all of the circle but about 2 pi/np, so the misses are counted: a
-    bisection of the sorted lifts finds those in the closed complement
-    [a + span, a + 2 pi] widened by MISS_MARGIN, with wrap-around, and only
-    they get the exact test.  Any other lift lies more than MISS_MARGIN
-    inside the open arc, so the exact test would count it a hit.
+    A preimage upstairs is a lift y_i/n + 2 pi k/n inside the open image arc
+    (a, a + span) of a pocket (_arc_spans); the count divides the hits by the
+    n-fold redundancy of z -> z^n (n = 1 when unfactored).  The lifts are an
+    arithmetic progression: lift j = i + S k lies at ys[0]/n + 2 pi j/(S n).
+    Each image arc covers all of the circle but about 2 pi/np, so the misses
+    are counted: the lifts in the closed complement [a + span, a + 2 pi]
+    widened by MISS_MARGIN are the j from a ceil to a floor, at most one turn
+    of them, and only they get the exact test.  Any other lift lies more than
+    MISS_MARGIN inside the open arc, so the exact test would count it a hit.
     """
-    ts, owners, count = lifts
-    n = len(ts) // count
+    n = m.preset.n if m.factor else 1
+    turn = len(ys) * n
+    step, base = TAU / turn, ys[0] / n
     spans = _arc_spans(m)
-    misses = [0] * count
+    misses = [0] * len(ys)
     for a, span in spans:
         lo = (a + span - MISS_MARGIN) % TAU
         hi = lo + (TAU - span) + 2.0 * MISS_MARGIN
-        i = bisect.bisect_left(ts, lo)
-        wrap = min(bisect.bisect_right(ts, hi - TAU), i)    # past 2 pi, not twice
-        for j in itertools.chain(range(i, bisect.bisect_right(ts, hi)), range(wrap)):
-            s = ts[j] - a
+        first = math.ceil((lo - base) / step)
+        for j in range(first, min(math.floor((hi - base) / step), first + turn - 1) + 1):
+            k, i = divmod(j, len(ys))
+            s = norm_angle(ys[i] / n + TAU * (k % n) / n) - a
             if s <= 0.0:
                 s += TAU
             if not 0.0 < s < span:
-                misses[owners[j]] += 1
+                misses[i] += 1
     out = []
     for miss in misses:
         total = n * len(spans) - miss
@@ -400,8 +384,11 @@ def _marked_fixed_angle(preset: GroupPreset, maps: tuple) -> float:
 #: times at the scale of 2 pi and the inverse branches contract the error
 #: carried in, so the midpoint is off by a few ulps of 2 pi: at most 3.0e-15
 #: against a 40-digit replay of the same pull-backs, on every preset at
-#: depths 12, 30 and 60.  A constant floor keeps the radius non-increasing
-#: in depth, so the reported arcs stay nested.
+#: depths 12, 30 and 60.  Arcs at two depths need not nest: on (5, 6)
+#: factored at theta = 5.449952039984563, depth 12's arc is not inside depth
+#: 8's (midpoints 8.97e-14 apart, radii 9.06e-14 and 1.42e-14); on (3, 5000)
+#: factored at theta = 1.9905130152348351 the radius is 1.42e-14 at depth 3
+#: and 3.13e-13 at depth 4, and depth 6's midpoint is 7.9e-13 from depth 3's.
 RADIUS_FLOOR = 16 * math.ulp(TAU)
 
 #: least distance by which every other root lift misses a piece when
@@ -636,11 +623,12 @@ class ConjugacyH:
     def value(self, theta: float, depth: int):
         """h(theta) as (angle, radius): midpoint and half-width of the arc.
 
-        The radius never drops below RADIUS_FLOOR, the rounding error of the
-        midpoint, so it stays honest once the arc collapses in double
-        precision; only h(0) = marked angle is exact and has radius 0.  A
-        depth that is not an integer or a theta that is not finite raises
-        InvalidArgument, a depth above MAX_DEPTH RankLimit.
+        The radius never drops below RADIUS_FLOOR, the midpoint's rounding
+        error as measured on the legal grid, and is that floor once the arc
+        collapses, where it can understate the error (see RADIUS_FLOOR).
+        Only h(0) = marked angle is exact and has radius 0.  A depth that is
+        not an integer or a theta that is not finite raises InvalidArgument,
+        a depth above MAX_DEPTH RankLimit.
         """
         depth = as_count(depth, "depth")
         if depth < 1:

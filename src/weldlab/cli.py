@@ -63,7 +63,7 @@ def _load_schema_arg(path):
         raise UsageError(f"file not found: {path}")
     try:
         return ms.load_schema(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # too deeply nested
         raise UsageError(f"cannot read schema {path}: {exc}") from exc
 
 

@@ -281,10 +281,10 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     compared: a letter starts a syllable unless its factor is the last
     letter's, and the last letter extends its run up to its bound.  word[-1]
     is the letter applied last.  Returns (word, element) pairs by length, ties
-    broken lexicographically in the letter names.  A length that is not an
-    integer raises InvalidArgument, and a negative one, one above
-    MAX_WORD_LENGTH or a ball of more than TILE_BUDGET elements RankLimit,
-    before any word is built.
+    broken lexicographically in the letter names, as they are built: letters
+    are tried in name order.  A length that is not an integer raises
+    InvalidArgument, and a negative one, one above MAX_WORD_LENGTH or a ball
+    of more than TILE_BUDGET elements RankLimit, before any word is built.
     """
     max_word_length = as_count(max_word_length, "word length")
     if max_word_length < 0:
@@ -295,9 +295,9 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     if count > TILE_BUDGET:
         raise RankLimit(f"word length {max_word_length} gives {count} tiles, "
                         f"more than the budget of {TILE_BUDGET}")
-    letters = [(i, name, gen, run)
-               for i, factor in enumerate(_free_factors(preset))
-               for name, gen, run, _ in factor]
+    letters = sorted(((i, name, gen, run)
+                      for i, factor in enumerate(_free_factors(preset))
+                      for name, gen, run, _ in factor), key=lambda letter: letter[1])
     ident = MobiusMap.identity()
     accepted = [((), ident)]
     frontier = [((), ident, None, 0)]   # word, element, last factor, its run
@@ -315,7 +315,7 @@ def group_elements(preset: GroupPreset, max_word_length: int):
                 accepted.append(entry)
                 nxt.append(entry + (i, k))
         frontier = nxt
-    return sorted(accepted, key=lambda e: (len(e[0]), e[0]))
+    return accepted
 
 
 def _word_returns(preset: GroupPreset, elems, samples):

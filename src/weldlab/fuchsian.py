@@ -184,11 +184,10 @@ def side_pairing_check(preset: GroupPreset):
     any residual exceeds PAIRING_TOL.
     """
     worst = 0.0
-    for (r, s) in preset.all_side_labels():
-        g = preset.generator(r, s)
-        src = preset.side(r, s)
-        dst = preset.side(r, preset.sigma[s])
-        i1, i2 = (g(e) for e in src.endpoints)
+    for k, (r, s) in enumerate(preset.all_side_labels()):    # side k, in range
+        g = preset._sector_pairing(r, s)
+        dst = preset.sides[preset.side_index(r, preset.sigma[s])]
+        i1, i2 = (g(e) for e in preset.sides[k].endpoints)
         w1, w2 = dst.endpoints
         worst = max(worst, min(max(abs(i1 - w1), abs(i2 - w2)),
                                max(abs(i1 - w2), abs(i2 - w1))))

@@ -481,6 +481,13 @@ def _incidence(inc) -> tuple:
     return _corner_index(inc[0]), _corner_index(inc[1])
 
 
+def _json_count(v, name: str) -> int:
+    """as_count, but JSON's true and false are no integers."""
+    if isinstance(v, bool):
+        raise InvalidArgument(f"{name} must be an integer, not {v!r}")
+    return as_count(v, name)
+
+
 def _unbounded(slot_doc) -> bool:
     """A slot's placement: "unbounded", or "bounded" where it is absent."""
     placement = slot_doc.get("placement", "bounded")
@@ -496,9 +503,9 @@ def schema_from_dict(d):
     A document of the wrong shape raises DegenerateInput, and so do a
     placement other than "bounded" or "unbounded" (absent means bounded) and
     an unbounded Blaschke slot.  A slot count (n, p, degree) that is no
-    integer raises InvalidArgument.  A corner index must be a JSON integer: a
-    number or string of any other kind raises ValueError, a usage error, and
-    so does a boolean.
+    JSON integer (true and false included) raises InvalidArgument.  A corner
+    index must be a JSON integer: a number or string of any other kind
+    raises ValueError, a usage error, and so does a boolean.
     """
     if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
         raise DegenerateInput("schema document needs a 'slots' array")
@@ -507,10 +514,10 @@ def schema_from_dict(d):
         kind = s.get("kind") if isinstance(s, dict) else None
         try:
             if kind == "group":
-                slots.append(group_slot(as_count(s["n"], "n"), as_count(s["p"], "p"),
+                slots.append(group_slot(_json_count(s["n"], "n"), _json_count(s["p"], "p"),
                                         s.get("case", CASE_I), _unbounded(s)))
             elif kind == "blaschke":
-                slot = Slot("blaschke", degree=as_count(s["degree"], "degree"),
+                slot = Slot("blaschke", degree=_json_count(s["degree"], "degree"),
                             unbounded=_unbounded(s))
                 slot.validate()
                 slots.append(slot)

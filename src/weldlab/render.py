@@ -199,6 +199,6 @@ def welding_graph_scene(graph):
     edge = style(stroke="#555555", width=1.2)
     for (a, b) in sorted(graph.edges):
         yield polyline([pos[(a, -1)], pos[(b, +1)]], edge)
-    for v, z in sorted(pos.items()):
+    for v, z in pos.items():                # (i, -1), (i, +1) as i rises
         lab = f"v{v[0]}{'+' if v[1] > 0 else '-'}"
         yield dot(z, style(fill="#1f77b4" if v[1] > 0 else "#d62728"), label=lab)

@@ -43,14 +43,14 @@ class WeldingGraph(NamedTuple):
         return [(i, sgn) for i in range(self.num_faces) for sgn in (-1, +1)]
 
     def components(self):
-        # v_i^- is 2i and v_i^+ is 2i + 1
+        # v_i^- is 2i and v_i^+ is 2i + 1; a component enters at its least x
         uf = _UnionFind(2 * self.num_faces)
         for (a, b) in self.edges:
             uf.union(2 * a, 2 * b + 1)
         comps = {}
         for x in range(2 * self.num_faces):
             comps.setdefault(uf.find(x), []).append((x >> 1, 1 if x & 1 else -1))
-        return sorted(comps.values())
+        return list(comps.values())
 
 
 def welding_graph(bc: BoundaryComplex) -> WeldingGraph:

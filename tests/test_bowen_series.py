@@ -250,6 +250,31 @@ def test_lookups_match_scan_references():
     assert all(bs.circle_degree(m) == m.degree for m in all_maps())
 
 
+def crushed_arc_maps():
+    """The conjugacy maps with pocket 0's pairing replaced by the translation
+    z -> (z + r)/(1 + rz), r = 1 - 1e-12, which crushes the arc's image to a
+    span of about 1e-12: the miss window is then longer than the circle."""
+    r = 1.0 - 1e-12
+    crush = MobiusMap.from_entries(1.0, r, r, 1.0)
+    return [m._replace(maps=(crush,) + m.maps[1:]) for m in conjugacy_maps()]
+
+
+def test_crushed_arc_counts_match_references():
+    # each lift is tested once, though the window wraps past a full turn
+    for m in crushed_arc_maps():
+        k = len(m.maps)
+        images = [bs._arc_image(m, j) for j in range(k)]
+        assert ccw_span(*images[0]) < 1e-11
+        ends = [t for image in images for t in image]
+        rng = random.Random(k)
+        thetas = ([rng.uniform(0.0, TAU) for _ in range(20)] + ends
+                  + [math.nextafter(t, d) for t in images[0] for d in (0.0, TAU)])
+        for theta in thetas:
+            assert _outcome(bs.count_preimages, m, theta) == \
+                _outcome(reference_count_preimages, m, theta, images), (m.name, theta)
+        assert _outcome(bs.circle_degree, m) == _outcome(reference_circle_degree, m)
+
+
 # -- disk action --------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", all_maps(), ids=lambda m: m.name)

@@ -616,6 +616,34 @@ def test_non_integer_corner_is_a_usage_error(capsys, tmp_path, corners):
     assert (code, out) == (2, "") and "corner index must be an integer" in err
 
 
+@pytest.mark.parametrize("slot,name", [
+    # true and false are no JSON integers; Python reads them as 1 and 0
+    ({"kind": "group", "n": True, "p": 4}, "n"),
+    ({"kind": "group", "n": 3, "p": False}, "p"),
+    ({"kind": "blaschke", "degree": True}, "degree"),
+])
+@pytest.mark.parametrize("cmd", [("surface", "report"), ("mate", "build")])
+def test_boolean_slot_count_is_invalid(capsys, tmp_path, slot, name, cmd):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"slots": [_GROUP_SLOT, slot]}))
+    code, out, err = run(capsys, *cmd, str(path))
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith(f"weldlab: InvalidArgument: {name} must be an integer")
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"slots": ' + "[" * 5_000 + "]" * 5_000 + "}",
+], ids=["bare", "in-slots"])
+def test_deeply_nested_schema_is_a_usage_error(capsys, tmp_path, text):
+    # json.load raised a raw RecursionError here
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "surface", "report", str(path))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("weldlab: usage error: cannot read schema ")
+
+
 def test_bad_newton_name_is_a_bad_schema_name(capsys):
     code, _, err = run(capsys, "surface", "report", "no-such-schema")
     assert code == 2

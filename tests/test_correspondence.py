@@ -497,6 +497,21 @@ def test_group_elements_match_quadratic_reference(n, p, case, length):
     assert all(g.dist(h) == 0 for (_, g), (_, h) in zip(got, want))
 
 
+@pytest.mark.parametrize("n,p,case", [(1, 20, CASE_I), (3, 21, CASE_I), (1, 18, CASE_II),
+                                      (1, 20, CASE_II)])
+def test_group_elements_shortlex_with_two_digit_names(n, p, case):
+    # names sort as strings, g1' < g10 < g2: the levels are built in that
+    # order, with no sort after them
+    preset = build_group(n, p, case)
+    words = [w for w, _ in co.group_elements(preset, 3)]
+    assert ("g10",) in words and ("g2",) in words
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    got = co.group_elements(preset, 2)
+    want = quadratic_group_elements(preset, 2)
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert all(g.dist(h) == 0 for (_, g), (_, h) in zip(got, want))
+
+
 @pytest.mark.parametrize("n,p", sorted(FREE_PRODUCT_BALL_3))
 def test_group_elements_free_product_ball(n, p):
     preset = build_group(n, p)

@@ -179,6 +179,18 @@ def test_lemma_4_7_component_bijection():
         assert len(g.components()) == len(wc.components)
 
 
+def test_components_come_in_least_face_copy_order():
+    # each component lists its copies as they rise, (f, -1) before (f, +1),
+    # and the components come in the order of their least copy
+    schemas = [ms.paper_example(name)[:2] for name in ms.PAPER_EXAMPLES]
+    rng = random.Random(7)
+    schemas += [ms.random_schema(rng) for _ in range(600)]
+    for slots, contact in schemas:
+        comps = wl.welding_graph(ms.assemble(slots, contact)).components()
+        assert all(c == sorted(c) for c in comps)
+        assert comps == sorted(comps)
+
+
 def test_lemma_4_8_four_way():
     for bc in fixtures_and_sweep():
         wc = wl.weld(bc)
