@@ -240,8 +240,9 @@ DEGREE_SAMPLES = 20
 
 def circle_degree(m: BowenSeriesMap) -> int:
     """Covering degree via preimage counting at DEGREE_SAMPLES generic angles."""
-    counts = set(_preimage_counts(m, [norm_angle(TAU * (i + 0.318309886) / DEGREE_SAMPLES)
-                                      for i in range(DEGREE_SAMPLES)]))
+    # evenly spaced, offset from 0 to avoid breakpoints
+    ys = [norm_angle(TAU * (i + 0.318309886) / DEGREE_SAMPLES) for i in range(DEGREE_SAMPLES)]
+    counts = set(_preimage_counts(m, ys))
     if len(counts) != 1:
         raise InconsistentDegree(f"preimage counts disagree: {sorted(counts)}")
     return counts.pop()

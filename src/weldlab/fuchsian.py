@@ -184,10 +184,10 @@ def side_pairing_check(preset: GroupPreset):
     any residual exceeds PAIRING_TOL.
     """
     worst = 0.0
-    for k, (r, s) in enumerate(preset.all_side_labels()):    # side k, in range
+    for (r, s), src in zip(preset.all_side_labels(), preset.sides):   # labels in range
         g = preset._sector_pairing(r, s)
         dst = preset.sides[preset.side_index(r, preset.sigma[s])]
-        i1, i2 = (g(e) for e in preset.sides[k].endpoints)
+        i1, i2 = (g(e) for e in src.endpoints)
         w1, w2 = dst.endpoints
         worst = max(worst, min(max(abs(i1 - w1), abs(i2 - w2)),
                                max(abs(i1 - w2), abs(i2 - w1))))

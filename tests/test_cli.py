@@ -636,7 +636,7 @@ def test_boolean_slot_count_is_invalid(capsys, tmp_path, slot, name, cmd):
     '{"slots": ' + "[" * 5_000 + "]" * 5_000 + "}",
 ], ids=["bare", "in-slots"])
 def test_deeply_nested_schema_is_a_usage_error(capsys, tmp_path, text):
-    # json.load raised a raw RecursionError here
+    # json.load raises RecursionError past its nesting limit
     path = tmp_path / "deep.json"
     path.write_text(text)
     code, out, err = run(capsys, "surface", "report", str(path))
