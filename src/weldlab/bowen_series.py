@@ -20,7 +20,7 @@ from . import MAX_DEPTH
 from .errors import (AtBreakpoint, DegenerateInput, DepthTooSmall, InconsistentDegree,
                      InvalidArgument, MarkovViolation, OutsideDomain, RankLimit, as_count)
 from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group
-from .hyperbolic import TAU, MobiusMap, angle_in_open_arc, ccw_span, norm_angle
+from .hyperbolic import TAU, angle_in_open_arc, ccw_span, norm_angle
 
 BREAK_TOL = 1e-12
 
@@ -52,7 +52,7 @@ def bowen_series_from_preset(preset: GroupPreset, factor: bool = False) -> Bowen
     if factor and preset.n < 3:
         raise OutsideDomain("factor map needs n >= 3")
     maps = tuple(preset._sector_pairing(r, s) for r, s in preset.all_side_labels())
-    return BowenSeriesMap(preset, maps, factor, _marked_fixed_angle(preset, maps))
+    return BowenSeriesMap(preset, maps, factor, _marked_fixed_angle(preset))
 
 
 def _arc(k: int, np: int) -> tuple:
@@ -343,42 +343,22 @@ def markov_partition(m: BowenSeriesMap) -> MarkovPartition:
 
 # -- topological conjugacy with z^d ------------------------------------------
 
-#: fixed-point roots closer than this to an arc end are the two halves of a
-#: parabolic vertex's double root, split by rounding to about sqrt(eps)
-ROOT_END_TOL = 1e-6
-
-
-def _boundary_fixed_points(g: MobiusMap):
-    """Unit-circle roots of c z^2 + (d - a) z - b = 0, the fixed points of g.
-
-    g is a side pairing, which moves the disk's centre, so c != 0.
-    """
-    lin = g.d - g.a
-    root = cmath.sqrt(lin * lin + 4.0 * g.b * g.c)
-    if abs(lin - root) > abs(lin + root):
-        root = -root              # no cancellation in q
-    q = -0.5 * (lin + root)
-    return [z for z in (q / g.c, -g.b / q) if abs(abs(z) - 1.0) < 1e-9]
-
-
-def _marked_fixed_angle(preset: GroupPreset, maps: tuple) -> float:
+def _marked_fixed_angle(preset: GroupPreset) -> float:
     """The normalising fixed angle: 0 in Case I, and in Case II (n = 1) the
-    least fixed angle of the circle map, which lies in arc 2.
+    least fixed angle of the circle map, h + phi with h = pi/p.
 
-    On arc k the map is the pairing g_k.  Side 1 is self-paired, and its
-    order-2 pairing fixes no boundary point, so arc 1 holds no fixed angle.
-    No vertex is fixed either: from both sides the map sends vertex v to
-    1 - v mod p, which fixes v only if 2v = 1 mod p, and p is even.  So the
-    least fixed angle is the least root of g_2(z) = z inside arc 2.
+    Side 1's pairing has order 2 and fixes no boundary point, and no vertex
+    is fixed for even p (the map sends vertex v to 1 - v mod p), so this is
+    the least fixed point of g_2, reflection in C_{1,2} then in the axis
+    through e^{ih}: an end h +- phi of their common perpendicular, whose
+    circle (centre e^{ih}/cos phi, radius tan phi) is orthogonal to C_{1,2}
+    iff cos phi = cos 2h/cos h (Beardon, The Geometry of Discrete Groups,
+    section 7), that is sin^2(phi/2) = sin(3h/2) sin(h/2)/cos h.
     """
     if preset.case == "I":
         return 0.0
-    lo, hi = _arc(1, len(maps))
-    fixed = [t for t in (norm_angle(cmath.phase(z)) for z in _boundary_fixed_points(maps[1]))
-             if angle_in_open_arc(t, lo, hi, ROOT_END_TOL)]
-    if not fixed:
-        raise MarkovViolation("no circle fixed point found")
-    return min(fixed)
+    h = math.pi / preset.p
+    return h + 2.0 * math.asin(math.sqrt(math.sin(1.5 * h) * math.sin(0.5 * h) / math.cos(h)))
 
 
 #: least error radius of ConjugacyH.value.  Each pull-back rounds a few
@@ -464,29 +444,35 @@ class ConjugacyH:
     def _preimages_of_marked(self, inverses):
         """The d preimages of the marked angle y, one inverse branch each.
 
-        A preimage in pocket k (of the first sector for factor maps) solves
-        g_k(u) = (y + 2 pi j)/n for some lift j in 0..n-1, so it is one
-        inverse-matrix application; it counts when u lies strictly inside
-        the pocket's arc, and the cut downstairs is n u.
+        Pocket (1, s) (of the first sector for factor maps) holds one for
+        each lift j in 0..n-1 whose target (y + 2 pi j)/n avoids the closed
+        arc of side sigma(s), which g_s's image misses: in Case I y = 0 and
+        the target is vertex jp; in Case II (n = 1) y lies in the arc of side
+        2, which only pocket (1, p) misses, and pocket (1, 2)'s preimage is y
+        itself.  It is one inverse-matrix application u, the cut is n u, and
+        a u outside the pocket's open arc by BREAK_TOL is InconsistentDegree.
         """
         m = self.m
         n = m.preset.n if m.factor else 1
-        cuts = [self.base]
-        for k, g_inv in enumerate(inverses):
-            lo, hi = _arc(k, len(m.maps))
-            for j in range(n):
+        np, p, sigma = len(m.maps), m.preset.p, m.preset.sigma
+        offs = [0.0]
+        for s, g_inv in enumerate(inverses, 1):
+            if m.preset.case == "I":
+                lifts = [j for j in range(n) if j * p % np not in (sigma[s] - 1, sigma[s] % np)]
+            else:
+                lifts = [] if s in (2, p) else [0]
+            lo, hi = _arc(s - 1, np)
+            for j in lifts:
                 u = g_inv.boundary_angle((self.base + TAU * j) / n)
-                if angle_in_open_arc(u, lo, hi, BREAK_TOL):
-                    cuts.append(norm_angle(n * u))
-        dedup = []
-        for t in sorted(norm_angle(c - self.base) for c in cuts):
-            if (not dedup or t - dedup[-1] > 1e-9) and t < TAU - 1e-9:
-                dedup.append(t)
-        cuts = [norm_angle(t + self.base) for t in dedup]
-        if len(cuts) != self.d:
+                if not angle_in_open_arc(u, lo, hi, BREAK_TOL):
+                    raise InconsistentDegree(
+                        f"lift {j} of the marked angle pulls back to {u}, "
+                        f"outside the arc of pocket {(1, s)}")
+                offs.append(norm_angle(norm_angle(n * u) - self.base))
+        if len(offs) != self.d:
             raise InconsistentDegree(
-                f"marked angle has {len(cuts)} preimages, expected {self.d}")
-        return cuts
+                f"marked angle has {len(offs)} preimages, expected {self.d}")
+        return [norm_angle(t + self.base) for t in sorted(offs)]
 
     def _build_pieces(self, inverses):
         """One table (lo, hi, rows) per cut arc, in offsets from the marked
@@ -499,7 +485,7 @@ class ConjugacyH:
         pocket's map at x0, before it is multiplied by n), span the arc's
         upstairs length and need = LIFT_MARGIN (|c| + |d|)^2 the distance a
         target must keep from either end of it.  A cut arc's breakpoints are
-        a slice of the sorted offsets, found by bisection, not by a scan."""
+        a slice of the sorted offsets, found by bisection: no cut is one."""
         m = self.m
         n = m.preset.n if m.factor else 1
         maps = m.maps
@@ -515,15 +501,15 @@ class ConjugacyH:
         self._tables = []
         for j in range(self.d):
             lo, hi = cut_offs[j], cut_offs[j + 1]
-            i = bisect.bisect_right(bp_offs, lo + 1e-12)
-            bounds = [lo] + bp_offs[i:bisect.bisect_left(bp_offs, hi - 1e-12, i)] + [hi]
+            i = bisect.bisect_right(bp_offs, lo)
+            bounds = [lo] + bp_offs[i:bisect.bisect_left(bp_offs, hi, i)] + [hi]
             pieces = []
             u_acc = 0.0
             for i in range(len(bounds) - 1):
                 x0, x1 = bounds[i], bounds[i + 1]
-                # a piece's ends are cuts or breakpoints more than 1e-12 apart,
-                # so its midpoint lies inside one pocket's arc by far more
-                # than the rounding of the index arithmetic
+                # a cut lies inside a pocket's arc by BREAK_TOL upstairs, so
+                # a piece's midpoint lies inside one by far more than the
+                # rounding of the index arithmetic
                 am = norm_angle(self.base + 0.5 * (x0 + x1))
                 k = int(norm_angle(am / n) * np / TAU) % np
                 g_inv = inverses[k]

@@ -304,11 +304,11 @@ class DegreePlan(NamedTuple):
     top_multiplicity: int
 
 
-def legal_presets(n_range=(1, 3, 4, 5), p_range=range(1, 7)):
-    """All (n, p, case) triples buildable in the standard test grid."""
+def legal_presets():
+    """All (n, p, case) triples of the grid n in 1, 3, 4, 5 by p in 1..6."""
     out = []
-    for n in n_range:
-        for p in p_range:
+    for n in (1, 3, 4, 5):
+        for p in range(1, 7):
             if n * p < 3:
                 continue
             out.append((n, p, CASE_I))

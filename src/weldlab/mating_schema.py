@@ -505,7 +505,8 @@ def schema_from_dict(d):
     an unbounded Blaschke slot.  A slot count (n, p, degree) that is no
     JSON integer (true and false included) raises InvalidArgument.  A corner
     index must be a JSON integer: a number or string of any other kind
-    raises ValueError, a usage error, and so does a boolean.
+    raises ValueError, a usage error, and so does a boolean.  A polynomial
+    that is present must be a string, or DegenerateInput.
     """
     if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
         raise DegenerateInput("schema document needs a 'slots' array")
@@ -531,12 +532,18 @@ def schema_from_dict(d):
     except (TypeError, KeyError):
         raise DegenerateInput("'identifications' needs an array of "
                               "{\"corners\": [[slot, corner], ...]}") from None
+    if "polynomial" in d and not isinstance(d["polynomial"], str):
+        raise DegenerateInput(f"'polynomial' must be a string, not {d['polynomial']!r}")
     return tuple(slots), ContactData(classes), d.get("polynomial")
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")     # json.load takes NaN and Infinity
 
 
 def load_schema(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+        return schema_from_dict(json.load(fh, parse_constant=_not_json))
 
 
 # -- gallery fixtures ----------------------------------------------------------------

@@ -508,9 +508,40 @@ def reference_value(h, jarcs, theta, depth):
 
 
 def reference_preimages_of_marked(m, d):
-    """Reference: ConjugacyH._preimages_of_marked as it was before the build
-    inverted each pairing once, an inverse per pocket here and again per
-    piece in reference_build_pieces."""
+    """Reference: ConjugacyH._preimages_of_marked by arcs, not indices.  The
+    pairing of pocket (1, s) carries its open arc onto the circle minus the
+    closed arc of side sigma(s), so a target y_j = (y + 2 pi j)/n has a
+    preimage there iff it lies in the open arc from vertex sigma(s) ccw to
+    vertex sigma(s) - 1; the preimage in the pocket whose arc holds y is y
+    itself, already a cut."""
+    base = m.marked_fixed_angle
+    n = m.preset.n if m.factor else 1
+    np, sigma = len(m.maps), m.preset.sigma
+    offs = [0.0]
+    for k in range(len(bs.breakpoints(m))):
+        g_inv = m.maps[k].inverse()
+        lo, hi = bs._arc(k, np)
+        if angle_in_open_arc(base, lo, hi):
+            continue
+        for j in range(n):
+            target = (base + TAU * j) / n
+            if not angle_in_open_arc(target, TAU * sigma[k + 1] / np,
+                                     TAU * (sigma[k + 1] - 1) / np, 1e-9):
+                continue
+            u = g_inv.boundary_angle(target)
+            if not angle_in_open_arc(u, lo, hi, bs.BREAK_TOL):
+                raise InconsistentDegree(f"lift {j} of the marked angle pulls back to {u}, "
+                                         f"outside the arc of pocket {(1, k + 1)}")
+            offs.append(norm_angle(norm_angle(n * u) - base))
+    if len(offs) != d:
+        raise InconsistentDegree(f"marked angle has {len(offs)} preimages, expected {d}")
+    return [norm_angle(t + base) for t in sorted(offs)]
+
+
+def merge_preimages_of_marked(m, d):
+    """Reference for the error classes: the preimages of the marked angle as
+    they were found before sigma chose them, every (pocket, lift) tried and
+    the candidates merged when closer than 1e-9."""
     base = m.marked_fixed_angle
     n = m.preset.n if m.factor else 1
     cuts = [base]
@@ -576,17 +607,18 @@ def reference_build_pieces(m, d, cuts):
     return lifts, TAU / n, tuple((off,) + lifts for off in lifts), tables
 
 
-def reference_build(m, d):
+def reference_build(m, d, preimages=reference_preimages_of_marked):
     """Reference: (cuts, lifts, step, lift_first, tables) of a ConjugacyH of
-    degree d."""
-    cuts = reference_preimages_of_marked(m, d)
+    degree d, its cuts by preimages."""
+    cuts = preimages(m, d)
     return (cuts,) + reference_build_pieces(m, d, cuts)
 
 
 def test_h_build_matches_reference(monkeypatch):
     # bit for bit, or the same error, on every conjugacy map and on the
     # mutated maps, with the degree taken as np - 1 so the build runs on
-    # maps whose sampled degree would stop it
+    # maps whose sampled degree would stop it; against the merge search, the
+    # same build or an error of the same class
     def state(m):
         h = bs.ConjugacyH(m)
         return h.cuts, h._lifts, h._step, h._lift_first, h._tables
@@ -599,6 +631,8 @@ def test_h_build_matches_reference(monkeypatch):
     for m in maps + mutated_maps():
         got = _outcome(state, m)
         assert got == _outcome(reference_build, m, m.degree), m.name
+        merged = _outcome(reference_build, m, m.degree, merge_preimages_of_marked)
+        assert got == merged or isinstance(got[0], str) and got[0] == merged[0], m.name
         outcomes[got[0] if isinstance(got[0], str) else "built"] += 1
     assert outcomes["built"] > len(maps) and outcomes["InconsistentDegree"], outcomes
 
@@ -635,11 +669,9 @@ def test_h_build_is_linear_in_the_breakpoints():
     assert len(h._tables) == bs.circle_degree(m) == 19999
 
 
-def test_h_builds_where_the_rise_rounds_past_a_fixed_tolerance():
-    # np = 60,000: a cut arc's rises sum to within 5 eps K^2 of 2 pi, past
-    # 1e-6, so a fixed tolerance refused this map; the values still nest
-    h = bs.ConjugacyH(bs.bowen_series_map(3, 20000, factor=True))
-    assert len(h._tables) == h.d == 59999
+def assert_values_nest(h):
+    """At 24 angles, the value at depths 3 and 12 lies in the arc one depth
+    up, and no radius is 0."""
     for i in range(24):
         theta = TAU * (i + 0.5) / 24
         shallow = h.value(theta, 2)
@@ -648,6 +680,23 @@ def test_h_builds_where_the_rise_rounds_past_a_fixed_tolerance():
             assert deep[1] > 0.0
             assert angle_dist(deep[0], shallow[0]) <= shallow[1] - deep[1] + 1e-12
             shallow = deep
+
+
+def test_h_builds_where_the_rise_rounds_past_a_fixed_tolerance():
+    # np = 60,000: a cut arc's rises sum to within 5 eps K^2 of 2 pi, past
+    # 1e-6, so a fixed tolerance refused this map; the values still nest
+    h = bs.ConjugacyH(bs.bowen_series_map(3, 20000, factor=True))
+    assert len(h._tables) == h.d == 59999
+    assert_values_nest(h)
+
+
+def test_h_builds_where_preimages_crowd_within_a_merge_window():
+    # np = 130,000: 22,674 pairs of neighbouring cuts lie closer than 1e-9,
+    # and merging candidates that close left 116,999 of the 129,999 cuts;
+    # sigma names each cut, so none is merged
+    h = bs.ConjugacyH(bs.bowen_series_map(10, 13000, factor=True))
+    assert len(h.cuts) == len(h._tables) == h.d == 129999
+    assert_values_nest(h)
 
 
 @pytest.mark.parametrize("n,p,case", GRID)
@@ -928,7 +977,7 @@ def test_partition_budget_checked_before_enumeration(monkeypatch):
 def tile_map(m, word):
     """The Möbius map a tile's word names: the inverse branches of word[0],
     ..., word[-1], with word[0] applied last."""
-    g = bs.MobiusMap.identity()
+    g = MobiusMap.identity()
     for r, s in reversed(word):
         g = m.maps[m.preset.side_index(r, s)].inverse().compose(g)
     return g

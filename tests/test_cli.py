@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -613,7 +614,10 @@ def test_non_integer_corner_is_a_usage_error(capsys, tmp_path, corners):
     doc["identifications"][0]["corners"] = corners
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "mate", "build", str(path))
-    assert (code, out) == (2, "") and "corner index must be an integer" in err
+    # json.dumps writes 1e400 as Infinity, which is not JSON
+    want = "Infinity is not JSON" if "Infinity" in path.read_text() else \
+        "corner index must be an integer"
+    assert (code, out) == (2, "") and want in err
 
 
 @pytest.mark.parametrize("slot,name", [
@@ -642,6 +646,37 @@ def test_deeply_nested_schema_is_a_usage_error(capsys, tmp_path, text):
     code, out, err = run(capsys, "surface", "report", str(path))
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert err.startswith("weldlab: usage error: cannot read schema ")
+
+
+@pytest.mark.parametrize("text,constant", [
+    ('{"slots": [{"kind": "group", "n": 3, "p": 1}], "polynomial": NaN}', "NaN"),
+    ('{"slots": [{"kind": "group", "n": 3, "p": 1}], "polynomial": {"a": [1, Infinity]}}',
+     "Infinity"),
+    ('{"slots": [{"kind": "group", "n": -Infinity, "p": 1}]}', "-Infinity"),
+])
+@pytest.mark.parametrize("cmd", [("mate", "build"), ("mate", "report"), ("surface", "report")])
+def test_non_json_constant_is_a_usage_error(capsys, tmp_path, text, constant, cmd):
+    # json.load takes NaN and Infinity; a NaN polynomial reached the output
+    # encoder, which ended the run in a ValueError traceback
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert run(capsys, *cmd, str(path)) == (
+        2, "", f"weldlab: usage error: cannot read schema {path}: {constant} is not JSON\n")
+
+
+@pytest.mark.parametrize("polynomial", [5, None, 2.5, True, ["cubic_power"], {"a": [1, 2]}])
+@pytest.mark.parametrize("cmd", [("mate", "build"), ("mate", "report")])
+def test_polynomial_must_be_a_string(capsys, tmp_path, polynomial, cmd):
+    # a polynomial of any other kind was copied into the output
+    path = tmp_path / "s.json"
+    doc = {"slots": [_GROUP_SLOT], "polynomial": "cubic_power"}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *cmd, str(path))
+    assert code == 0 and json.loads(out)["schema"]["polynomial"] == "cubic_power"
+    doc["polynomial"] = polynomial
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *cmd, str(path)) == (
+        1, "", f"weldlab: DegenerateInput: 'polynomial' must be a string, not {polynomial!r}\n")
 
 
 def test_bad_newton_name_is_a_bad_schema_name(capsys):
@@ -885,6 +920,85 @@ def test_every_argv_exits_0_1_or_2(capsys, tmp_path, argv):
     assert code in (0, 1, 2), argv
     if code:
         assert out == "" and err.count("\n") == 1 and err.startswith("weldlab: "), argv
+
+
+# -- every schema document exits 0, 1 or 2 ------------------------------------------
+
+#: the commands that read a schema file
+_SCHEMA_CMDS = [("mate", "build"), ("mate", "report"), ("surface", "report"),
+                ("surface", "graph"), ("surface", "zip")]
+#: slots that build, to mix with broken ones
+_SLOT_POOL = [_GROUP_SLOT, _HOLE_SLOT, {"kind": "group", "n": 1, "p": 4, "case": "II"},
+              {"kind": "group", "n": 1, "p": 6, "placement": "unbounded"},
+              {"kind": "group", "n": 4, "p": 2}, {"kind": "blaschke", "degree": 2}]
+#: JSON values of every kind, small counts, the words a schema uses, and the
+#: NaN and infinities that json.dumps writes as constants json.load takes
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.floats(-9, 9),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 3.0]),
+                       st.sampled_from(["I", "II", "III", "group", "blaschke", "bounded",
+                                        "unbounded", "cubic_power", "", "3"]))
+_JSON = st.recursive(_JSON_LEAF, lambda kids: st.one_of(
+    st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(
+        ["kind", "n", "p", "case", "degree", "placement", "corners", "x"]), kids, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _schema_slot(draw):
+    """A pool slot, perhaps with one field set to any JSON value or dropped,
+    or any JSON value."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_JSON)
+    slot = dict(draw(st.sampled_from(_SLOT_POOL)))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(slot) + ["case", "placement", "x"]))
+        if draw(st.booleans()):
+            slot[key] = draw(_JSON)
+        else:
+            slot.pop(key, None)
+    return slot
+
+
+@st.composite
+def _schema_doc(draw):
+    """A schema document: slots, identifications of corners, a polynomial
+    and an unknown key, each perhaps of the wrong type; or any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = {"slots": draw(st.lists(_schema_slot(), max_size=3))}
+    corner = st.one_of(st.lists(st.integers(-1, 6), min_size=2, max_size=2), _JSON)
+    classes = st.lists(st.one_of(st.fixed_dictionaries({"corners": st.lists(corner, max_size=4)}),
+                                 _JSON), max_size=3)
+    for key, value in [("identifications", classes),
+                       ("polynomial", st.one_of(st.sampled_from(["cubic_power", "nope"]), _JSON)),
+                       ("schema_version", _JSON), ("x", _JSON)]:
+        if draw(st.booleans()):
+            doc[key] = draw(value)
+    return doc
+
+
+@settings(max_examples=120, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_schema_doc(), cmd=st.sampled_from(_SCHEMA_CMDS), svg=st.booleans(),
+       junk=st.sampled_from([None, "--bogus", "x"]))
+@example(doc={"slots": [_GROUP_SLOT], "polynomial": math.nan}, cmd=("mate", "build"),
+         svg=False, junk=None)
+@example(doc={"slots": [_GROUP_SLOT], "polynomial": 5}, cmd=("mate", "report"), svg=False,
+         junk=None)
+def test_every_schema_document_exits_0_1_or_2(capsys, tmp_path, doc, cmd, svg, junk):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    argv = [*cmd, str(path)]
+    if svg and cmd in _SVG_CMDS:
+        argv += ["--svg", str(tmp_path / "out.svg")]
+    if junk:
+        argv.append(junk)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.startswith("weldlab: "), (doc, err)
+    else:
+        assert err == "" and json.loads(out)["schema_version"] == 1
 
 
 # -- the output side, in a child process ---------------------------------------------

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+import weldlab.bowen_series as bs
 from weldlab.errors import (DegenerateInput, InvalidArgument, InvalidCase,
                             NonParabolicCycle, PairingViolation)
 from weldlab.fuchsian import (CASE_I, CASE_II, build_group, degree_plan,
@@ -229,6 +230,49 @@ def test_closed_form_matches_40_digit_reference(n, p, case):
                 assert min(max(_ulps(sign * z, x, y) for z, (x, y) in
                                zip((gen.a, gen.b, gen.c, gen.d), exact))
                            for sign in (1, -1)) < 8, (r, s)
+
+
+def _marked_angle_reference(p):
+    """The Case II marked angle to 50 digits: the fixed point h + phi of g_2,
+    h = pi/p, with phi by Newton's method on cos phi cos h = cos 2h from
+    sqrt(3) h, checked against g_2's fixed-point quadratic
+    c z^2 + (d - a) z - b = 0 with the entries of build_group."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        h = _PI / p
+        sin_h, cos_h = _sin_cos(h)
+        cos_2h = _sin_cos(2 * h)[1]
+        phi = Decimal(3).sqrt() * h
+        for _ in range(8):
+            sin_phi, cos_phi = _sin_cos(phi)
+            phi += (cos_phi * cos_h - cos_2h) / (sin_phi * cos_h)
+        z = _sin_cos(h + phi)[::-1]
+
+        def mul(u, v):
+            return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+        sin_2h = _sin_cos(2 * h)[0]
+        a, b = (sin_2h / sin_h, cos_2h / sin_h), (cos_h, -cos_h * cos_h / sin_h)
+        c, d_a = (b[0], -b[1]), (0, -2 * a[1])
+        cz2, daz = mul(c, mul(z, z)), mul(d_a, z)
+        residual = [cz2[i] + daz[i] - b[i] for i in (0, 1)]
+        assert max(map(abs, residual)) < Decimal(10) ** -35, p
+        return h + phi
+
+
+@pytest.mark.parametrize("p", [4, 6, 10, 400, 20000, 250000])
+def test_case_ii_marked_angle_matches_50_digit_reference(p):
+    # the least root of g_2's fixed-point quadratic was 2264 ulp off at
+    # p = 400 and 4.7e6 ulp at p = 20000
+    got = bs.bowen_series_map(1, p, CASE_II).marked_fixed_angle
+    assert abs(Decimal(got) - _marked_angle_reference(p)) < 4 * Decimal(math.ulp(got)), p
+
+
+def test_case_ii_marked_angle_keeps_its_pinned_bits():
+    # the bits every Case II pin of the CLI was taken with
+    for p, angle in [(4, 2.356194490192345), (6, 1.478915393722808), (8, 1.091884246239748),
+                     (14, 0.616420081688414), (26, 0.33062816179477406)]:
+        assert bs.bowen_series_map(1, p, CASE_II).marked_fixed_angle == angle, p
 
 
 def test_fixed_sides_and_corners_in_closed_form():

@@ -88,11 +88,15 @@ def test_geodesic_coincident_raises():
 
 @settings(max_examples=50, deadline=None)
 @given(angles, angles)
+# near-antipodal ends: |c| is about 4097 and the residual 3.7e-9, one ulp of
+# |c|^2, past a fixed bound of 1e-9
+@example(3.547354474858434, 0.40625)
 def test_orthogonality_invariant(a, b):
     if abs(a - b) < 1e-3 or abs(abs(a - b) - TAU) < 1e-3:
         return
     g = geodesic_between(a, b)
-    assert g.is_diameter or abs(abs(g.center) ** 2 - g.radius ** 2 - 1.0) < 1e-9
+    assert g.is_diameter or (abs(abs(g.center) ** 2 - g.radius ** 2 - 1.0)
+                             <= 2 * math.ulp(abs(g.center) ** 2))
 
 
 # -- reference: the reflection path the presets were once built by ----------
@@ -291,7 +295,9 @@ def reference_order(g, max_order=64):
 
 def test_order_from_trace_matches_powers():
     maps = []
-    for n, p, case in legal_presets(n_range=(1, 3, 4, 5, 6, 7, 8), p_range=range(1, 9)):
+    grid = [(n, p, CASE_I) for n in (1, 3, 4, 5, 6, 7, 8) for p in range(1, 9) if n * p >= 3]
+    grid += [(1, p, CASE_II) for p in (4, 6, 8)]
+    for n, p, case in grid:
         preset = build_group(n, p, case)
         maps.append(preset.rotation)
         for g in preset.first_sector:
