@@ -372,17 +372,6 @@ def _marked_fixed_angle(preset: GroupPreset) -> float:
 #: and 3.13e-13 at depth 4, and depth 6's midpoint is 7.9e-13 from depth 3's.
 RADIUS_FLOOR = 16 * math.ulp(TAU)
 
-#: least distance by which every other root lift misses a piece when
-#: ConjugacyH._pull_back runs the arithmetic lift alone.  That lift's target
-#: sits inside the piece's upstairs image arc, more than need = LIFT_MARGIN
-#: (|c| + |d|)^2 from either end, so every other lift's target lies outside
-#: the arc by more than need.  On the circle |(g^-1)'(z)| = 1/|cz + d|^2
-#: >= 1/(|c| + |d|)^2 for the determinant-1 inverse branch g^-1 = (a..d),
-#: so g^-1 puts each of those lifts more than LIFT_MARGIN outside the piece,
-#: far beyond the 1e-9 window the scan accepts: the scan would reject them
-#: all and pick the same lift
-LIFT_MARGIN = 1e-8
-
 #: a cut arc's rises sum to 2 pi within max(1e-6, RISE_GROWTH eps K^2), K^2
 #: the largest (|c| + |d|)^2 of its inverse branches, which bounds how much
 #: their forward maps magnify rounding; at most 5.5 eps K^2 seen, np <= 128,000
@@ -417,14 +406,14 @@ class ConjugacyH:
     is divided at the partition breakpoints into pieces carrying a single
     Möbius branch, and pulling back is one inverse-matrix application.  On
     a factor map it applies to one of the n n-th root lifts of the target:
-    the one that lies in the piece's upstairs image arc, found by
-    arithmetic; a target within LIFT_MARGIN of an end of that arc tries
-    every lift in order instead.  The build flattens each cut arc
-    into one table (lo, hi, rows) with a row of constants per piece, so an
-    evaluation does only the arithmetic that depends on the angle: value
-    makes one _pull_back call, whose single loop carries both arc ends
-    through the table of every itinerary symbol.  value refuses a depth
-    above MAX_DEPTH with RankLimit before it builds the itinerary.
+    the one that lies in the piece's upstairs image arc.  The piece fixes
+    that lift, so the build stores its index and no lift is searched for.
+    The build flattens each cut arc into one table (lo, hi, rows) with a row
+    of constants per piece, so an evaluation does only the arithmetic that
+    depends on the angle: value makes one _pull_back call, whose single loop
+    carries both arc ends through the table of every itinerary symbol.
+    value refuses a depth above MAX_DEPTH with RankLimit before it builds
+    the itinerary.
     """
 
     def __init__(self, m: BowenSeriesMap):
@@ -477,15 +466,15 @@ class ConjugacyH:
     def _build_pieces(self, inverses):
         """One table (lo, hi, rows) per cut arc, in offsets from the marked
         angle: the arc runs from lo to hi and each Möbius piece of it is a row
-        (u0, u1, x0, ref, up_len, a, b, c, d, alpha, span, need).  [u0, u1]
-        is the image span of the piece rescaled to 2 pi, x0 its start, ref
-        the upstairs angle a pull-back is measured from, up_len its upstairs
-        length and a..d the entries of its inverse branch.  For the root
-        lift, alpha is the upstairs start of the piece's image arc (its
-        pocket's map at x0, before it is multiplied by n), span the arc's
-        upstairs length and need = LIFT_MARGIN (|c| + |d|)^2 the distance a
-        target must keep from either end of it.  A cut arc's breakpoints are
-        a slice of the sorted offsets, found by bisection: no cut is one."""
+        (u0, u1, x0, ref, up_len, a, b, c, d, lift).  [u0, u1] is the image
+        span of the piece rescaled to 2 pi, x0 its start, ref the upstairs
+        angle a pull-back is measured from, up_len its upstairs length and
+        a..d the entries of its inverse branch.  lift is the index of the
+        n-th root lift that lands in the piece: the upstairs start alpha of
+        the piece's image arc (its pocket's map at x0) has n alpha = base +
+        u0 + 2 pi lift (mod 2 pi n), taken with u0 before the rescale.  A cut
+        arc's breakpoints are a slice of the sorted offsets, found by
+        bisection: no cut is one."""
         m = self.m
         n = m.preset.n if m.factor else 1
         maps = m.maps
@@ -495,9 +484,6 @@ class ConjugacyH:
         bp_offs = sorted({norm_angle(b - self.base) for b in breakpoints(m)}
                          - {0.0})
         self._lifts = tuple(TAU * k / n for k in range(n))   # n-th root lifts, in order
-        self._step = TAU / n
-        # lift k, then the scan of every lift in order
-        self._lift_first = tuple((off,) + self._lifts for off in self._lifts)
         self._tables = []
         for j in range(self.d):
             lo, hi = cut_offs[j], cut_offs[j + 1]
@@ -521,7 +507,8 @@ class ConjugacyH:
                 rise = (a1 - a0) % TAU
                 if len(bounds) == 2:
                     rise = TAU
-                pieces.append((u_acc, rise, x0, x1, g_inv, alpha))
+                lift = round((n * alpha - self.base - u_acc) / TAU) % n
+                pieces.append((u_acc, rise, x0, x1, g_inv, lift))
                 u_acc += rise
             miss = abs(u_acc - TAU)     # the growing bound only where 1e-6 fails
             if miss > 1e-6 and miss > RISE_GROWTH * math.ulp(1.0) * max(
@@ -531,13 +518,11 @@ class ConjugacyH:
             # rescale tiny lift error so piece lookup is exact at 2 pi
             scale = TAU / u_acc
             rows = []
-            for u0, rise, x0, x1, g_inv, alpha in pieces:
-                need = LIFT_MARGIN * (abs(g_inv.c) + abs(g_inv.d)) ** 2
-                span = rise / n
+            for u0, rise, x0, x1, g_inv, lift in pieces:
                 u0, rise = u0 * scale, rise * scale
                 ref = norm_angle(norm_angle((self.base + x0) / n) - 1e-12)
                 rows.append((u0, u0 + rise, x0, ref, (x1 - x0) / n,
-                             g_inv.a, g_inv.b, g_inv.c, g_inv.d, alpha, span, need))
+                             g_inv.a, g_inv.b, g_inv.c, g_inv.d, lift))
             self._tables.append((lo, hi, tuple(rows)))
 
     def _pull_back(self, syms, lo=0.0, hi=TAU):
@@ -547,15 +532,13 @@ class ConjugacyH:
         Offsets are ccw from the marked angle, in the image and in the cut
         arc alike.  One loop carries both ends through every table, with the
         constants and cmath's exp and phase bound once per call.  On a
-        factor map the lift k whose target lies in the piece's upstairs
-        image arc is found by arithmetic and run alone when the target
-        clears both ends by the row's margin; otherwise, or if that lift
-        misses the piece, every lift is tried in order.
+        factor map the pull-back runs the row's root lift, the next one when
+        base + u wraps past 2 pi, and a lift that misses the piece by more
+        than 1e-9 is InconsistentDegree.
         """
-        tables, base = self._tables, self.base
-        lifts, step, lift_first = self._lifts, self._step, self._lift_first
+        tables, base, lifts = self._tables, self.base, self._lifts
         n = len(lifts)
-        exp, phase, fmod, ceil = cmath.exp, cmath.phase, math.fmod, math.ceil
+        exp, phase, fmod = cmath.exp, cmath.phase, math.fmod
         ends = [lo, hi]
         for sym in syms:
             first, last, rows = tables[sym]
@@ -570,41 +553,33 @@ class ConjugacyH:
                 for row in rows:
                     if row[0] <= u <= row[1]:
                         break           # no match leaves the last row, as wanted
-                _, _, x0, ref, up_len, a, b, c, d, alpha, span, need = row
+                _, _, x0, ref, up_len, a, b, c, d, k = row
                 t = base + u            # norm_angle, as base is in [0, 2 pi)
                 if t >= TAU:
                     t = fmod(t, TAU)
-                order = lifts
-                if n > 1:
-                    t /= n
-                    k = ceil((alpha - t) / step)
-                    if need < t + k * step - alpha < span - need:
-                        order = lift_first[k % n]
-                for off in order:
-                    z = exp(1j * (t + off))
-                    den = c * z + d
-                    w = complex("inf") if abs(den) < 1e-300 else (a * z + b) / den
-                    s = phase(w)        # in [-pi, pi]
-                    if s < 0.0:
-                        s += TAU
-                        if s >= TAU:
-                            s -= TAU
-                    s -= ref
-                    if s <= 0.0:
-                        s += TAU
-                    if n == 1:          # unfactored: the one lift, unclamped
-                        ends[e] = x0 + s - 1e-12
-                        break
-                    delta = s - 1e-12
-                    if -1e-9 <= delta <= up_len + 1e-9:
-                        if delta < 0.0:
-                            delta = 0.0
-                        elif delta > up_len:
-                            delta = up_len
-                        ends[e] = x0 + n * delta
-                        break
-                else:
-                    raise InconsistentDegree("no root lift lands in the branch piece")
+                    k += 1              # the same target, one lift up
+                z = exp(1j * (t / n + lifts[k % n]))
+                den = c * z + d
+                w = complex("inf") if abs(den) < 1e-300 else (a * z + b) / den
+                s = phase(w)            # in [-pi, pi]
+                if s < 0.0:
+                    s += TAU
+                    if s >= TAU:
+                        s -= TAU
+                s -= ref
+                if s <= 0.0:
+                    s += TAU
+                if n == 1:              # unfactored: the one lift, unclamped
+                    ends[e] = x0 + s - 1e-12
+                    continue
+                delta = s - 1e-12
+                if not -1e-9 <= delta <= up_len + 1e-9:
+                    raise InconsistentDegree("the root lift misses the branch piece")
+                if delta < 0.0:
+                    delta = 0.0
+                elif delta > up_len:
+                    delta = up_len
+                ends[e] = x0 + n * delta
         return ends[0], ends[1]
 
     def value(self, theta: float, depth: int):

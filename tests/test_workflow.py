@@ -85,13 +85,15 @@ def test_package_job_commands_run_from_this_tree(tmp_path):
             if want:
                 assert out.stdout == "" and out.stderr.startswith("weldlab: "), line
             ran += 1
-    # 32 commands in the first block, among them the fixture read by its path,
+    # 33 commands in the first block, among them the fixture read by its path,
     # the merged face of `mate build 5.4`, the hole diagram of `mate build
     # 5.2` beside its Blaschke slots, the 16 MB `mate build 5.6:20000` written
     # in several batches, the degree-19,999, 59,999 and 129,999 conjugacies,
-    # the 64 root lifts of the (64, 7) factor degree and the two-digit letter
-    # names of the (1, 20) tiling, and then the unwritable --svg
-    assert ran >= 33
+    # the (64, 399) conjugacy at an angle whose pull-backs pass just inside
+    # piece ends, the 64 root lifts of the (64, 7) factor degree and the
+    # two-digit letter names of the (1, 20) tiling, and then the unwritable
+    # --svg
+    assert ran >= 34
 
 
 def test_package_data_holds_every_fixture():
