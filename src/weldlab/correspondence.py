@@ -181,7 +181,8 @@ def recover_representation(m: ModelTilingSet):
 
 MAX_WORD_LENGTH = 8
 
-#: a sample reduced into Pi-hat must come back this close to where it started
+#: a tile's image of a sample z0, its last letter undone, must land this close
+#: to the parent tile's image of z0
 _RETURN_TOL = 1e-6
 #: or within _RETURN_GROWTH eps |c z0 + d|^2 / (1 - |z0|^2) of it, a bound
 #: that grows with the tile's map (a, b, c, d): rounding in the products of
@@ -318,72 +319,68 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     return accepted
 
 
-def _word_returns(preset: GroupPreset, elems, samples):
-    """For each (word, element), the samples carried into its tile and reduced
-    back along the word as group_tiling describes, or None where a point
-    leaves the path the word names."""
-    # M_w^-k is z -> e^{-ik sector} z; the sides of Pi-hat are never diameters
-    # once np >= 3, so their pockets are |z - center| < radius
-    spin = [cmath.exp(-1j * TAU / preset.n * k) for k in range(preset.n)]
-    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
-               for side, g in zip(preset.sides, preset.first_sector)]
-    undo = {name: s for factor in _free_factors(preset) for name, _, _, s in factor}
-    for word, g in elems:
-        a, b, c, d = g.a, g.b, g.c, g.d
-        ws = [(a * z + b) / (c * z + d) for z in samples]
-        i = len(word)
-        while i and ws is not None:
-            name = word[i - 1]
-            if undo[name] is None:
-                j = i - 1
-                while j and word[j - 1] == name:
-                    j -= 1
-                turn = spin[i - j] if name == "m" else spin[j - i]
-                ws = [w * turn for w in ws]
-                # 0 <= arg w < 2 pi/n: not below the real axis, below the far edge
-                ws = ws if all(w.imag >= 0 > (w * spin[1]).imag for w in ws) else None
-                i = j
-            else:
-                center, radius, pa, pb, pc, pd = pockets[undo[name] - 1]
-                ws = ([(pa * w + pb) / (pc * w + pd) for w in ws]
-                      if all(abs(w - center) < radius for w in ws) else None)
-                i -= 1
-        yield ws
-
-
 def group_tiling(preset: GroupPreset, max_word_length: int):
-    """Tiles gamma(Pi-hat) for reduced words up to the length bound, checked
-    by Bowen-Series reduction to Pi-hat (Bowen & Series 1979) along each tile's
-    own word.
+    """Tiles gamma(Pi-hat) for reduced words up to the length bound, each
+    checked by one step of Bowen-Series reduction to Pi-hat (Bowen & Series
+    1979) against its parent tile.
 
-    Each sample z0 of Pi-hat is carried into each tile, w = g(z0), and reduced
-    back along the tile's normal-form word, the letter applied last first: a
-    run of M_w by one rotation, after which w must lie in the sector of
-    Pi-hat, and a pairing letter by the pairing g_s of the one pocket, beyond
-    a side C_{1,s}, that the letter carries Pi-hat into, once w is found in
-    that pocket.  At the end of the word w must be back within _RETURN_TOL of
-    z0, or within _RETURN_GROWTH eps |c z0 + d|^2 / (1 - |z0|^2), a bound
+    Each sample z0 of Pi-hat is carried into each tile, w = g(z0).  The ball
+    is prefix-closed, so every word but the empty one has its parent word[:-1]
+    among the tiles, checked before it.  The tile undoes its last letter only:
+    M_w^{+-1} by the rotation e^{-+2 pi i/n}, and a pairing letter by the
+    pairing g_s of the one pocket, beyond a side C_{1,s}, that the letter
+    carries Pi-hat into, once every w is found in that pocket.  The result
+    must be within _RETURN_TOL of the parent's w (of z0 itself for the empty
+    word), or within _RETURN_GROWTH eps |c z0 + d|^2 / (1 - |z0|^2), a bound
     that grows with the tile's map (a, b, c, d) and is only evaluated where
-    the fixed one fails.  Pockets and the sector are disjoint, so two distinct
-    words that share an image cannot both pass, and a repeated tile can only
-    be a repeated word; c copies of one word are c(c - 1)/2 shared pairs.  A
-    stray tile or a shared pair raises OverlapDetected.  The length is checked
-    by group_elements before any tile is built.
+    the fixed one fails.  A tile whose parent is missing or failed is a
+    stray.  By induction over prefixes, a passing tile's points lie in Pi-hat
+    or in a pocket of the first sector, turned by the run of M_w the word
+    ends with.  Pockets and sectors are disjoint, so two distinct words that
+    share an image cannot both pass, and a repeated tile can only be a
+    repeated word; c copies of one word are c(c - 1)/2 shared pairs.  A stray
+    tile or a shared pair raises OverlapDetected.  The length is checked by
+    group_elements before any tile is built.
     """
     elems = group_elements(preset, max_word_length)
     base_pts = _pi_hat_samples(preset)
-    tiles = [{"word": w, "map": g} for (w, g) in elems]
+    # M_w^-+1 is z -> e^{-+i sector} z; the sides of Pi-hat are never
+    # diameters once np >= 3, so their pockets are |z - center| < radius
+    turn = {"m": cmath.exp(-1j * TAU / preset.n), "m'": cmath.exp(1j * TAU / preset.n)}
+    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
+               for side, g in zip(preset.sides, preset.first_sector)]
+    undo = {name: s for factor in _free_factors(preset) for name, _, _, s in factor}
     growth = _RETURN_GROWTH * sys.float_info.epsilon
-    stray = sum(1 for (_, g), ws in zip(elems, _word_returns(preset, elems, base_pts))
-                if ws is None or any(abs(w - z0) > _RETURN_TOL
-                                     and abs(w - z0) > growth * abs(g.c * z0 + g.d) ** 2
-                                     / (1 - abs(z0) ** 2)
-                                     for w, z0 in zip(ws, base_pts)))
+    images = {}            # by word, the w of each passing tile with children
+    stray = 0
+    for word, g in elems:
+        a, b, c, d = g.a, g.b, g.c, g.d
+        ws = [(a * z + b) / (c * z + d) for z in base_pts]
+        back, parent = ws, base_pts
+        if word:
+            parent, s = images.get(word[:-1]), undo[word[-1]]
+            if s is None:
+                back = [w * turn[word[-1]] for w in ws]
+            else:
+                center, radius, pa, pb, pc, pd = pockets[s - 1]
+                if all(abs(w - center) < radius for w in ws):
+                    back = [(pa * w + pb) / (pc * w + pd) for w in ws]
+                else:
+                    parent = None
+        if parent is None or any(abs(v - u) > _RETURN_TOL
+                                 and abs(v - u) > growth * abs(c * z0 + d) ** 2
+                                 / (1 - abs(z0) ** 2)
+                                 for v, u, z0 in zip(back, parent, base_pts)):
+            stray += 1
+        elif len(word) < max_word_length:
+            images[word] = ws
+    del images             # so that the tile records below reuse its memory
     shared = sum(c * (c - 1) // 2 for c in Counter(w for w, _ in elems).values())
     if stray or shared:
         raise OverlapDetected(f"{stray} tiles fail the reduction to Pi-hat and "
                               f"{shared} tile pairs share the image of the first "
                               "sample")
+    tiles = [{"word": w, "map": g} for (w, g) in elems]
     return {"tiles": tiles, "count": len(tiles), "overlaps": 0}
 
 

@@ -624,7 +624,8 @@ def test_tiling_time_budget():
 
 @pytest.mark.parametrize("n,p,case,side", [(3, 1, CASE_I, 1), (1, 3, CASE_I, 2),
                                            (1, 4, CASE_I, 1), (1, 4, CASE_II, 2),
-                                           (4, 2, CASE_I, 2)])
+                                           (4, 2, CASE_I, 2), (1, 5, CASE_I, 3),
+                                           (3, 3, CASE_I, 2), (6, 1, CASE_I, 1)])
 def test_tiling_rejects_perturbed_generator(n, p, case, side):
     preset = build_group(n, p, case)
     gens = list(preset.first_sector)
@@ -652,40 +653,48 @@ def test_tiling_counts_each_pair_of_copies(monkeypatch):
 
 def test_tiling_rejects_two_words_of_one_map(monkeypatch):
     # every word is distinct, but two carry one element, as a grid of first
-    # images would have caught
+    # images would have caught; the corrupted tile fails against its parent,
+    # and its 3 children fail with it, as their parent failed
     preset = build_group(1, 4)
     elems = co.group_elements(preset, 3)
     elems[8] = (elems[8][0], elems[7][1])
     monkeypatch.setattr(co, "group_elements", lambda *_: elems)
-    with pytest.raises(OverlapDetected, match="^1 tiles fail .* 0 tile pairs share"):
+    with pytest.raises(OverlapDetected, match="^4 tiles fail .* 0 tile pairs share"):
         co.group_tiling(preset, 3)
 
 
 def test_tiling_rejects_a_mislabelled_rotation_run(monkeypatch):
-    # M_w labelled m^3, a run longer than Z/5 spells, which is M_w^3
+    # M_w labelled m^3, a run longer than Z/5 spells, which is M_w^3; it
+    # fails against its parent m^2, and the 5 descendants of m fail too, as
+    # their parent word is gone
     preset = build_group(5, 1)
     elems = co.group_elements(preset, 3)
     i = next(i for i, (w, _) in enumerate(elems) if w == ("m",))
     elems[i] = (("m", "m", "m"), elems[i][1])
     monkeypatch.setattr(co, "group_elements", lambda *_: elems)
-    with pytest.raises(OverlapDetected, match="^1 tiles fail .* 0 tile pairs share"):
+    with pytest.raises(OverlapDetected, match="^6 tiles fail .* 0 tile pairs share"):
         co.group_tiling(preset, 3)
 
 
-def test_word_returns_stop_where_a_point_leaves_its_path():
+def test_word_returns_stop_where_a_point_leaves_its_path(monkeypatch):
     # the word's algebra cannot see these: M_w^2 read as m ends one sector
     # off, and the identity read as g1 never enters g1's pocket
     preset = build_group(3, 1)
-    samples = co._pi_hat_samples(preset)
-    m = preset.rotation
-    assert list(co._word_returns(preset, [(("m",), m.compose(m)), (("g1",), MobiusMap.identity())],
-                                 samples)) == [None, None]
-    ws, = co._word_returns(preset, [(("m",), m)], samples)
-    assert max(abs(w - z0) for w, z0 in zip(ws, samples)) < 1e-15
+    ident, m = MobiusMap.identity(), preset.rotation
+    for elems, strays in ([((), ident), (("m",), m.compose(m))], 1), \
+                         ([((), ident), (("g1",), ident)], 1), \
+                         ([((), ident), (("m",), m)], 0):
+        monkeypatch.setattr(co, "group_elements", lambda *_: elems)
+        if strays:
+            with pytest.raises(OverlapDetected, match=f"^{strays} tiles fail .* 0 tile pairs"):
+                co.group_tiling(preset, 1)
+        else:
+            assert co.group_tiling(preset, 1)["count"] == 2
 
 
 @pytest.mark.parametrize("n,p,case", [(1, 4, CASE_I), (3, 1, CASE_I), (3, 2, CASE_I),
-                                      (4, 2, CASE_I)])
+                                      (4, 2, CASE_I), (1, 5, CASE_I), (3, 3, CASE_I),
+                                      (6, 1, CASE_I)])
 def test_tiling_rejects_a_pocket_that_misses_its_tiles(n, p, case):
     # side 1 drawn at 0.9 of its radius: the generators still spell every
     # word back to z0, so only the pocket test can see it
@@ -693,6 +702,40 @@ def test_tiling_rejects_a_pocket_that_misses_its_tiles(n, p, case):
     sides = list(preset.sides)
     sides[0] = sides[0]._replace(radius=0.9 * sides[0].radius)
     refused_like_the_search(preset._replace(sides=tuple(sides)))
+
+
+def walk_returns(preset, elems, samples):
+    """Reference: the walk group_tiling used before it checked each tile
+    against its parent.  For each (word, element), the samples carried into
+    its tile and reduced back along the whole word, the letter applied last
+    first, or None where a point leaves the path the word names."""
+    # M_w^-k is z -> e^{-ik sector} z; the sides of Pi-hat are never diameters
+    # once np >= 3, so their pockets are |z - center| < radius
+    spin = [cmath.exp(-1j * TAU / preset.n * k) for k in range(preset.n)]
+    pockets = [(side.center, side.radius, g.a, g.b, g.c, g.d)
+               for side, g in zip(preset.sides, preset.first_sector)]
+    undo = {name: s for factor in co._free_factors(preset) for name, _, _, s in factor}
+    for word, g in elems:
+        a, b, c, d = g.a, g.b, g.c, g.d
+        ws = [(a * z + b) / (c * z + d) for z in samples]
+        i = len(word)
+        while i and ws is not None:
+            name = word[i - 1]
+            if undo[name] is None:
+                j = i - 1
+                while j and word[j - 1] == name:
+                    j -= 1
+                turn = spin[i - j] if name == "m" else spin[j - i]
+                ws = [w * turn for w in ws]
+                # 0 <= arg w < 2 pi/n: not below the real axis, below the far edge
+                ws = ws if all(w.imag >= 0 > (w * spin[1]).imag for w in ws) else None
+                i = j
+            else:
+                center, radius, pa, pb, pc, pd = pockets[undo[name] - 1]
+                ws = ([(pa * w + pb) / (pc * w + pd) for w in ws]
+                      if all(abs(w - center) < radius for w in ws) else None)
+                i -= 1
+        yield ws
 
 
 def search_returns(preset, elems, max_word_length):
@@ -737,20 +780,21 @@ def test_word_returns_match_the_search(n, p, case):
     preset = build_group(n, p, case)
     length = max(k for k in range(co.MAX_WORD_LENGTH + 1) if co._ball_size(preset, k) <= 3000)
     elems = co.group_elements(preset, length)
-    got = list(co._word_returns(preset, elems, co._pi_hat_samples(preset)))
+    got = list(walk_returns(preset, elems, co._pi_hat_samples(preset)))
     assert got == search_returns(preset, elems, length)
     assert co.group_tiling(preset, length)["count"] == len(elems)
 
 
 def refused_like_the_search(preset, length=3):
-    """group_tiling refuses the preset, with as many stray tiles as the search
-    reference finds, and more than none."""
+    """group_tiling refuses the preset, with as many stray tiles as the walk
+    and search references find, and more than none."""
     elems = co.group_elements(preset, length)
     samples = co._pi_hat_samples(preset)
-    strays = _strays(co._word_returns(preset, elems, samples), samples)
-    assert strays == _strays(search_returns(preset, elems, length), samples) > 0
-    with pytest.raises(OverlapDetected, match=f"^{strays} tiles fail"):
+    with pytest.raises(OverlapDetected, match="^[0-9]+ tiles fail") as refused:
         co.group_tiling(preset, length)
+    strays = int(str(refused.value).split()[0])
+    assert strays == _strays(walk_returns(preset, elems, samples), samples) \
+        == _strays(search_returns(preset, elems, length), samples) > 0
 
 
 def test_tiling_needs_interior():
