@@ -14,22 +14,23 @@ import cmath
 import itertools
 import math
 import operator
-from typing import NamedTuple
 
 from . import MAX_DEPTH
 from .errors import (AtBreakpoint, DegenerateInput, DepthTooSmall, InconsistentDegree,
-                     InvalidArgument, MarkovViolation, OutsideDomain, RankLimit, as_count)
+                     InvalidArgument, MarkovViolation, OutsideDomain, RankLimit, Record, as_count)
 from .fuchsian import TILE_BUDGET, VERTEX_BUDGET, GroupPreset, build_group
 from .hyperbolic import TAU, angle_in_open_arc, ccw_span, norm_angle
 
 BREAK_TOL = 1e-12
 
 
-class BowenSeriesMap(NamedTuple):
-    preset: GroupPreset
-    maps: tuple               # g_{r,s} of pocket k, the side at preset.sides[k]
-    factor: bool
-    marked_fixed_angle: float
+class BowenSeriesMap(Record):
+    __slots__ = ()
+
+    def __new__(cls, preset: GroupPreset,
+                maps: tuple,              # g_{r,s} of pocket k, the side at preset.sides[k]
+                factor: bool, marked_fixed_angle: float):
+        return tuple.__new__(cls, (preset, maps, factor, marked_fixed_angle))
 
     @property
     def degree(self) -> int:
@@ -293,10 +294,13 @@ def _preimage_counts(m: BowenSeriesMap, ys):
 
 # -- Markov partition ----------------------------------------------------------
 
-class MarkovPartition(NamedTuple):
-    breakpoints: tuple
-    transition: tuple         # multiplicity table, row = source arc
-    arc_images: tuple         # per-arc (start, rise) of the lifted image
+class MarkovPartition(Record):
+    __slots__ = ()
+
+    def __new__(cls, breakpoints: tuple,
+                transition: tuple,        # multiplicity table, row = source arc
+                arc_images: tuple):       # per-arc (start, rise) of the lifted image
+        return tuple.__new__(cls, (breakpoints, transition, arc_images))
 
 
 #: largest miss of a breakpoint by an arc image's end that markov_partition
@@ -611,11 +615,14 @@ class ConjugacyH:
 MAX_RANK = 8
 
 
-class Tile(NamedTuple):
+class Tile(Record):
     """The image of Pi under the inverse branches its word names."""
 
-    word: tuple          # pocket labels (r, s), the branch applied last first
-    vertices: tuple      # image vertices (complex), unfactored
+    __slots__ = ()
+
+    def __new__(cls, word: tuple,         # pocket labels (r, s), the branch applied last first
+                vertices: tuple):         # image vertices (complex), unfactored
+        return tuple.__new__(cls, (word, vertices))
 
 
 #: least (|d| - |c|)(|d| + |c|) of an inverse branch that tiles applies.

@@ -153,7 +153,7 @@ def cmd_bs_tiles(args):
         raise UsageError(f"--rank must be <= {bs.MAX_RANK}")
     m = _bsmap(args)
     levels = bs.tiles(m, args.rank)
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, render.tiles_scene(levels, factor=m.factor,
                                                 n=m.preset.n))
     return {
@@ -192,7 +192,7 @@ def cmd_mate_build(args):
     bc = ms.assemble(slots, contact)
     doc = {"schema": ms.schema_to_dict(slots, contact, poly),
            "complex": _complex_json(bc)}
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, render.hole_diagram_scene(bc))
     return doc
 
@@ -247,7 +247,7 @@ def cmd_surface_report(args):
 def cmd_surface_graph(args):
     from . import render
     sr = _surface(args)
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, render.welding_graph_scene(sr.welding_graph))
     return {"edges": sorted([a, b] for (a, b) in sr.welding_graph.edges),
             "components": len(sr.components)}
@@ -295,7 +295,7 @@ def cmd_corr_tiling(args):
     if args.length > corr.MAX_WORD_LENGTH:
         raise UsageError(f"--len must be <= {corr.MAX_WORD_LENGTH}")
     rep = corr.group_tiling(preset, args.length)
-    if args.svg:
+    if args.svg is not None:
         attrs = render.style(stroke="#1f77b4", width=0.8)
         # the 17 samples of each side of the polygon, carried into every tile
         samples = [side.points_at([i / 16 for i in range(17)]) for side in preset.sides]
@@ -420,22 +420,34 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser of every command, or of what argv can reach: when argv[0]
+    names a group, the other groups are built bare, and when argv[1] names
+    one of its commands, that command alone gets its arguments.  argparse
+    reads only the parsers on argv's path, so each argv parses, and fails,
+    as under the full build."""
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    command = argv[1] if chosen and len(argv) > 1 and argv[1] in _COMMANDS[chosen] else None
     top = _Parser(prog="weldlab", description=__doc__)
     groups = top.add_subparsers(dest="cmd", required=True)
     for group, commands in _COMMANDS.items():
-        sub = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        group_parser = groups.add_parser(group)
+        if chosen not in (None, group):
+            continue
+        sub = group_parser.add_subparsers(dest="sub", required=True)
         for name, (fn, *specs) in commands.items():
             parser = sub.add_parser(name)
-            for flag, options in specs:
-                parser.add_argument(flag, **options)
+            if command in (None, name):
+                for flag, options in specs:
+                    parser.add_argument(flag, **options)
             parser.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         _emit(args.fn(args))
         return 0
     except (UsageError, RankLimit) as exc:

@@ -21,26 +21,26 @@ import cmath
 import math
 import sys
 from collections import Counter
-from typing import NamedTuple
 
 from .errors import (DegenerateInput, InvalidArgument, NotHyperbolic, OverlapDetected,
-                     RankLimit, RelationMismatch, as_count)
+                     RankLimit, Record, RelationMismatch, as_count)
 from .fuchsian import TILE_BUDGET, GroupPreset, build_group, check_parameters, sigma_side
 from .hyperbolic import TAU, MobiusMap, norm_angle
 
 
 # -- model points and maps -----------------------------------------------------
 
-class ModelPoint(NamedTuple):
+class ModelPoint(Record):
     """Point of D x {1..p} with the rotation exponent kept symbolic.
 
     The complex value is w0 * exp(2 pi i e/n); e is an integer mod n so that
     tau^{np} = id holds exactly on representations.
     """
 
-    w0: complex
-    e: int
-    j: int
+    __slots__ = ()
+
+    def __new__(cls, w0: complex, e: int, j: int):
+        return tuple.__new__(cls, (w0, e, j))
 
     def value(self, n: int) -> complex:
         return self.w0 * cmath.exp(2j * math.pi * (self.e % n) / n)
@@ -49,9 +49,11 @@ class ModelPoint(NamedTuple):
         return (self.w0, self.e % n, self.j)
 
 
-class ModelMaps(NamedTuple):
-    n: int
-    p: int
+class ModelMaps(Record):
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int):
+        return tuple.__new__(cls, (n, p))
 
     def point(self, w, j=1) -> ModelPoint:
         return ModelPoint(complex(w), 0, j)
@@ -110,12 +112,13 @@ def tau_eta_word(a: int, b: int = 0) -> str:
 
 # -- tiling-set model ---------------------------------------------------------------
 
-class ModelTilingSet(NamedTuple):
-    n: int
-    p: int
-    case: str
-    sigma: dict            # side-pairing permutation of {1..p}
-    k_exponents: tuple     # k_j, j = 1..p, each in {1..p}
+class ModelTilingSet(Record):
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, case: str,
+                sigma: dict,              # side-pairing permutation of {1..p}
+                k_exponents: tuple):      # k_j, j = 1..p, each in {1..p}
+        return tuple.__new__(cls, (n, p, case, sigma, k_exponents))
 
 
 def model_tiling_set(n: int, p: int, case: str = "I") -> ModelTilingSet:
@@ -138,12 +141,12 @@ def branch_words(m: ModelTilingSet):
     return [tau_eta_word(k) for k in range(1, m.n * m.p)]
 
 
-class RecoveredGenerator(NamedTuple):
-    j: int
-    k: int
-    word: str
-    matrix: MobiusMap
-    order:  object        # int or None (infinite within the probe bound)
+class RecoveredGenerator(Record):
+    __slots__ = ()
+
+    def __new__(cls, j: int, k: int, word: str, matrix: MobiusMap,
+                order: object):           # int or None (infinite within the probe bound)
+        return tuple.__new__(cls, (j, k, word, matrix, order))
 
 
 def recover_representation(m: ModelTilingSet):
@@ -240,7 +243,9 @@ def _free_factors(preset: GroupPreset):
     self-paired side; Z/n for M_w, whose shortest powers are m^k, k <= n/2, and
     m'^k, k < n/2.  Each factor lists (name, generator, longest run, undo) per
     letter, where undo is the side s whose pocket the letter carries Pi-hat
-    into, so that the pocket's pairing g_s undoes it, or None for M_w.
+    into, so that the pocket's pairing g_s undoes it, or None for M_w.  The
+    generator of a primed letter is the map it inverts: group_elements, the
+    one reader of the matrices, inverts it, so no other reader pays for it.
     """
     factors = []
     for s, t in preset.sigma.items():
@@ -248,10 +253,10 @@ def _free_factors(preset: GroupPreset):
         if s == t:
             factors.append([(f"g{s}", g, 1, s)])
         elif s < t:
-            factors.append([(f"g{s}", g, math.inf, t), (f"g{s}'", g.inverse(), math.inf, s)])
+            factors.append([(f"g{s}", g, math.inf, t), (f"g{s}'", g, math.inf, s)])
     if preset.n > 1:
         factors.append([("m", preset.rotation, preset.n // 2, None),
-                        ("m'", preset.rotation.inverse(), (preset.n - 1) // 2, None)])
+                        ("m'", preset.rotation, (preset.n - 1) // 2, None)])
     return factors
 
 
@@ -296,7 +301,7 @@ def group_elements(preset: GroupPreset, max_word_length: int):
     if count > TILE_BUDGET:
         raise RankLimit(f"word length {max_word_length} gives {count} tiles, "
                         f"more than the budget of {TILE_BUDGET}")
-    letters = sorted(((i, name, gen, run)
+    letters = sorted(((i, name, gen.inverse() if name.endswith("'") else gen, run)
                       for i, factor in enumerate(_free_factors(preset))
                       for name, gen, run, _ in factor), key=lambda letter: letter[1])
     ident = MobiusMap.identity()
@@ -386,11 +391,12 @@ def group_tiling(preset: GroupPreset, max_word_length: int):
 
 # -- Blaschke products -----------------------------------------------------------------
 
-class BlaschkeProduct(NamedTuple):
-    zeros: tuple
-    rotation: complex
-    fixed_point: complex
-    multiplier: complex
+class BlaschkeProduct(Record):
+    __slots__ = ()
+
+    def __new__(cls, zeros: tuple, rotation: complex, fixed_point: complex,
+                multiplier: complex):
+        return tuple.__new__(cls, (zeros, rotation, fixed_point, multiplier))
 
     @property
     def degree(self):

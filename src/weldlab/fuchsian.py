@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .errors import (DegenerateInput, InvalidArgument, InvalidCase, NonParabolicCycle,
-                     PairingViolation, RankLimit, as_count)
+                     PairingViolation, RankLimit, Record, as_count)
 from .hyperbolic import Geodesic, MobiusMap, TAU, _canonical_sign, geodesic_between
 
 CASE_I = "I"
@@ -67,15 +66,16 @@ def self_paired_sides(p: int, case: str):
     return [1, p // 2 + 1]
 
 
-class GroupPreset(NamedTuple):
-    n: int
-    p: int
-    case: str
-    sides: tuple                 # Geodesic C_{r,s} at index side_index(r, s)
-    axis: Geodesic
-    first_sector: tuple          # MobiusMap for s = 1..p (index s-1)
-    rotation: MobiusMap          # M_w, identity when n = 1
-    sigma: dict                  # side pairing on {1..p}
+class GroupPreset(Record):
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, case: str,
+                sides: tuple,               # Geodesic C_{r,s} at index side_index(r, s)
+                axis: Geodesic,
+                first_sector: tuple,        # MobiusMap for s = 1..p (index s-1)
+                rotation: MobiusMap,        # M_w, identity when n = 1
+                sigma: dict):               # side pairing on {1..p}
+        return tuple.__new__(cls, (n, p, case, sides, axis, first_sector, rotation, sigma))
 
     def generator(self, r: int, s: int) -> MobiusMap:
         """Side pairing of C_{r,s}; sectors transfer by rotation conjugation."""
@@ -267,10 +267,11 @@ def poincare_check(preset: GroupPreset):
 
 # -- orbifold signatures ----------------------------------------------------
 
-class OrbifoldSignature(NamedTuple):
-    genus: int
-    punctures: int
-    cone_orders: tuple
+class OrbifoldSignature(Record):
+    __slots__ = ()
+
+    def __new__(cls, genus: int, punctures: int, cone_orders: tuple):
+        return tuple.__new__(cls, (genus, punctures, cone_orders))
 
 
 def orbifold_signature(preset: GroupPreset, extended: bool = True) -> OrbifoldSignature:
@@ -298,10 +299,11 @@ def orbifold_signature(preset: GroupPreset, extended: bool = True) -> OrbifoldSi
 
 # -- degree calculator -------------------------------------------------------
 
-class DegreePlan(NamedTuple):
-    multiplicities: tuple
-    degree: int
-    top_multiplicity: int
+class DegreePlan(Record):
+    __slots__ = ()
+
+    def __new__(cls, multiplicities: tuple, degree: int, top_multiplicity: int):
+        return tuple.__new__(cls, (multiplicities, degree, top_multiplicity))
 
 
 def legal_presets():

@@ -3,17 +3,16 @@
 Möbius maps are stored as normalized 2x2 complex matrices, boundary points
 as angles in [0, 2pi), geodesics by their ideal endpoints with a derived
 Euclidean center/radius (or a diameter flag).  Everything is read-only after
-construction: Geodesic is a NamedTuple, and the slots class MobiusMap is
-read-only by convention.
+construction: Geodesic is a Record (a tuple with named fields), and the
+slots class MobiusMap is read-only by convention.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
-from .errors import CoincidentEndpoints, DegenerateInput, InvalidArgument
+from .errors import CoincidentEndpoints, DegenerateInput, InvalidArgument, Record
 
 TAU = 2.0 * math.pi
 
@@ -192,7 +191,7 @@ class MobiusMap:
                      if abs(k * turn - round(k * turn)) <= DEFAULT_TOL and k * turn > 0.5), None)
 
 
-class Geodesic(NamedTuple):
+class Geodesic(Record):
     """Bi-infinite geodesic with ideal endpoints theta1, theta2.
 
     Non-diameter geodesics carry the center/radius of the Euclidean circle
@@ -200,11 +199,11 @@ class Geodesic(NamedTuple):
     diameter representation to avoid the infinite-radius blowup.
     """
 
-    theta1: float
-    theta2: float
-    is_diameter: bool
-    center: complex = 0j
-    radius: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, theta1: float, theta2: float, is_diameter: bool,
+                center: complex = 0j, radius: float = 0.0):
+        return tuple.__new__(cls, (theta1, theta2, is_diameter, center, radius))
 
     @property
     def endpoints(self):

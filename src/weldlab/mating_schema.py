@@ -18,11 +18,10 @@ import cmath
 import json
 import math
 import re
-from typing import NamedTuple
 
 from . import SCHEMA_VERSION, fuchsian
 from .errors import (DegenerateInput, DegreeMismatch, InconsistentInvolution,
-                     InvalidArgument, NonPlanar, RankLimit, VerificationFailed,
+                     InvalidArgument, NonPlanar, RankLimit, Record, VerificationFailed,
                      as_count)
 from .fuchsian import CASE_I, CASE_II
 
@@ -47,13 +46,14 @@ class _UnionFind:
 
 # -- slots -------------------------------------------------------------------
 
-class Slot(NamedTuple):
-    kind: str                    # "group" | "blaschke"
-    n: int = 0
-    p: int = 0
-    case: str = CASE_I
-    degree: int = 0              # Blaschke degree
-    unbounded: bool = False
+class Slot(Record):
+    __slots__ = ()
+
+    def __new__(cls, kind: str,               # "group" | "blaschke"
+                n: int = 0, p: int = 0, case: str = CASE_I,
+                degree: int = 0,              # Blaschke degree
+                unbounded: bool = False):
+        return tuple.__new__(cls, (kind, n, p, case, degree, unbounded))
 
     @property
     def circle_degree(self) -> int:
@@ -87,29 +87,36 @@ def blaschke_slot(degree) -> Slot:
 
 # -- contact data ---------------------------------------------------------------
 
-class ContactData(NamedTuple):
+class ContactData(Record):
     """Corner identification classes, each a ccw-ordered tuple of incidences.
 
     An incidence is a pair (slot_index, corner); the tuple order is the ccw
     rotation order of the hole wedges around the singular point.
     """
 
-    classes: tuple
+    __slots__ = ()
+
+    def __new__(cls, classes: tuple):
+        return tuple.__new__(cls, (classes,))
 
 
 # -- boundary complex ------------------------------------------------------------
 
-class Arc(NamedTuple):
+class Arc(Record):
     """Directed boundary arc: a hole side or a half of a self-paired side,
     numbered by its position in BoundaryComplex.arcs."""
-    hole: int          # slot index
-    side: int          # 1..p
-    piece: int         # 0 = whole side; self-paired sides split into 0, 1
-    start: int         # vertex id
-    end: int           # vertex id
+
+    __slots__ = ()
+
+    def __new__(cls, hole: int,       # slot index
+                side: int,            # 1..p
+                piece: int,           # 0 = whole side; self-paired sides split into 0, 1
+                start: int,           # vertex id
+                end: int):            # vertex id
+        return tuple.__new__(cls, (hole, side, piece, start, end))
 
 
-class BoundaryComplex(NamedTuple):
+class BoundaryComplex(Record):
     """Arcs, corner classes, domain faces and arc involution of a schema.
 
     A hole is its group slot and is named by the slot index.  Vertex ids
@@ -121,13 +128,15 @@ class BoundaryComplex(NamedTuple):
     of which face an arc bounds.  The hole interiors are not faces here.
     """
 
-    slots: tuple
-    contact: ContactData
-    arcs: list                   # Arc
-    s_action: list               # indexed by arc: the arc S carries it onto
-    corners: list                # corner classes: contact classes, then lone corners
-    faces: list                  # list of faces; each face: list of arc-index cycles
-    components: int              # connected components of the boundary graph
+    __slots__ = ()
+
+    def __new__(cls, slots: tuple, contact: ContactData,
+                arcs: list,                 # Arc
+                s_action: list,             # indexed by arc: the arc S carries it onto
+                corners: list,              # corner classes: contact classes, then lone corners
+                faces: list,                # list of faces; each face: list of arc-index cycles
+                components: int):           # connected components of the boundary graph
+        return tuple.__new__(cls, (slots, contact, arcs, s_action, corners, faces, components))
 
     def s_fixed_boundary_points(self):
         """S-fixed points on the desingularized boundary: the midpoints."""
@@ -345,11 +354,14 @@ def validate_degrees(slots):
 
 # -- polynomial registry ------------------------------------------------------------
 
-class PolynomialEntry(NamedTuple):
-    name: str
-    coefficients: tuple          # ascending powers
-    critical_points: tuple       # (point, multiplicity)
-    fixed_points: tuple
+class PolynomialEntry(Record):
+    __slots__ = ()
+
+    def __new__(cls, name: str,
+                coefficients: tuple,        # ascending powers
+                critical_points: tuple,     # (point, multiplicity)
+                fixed_points: tuple):
+        return tuple.__new__(cls, (name, coefficients, critical_points, fixed_points))
 
     def degree(self):
         return len(self.coefficients) - 1

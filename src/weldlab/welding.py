@@ -21,23 +21,24 @@ by Riemann-Hurwitz, and any component that is not a sphere is refused.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import GluingInconsistency, ZipNotSphere
+from .errors import GluingInconsistency, Record, ZipNotSphere
 from .mating_schema import BoundaryComplex, _UnionFind
 
 
 # -- welding graph --------------------------------------------------------------
 
-class WeldingGraph(NamedTuple):
+class WeldingGraph(Record):
     """Graph on the formal copies v_i^+/- of the domain faces.
 
     v_{i1}^- and v_{i2}^+ share an edge iff S carries some boundary arc of
     face i1 into the boundary of face i2.
     """
 
-    num_faces: int
-    edges: frozenset       # frozenset of (i1, i2): edge v_{i1}^- ~ v_{i2}^+
+    __slots__ = ()
+
+    def __new__(cls, num_faces: int,
+                edges: frozenset):    # frozenset of (i1, i2): edge v_{i1}^- ~ v_{i2}^+
+        return tuple.__new__(cls, (num_faces, edges))
 
     def vertices(self):
         return [(i, sgn) for i in range(self.num_faces) for sgn in (-1, +1)]
@@ -60,22 +61,26 @@ def welding_graph(bc: BoundaryComplex) -> WeldingGraph:
 
 # -- welded complex ----------------------------------------------------------------
 
-class ComponentReport(NamedTuple):
-    index: int
-    faces: tuple
-    euler_characteristic: int
-    genus: int
-    eta_invariant: bool
-    fix_eta: int          # eta-fixed vertices on this component (0 if not invariant)
+class ComponentReport(Record):
+    __slots__ = ()
+
+    def __new__(cls, index: int, faces: tuple, euler_characteristic: int, genus: int,
+                eta_invariant: bool,
+                fix_eta: int):        # eta-fixed vertices on this component (0 if not invariant)
+        return tuple.__new__(cls, (index, faces, euler_characteristic, genus,
+                                   eta_invariant, fix_eta))
 
 
-class WeldedComplex(NamedTuple):
+class WeldedComplex(Record):
     """The double of bc, its components in the order of their least face
     copy, where (face, -1) comes before (face, +1)."""
 
-    bc: BoundaryComplex      # edge e_a = {a^+, S(a)^-} for each arc index a
-    components: tuple        # a ComponentReport per component of the double
-    graph: WeldingGraph      # its components are those of the double
+    __slots__ = ()
+
+    def __new__(cls, bc: BoundaryComplex,     # edge e_a = {a^+, S(a)^-} for each arc index a
+                components: tuple,            # a ComponentReport per component of the double
+                graph: WeldingGraph):         # its components are those of the double
+        return tuple.__new__(cls, (bc, components, graph))
 
 
 def weld(bc: BoundaryComplex) -> WeldedComplex:
@@ -174,10 +179,12 @@ def weld(bc: BoundaryComplex) -> WeldedComplex:
 
 # -- surface report ------------------------------------------------------------------
 
-class SurfaceReport(NamedTuple):
-    components: tuple
-    welding_graph: WeldingGraph
-    zipped: tuple          # per zipped component: {"euler_characteristic": 2, ...}
+class SurfaceReport(Record):
+    __slots__ = ()
+
+    def __new__(cls, components: tuple, welding_graph: WeldingGraph,
+                zipped: tuple):       # per zipped component: {"euler_characteristic": 2, ...}
+        return tuple.__new__(cls, (components, welding_graph, zipped))
 
     def connected(self):
         return len(self.components) == 1

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import weldlab
+from weldlab import cli
 from weldlab.cli import main
 
 
@@ -310,13 +311,34 @@ SVG_COMMANDS = [("bs", "tiles", "--n", "1", "--p", "4", "--rank", "2"),
 
 
 @pytest.mark.parametrize("argv", SVG_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
-@pytest.mark.parametrize("target", ["directory", "missing"])
+@pytest.mark.parametrize("target", ["directory", "missing", "empty"])
 def test_unwritable_svg_is_a_usage_error(capsys, tmp_path, argv, target):
-    # open() used to end the run in a FileNotFoundError or IsADirectoryError
-    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.svg"
+    # open() used to end the run in a FileNotFoundError or IsADirectoryError,
+    # and an empty path was taken for no --svg: exit 0, and nothing written
+    path = {"directory": tmp_path, "missing": tmp_path / "missing" / "out.svg",
+            "empty": ""}[target]
     code, out, err = run(capsys, *argv, "--svg", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"weldlab: usage error: cannot write {path}: ")
+
+
+def test_command_builds_only_the_parsers_it_reaches(capsys, monkeypatch):
+    # the full tree is 23 parsers: the top, 5 groups and 17 commands; a
+    # command needs the top, the groups (their names are the top's choices)
+    # and its own group's commands, of which it alone gets arguments
+    made = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run(capsys, "surface", "report", "5.4")[0] == 0
+    assert len(made) <= 9
+    made.clear()
+    cli.build_parser()
+    assert len(made) == 23
 
 
 @pytest.mark.parametrize("w", [("2", "0"), ("1", "0"), ("0", "-1"), ("0.8", "0.8"),

@@ -395,6 +395,20 @@ def test_ball_size_is_the_free_product_ball():
         assert [co._ball_size(preset, k) for k in range(9)] == balls
 
 
+@pytest.mark.parametrize("n,p,case", [(1, 4, CASE_I), (1, 6, CASE_II), (3, 1, CASE_I),
+                                      (5, 6, CASE_I), (4, 3, CASE_I)])
+def test_tiling_inverts_each_generator_once(monkeypatch, n, p, case):
+    # the ball count, the enumeration and the tiling each used to invert
+    # every pairing g_s with s < sigma(s), and M_w
+    preset = build_group(n, p, case)
+    inverted = []
+    inverse = MobiusMap.inverse
+    monkeypatch.setattr(MobiusMap, "inverse", lambda g: inverted.append(g) or inverse(g))
+    co.group_tiling(preset, 2)
+    pairs = sum(s < t for s, t in preset.sigma.items())
+    assert len(inverted) == pairs + (n > 1)
+
+
 def test_tiling_budget_checked_before_enumeration(monkeypatch):
     # group_elements builds each word's element by compose, and group_tiling
     # calls it first, so a refused compose means some work was started

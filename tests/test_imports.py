@@ -20,12 +20,12 @@ LAYERS = ("hyperbolic", "fuchsian", "bowen_series", "mating_schema", "welding",
           "correspondence", "render", "cli")
 
 
-def fresh(code: str):
-    """Run code in a new interpreter that imports weldlab from this tree;
-    return what it printed, parsed as JSON."""
+def fresh(code: str, *flags):
+    """Run code in a new interpreter, with the interpreter flags given, that
+    imports weldlab from this tree; return what it printed, parsed as JSON."""
     path = os.pathsep.join([SRC] + ([os.environ["PYTHONPATH"]]
                                     if os.environ.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     return json.loads(out.stdout)
 
@@ -81,6 +81,16 @@ def test_layer_import_loads_no_dataclasses(layer):
                    "print(json.dumps(sorted(sys.modules)))")
     assert f"weldlab.{layer}" in loaded
     assert not HEAVY & set(loaded)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_import_loads_no_typing(layer):
+    # the records once were typing.NamedTuple classes; -S keeps site's .pth
+    # files from loading typing first
+    loaded = fresh(f"import json, sys, weldlab.{layer}\n"
+                   "print(json.dumps(sorted(sys.modules)))", "-S")
+    assert f"weldlab.{layer}" in loaded
+    assert "typing" not in loaded
 
 
 @pytest.mark.parametrize("argv", [
